@@ -8,6 +8,13 @@ Decoding is lossless on the snapped function, so the end-to-end L1 error is
 the quantization error, which the parameter choice keeps below the requested
 accuracy.
 
+On an interval net the centres form a lattice, so nearest centres, jump
+radii and shell ranks have closed forms: encoding and decoding cost O(N1)
+time and memory, and no net-by-net matrix is ever built.  A net over a finite
+metric space keeps a cached matrix of discrete radii, whose size is bounded
+by the space's own distance matrix.  Bits are packed and unpacked in bulk
+with numpy; decoding loops once per grid cell.
+
 Generalized-variation inputs are first coarsened by the adaptive partition
 that advances while the function stays within h of its value at the current
 partition point; the coarsened function is plain-BV with a certified budget.
@@ -66,6 +73,12 @@ class RealInterval:
     doubling_dim = 1
 
 
+# Interval nets use the closed-form radius 2|i - j| only while the rounding
+# error of |c_i - c_j| / h2 stays far below the 1e-9 slack of
+# _rho_sharp_from_dist: max|c| / h2 < 1e5 keeps it under 1e-10.
+_CLOSED_FORM_MAX_RATIO = 1e5
+
+
 class Net:
     """h2-covering of a value space, used as the codec alphabet."""
 
@@ -78,6 +91,8 @@ class Net:
         else:
             self.centers = np.asarray(centers, dtype=int)
         self._rho_sharp = None
+        # True only for a uniform interval net within the precision bound.
+        self._closed_form = False
 
     @property
     def size(self) -> int:
@@ -88,7 +103,10 @@ class Net:
         m = interval.cover_count(h2)
         centers = interval.lo + h2 + 2.0 * h2 * np.arange(m)
         token = f"uniform:{interval.lo!r}:{interval.hi!r}"
-        return cls(h2, centers, None, token)
+        net = cls(h2, centers, None, token)
+        reach = max(abs(centers[0]), abs(centers[-1]))
+        net._closed_form = bool(reach < _CLOSED_FORM_MAX_RATIO * net.h2)
+        return net
 
     @classmethod
     def greedy_cover(cls, space: FiniteMetricSpace, h2: float) -> "Net":
@@ -105,12 +123,35 @@ class Net:
 
     def nearest(self, value) -> tuple[int, float]:
         """Position of the nearest center, lowest index on ties."""
-        if self.space is None:
-            d = np.abs(self.centers - float(value))
-        else:
-            d = self.space.dist[int(value), self.centers]
-        pos = int(np.argmin(d))
-        return pos, float(d[pos])
+        pos, d = self.nearest_many(np.array([value]))
+        return int(pos[0]), float(d[0])
+
+    def nearest_many(self, values) -> tuple[np.ndarray, np.ndarray]:
+        """Nearest-center position and distance for each value, lowest index
+        on ties."""
+        values = np.asarray(values)
+        if self._closed_form:
+            # The lattice index rounded from the value is within one of the
+            # argmin; the same |c - v| arithmetic over its neighbours settles
+            # ties exactly as a full scan would.
+            est = np.rint((values - self.centers[0]) / (2.0 * self.h2))
+            est = np.clip(np.nan_to_num(est), 0, self.size - 1).astype(int)
+            cand = np.clip(est[:, None] + np.arange(-1, 2), 0, self.size - 1)
+            d = np.abs(self.centers[cand] - values[:, None])
+            best = np.argmin(d, axis=1)
+            rows = np.arange(values.size)
+            return cand[rows, best], d[rows, best]
+        uniq, inverse = np.unique(values, return_inverse=True)
+        pos = np.empty(uniq.size, dtype=int)
+        dist = np.empty(uniq.size)
+        for i, v in enumerate(uniq):
+            if self.space is None:
+                d = np.abs(self.centers - float(v))
+            else:
+                d = self.space.dist[int(v), self.centers]
+            pos[i] = np.argmin(d)
+            dist[i] = d[pos[i]]
+        return pos[inverse], dist[inverse]
 
     def rho_sharp_matrix(self) -> np.ndarray:
         if self._rho_sharp is None:
@@ -121,9 +162,40 @@ class Net:
             self._rho_sharp = _rho_sharp_from_dist(d, self.h2)
         return self._rho_sharp
 
+    def _rho_sharp_row(self, pos: int) -> np.ndarray:
+        # Interval nets compute a row on demand instead of building the
+        # net-by-net matrix; finite-space nets read the cached matrix.
+        if self.space is None:
+            return _rho_sharp_from_dist(np.abs(self.centers[pos] - self.centers), self.h2)
+        return self.rho_sharp_matrix()[pos]
+
     def shell(self, pos: int, k: int) -> np.ndarray:
         """Center positions at discrete radius exactly k from ``pos``."""
-        return np.flatnonzero(self.rho_sharp_matrix()[pos] == k)
+        if not self._closed_form:
+            return np.flatnonzero(self._rho_sharp_row(pos) == k)
+        half, odd = divmod(k, 2)
+        if odd:
+            return np.empty(0, dtype=int)
+        ends = (pos - half, pos + half) if half else (pos,)
+        return np.array([p for p in ends if 0 <= p < self.size], dtype=int)
+
+    def shell_ranks(self, src, dst, k) -> tuple[np.ndarray, np.ndarray]:
+        """Rank of each ``dst[i]`` in the shell of radius ``k[i]`` around
+        ``src[i]``, and the size of that shell."""
+        if self._closed_form:
+            half = k // 2
+            lower = src - half >= 0
+            upper = src + half < self.size
+            sizes = np.where(k == 0, 1, lower.astype(int) + upper)
+            ranks = ((dst > src) & lower).astype(int)
+            return ranks, sizes
+        ranks = np.empty(k.size, dtype=int)
+        sizes = np.empty(k.size, dtype=int)
+        for i, (p, q, r) in enumerate(zip(src, dst, k)):
+            shell = self.shell(int(p), int(r))
+            ranks[i] = np.searchsorted(shell, q)
+            sizes[i] = shell.size
+        return ranks, sizes
 
 
 def _rho_sharp_from_dist(d, h2: float):
@@ -138,17 +210,8 @@ def rho_sharp(x, y, h2: float, space: FiniteMetricSpace | None = None) -> int:
     ratio in (q, q+1]."""
     if h2 <= 0:
         raise ValueError("h2 must be positive")
-    if space is None:
-        if float(x) == float(y):
-            return 0
-        d = abs(float(x) - float(y))
-    else:
-        if int(x) == int(y):
-            return 0
-        d = float(space.dist[int(x), int(y)])
-    if d == 0.0:
-        return 0
-    return max(1, int(math.ceil(d / h2 - 1e-9)))
+    d = abs(float(x) - float(y)) if space is None else space.dist[int(x), int(y)]
+    return int(_rho_sharp_from_dist(np.array([d]), h2)[0])
 
 
 def net_from_token(token: str, h2: float, space=None) -> Net:
@@ -205,14 +268,15 @@ def choose_params(L: float, V: float, eps: float) -> tuple[int, float]:
 
 def quantize_positions(f: StepFunction, grid: QuantizerGrid, net: Net) -> np.ndarray:
     """Net position of the nearest center to f at each grid midpoint."""
-    positions = np.empty(grid.N1, dtype=int)
-    for i, t in enumerate(grid.midpoints):
-        pos, d = net.nearest(f.value_at(t))
-        if d > net.h2 * (1 + 1e-9):
-            raise NetIncomplete(
-                f"no net center within {net.h2} of f({t}) (nearest at {d})"
-            )
-        positions[i] = pos
+    t = grid.midpoints
+    piece = np.searchsorted(f.breakpoints, t, side="right") - 1
+    positions, d = net.nearest_many(f.values[np.clip(piece, 0, f.k - 1)])
+    far = d > net.h2 * (1 + 1e-9)
+    if far.any():
+        i = int(np.argmax(far))
+        raise NetIncomplete(
+            f"no net center within {net.h2} of f({t[i]}) (nearest at {d[i]})"
+        )
     return positions
 
 
@@ -225,19 +289,15 @@ def quantize(f: StepFunction, grid: QuantizerGrid, net: Net) -> StepFunction:
 
 def jump_profile(fs: StepFunction, h2: float) -> np.ndarray:
     """Cumulative discrete-jump counter across grid cells (non-decreasing)."""
-    k = _rho_sharp_steps(fs, h2)
-    out = np.zeros(fs.k, dtype=int)
-    if fs.k > 1:
-        out[1:] = np.cumsum(k) + np.arange(fs.k - 1)
+    if h2 <= 0:
+        raise ValueError("h2 must be positive")
+    return _profile(_rho_sharp_from_dist(fs.jump_sizes(), h2))
+
+
+def _profile(radii: np.ndarray) -> np.ndarray:
+    out = np.zeros(radii.size + 1, dtype=int)
+    out[1:] = np.cumsum(radii) + np.arange(radii.size)
     return out
-
-
-def _rho_sharp_steps(fs: StepFunction, h2: float) -> np.ndarray:
-    return np.array(
-        [rho_sharp(fs.values[i], fs.values[i + 1], h2, fs.space)
-         for i in range(fs.k - 1)],
-        dtype=int,
-    )
 
 
 def gamma_budget(N1: int, h2: float, V: float) -> int:
@@ -249,69 +309,86 @@ def gamma_budget(N1: int, h2: float, V: float) -> int:
 # bit-level plumbing
 
 
+def _bit_length(n) -> np.ndarray:
+    """int.bit_length of each entry of a nonnegative integer array below 2**53."""
+    return np.frexp(np.asarray(n, dtype=float))[1]
+
+
+def _gamma_width(n):
+    """Width of the Elias gamma code of n >= 1: the value n written in
+    2*bit_length(n) - 1 bits, its leading zeros being the unary prefix."""
+    return 2 * _bit_length(n) - 1
+
+
 class BitWriter:
+    """MSB-first bit packer: fields queue up as (value, width) arrays and are
+    packed in one pass with ``np.packbits``."""
+
     def __init__(self):
-        self._bits: list[int] = []
+        self._values: list[np.ndarray] = []
+        self._widths: list[np.ndarray] = []
+        self._n = 0
 
     def write(self, value: int, width: int) -> None:
-        for shift in range(width - 1, -1, -1):
-            self._bits.append((value >> shift) & 1)
+        self.write_fields([value], [width])
+
+    def write_fields(self, values, widths) -> None:
+        """Append ``values[i]`` in ``widths[i]`` bits, in order."""
+        widths = np.asarray(widths, dtype=np.int64)
+        self._values.append(np.asarray(values, dtype=np.int64))
+        self._widths.append(widths)
+        self._n += int(widths.sum())
 
     def write_gamma(self, n: int) -> None:
         """Elias gamma code for n >= 1."""
         if n < 1:
             raise ValueError("gamma code needs n >= 1")
-        nbits = n.bit_length()
-        self.write(0, nbits - 1)
-        self.write(n, nbits)
+        self.write(n, int(_gamma_width(n)))
 
     @property
     def bit_length(self) -> int:
-        return len(self._bits)
+        return self._n
 
     def to_bytes(self) -> bytes:
-        out = bytearray()
-        acc, have = 0, 0
-        for b in self._bits:
-            acc = (acc << 1) | b
-            have += 1
-            if have == 8:
-                out.append(acc)
-                acc, have = 0, 0
-        if have:
-            out.append(acc << (8 - have))
-        return bytes(out)
+        if not self._n:
+            return b""
+        values = np.concatenate(self._values)
+        widths = np.concatenate(self._widths)
+        field = np.repeat(np.arange(widths.size), widths)
+        shift = (np.cumsum(widths) - 1)[field] - np.arange(self._n)
+        bits = (values[field] >> shift) & 1
+        return np.packbits(bits.astype(np.uint8)).tobytes()
 
 
 class BitReader:
+    """MSB-first bit reader over the first ``bit_length`` bits of a payload."""
+
     def __init__(self, payload: bytes, bit_length: int):
-        self._payload = payload
+        if not 0 <= bit_length <= 8 * len(payload):
+            raise CorruptStream("declared bit length exceeds payload")
+        bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=bit_length)
+        # ASCII digits, so int(..., 2) and bytes.find do the bit work.
+        self._bits = (bits + ord("0")).tobytes()
         self._n = bit_length
         self._pos = 0
-        if bit_length > 8 * len(payload):
-            raise CorruptStream("declared bit length exceeds payload")
 
     def read(self, width: int) -> int:
-        if self._pos + width > self._n:
+        end = self._pos + width
+        if end > self._n:
             raise CorruptStream("truncated bitstream")
-        value = 0
-        for _ in range(width):
-            byte = self._payload[self._pos >> 3]
-            bit = (byte >> (7 - (self._pos & 7))) & 1
-            value = (value << 1) | bit
-            self._pos += 1
+        value = int(self._bits[self._pos:end], 2) if width else 0
+        self._pos = end
         return value
 
     def read_gamma(self) -> int:
-        zeros = 0
-        while self.read(1) == 0:
-            zeros += 1
-            if zeros > 64:
+        one = self._bits.find(b"1", self._pos, min(self._pos + 65, self._n))
+        if one < 0:
+            if self._pos + 65 <= self._n:
                 raise CorruptStream("gamma prefix too long")
-        value = 1
-        for _ in range(zeros):
-            value = (value << 1) | self.read(1)
-        return value
+            raise CorruptStream("truncated bitstream")
+        zeros = one - self._pos
+        self._pos = one
+        return self.read(zeros + 1)
 
     @property
     def exhausted(self) -> bool:
@@ -319,7 +396,7 @@ class BitReader:
 
 
 def _rank_width(count: int) -> int:
-    return max(0, math.ceil(math.log2(count))) if count > 1 else 0
+    return (count - 1).bit_length() if count > 1 else 0
 
 
 # ---------------------------------------------------------------------------
@@ -359,19 +436,26 @@ def write_codeword(c: Codeword, path) -> None:
         fh.write(c.payload)
 
 
+def _read_exact(fh, n: int) -> bytes:
+    raw = fh.read(n)
+    if len(raw) != n:
+        raise CorruptStream(f"truncated codeword: wanted {n} bytes, got {len(raw)}")
+    return raw
+
+
 def read_codeword(path) -> Codeword:
     with open(path, "rb") as fh:
         if fh.read(4) != MAGIC:
             raise CorruptStream("bad magic")
-        L = struct.unpack("<d", fh.read(8))[0]
-        N1 = struct.unpack("<I", fh.read(4))[0]
-        struct.unpack("<I", fh.read(4))[0]  # reserved net size
-        h2 = struct.unpack("<d", fh.read(8))[0]
+        L, N1, _reserved_net_size, h2 = struct.unpack("<dIId", _read_exact(fh, 24))
         tokens = []
         for _ in range(2):
-            n = struct.unpack("<H", fh.read(2))[0]
-            tokens.append(fh.read(n).decode("utf-8"))
-        bit_length = struct.unpack("<I", fh.read(4))[0]
+            n = struct.unpack("<H", _read_exact(fh, 2))[0]
+            try:
+                tokens.append(_read_exact(fh, n).decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise CorruptStream(f"token is not UTF-8: {exc}") from exc
+        bit_length = struct.unpack("<I", _read_exact(fh, 4))[0]
         payload = fh.read()
     return Codeword(L, N1, h2, tokens[1], tokens[0], payload, bit_length)
 
@@ -414,21 +498,28 @@ def encode_bv(
     positions = quantize_positions(f, grid, net)
 
     fsharp = StepFunction(grid.edges, net.centers[positions], net.space)
-    assert tv(fsharp) <= 2 * (N1 - 1) * h2 + V + 1e-9
+    tv_sharp, tv_cap = tv(fsharp), 2 * (N1 - 1) * h2 + V + 1e-9
+    if not tv_sharp <= tv_cap:
+        raise BudgetViolation(f"quantized tv {tv_sharp} exceeds 2(N1-1)h2 + V = {tv_cap}")
 
-    profile = jump_profile(fsharp, h2)
-    assert np.all(np.diff(profile) >= 0)
-    assert profile[-1] <= gamma_budget(N1, h2, V) - 1
+    radii = _rho_sharp_from_dist(fsharp.jump_sizes(), h2)
+    profile = _profile(radii)
+    if not np.all(np.diff(profile) >= 0):
+        raise BudgetViolation("jump profile is not non-decreasing")
+    cap = gamma_budget(N1, h2, V) - 1
+    if not profile[-1] <= cap:
+        raise BudgetViolation(f"jump profile {profile[-1]} exceeds its cap {cap}")
 
+    src, dst = positions[:-1], positions[1:]
+    ranks, sizes = net.shell_ranks(src, dst, radii)
     w = BitWriter()
     w.write(int(positions[0]), _rank_width(net.size))
-    rs = net.rho_sharp_matrix()
-    for i in range(N1 - 1):
-        k = int(rs[positions[i], positions[i + 1]])
-        w.write_gamma(k + 1)
-        shell = net.shell(int(positions[i]), k)
-        rank = int(np.searchsorted(shell, positions[i + 1]))
-        w.write(rank, _rank_width(shell.size))
+    # Per step: the gamma code of k + 1, then the shell rank in
+    # bit_length(size - 1) bits, which is _rank_width(size) for size >= 1.
+    w.write_fields(
+        np.column_stack([radii + 1, ranks]).ravel(),
+        np.column_stack([_gamma_width(radii + 1), _bit_length(sizes - 1)]).ravel(),
+    )
     return Codeword(
         L=L, N1=N1, h2=h2, net_token=net.token, gauge_token=gauge_token,
         payload=w.to_bytes(), bit_length=w.bit_length,
@@ -438,19 +529,22 @@ def encode_bv(
 def decode(c: Codeword, net: Net) -> StepFunction:
     """Reconstruct the snapped step function exactly from the bitstream."""
     r = BitReader(c.payload, c.bit_length)
-    start = r.read(_rank_width(net.size))
-    if start >= net.size:
+    pos = r.read(_rank_width(net.size))
+    if pos >= net.size:
         raise CorruptStream("start index out of range")
-    positions = [start]
+    positions = [pos]
     for _ in range(c.N1 - 1):
         k = r.read_gamma() - 1
-        shell = net.shell(positions[-1], k)
+        shell = net.shell(pos, k)
         if shell.size == 0:
             raise CorruptStream(f"empty shell at radius {k}")
         rank = r.read(_rank_width(shell.size))
         if rank >= shell.size:
             raise CorruptStream("shell rank out of range")
-        positions.append(int(shell[rank]))
+        pos = int(shell[rank])
+        positions.append(pos)
+    if not r.exhausted:
+        raise CorruptStream("bits left over after the last cell")
     grid = c.grid()
     return StepFunction(grid.edges, net.centers[positions], net.space)
 
@@ -510,9 +604,12 @@ def adaptive_coarsen(
         tv_coarse=tv(fh),
         l1_error=l1_distance(fh, f),
     )
-    assert cert.cells - 1 <= V / psi_h + 1e-9
-    assert cert.tv_coarse <= V_h * (1 + 1e-9) + 1e-12
-    assert cert.l1_error <= f.L * h * (1 + 1e-9)
+    if not cert.cells - 1 <= V / psi_h + 1e-9:
+        raise BudgetViolation(f"{cert.cells} cells exceed 1 + V/psi(h) = {1 + V / psi_h}")
+    if not cert.tv_coarse <= V_h * (1 + 1e-9) + 1e-12:
+        raise BudgetViolation(f"coarse tv {cert.tv_coarse} exceeds h V / psi(h) = {V_h}")
+    if not cert.l1_error <= f.L * h * (1 + 1e-9):
+        raise BudgetViolation(f"coarsening L1 error {cert.l1_error} exceeds L h = {f.L * h}")
     return fh, cert
 
 
@@ -542,7 +639,8 @@ def encode_bvpsi(
     h = eps / (2.0 * L)
     fh, cert = adaptive_coarsen(f, h, gauge, V)
     budget = max(cert.tv_coarse, eps / L)
-    assert budget <= cert.V_h * (1 + 1e-9) + 1e-12
+    if not budget <= cert.V_h * (1 + 1e-9) + 1e-12:
+        raise BudgetViolation(f"coarse budget {budget} exceeds h V / psi(h) = {cert.V_h}")
     vs = _resolve_value_space(f, value_space)
     return encode_bv(fh, budget, eps / 2.0, value_space=vs, gauge_token=gauge.token)
 

@@ -1,4 +1,8 @@
+import dataclasses
+import hashlib
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +30,8 @@ from bventropy.bv_codec import (
     upper_bound_bits,
     write_codeword,
 )
+from bventropy import bv_codec
+from bventropy.entropy_estimator import random_bv_ensemble, random_bvpsi_ensemble
 from bventropy.errors import BudgetViolation, CorruptStream, EpsilonTooLarge, NetIncomplete
 from bventropy.gauge_variation import Gauge, StepFunction, l1_distance, tv, tv_psi
 
@@ -106,6 +112,40 @@ class TestNetAndQuantize:
         assert l1_distance(fs, f) <= grid.h1 * 0.9 + f.L * net.h2 + 1e-12
 
 
+def _dense_rho_sharp(net):
+    c = net.centers
+    return bv_codec._rho_sharp_from_dist(np.abs(c[:, None] - c[None, :]), net.h2)
+
+
+class TestIntervalNetShells:
+    """Closed-form (and, far from the origin, on-demand) shells and radii
+    against the dense matrix of discrete radii."""
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-3.0, -1.0), (1e6, 1e6 + 1.0)])
+    def test_match_dense_matrix(self, lo, hi, monkeypatch):
+        net = Net.uniform(RealInterval(lo, hi), (hi - lo) / 100.0)
+        dense = _dense_rho_sharp(net)
+
+        def no_matrix(self):
+            raise AssertionError("interval nets must not build the matrix")
+
+        monkeypatch.setattr(Net, "rho_sharp_matrix", no_matrix)
+        for pos in range(net.size):
+            for k in range(2 * net.size + 1):
+                assert np.array_equal(net.shell(pos, k), np.flatnonzero(dense[pos] == k))
+
+        p = np.random.default_rng(3).integers(0, net.size, 500)
+        fs = StepFunction(np.linspace(0.0, 1.0, p.size + 1), net.centers[p])
+        radii = bv_codec._rho_sharp_from_dist(fs.jump_sizes(), net.h2)
+        assert np.array_equal(radii, dense[p[:-1], p[1:]])
+        assert np.array_equal(jump_profile(fs, net.h2)[1:],
+                              np.cumsum(radii) + np.arange(radii.size))
+        ranks, sizes = net.shell_ranks(p[:-1], p[1:], radii)
+        for a, b, k, rank, size in zip(p[:-1], p[1:], radii, ranks, sizes):
+            shell = np.flatnonzero(dense[a] == k)
+            assert (rank, size) == (np.searchsorted(shell, b), shell.size)
+
+
 class TestJumpProfile:
     def test_constant(self):
         fs = StepFunction(np.linspace(0, 1, 4), np.array([0.5, 0.5, 0.5]))
@@ -141,6 +181,22 @@ class TestBitstream:
         r.read(4)
         with pytest.raises(CorruptStream):
             r.read(5)
+
+    def test_gamma_prefix_too_long(self):
+        w = BitWriter()
+        w.write(0, 70)
+        w.write(1, 1)
+        with pytest.raises(CorruptStream):
+            BitReader(w.to_bytes(), w.bit_length).read_gamma()
+
+    def test_bulk_fields_match_single_writes(self):
+        values, widths = [5, 0, 1, 300, 2], [3, 4, 1, 9, 0]
+        bulk, single = BitWriter(), BitWriter()
+        bulk.write_fields(values, widths)
+        for v, n in zip(values, widths):
+            single.write(v, n)
+        assert bulk.to_bytes() == single.to_bytes() == bytes([0b10100001, 0b10010110, 0])
+        assert bulk.bit_length == 17
 
     def test_gamma_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -212,6 +268,53 @@ class TestEncodeBv:
         with pytest.raises(CorruptStream):
             decode(bad, net)
 
+    def test_trailing_bits_rejected(self):
+        f = StepFunction(np.array([0, 0.5, 1.0]), np.array([0.2, 0.8]))
+        cw = encode_bv(f, 1.0, 0.2, value_space=RealInterval(0, 1))
+        net = net_from_token(cw.net_token, cw.h2)
+        padded = dataclasses.replace(cw, payload=cw.payload + b"\0\0",
+                                     bit_length=cw.bit_length + 16)
+        with pytest.raises(CorruptStream):
+            decode(padded, net)
+
+    def test_profile_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(bv_codec, "gamma_budget", lambda N1, h2, V: 1)
+        f = StepFunction(np.array([0, 0.5, 1.0]), np.array([0.2, 0.8]))
+        with pytest.raises(BudgetViolation):
+            encode_bv(f, 1.0, 0.2, value_space=RealInterval(0, 1))
+
+    def test_acceptance_ensemble_codewords_unchanged(self):
+        # SHA-256 over (bit_length, payload) of every acceptance-4 codeword,
+        # recorded with the dense-matrix encoder: codewords must not change.
+        iv = RealInterval(0.0, 1.0)
+        g2 = Gauge.power(2)
+        bv = random_bv_ensemble(200, 1.0, 1.0, seed=11)
+        bvpsi = random_bvpsi_ensemble(200, 1.0, 1.0, g2, seed=12)
+        h = hashlib.sha256()
+        for eps in (0.05, 0.1, 0.2):
+            for f in bv.members:
+                cw = encode_bv(f, 1.0, eps, value_space=iv)
+                h.update(struct.pack("<I", cw.bit_length) + cw.payload)
+            for f in bvpsi.members:
+                cw = encode_bvpsi(f, g2, 1.0, eps, value_space=iv)
+                h.update(struct.pack("<I", cw.bit_length) + cw.payload)
+        assert h.hexdigest() == (
+            "55e2b0e8b015c01bbafed8dc6fe0468b71c04bc60d0d68fb66a9d3a5a083796a")
+
+    def test_fine_eps_memory(self):
+        # At eps = 1e-4 the net has 7,501 centres: a net-by-net matrix would
+        # take 450 MB.
+        f = random_bv_ensemble(1, 1.0, 1.0, seed=4).members[0]
+        tracemalloc.start()
+        try:
+            cw = encode_bv(f, 1.0, 1e-4, value_space=RealInterval(0.0, 1.0))
+            dec = decode(cw, net_from_token(cw.net_token, cw.h2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
+        assert l1_distance(dec, f) <= 1e-4
+
 
 class TestAdaptiveCoarsen:
     def test_fixed_point(self):
@@ -231,6 +334,11 @@ class TestAdaptiveCoarsen:
         f = StepFunction.constant(1.0, 0.7)
         fh, cert = adaptive_coarsen(f, 0.1, Gauge.power(2), 1.0)
         assert fh.k == 1 and cert.cells == 1
+
+    def test_budget_below_variation_raises(self):
+        f = StepFunction(np.array([0, 0.5, 1.0]), np.array([0.0, 1.0]))
+        with pytest.raises(BudgetViolation):
+            adaptive_coarsen(f, 0.5, Gauge.identity(), 0.1)
 
     def test_certificate_bounds(self, rng):
         g = Gauge.power(2)

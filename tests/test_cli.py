@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
+from bventropy.bv_codec import RealInterval, encode_bv, write_codeword
 from bventropy.cli import main
 from bventropy.gauge_variation import StepFunction, read_step, write_step
 
@@ -75,6 +77,42 @@ class TestCodecCommands:
         out = str(tmp_path / "enc")
         assert run("encode", "--out", out, "--input", step_file,
                    "--epsilon", "0.1", "--budget", "0.01") == 2
+
+
+class TestCorruptCodewords:
+    @pytest.fixture
+    def codeword(self):
+        f = StepFunction(np.array([0.0, 0.4, 1.0]), np.array([0.2, 0.8]))
+        return encode_bv(f, 1.0, 0.2, value_space=RealInterval(0, 1))
+
+    @staticmethod
+    def decode_exit(tmp_path, raw):
+        path = tmp_path / "bad.bvc"
+        path.write_bytes(raw)
+        return run("decode", "--out", str(tmp_path / "d"), "--input", str(path))
+
+    @staticmethod
+    def file_bytes(tmp_path, cw):
+        write_codeword(cw, tmp_path / "c.bvc")
+        return (tmp_path / "c.bvc").read_bytes()
+
+    def test_every_truncation_exits_2(self, tmp_path, codeword):
+        # Cuts inside the header, the tokens, bit_length and the payload.
+        raw = self.file_bytes(tmp_path, codeword)
+        assert self.decode_exit(tmp_path, raw) == 0
+        for cut in range(len(raw)):
+            assert self.decode_exit(tmp_path, raw[:cut]) == 2, cut
+
+    def test_token_not_utf8_exits_2(self, tmp_path, codeword):
+        # The gauge token "id" follows its 2-byte length at offset 28.
+        raw = self.file_bytes(tmp_path, codeword)
+        assert raw[30:32] == b"id"
+        assert self.decode_exit(tmp_path, raw[:30] + b"\xff\xfe" + raw[32:]) == 2
+
+    def test_trailing_bits_exit_2(self, tmp_path, codeword):
+        padded = dataclasses.replace(codeword, payload=codeword.payload + b"\0\0",
+                                     bit_length=codeword.bit_length + 16)
+        assert self.decode_exit(tmp_path, self.file_bytes(tmp_path, padded)) == 2
 
 
 class TestWitness:
