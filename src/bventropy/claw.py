@@ -4,7 +4,10 @@ A Godunov finite-volume scheme evolves compactly supported data on a padded
 symmetric grid.  The flux also induces a gauge: the minimal affine-
 approximation error of f over windows of width h, convexified and rescaled,
 measures how strongly the flux bends and controls the generalized variation
-of solutions; the gauge feeds the variation codec and its bit bounds.
+of solutions; the gauge feeds the variation codec and its bit bounds.  The
+error of every sampled window of one width comes from a single golden-section
+search over the approximating slope, run on a (windows x samples) array; the
+only convex hull in the module is the envelope taken over the widths.
 """
 
 from __future__ import annotations
@@ -155,12 +158,15 @@ def evolve(
     x: np.ndarray | None = None,
 ) -> GridSolution:
     """Explicit conservative Godunov update to time T with zero ghost cells."""
-    if cfl > 0.9:
-        raise UnstableConfig(f"cfl = {cfl} exceeds the 0.9 stability cap")
+    if not 0 < cfl <= 0.9:
+        # above 0.9 the scheme is unstable; at or below 0 time never advances
+        raise UnstableConfig(f"cfl = {cfl} must lie in (0, 0.9]")
     u = np.asarray(u0, dtype=float).copy()
     if x is None:
         n = u.size
         x = (np.arange(n) - (n - 1) / 2.0) * dx
+    if not np.all(np.isfinite(u)):
+        raise OutOfRange("initial data must be finite")
     if np.abs(u).max(initial=0.0) > flux.M * (1 + 1e-9):
         raise OutOfRange("initial data exceeds the flux evaluation radius M")
 
@@ -211,43 +217,39 @@ def support_check(sol: GridSolution, L: float, M: float, T: float, flux: Flux,
 # flux-derived gauge
 
 
-def _window_minimax(xs: np.ndarray, ys: np.ndarray) -> float:
-    """Best uniform affine-approximation error on sampled points.
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0     # golden-section shrink factor
 
-    For any slope s the optimal offset splits the residual range evenly, so
-    the error is half of max(y - s x) - min(y - s x); this is convex piecewise
-    linear in s and minimized at a convex-hull edge slope of the point set.
+
+def _window_minimax(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Best uniform affine-approximation error of each row of sampled points.
+
+    For a slope s the optimal offset splits the residual range evenly, so the
+    error is w(s) = (max(y - s x) - min(y - s x)) / 2, convex in s.  Below the
+    least chord slope of consecutive samples the residuals increase along the
+    row and w falls; above the greatest they decrease and w rises.  So a
+    golden-section search on that bracket finds the minimum; it runs on all
+    rows at once until every bracket has shrunk to the float resolution of
+    its slopes.
     """
-    slopes = _hull_edge_slopes(xs, ys)
-    best = math.inf
-    for s in slopes:
-        r = ys - s * xs
-        best = min(best, r.max() - r.min())
-    return best / 2.0
+    def half_width(s: np.ndarray) -> np.ndarray:
+        r = ys - s[:, None] * xs
+        return (r.max(axis=1) - r.min(axis=1)) / 2.0
 
-
-def _hull_edge_slopes(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    def hull(pts):
-        out = []
-        for p in pts:
-            while len(out) >= 2 and _cross(out[-2], out[-1], p) <= 0:
-                out.pop()
-            out.append(p)
-        return out
-
-    pts = list(zip(xs, ys))
-    lower = hull(pts)
-    upper = hull(pts[::-1])
-    slopes = []
-    for chain in (lower, upper):
-        for (x1, y1), (x2, y2) in zip(chain, chain[1:]):
-            if x2 != x1:
-                slopes.append((y2 - y1) / (x2 - x1))
-    return np.unique(np.asarray(slopes)) if slopes else np.zeros(1)
-
-
-def _cross(o, a, b) -> float:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+    chords = np.diff(ys, axis=1) / np.diff(xs, axis=1)
+    lo, hi = chords.min(axis=1), chords.max(axis=1)
+    ratio = np.max((hi - lo) / np.spacing(np.maximum(np.abs(lo), np.abs(hi))))
+    steps = math.ceil(math.log(ratio) / -math.log(_INVPHI)) if ratio > 1.0 else 0
+    c, d = hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
+    fc, fd = half_width(c), half_width(d)
+    for _ in range(steps):
+        # keep [lo, d] where w(c) <= w(d), else [c, hi]; one new probe per row
+        left = fc <= fd
+        lo, hi = np.where(left, lo, c), np.where(left, d, hi)
+        p = np.where(left, hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo))
+        fp = half_width(p)
+        c, d = np.where(left, p, d), np.where(left, c, p)
+        fc, fd = np.where(left, fp, fd), np.where(left, fc, fp)
+    return np.minimum(fc, fd)
 
 
 def affine_gap(flux: Flux, M: float, h: float, coarse: int = 65,
@@ -258,16 +260,15 @@ def affine_gap(flux: Flux, M: float, h: float, coarse: int = 65,
         raise ValueError("need 0 < h <= 2M")
     a_grid = np.linspace(-M, M - h, coarse)
 
-    def gap_at(a: float, pts: int) -> float:
-        xs = np.linspace(a, a + h, pts)
+    def gaps(starts: np.ndarray, pts: int) -> np.ndarray:
+        xs = np.linspace(starts, starts + h, pts, axis=1)
         return _window_minimax(xs, flux(xs))
 
-    gaps = np.array([gap_at(a, subgrid) for a in a_grid])
-    i = int(np.argmin(gaps))
+    i = int(np.argmin(gaps(a_grid, subgrid)))
     lo = a_grid[max(i - 1, 0)]
     hi = a_grid[min(i + 1, a_grid.size - 1)]
     fine = np.linspace(lo, hi, 17)
-    return float(min(gap_at(a, refine_subgrid) for a in fine))
+    return float(gaps(fine, refine_subgrid).min())
 
 
 @dataclass(frozen=True)
@@ -312,6 +313,10 @@ def _lower_envelope(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     hx = np.array([p[0] for p in hull])
     hy = np.array([p[1] for p in hull])
     return np.interp(xs, hx, hy)
+
+
+def _cross(o, a, b) -> float:
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +367,7 @@ def solution_entropy_bound(
 ) -> float:
     """Bit bound for the set of time-T solutions with data bounded by M and
     supported in [-L, L], using the flux gauge and a variation constant."""
+    _require_positive_time(T)
     ell = L + T * flux.fprime_max
     head = math.log2(16.0 * M * ell / epsilon + 1.0)
     tail = 2.0 * LOG_TERM * gamma_lm * (1.0 + 1.0 / T) / float(
@@ -375,12 +381,19 @@ def solution_entropy_bound_pf(
     p_f: int, gamma_lm_tilde: float,
 ) -> float:
     """Power-law form of the solution-set bound with exponent p_f."""
+    _require_positive_time(T)
     ell = L + T * flux.fprime_max
     big_gamma = (
         2.0 ** (2.0 * p_f + 1.0) * LOG_TERM * gamma_lm_tilde
         * ell ** p_f * (1.0 + 1.0 / T)
     )
     return big_gamma / epsilon ** p_f + math.log2(16.0 * ell * M / epsilon + 1.0)
+
+
+def _require_positive_time(T: float) -> None:
+    # both bounds carry the factor 1 + 1/T of the solution's variation
+    if not T > 0:
+        raise OutOfRange(f"the entropy bounds need T > 0, got T = {T}")
 
 
 # ---------------------------------------------------------------------------

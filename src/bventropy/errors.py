@@ -56,6 +56,10 @@ class NotPositive(GaugeViolation):
     pass
 
 
+class InverseMismatch(GaugeViolation):
+    pass
+
+
 # --- codec ---
 
 class EpsilonTooLarge(BVEntropyError):

@@ -17,12 +17,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainMismatch, NotConvex, NotPositive, NotVanishingAtZero
+from .errors import (
+    DomainMismatch,
+    InverseMismatch,
+    NotConvex,
+    NotPositive,
+    NotVanishingAtZero,
+)
 from .metric_core import FiniteMetricSpace
 
 
 class Gauge:
-    """Convex gauge with numeric inverse.
+    """Convex gauge with its inverse.
 
     Kinds: ``identity``, ``power`` (exponent >= 1) and ``tabulated``
     (strictly increasing sample table, linear interpolation, linear
@@ -52,7 +58,7 @@ class Gauge:
 
     @classmethod
     def power(cls, gamma: float) -> "Gauge":
-        if gamma < 1:
+        if not gamma >= 1:
             raise ValueError("power gauge needs exponent >= 1")
         return cls("power", gamma=float(gamma), token=f"pow:{gamma:g}")
 
@@ -89,8 +95,7 @@ class Gauge:
             # linear continuation keeps the gauge convex past the table
             over = s > self._s[-1]
             if np.any(over):
-                slope = (self._v[-1] - self._v[-2]) / (self._s[-1] - self._s[-2])
-                out = np.where(over, self._v[-1] + slope * (s - self._s[-1]), out)
+                out = np.where(over, self._v[-1] + self._tail_slope() * (s - self._s[-1]), out)
         return out if out.ndim else float(out)
 
     def inv(self, v):
@@ -100,24 +105,17 @@ class Gauge:
         elif self.kind == "power":
             out = v ** (1.0 / self.gamma)
         else:
-            out = np.array([self._inv_scalar(float(x)) for x in np.atleast_1d(v)])
-            out = out.reshape(v.shape)
+            # an admissible table is strictly increasing, so its piecewise-
+            # linear inverse is the table read backwards, with the same
+            # linear continuation past the last sample
+            out = np.interp(v, self._v, self._s)
+            over = v > self._v[-1]
+            if np.any(over):
+                out = np.where(over, self._s[-1] + (v - self._v[-1]) / self._tail_slope(), out)
         return out if out.ndim else float(out)
 
-    def _inv_scalar(self, target: float, tol: float = 1e-12) -> float:
-        if target <= 0:
-            return 0.0
-        lo, hi = 0.0, float(self._s[-1])
-        while self(hi) < target:
-            lo, hi = hi, 2.0 * hi if hi > 0 else 1.0
-        # bisection on the argument; the gauge is strictly increasing
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if self(mid) < target:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+    def _tail_slope(self) -> float:
+        return (self._v[-1] - self._v[-2]) / (self._s[-1] - self._s[-2])
 
 
 @dataclass(frozen=True)
@@ -160,7 +158,7 @@ def gauge_check(gauge: Gauge, grid, rel_tol: float = 1e-9) -> GaugeReport:
     probes = vals[pos]
     back = np.atleast_1d(gauge(np.atleast_1d(gauge.inv(probes))))
     if np.any(np.abs(back - probes) > 1e-10 * np.maximum(probes, 1e-300)):
-        raise NotPositive("inverse round-trip exceeds tolerance")
+        raise InverseMismatch("inverse round-trip exceeds tolerance")
     return GaugeReport(
         ok=True, grid_lo=float(g[0]), grid_hi=float(g[-1]),
         checks=("zero", "positive", "convex", "inverse"),

@@ -25,8 +25,10 @@ from .errors import (
     AsymmetricMatrix,
     EmptyWindow,
     ExactModeTooLarge,
+    NetIncomplete,
     NonzeroDiagonal,
     ScaleViolation,
+    SeparationFailure,
     TriangleViolation,
 )
 
@@ -214,7 +216,8 @@ def covering_number(
         centers = _greedy_cover(space, k, alpha)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    assert np.all(space.dist[np.ix_(centers, k)].min(axis=0) <= alpha)
+    if not np.all(space.dist[np.ix_(centers, k)].min(axis=0) <= alpha):
+        raise NetIncomplete(f"{len(centers)} centers leave a point uncovered at alpha = {alpha}")
     return CoverPackResult(len(centers), tuple(centers), mode, alpha)
 
 
@@ -286,7 +289,8 @@ def packing_number(
     if len(points) > 1:
         sub = space.dist[np.ix_(points, points)]
         off = sub[np.triu_indices(len(points), k=1)]
-        assert np.all(off > alpha)
+        if not np.all(off > alpha):
+            raise SeparationFailure(f"packing points lie within alpha = {alpha} of each other")
     return CoverPackResult(len(points), tuple(points), mode, alpha)
 
 

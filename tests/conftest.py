@@ -2,7 +2,8 @@
 
 The oracles deliberately avoid the library's algorithms: covering/packing by
 exhaustive subset search, generalized variation by brute-force subsequence
-enumeration, and Burgers Riemann problems by their closed-form solutions.
+enumeration, minimax affine gaps by trying every pairwise chord slope, and
+Burgers Riemann problems by their closed-form solutions.
 """
 
 import itertools
@@ -83,6 +84,23 @@ def oracle_tv_psi(f: StepFunction, gauge: Gauge) -> float:
             )
             best = max(best, total)
     return best
+
+
+# ---------------------------------------------------------------------------
+# minimax affine-approximation oracle
+
+
+def oracle_window_minimax(xs: np.ndarray, ys: np.ndarray) -> float:
+    """Best uniform affine-approximation error of the points (xs, ys).
+
+    The half-width (max(y - s x) - min(y - s x)) / 2 is least at a slope of
+    a convex-hull edge, and every hull edge joins two of the points, so the
+    minimum over all pairwise chord slopes is exact.
+    """
+    i, j = np.triu_indices(xs.size, k=1)
+    s = (ys[j] - ys[i]) / (xs[j] - xs[i])
+    r = ys[None, :] - s[:, None] * xs[None, :]
+    return float((r.max(axis=1) - r.min(axis=1)).min() / 2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import polynomial as P
 
 from bventropy.claw import (
     Flux,
+    _window_minimax,
     affine_gap,
     calibrate_gamma,
     degeneracy,
@@ -26,7 +30,53 @@ from bventropy.errors import (
 )
 from bventropy.gauge_variation import tv
 
-from conftest import burgers_exact_rarefaction, burgers_exact_shock
+from conftest import (
+    burgers_exact_rarefaction,
+    burgers_exact_shock,
+    oracle_window_minimax,
+)
+
+
+# affine_gap(flux(M), M, 2 M k / 12) for k = 1..12, recorded with the
+# per-window convex-hull implementation this search replaced
+HULL_GAPS = {
+    ('burgers', 0.5): [
+        0.0004340277777777693, 0.001736111111111105, 0.00390625,
+        0.006944444444444442, 0.010850694444444448, 0.015625,
+        0.021267361111111112, 0.027777777777777773, 0.03515625,
+        0.043402777777777776, 0.052517361111111105, 0.0625,
+    ],
+    ('burgers', 1.0): [
+        0.0017361111111110772, 0.00694444444444442, 0.015625,
+        0.02777777777777777, 0.04340277777777779, 0.0625, 0.08506944444444445,
+        0.11111111111111109, 0.140625, 0.1736111111111111, 0.21006944444444442,
+        0.25,
+    ],
+    ('cubic', 0.5): [
+        6.0281635802469285e-06, 4.822530864197532e-05, 0.00016276041666666668,
+        0.00038580246913580256, 0.0007535204475308645, 0.0013020833333333335,
+        0.0020676601080246914, 0.0030864197530864196, 0.00439453125,
+        0.006028163580246914, 0.00802348572530864, 0.010416666666666668,
+    ],
+    ('cubic', 1.0): [
+        4.822530864197543e-05, 0.00038580246913580256, 0.0013020833333333335,
+        0.0030864197530864204, 0.006028163580246916, 0.010416666666666668,
+        0.01654128086419753, 0.024691358024691357, 0.03515625,
+        0.048225308641975315, 0.06418788580246912, 0.08333333333333334,
+    ],
+    ('quartic', 0.5): [
+        3.76760223765432e-07, 6.0281635802469116e-06, 3.0517578125e-05,
+        9.645061728395058e-05, 0.0002354751398533951, 0.00048828125,
+        0.0009046012972608028, 0.0015432098765432098, 0.002471923828125,
+        0.003767602237654322, 0.0055161464361496906, 0.0078125,
+    ],
+    ('quartic', 1.0): [
+        6.028163580246912e-06, 9.645061728395058e-05, 0.00048828125,
+        0.0015432098765432094, 0.0037676022376543217, 0.0078125,
+        0.014473620756172844, 0.024691358024691357, 0.03955078125,
+        0.060281635802469154, 0.08825834297839505, 0.125,
+    ],
+}
 
 
 def riemann_data(x, ul, ur):
@@ -86,6 +136,21 @@ class TestEvolve:
         x = make_grid(1.0, 1.0, 0.1, f, 0.02)
         with pytest.raises(UnstableConfig):
             evolve(np.zeros_like(x), f, 0.1, 0.02, cfl=1.2, x=x)
+
+    def test_nonpositive_cfl(self):
+        # at cfl = 0 the time step is zero and the loop would never end
+        f = Flux.burgers(1.0)
+        x = make_grid(1.0, 1.0, 0.1, f, 0.02)
+        with pytest.raises(UnstableConfig):
+            evolve(np.zeros_like(x), f, 0.1, 0.02, cfl=0.0, x=x)
+
+    def test_nonfinite_data(self):
+        f = Flux.burgers(1.0)
+        x = make_grid(1.0, 1.0, 0.1, f, 0.02)
+        u0 = np.zeros_like(x)
+        u0[x.size // 2] = np.nan
+        with pytest.raises(OutOfRange):
+            evolve(u0, f, 0.1, 0.02, x=x)
 
     def test_domain_too_small(self):
         f = Flux.burgers(1.0)
@@ -163,6 +228,34 @@ class TestAffineGap:
         # window centered on the inflection is optimal; oracle value h^3/96
         assert gap == pytest.approx(0.6 ** 3 / 96, rel=0.05)
 
+    @pytest.mark.parametrize("name, M", sorted(HULL_GAPS))
+    def test_matches_hull_values(self, name, M):
+        flux = getattr(Flux, name)(M)
+        got = [affine_gap(flux, M, 2 * M * k / 12) for k in range(1, 13)]
+        assert got == pytest.approx(HULL_GAPS[name, M], rel=1e-10, abs=0.0)
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    coeffs=st.lists(st.integers(-1000, 1000), min_size=1, max_size=6),
+    windows=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(1e-3, 2.0)),
+                     min_size=1, max_size=4),
+    pts=st.integers(9, 33),
+)
+def test_window_minimax_matches_oracle(coeffs, windows, pts):
+    # polynomials of degree <= 5 with coefficients k/1000 in [-1, 1], sampled
+    # on windows inside [-1, 1]; sum |c_k| bounds max |f| there and sets the
+    # floor of the rounding in y - s x
+    c = np.asarray(coeffs) / 1000.0
+    starts = np.array([-1.0 + t * (2.0 - w) for t, w in windows])
+    widths = np.array([w for _, w in windows])
+    xs = np.linspace(starts, starts + widths, pts, axis=1)
+    ys = P.polyval(xs, c)
+    got = _window_minimax(xs, ys)
+    for row, value in enumerate(got):
+        want = oracle_window_minimax(xs[row], ys[row])
+        assert abs(value - want) <= 1e-12 * want + 1e-15 * np.abs(c).sum()
+
 
 class TestFluxGauge:
     def test_burgers_cubic_gauge(self):
@@ -179,6 +272,12 @@ class TestFluxGauge:
         fg = flux_gauge(Flux.cubic(1.0), 1.0, np.linspace(0.05, 1.5, 20))
         assert fg.report.ok
         assert float(fg.gauge(1.0)) > 0
+
+    @pytest.mark.parametrize("name", ["burgers", "cubic", "quartic"])
+    def test_coarse_grid_admissible(self, name):
+        # a three-width table once failed the inverse round trip near psi = 1e-7
+        fg = flux_gauge(getattr(Flux, name)(0.5), 0.5, [0.05, 0.47, 0.89])
+        assert fg.report.ok
 
 
 class TestDegeneracy:
@@ -212,6 +311,14 @@ class TestEntropyBounds:
         assert b2 < b1
         v = solution_entropy_bound(eps, 1.0, 1.0, 1.0, f, fg.gauge, 1.0)
         assert v > 0 and math.isfinite(v)
+
+    def test_nonpositive_time(self):
+        f = Flux.burgers(1.0)
+        fg = flux_gauge(f, 1.0, np.linspace(0.05, 1.0, 12))
+        with pytest.raises(OutOfRange):
+            solution_entropy_bound(0.3, 1.0, 1.0, 0.0, f, fg.gauge, 1.0)
+        with pytest.raises(OutOfRange):
+            solution_entropy_bound_pf(0.1, 1.0, 1.0, 0.0, Flux.cubic(1.0), 2, 1.0)
 
     def test_pf_variant_scaling(self):
         f = Flux.cubic(1.0)

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from bventropy.errors import DomainMismatch, NotConvex, NotPositive, NotVanishingAtZero
+from bventropy.errors import (
+    DomainMismatch,
+    InverseMismatch,
+    NotConvex,
+    NotPositive,
+    NotVanishingAtZero,
+)
 from bventropy.gauge_variation import (
     Gauge,
     StepFunction,
@@ -47,6 +53,23 @@ class TestGauge:
                   Gauge.tabulated([0, 0.5, 1, 2], [0, 0.2, 0.7, 2.2])):
             for v in (0.05, 0.3, 1.1):
                 assert float(g(g.inv(v))) == pytest.approx(v, rel=1e-8)
+
+    def test_inverse_mismatch(self):
+        class Skewed(Gauge):
+            def inv(self, v):
+                return 1.01 * super().inv(v)
+
+        with pytest.raises(InverseMismatch):
+            gauge_check(Skewed("power", gamma=2.0), [0.0, 1.0, 2.0])
+
+    def test_tabulated_inverse_beyond_table(self):
+        g = Gauge.tabulated([0, 1, 2], [0, 1, 3])
+        assert float(g.inv(5.0)) == pytest.approx(3.0)
+        assert float(g.inv(0.0)) == 0.0
+
+    def test_power_rejects_nan(self):
+        with pytest.raises(ValueError):
+            Gauge.power(float("nan"))
 
     def test_tabulated_extrapolation_linear(self):
         g = Gauge.tabulated([0, 1, 2], [0, 1, 3])

@@ -7,10 +7,13 @@ from bventropy.errors import (
     AsymmetricMatrix,
     EmptyWindow,
     ExactModeTooLarge,
+    NetIncomplete,
     NonzeroDiagonal,
     ScaleViolation,
+    SeparationFailure,
     TriangleViolation,
 )
+from bventropy import metric_core
 from bventropy.metric_core import (
     LOG7_2,
     ball_count_bounds,
@@ -84,6 +87,15 @@ class TestCoverPack:
             covering_number(space, None, 0.1, mode="exact")
         with pytest.raises(ExactModeTooLarge):
             packing_number(space, None, 0.1, mode="exact")
+
+    def test_certificates_raise(self, line4, monkeypatch):
+        # the cover and separation checks stay on under python -O
+        monkeypatch.setattr(metric_core, "_greedy_cover", lambda space, k, alpha: [0])
+        monkeypatch.setattr(metric_core, "_greedy_pack", lambda space, k, alpha: [0, 1])
+        with pytest.raises(NetIncomplete):
+            covering_number(line4, None, 1.0, mode="greedy")
+        with pytest.raises(SeparationFailure):
+            packing_number(line4, None, 1.0, mode="greedy")
 
     def test_cover_witness_covers(self, line4):
         res = covering_number(line4, None, 1.0)
