@@ -113,14 +113,6 @@ class Net:
         res: CoverPackResult = covering_number(space, None, h2, mode="greedy")
         return cls(h2, np.array(res.witness, dtype=int), space, "space")
 
-    def center_value(self, pos: int):
-        return self.centers[pos]
-
-    def center_dist(self, i: int, j: int) -> float:
-        if self.space is None:
-            return abs(self.centers[i] - self.centers[j])
-        return float(self.space.dist[self.centers[i], self.centers[j]])
-
     def nearest(self, value) -> tuple[int, float]:
         """Position of the nearest center, lowest index on ties."""
         pos, d = self.nearest_many(np.array([value]))

@@ -279,10 +279,6 @@ class FluxGauge:
     gauge: Gauge = field(repr=False)
     report: GaugeReport = field(repr=False)
 
-    @property
-    def x_grid(self) -> np.ndarray:
-        return 2.0 * self.h_grid
-
 
 def flux_gauge(flux: Flux, M: float, h_grid) -> FluxGauge:
     """Gauge psi(x) = Phi(x/2) x where Phi is the lower convex envelope of

@@ -105,8 +105,8 @@ def cmd_metric(args) -> None:
     lines = ["alpha,count,mode,witness_indices"]
     alphas = [float(a) for a in args.alpha] or list(space.pairwise_distances())
     for a in alphas:
-        for res in (covering_number(space, None, a, mode=mode),
-                    packing_number(space, None, a, mode=mode)):
+        for res in (covering_number(space, None, a, mode=mode, exact_cap=args.exact_cap),
+                    packing_number(space, None, a, mode=mode, exact_cap=args.exact_cap)):
             lines.append(res.csv_row())
     _atomic_write(os.path.join(args.out, "cover_pack.csv"), "\n".join(lines) + "\n")
     if args.window:
@@ -289,10 +289,7 @@ def main(argv=None) -> int:
         _write_manifest(args)
         args.func(args)
         return 0
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (BVEntropyError, AssertionError) as exc:

@@ -16,6 +16,7 @@ import numpy as np
 from .bv_codec import RealInterval, upper_bound_bits
 from .errors import DomainMismatch, InsufficientRows
 from .gauge_variation import Gauge, StepFunction, l1_distance, tv_psi
+from .metric_core import farthest_first, greedy_set_cover
 from .witness_lab import WitnessFamily, lower_bound_bits
 
 MATRIX_CAP = 2000     # full pairwise distance matrix allowed up to this size
@@ -89,46 +90,19 @@ class FunctionEnsemble:
 
 def empirical_counts(ens: FunctionEnsemble, epsilon: float) -> tuple[int, int]:
     """Greedy covering count (closed balls) and greedy packing count (strict
-    separation) of the ensemble at accuracy epsilon."""
+    separation) of the ensemble at accuracy epsilon.
+
+    The packing is farthest-first from member 0.  Up to ``MATRIX_CAP``
+    members the cover is the set-cover greedy on the full distance matrix;
+    above it the farthest-first set, which is also a closed epsilon-ball
+    cover, serves as both cover and pack.
+    """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    if len(ens) <= MATRIX_CAP:
-        d = ens.distance_matrix()
-        cover = _setcover_greedy(d, epsilon)
-    else:
-        cover = _kcenter_cover(ens, epsilon)
-    pack = _greedy_pack(ens, epsilon)
-    return cover, pack
-
-
-def _setcover_greedy(d: np.ndarray, epsilon: float) -> int:
-    covers = d <= epsilon
-    uncovered = np.ones(d.shape[0], dtype=bool)
-    count = 0
-    while uncovered.any():
-        gain = (covers & uncovered).sum(axis=1)
-        c = int(np.argmax(gain))
-        uncovered &= ~covers[c]
-        count += 1
-    return count
-
-
-def _farthest_first(ens: FunctionEnsemble, epsilon: float) -> int:
-    # Farthest-point insertion until every member lies within epsilon of a
-    # chosen one.  The chosen set is simultaneously a strict epsilon-packing
-    # and a closed epsilon-ball cover of the ensemble.
-    mind = ens.distances_from(0)
-    count = 1
-    while True:
-        nxt = int(np.argmax(mind))
-        if mind[nxt] <= epsilon:
-            return count
-        np.minimum(mind, ens.distances_from(nxt), out=mind)
-        count += 1
-
-
-_kcenter_cover = _farthest_first
-_greedy_pack = _farthest_first
+    pack = len(farthest_first(ens.distances_from, 0, epsilon))
+    if len(ens) > MATRIX_CAP:
+        return pack, pack
+    return len(greedy_set_cover(ens.distance_matrix() <= epsilon)), pack
 
 
 @dataclass(frozen=True)

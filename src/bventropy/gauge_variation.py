@@ -187,10 +187,14 @@ class StepFunction:
             raise ValueError("need breakpoints 0 = b_0 < ... < b_k = L")
         if b[0] != 0.0:
             raise ValueError("first breakpoint must be 0")
+        if not np.isfinite(b).all():
+            raise ValueError("breakpoints must be finite")
         if np.any(np.diff(b) <= 0):
             raise ValueError("breakpoints must be strictly increasing")
         if v.size != b.size - 1:
             raise ValueError("need exactly one value per interval")
+        if self.space is None and not np.isfinite(v).all():
+            raise ValueError("values must be finite")
 
     @property
     def L(self) -> float:
@@ -236,11 +240,19 @@ def write_step(f: StepFunction, path) -> None:
             fh.write(f"{float(b)!r},{float(v)!r}\n")
 
 
+def _step_fields(fh, path, lineno: int) -> list[str]:
+    fields = fh.readline().strip().split(",")
+    if len(fields) < 2:
+        raise ValueError(f"{path}, line {lineno}: expected two comma-separated "
+                         f"fields, got {','.join(fields)!r}")
+    return fields
+
+
 def read_step(path, space=None) -> StepFunction:
     with open(path) as fh:
-        header = fh.readline().strip().split(",")
+        header = _step_fields(fh, path, 1)
         L, k = float(header[0]), int(header[1])
-        rows = [fh.readline().strip().split(",") for _ in range(k)]
+        rows = [_step_fields(fh, path, n + 2) for n in range(k)]
     b = np.array([float(r[0]) for r in rows] + [L])
     if space is None:
         v = np.array([float(r[1]) for r in rows])
@@ -260,42 +272,36 @@ def _pair_dist(values: np.ndarray, j: int, space) -> np.ndarray:
     return space.dist[values[:j], values[j]]
 
 
-def _chain_max(values: np.ndarray, gauge: Gauge, space) -> float:
-    # best[j] = largest gauge-sum over chains ending at j and starting at 0.
+def _chain_best(values: np.ndarray, gauge: Gauge, space) -> np.ndarray:
+    # best[j] = largest gauge-sum over chains starting at 0 and ending at j.
     # Dropping interior or endpoint samples never increases the sum (extra
-    # terms are nonnegative), so the overall maximum is best[k-1].
-    k = values.size
-    if k < 2:
-        return 0.0
-    best = np.zeros(k)
-    for j in range(1, k):
+    # terms are nonnegative), so the overall maximum is best[k-1].  An empty
+    # sequence gets best = [0].
+    best = np.zeros(max(values.size, 1))
+    for j in range(1, values.size):
         best[j] = float(np.max(best[:j] + gauge(_pair_dist(values, j, space))))
-    return float(best[-1])
+    return best
 
 
 def tv_psi(f: StepFunction, gauge: Gauge) -> float:
     """Generalized variation of a step function, exact via dynamic programming."""
-    return _chain_max(f.values, gauge, f.space)
+    return float(_chain_best(f.values, gauge, f.space)[-1])
 
 
 def tv_psi_chain(f: StepFunction, gauge: Gauge) -> tuple[float, list[int]]:
     """Like :func:`tv_psi` but also returns an optimal value-index chain.
 
     Ties resolve to the lexicographically smallest chain (earliest
-    predecessors win).
+    predecessors win).  The chain is backtracked from the last value: each
+    element's candidate row is recomputed and its earliest argmax is the
+    predecessor, so the forward pass stays as cheap as :func:`tv_psi`.
     """
-    k = f.k
-    if k < 2:
-        return 0.0, [0] if k else []
-    best = np.zeros(k)
-    prev = np.zeros(k, dtype=int)
-    for j in range(1, k):
+    best = _chain_best(f.values, gauge, f.space)
+    chain = [f.k - 1]
+    while chain[-1] > 0:
+        j = chain[-1]
         cand = best[:j] + gauge(_pair_dist(f.values, j, f.space))
-        i = int(np.argmax(cand))        # argmax -> earliest index on ties
-        best[j], prev[j] = float(cand[i]), i
-    chain = [k - 1]
-    while chain[-1] != 0:
-        chain.append(int(prev[chain[-1]]))
+        chain.append(int(np.argmax(cand)))     # argmax -> earliest index on ties
     return float(best[-1]), chain[::-1]
 
 
@@ -324,7 +330,7 @@ def sample_sequence_variation(values, gauge: Gauge, space=None) -> float:
     """Chain maximum over an explicit value sequence (for representative
     comparisons that include isolated-point samples)."""
     v = np.asarray(values) if space is not None else np.asarray(values, dtype=float)
-    return _chain_max(v, gauge, space)
+    return float(_chain_best(v, gauge, space)[-1])
 
 
 def l1_distance(f: StepFunction, g: StepFunction, rel_tol: float = 1e-9) -> float:

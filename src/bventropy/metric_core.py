@@ -11,6 +11,15 @@ With these conventions the classical double inequality
     M_{2a} <= N_a <= M_a
 
 holds verbatim on finite spaces, including at tie distances.
+
+Every greedy count in the package runs on one of two kernels:
+
+* :func:`greedy_set_cover` over a boolean (candidates x points) cover
+  matrix takes, at each step, the candidate covering the most still-uncovered
+  points, lowest candidate index on ties;
+* :func:`farthest_first` over a row oracle inserts the point farthest from
+  the chosen set, lowest index on ties, until every point lies within the
+  separation.  Its output is both a strict packing and a closed cover.
 """
 
 from __future__ import annotations
@@ -150,20 +159,47 @@ def _as_index_array(space: FiniteMetricSpace, subset) -> np.ndarray:
     return k
 
 
-def _greedy_cover(space: FiniteMetricSpace, k: np.ndarray, alpha: float):
-    # Classic set-cover greedy: each step takes the center (from the whole
-    # space) covering the most still-uncovered points, lowest index on ties.
-    covers = space.dist[:, k] <= alpha          # (n, |K|)
-    uncovered = np.ones(k.size, dtype=bool)
-    centers = []
+def greedy_set_cover(covers: np.ndarray) -> list[int]:
+    """Set-cover greedy on a boolean (candidates x points) matrix.
+
+    Each step takes the candidate covering the most still-uncovered points,
+    lowest index on ties; raises :class:`NetIncomplete` if some point is
+    covered by no candidate.
+    """
+    uncovered = np.ones(covers.shape[1], dtype=bool)
+    chosen = []
     while uncovered.any():
         gain = (covers & uncovered).sum(axis=1)
         c = int(np.argmax(gain))                # argmax takes the lowest index
         if gain[c] == 0:
-            raise RuntimeError("point cannot be covered; metric is broken")
-        centers.append(c)
+            raise NetIncomplete("a point is covered by no candidate")
+        chosen.append(c)
         uncovered &= ~covers[c]
-    return centers
+    return chosen
+
+
+def farthest_first(rows, start: int, sep: float) -> list[int]:
+    """Farthest-point insertion over a row oracle.
+
+    ``rows(i)`` returns the distances from point ``i`` to every point.  From
+    ``start``, each step adds the point farthest from the chosen set (lowest
+    index on ties) and stops once that distance is at most ``sep``: the
+    chosen points are then strictly ``sep``-separated and cover every point
+    with closed ``sep``-balls.
+    """
+    chosen = [start]
+    mind = np.array(rows(start), dtype=float)
+    while True:
+        nxt = int(np.argmax(mind))
+        if mind[nxt] <= sep:
+            return chosen
+        chosen.append(nxt)
+        np.minimum(mind, rows(nxt), out=mind)
+
+
+def _greedy_cover(space: FiniteMetricSpace, k: np.ndarray, alpha: float):
+    # centers come from the whole space, points from the subset
+    return greedy_set_cover(space.dist[:, k] <= alpha)
 
 
 def _exact_cover(space: FiniteMetricSpace, k: np.ndarray, alpha: float):
@@ -222,17 +258,9 @@ def covering_number(
 
 
 def _greedy_pack(space: FiniteMetricSpace, k: np.ndarray, alpha: float):
-    # Farthest-point insertion, seeded at the lowest index of the subset.
-    chosen = [int(k.min())]
-    mind = space.dist[chosen[0], k].copy()
-    while True:
-        best = int(np.argmax(mind))
-        if mind[best] <= alpha:
-            break
-        c = int(k[best])
-        chosen.append(c)
-        np.minimum(mind, space.dist[c, k], out=mind)
-    return chosen
+    # seeded at the lowest index of the subset
+    pos = farthest_first(lambda i: space.dist[k[i], k], int(np.argmin(k)), alpha)
+    return k[pos].tolist()
 
 
 def _exact_pack(space: FiniteMetricSpace, k: np.ndarray, alpha: float):
@@ -363,14 +391,6 @@ def dimension_report(
         d=d, p=p, window=(float(window[0]), float(window[1])),
         scales=tuple(float(s) for s in scales), mode=mode,
     )
-
-
-def doubling_dimension(space, window, **kw) -> DimensionReport:
-    return dimension_report(space, window, **kw)
-
-
-def packing_dimension(space, window, **kw) -> DimensionReport:
-    return dimension_report(space, window, **kw)
 
 
 def ball_count_bounds(

@@ -23,7 +23,7 @@ from .errors import (
     SeparationFailure,
 )
 from .gauge_variation import Gauge, StepFunction, tv_psi
-from .metric_core import FiniteMetricSpace, packing_number
+from .metric_core import FiniteMetricSpace, farthest_first, packing_number
 
 LOG2_7 = math.log2(7.0)
 
@@ -279,14 +279,7 @@ def verify_packing(
 
 def _greedy_extract(fam: WitnessFamily, separation: float) -> list[int]:
     """Farthest-first member selection at strict separation."""
-    chosen = [0]
-    mind = fam.distances_from(0)
-    while True:
-        nxt = int(np.argmax(mind))
-        if mind[nxt] <= separation:
-            return chosen
-        chosen.append(nxt)
-        np.minimum(mind, fam.distances_from(nxt), out=mind)
+    return farthest_first(fam.distances_from, 0, separation)
 
 
 def global_family(

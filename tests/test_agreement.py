@@ -1,0 +1,130 @@
+"""Agreement of the greedy kernels and the chain DP with recorded outputs.
+
+The digest below was recorded before the farthest-first, set-cover and
+chain-DP copies were merged into one kernel each; any change to a count, a
+witness, a CSV value or a chain shows up here.  A hypothesis property test
+checks the two greedy kernels against their defining properties and, on
+small spaces, against the exhaustive oracles.
+"""
+
+import hashlib
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bventropy.entropy_estimator import (
+    ClassParams,
+    block_grid_ensemble,
+    entropy_scan,
+    random_bv_ensemble,
+    random_bvpsi_ensemble,
+)
+from bventropy.gauge_variation import Gauge, StepFunction, tv_psi, tv_psi_chain
+from bventropy.metric_core import (
+    covering_number,
+    dimension_report,
+    farthest_first,
+    from_points,
+    greedy_set_cover,
+    line_points,
+    packing_number,
+)
+from bventropy.witness_lab import build_family, verify_packing
+
+from conftest import oracle_cover, oracle_pack, random_metric_matrix
+
+GOLDEN = "9fe2780272c6a70dc4b93cc407a95b4c6bf75039f7e7e88f2aeba3a9078377c5"
+
+
+def _cover_pack_lines():
+    rng = np.random.default_rng(404)
+    for n, dim in ((12, 1), (30, 2), (60, 3)):
+        space = from_points(rng.uniform(0.0, 1.0, size=(n, dim)))
+        subsets = [None, np.arange(n)[::2], rng.permutation(n)[: n // 2 + 1]]
+        for alpha in (0.05, 0.15, 0.4):
+            for sub in subsets:
+                for fn in (covering_number, packing_number):
+                    yield fn(space, sub, alpha, mode="greedy").csv_row()
+                    if n <= 16:
+                        yield fn(space, sub, alpha, mode="exact").csv_row()
+    for seed in range(3):
+        space = random_metric_matrix(np.random.default_rng(seed), 9)
+        for alpha in (0.3, 0.6):
+            sub = np.random.default_rng(seed).permutation(9)[:5]
+            for fn in (covering_number, packing_number):
+                yield fn(space, sub, alpha, mode="greedy").csv_row()
+                yield fn(space, sub, alpha, mode="exact").csv_row()
+    yield dimension_report(line_points(12, 1.0), (0.1, 0.5)).csv_row()
+    yield dimension_report(from_points(rng.uniform(0, 1, (40, 2))), (0.05, 0.4)).csv_row()
+
+
+def _scan_lines():
+    for gamma, spacing in ((1, 0.01), (2, 0.01)):
+        ens = block_grid_ensemble(gamma, spacing=spacing)
+        params = ClassParams(L=1.0, V=1.0, gauge=Gauge.power(gamma))
+        yield entropy_scan(ens, [0.2, 0.1, 0.05, 0.025], params).to_csv()
+    yield entropy_scan(random_bv_ensemble(100, 1.0, 1.0, seed=5),
+                       [0.1, 0.05]).to_csv()
+    yield entropy_scan(random_bvpsi_ensemble(100, 1.0, 1.0, Gauge.power(2), seed=6),
+                       [0.1, 0.05]).to_csv()
+
+
+def _witness_lines():
+    for eps, center in ((1 / 256, 8), (1 / 128, 3)):
+        fam = build_family(1.0, 1.0, eps, Gauge.identity(), line_points(17, 1.0),
+                           center, 1.0)
+        yield verify_packing(fam).csv_row()
+
+
+def _chain_lines():
+    rng = np.random.default_rng(77)
+    gauges = (Gauge.identity(), Gauge.power(2), Gauge.power(1.5))
+    for _ in range(60):
+        k = int(rng.integers(1, 40))
+        # rounded values make ties between chains common
+        vals = np.round(rng.uniform(0.0, 1.0, size=k), 1)
+        f = StepFunction(np.linspace(0.0, 1.0, k + 1), vals)
+        for g in gauges:
+            val, chain = tv_psi_chain(f, g)
+            yield f"{val!r},{tv_psi(f, g)!r},{chain}"
+    space = line_points(7, 1.0)
+    for _ in range(10):
+        vals = rng.integers(0, 7, size=12)
+        f = StepFunction(np.linspace(0.0, 1.0, 13), vals, space)
+        val, chain = tv_psi_chain(f, Gauge.power(2))
+        yield f"{val!r},{chain}"
+
+
+def test_golden_digest():
+    h = hashlib.sha256()
+    for part in (_cover_pack_lines, _scan_lines, _witness_lines, _chain_lines):
+        for line in part():
+            h.update(line.encode() + b"\n")
+    assert h.hexdigest() == GOLDEN
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    n=st.integers(1, 9),
+    dim=st.integers(1, 2),
+    seed=st.integers(0, 2 ** 16),
+    sep=st.floats(0.02, 0.8),
+    start=st.integers(0, 8),
+)
+def test_greedy_kernels_properties(n, dim, seed, sep, start):
+    rng = np.random.default_rng(seed)
+    # coordinates on a 0.05 grid produce distance ties
+    space = from_points(np.round(rng.uniform(0.0, 1.0, size=(n, dim)) * 20) / 20)
+    start %= n
+    chosen = farthest_first(lambda i: space.dist[i], start, sep)
+    assert chosen[0] == start and len(set(chosen)) == len(chosen)
+    sub = space.dist[np.ix_(chosen, chosen)]
+    assert np.all(sub[np.triu_indices(len(chosen), k=1)] > sep)
+    assert np.all(space.dist[chosen].min(axis=0) <= sep)
+    centers = greedy_set_cover(space.dist <= sep)
+    assert np.all(space.dist[centers].min(axis=0) <= sep)
+    # the farthest-first set is a strict packing and a closed cover, so it
+    # is sandwiched by the exact counts: N <= |chosen| <= M
+    assert oracle_cover(space, None, sep) <= len(chosen) <= oracle_pack(space, None, sep)
+    assert len(centers) >= oracle_cover(space, None, sep)

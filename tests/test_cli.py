@@ -47,6 +47,15 @@ class TestMetric:
         assert run("metric", "--out", str(tmp_path / "o"),
                    "--matrix", str(tmp_path / "nope.csv")) == 1
 
+    def test_exact_cap_reaches_exact_search(self, tmp_path):
+        out = str(tmp_path / "run")
+        assert run("metric", "--out", out, "--generate", "line:18:1.0",
+                   "--exact-cap", "20", "--alpha", "0.1") == 0
+        rows = open(os.path.join(out, "cover_pack.csv")).read().splitlines()[1:]
+        # 18 points 1/17 apart: a closed 0.1-ball holds 3 consecutive points,
+        # and every other point is the largest strict 0.1-packing
+        assert [r.split(",")[1:3] for r in rows] == [["6", "exact"], ["9", "exact"]]
+
 
 class TestVariation:
     def test_report(self, tmp_path, step_file):
@@ -55,6 +64,21 @@ class TestVariation:
                    "--gauge", "pow:2") == 0
         text = open(os.path.join(out, "variation.csv")).read()
         assert text.startswith("tv,tv_psi,gauge")
+
+    def test_directory_input_is_config_error(self, tmp_path, step_file, capsys):
+        out = str(tmp_path / "v")
+        assert run("variation", "--out", out, "--input", str(tmp_path)) == 1
+        assert run("variation", "--out", out, "--input", step_file,
+                   "--gauge", f"table:{tmp_path}") == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 2 and all(e.startswith("error: ") for e in err)
+
+    @pytest.mark.parametrize("text", ["1.0,2\n0.0\n0.5,1.0\n", "nan,2\n0.0,0.2\n0.5,0.6\n"])
+    def test_bad_step_file_is_config_error(self, tmp_path, text, capsys):
+        path = tmp_path / "bad.step"
+        path.write_text(text)
+        assert run("variation", "--out", str(tmp_path / "v"), "--input", str(path)) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestCodecCommands:

@@ -114,6 +114,30 @@ class TestStepFunction:
         r = f.restrict(0.6)
         assert r.L == 0.6 and r.k == 2
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="values must be finite"):
+            StepFunction(np.array([0, 0.3, 0.6, 1.0]), np.array([0.0, bad, 1.0]))
+        with pytest.raises(ValueError, match="breakpoints must be finite"):
+            StepFunction(np.array([0, 0.3, bad]), np.array([0.0, 1.0]))
+
+    def test_read_nan_length_rejected(self, tmp_path):
+        path = tmp_path / "f.step"
+        path.write_text("nan,2\n0.0,0.0\n0.5,1.0\n")
+        with pytest.raises(ValueError, match="finite"):
+            read_step(path)
+
+    @pytest.mark.parametrize("text,line", [
+        ("1.0,2\n0.0\n0.5,1.0\n", 2),
+        ("1.0,2\n0.0,0.0\n", 3),
+        ("1.0\n0.0,0.0\n", 1),
+    ])
+    def test_read_malformed_row(self, tmp_path, text, line):
+        path = tmp_path / "f.step"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"line {line}: expected two"):
+            read_step(path)
+
 
 class TestVariation:
     def test_tv_constant(self):
