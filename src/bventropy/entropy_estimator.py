@@ -4,6 +4,13 @@ Covering and packing counts of a finite ensemble are computed greedily across
 a decreasing accuracy grid, the packing exponent is fitted on a log-log scale,
 and each row can carry the closed-form upper/lower bit bounds of the
 variation class the ensemble was sampled from.
+
+An ensemble holds all its members on the common refinement of their
+breakpoints, so a row of L1 distances is one weighted sum over cells; the
+layout is bounded by ``MATRIX_CAP``**2 entries, beyond which rows fall back
+to per-pair :func:`l1_distance`.  A scan over at most ``MATRIX_CAP`` members
+builds the member x member matrix once and reads every epsilon's cover and
+pack from it; a larger scan builds no matrix and runs on distance rows.
 """
 
 from __future__ import annotations
@@ -40,7 +47,18 @@ class ClassParams:
 
 
 class FunctionEnsemble:
-    """Finite sample of step functions on a common [0, L]."""
+    """Finite sample of step functions on a common [0, L].
+
+    Distances come from one layout built at construction: every member's
+    values on the common refinement of all members' breakpoints, as a
+    (members x cells) array, with the cell widths.  A distance row is then
+    one weighted sum over cells, the same for real and point-cloud values,
+    and ensembles that share breakpoints (block grids, witness families)
+    are the case of a refinement with no extra cells.  The layout is kept
+    within ``MATRIX_CAP``**2 entries (32 MB of float64); an ensemble whose
+    refinement is larger has no layout and computes each row with
+    per-pair :func:`l1_distance` calls.
+    """
 
     def __init__(self, members, generator: str = "custom", seed: int = 0,
                  params: ClassParams | None = None):
@@ -56,36 +74,74 @@ class FunctionEnsemble:
             if abs(f.L - L) > 1e-12 * max(L, 1.0) or f.space is not space:
                 raise DomainMismatch("members must share domain and value space")
         self.L = L
-        self._shared = self._shared_layout()
+        self.space = space
+        self._layout = _refinement_layout(self.members)
 
     def __len__(self) -> int:
         return len(self.members)
 
-    def _shared_layout(self):
-        """(values matrix, widths) when all members share breakpoints and
-        real values; enables vectorized distances."""
-        f0 = self.members[0]
-        if f0.space is not None:
-            return None
-        bp = f0.breakpoints
-        for f in self.members[1:]:
-            if f.breakpoints.shape != bp.shape or not np.array_equal(f.breakpoints, bp):
-                return None
-        vals = np.stack([f.values for f in self.members])
-        return vals, np.diff(bp)
+    def _cell_distances(self, rows: np.ndarray, i: int) -> np.ndarray:
+        vals, w = self._layout
+        if self.space is None:
+            return np.abs(rows - vals[i]) @ w
+        return self.space.dist[rows, vals[i]] @ w
 
     def distances_from(self, i: int) -> np.ndarray:
-        if self._shared is not None:
-            vals, w = self._shared
-            return np.abs(vals - vals[i]) @ w
-        return np.array([l1_distance(self.members[i], g) for g in self.members])
+        if self._layout is None:
+            return np.array([l1_distance(self.members[i], g) for g in self.members])
+        return self._cell_distances(self._layout[0], i)
 
     def distance_matrix(self) -> np.ndarray:
+        """Full member x member L1 matrix; from the layout, each pair is
+        computed once, so the matrix is exactly symmetric with a zero
+        diagonal."""
         m = len(self)
         out = np.zeros((m, m))
-        for i in range(m):
-            out[i] = self.distances_from(i)
-        return out
+        if self._layout is None:
+            for i in range(m):
+                out[i] = self.distances_from(i)
+            return out
+        vals = self._layout[0]
+        for i in range(m - 1):
+            out[i, i + 1:] = self._cell_distances(vals[i + 1:], i)
+        return out + out.T
+
+
+def _refinement_layout(members):
+    """(values on the common refinement, cell widths), or None when the
+    refinement would exceed ``MATRIX_CAP``**2 entries.
+
+    Each member's breakpoints are located in the sorted union of all
+    breakpoints; the gaps between consecutive positions are the number of
+    refinement cells each of its values spans.  A member's last value runs
+    to the end of the refinement, as in :func:`l1_distance`, since domain
+    lengths may differ in the last bits.
+    """
+    bps = [f.breakpoints for f in members]
+    flat = np.concatenate(bps)
+    cuts = np.unique(flat)
+    m, cells = len(members), cuts.size - 1
+    if m * cells > MATRIX_CAP ** 2:
+        return None
+    pos = np.searchsorted(cuts, flat)
+    last = np.cumsum([b.size for b in bps]) - 1
+    pos[last] = cells
+    spans = np.delete(np.diff(pos), last[:-1])      # drop the member-to-member gaps
+    vals = np.repeat(np.concatenate([f.values for f in members]), spans)
+    return vals.reshape(m, cells), np.diff(cuts)
+
+
+def _counts(ens: FunctionEnsemble, dist, epsilon: float) -> tuple[int, int]:
+    # Without a matrix the farthest-first set, also a closed cover, is both.
+    if dist is None:
+        pack = len(farthest_first(ens.distances_from, 0, epsilon))
+        return pack, pack
+    pack = len(farthest_first(dist.__getitem__, 0, epsilon))
+    return len(greedy_set_cover(dist <= epsilon)), pack
+
+
+def _scan_matrix(ens: FunctionEnsemble):
+    return ens.distance_matrix() if len(ens) <= MATRIX_CAP else None
 
 
 def empirical_counts(ens: FunctionEnsemble, epsilon: float) -> tuple[int, int]:
@@ -93,16 +149,15 @@ def empirical_counts(ens: FunctionEnsemble, epsilon: float) -> tuple[int, int]:
     separation) of the ensemble at accuracy epsilon.
 
     The packing is farthest-first from member 0.  Up to ``MATRIX_CAP``
-    members the cover is the set-cover greedy on the full distance matrix;
-    above it the farthest-first set, which is also a closed epsilon-ball
-    cover, serves as both cover and pack.
+    members both counts run on one full distance matrix, built from the
+    ensemble's common-refinement layout, and the cover is the set-cover
+    greedy on it; above the cap no matrix is built and the farthest-first
+    set, which is also a closed epsilon-ball cover, serves as both cover and
+    pack.  :func:`entropy_scan` builds that matrix once for its whole grid.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    pack = len(farthest_first(ens.distances_from, 0, epsilon))
-    if len(ens) > MATRIX_CAP:
-        return pack, pack
-    return len(greedy_set_cover(ens.distance_matrix() <= epsilon)), pack
+    return _counts(ens, _scan_matrix(ens), epsilon)
 
 
 @dataclass(frozen=True)
@@ -144,14 +199,21 @@ def entropy_scan(
     ens: FunctionEnsemble, eps_grid, params: ClassParams | None = None
 ) -> ScanResult:
     """Empirical counts across a strictly decreasing epsilon grid, with the
-    closed-form class bounds per row when class parameters are declared."""
+    closed-form class bounds per row when class parameters are declared.
+
+    Up to ``MATRIX_CAP`` members the distance matrix is built once per call
+    and every epsilon reuses it; it is not cached on the ensemble.
+    """
     grid = np.asarray(eps_grid, dtype=float)
     if grid.size == 0 or np.any(np.diff(grid) >= 0):
         raise ValueError("epsilon grid must be strictly decreasing")
+    if not np.all(grid > 0):
+        raise ValueError("epsilon must be positive")
     params = params or ens.params
+    dist = _scan_matrix(ens)
     rows = []
     for eps in grid:
-        cover, pack = empirical_counts(ens, float(eps))
+        cover, pack = _counts(ens, dist, float(eps))
         lhs = rhs = float("nan")
         if params is not None:
             rhs = upper_bound_bits(

@@ -185,8 +185,11 @@ def farthest_first(rows, start: int, sep: float) -> list[int]:
     ``start``, each step adds the point farthest from the chosen set (lowest
     index on ties) and stops once that distance is at most ``sep``: the
     chosen points are then strictly ``sep``-separated and cover every point
-    with closed ``sep``-balls.
+    with closed ``sep``-balls.  A NaN ``sep`` raises ``ValueError``, as no
+    distance would ever be within it.
     """
+    if math.isnan(sep):
+        raise ValueError("separation must not be NaN")
     chosen = [start]
     mind = np.array(rows(start), dtype=float)
     while True:
@@ -239,7 +242,7 @@ def covering_number(
 ) -> CoverPackResult:
     """Minimal (exact) or greedy upper-bound count of closed alpha-balls
     covering the subset, with centers drawn from the whole space."""
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError("alpha must be positive")
     k = _as_index_array(space, subset)
     if mode == "exact":
@@ -301,7 +304,7 @@ def packing_number(
 ) -> CoverPackResult:
     """Maximal (exact) or greedy lower-bound size of a strictly alpha-separated
     subset of the given point set."""
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError("alpha must be positive")
     k = _as_index_array(space, subset)
     if mode == "exact":

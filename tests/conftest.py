@@ -7,12 +7,30 @@ Burgers Riemann problems by their closed-form solutions.
 """
 
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import bventropy
 from bventropy.gauge_variation import Gauge, StepFunction
 from bventropy.metric_core import FiniteMetricSpace, from_points, validate_metric
+
+
+# ---------------------------------------------------------------------------
+# child processes
+
+
+def run_python(*argv):
+    """Run a Python child with the package on its path.  The timeout turns a
+    hang into a test failure instead of a stalled suite."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bventropy.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          timeout=60, env=env)
 
 
 # ---------------------------------------------------------------------------

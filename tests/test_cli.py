@@ -9,6 +9,8 @@ from bventropy.bv_codec import RealInterval, encode_bv, write_codeword
 from bventropy.cli import main
 from bventropy.gauge_variation import StepFunction, read_step, write_step
 
+from conftest import run_python
+
 
 @pytest.fixture
 def step_file(tmp_path):
@@ -46,6 +48,15 @@ class TestMetric:
     def test_missing_file(self, tmp_path):
         assert run("metric", "--out", str(tmp_path / "o"),
                    "--matrix", str(tmp_path / "nope.csv")) == 1
+
+    def test_nan_alpha_is_config_error(self, tmp_path):
+        # was exit 2, "a point is covered by no candidate"; greedy mode
+        # (line:20 is above the exact cap) used to hang in farthest-first
+        for gen in ("line:8:1.0", "line:20:1.0"):
+            proc = run_python("-m", "bventropy.cli", "metric", "--out", str(tmp_path / gen),
+                              "--generate", gen, "--alpha", "nan")
+            assert proc.returncode == 1
+            assert proc.stderr.strip().splitlines() == ["error: alpha must be positive"]
 
     def test_exact_cap_reaches_exact_search(self, tmp_path):
         out = str(tmp_path / "run")

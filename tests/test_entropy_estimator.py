@@ -1,7 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bventropy.entropy_estimator import (
+    MATRIX_CAP,
     ClassParams,
     FunctionEnsemble,
     block_grid_ensemble,
@@ -14,8 +19,10 @@ from bventropy.entropy_estimator import (
 )
 from bventropy.errors import DomainMismatch, InsufficientRows
 from bventropy.gauge_variation import Gauge, StepFunction, l1_distance, tv, tv_psi
-from bventropy.metric_core import line_points
+from bventropy.metric_core import line_points, packing_number
 from bventropy.witness_lab import build_family
+
+from conftest import random_metric_space, random_step_function, run_python
 
 
 def two_constants(d):
@@ -166,3 +173,139 @@ class TestGenerators:
         # family cardinality certifies at least the lemma's floor in bits
         from bventropy.witness_lab import family_floor
         assert len(ens) >= family_floor(1.0, 1.0, 1 / 256, 1.0, fam.gauge)
+
+
+# ---------------------------------------------------------------------------
+# common-refinement layout and one matrix per scan
+
+
+def _layout_ensemble(kind, seed, m):
+    rng = np.random.default_rng(seed)
+    if kind == "real":
+        return FunctionEnsemble([random_step_function(rng) for _ in range(m)])
+    if kind == "cloud":
+        space = random_metric_space(rng, 6)
+        return FunctionEnsemble([random_step_function(rng, space=space)
+                                 for _ in range(m)])
+    eps = (1 / 64, 1 / 128, 1 / 256)[seed % 3]
+    fam = build_family(1.0, 1.0, eps, Gauge.identity(), line_points(17, 1.0),
+                       int(rng.integers(0, 17)), 1.0)
+    return from_witness_family(fam)
+
+
+@settings(max_examples=45, derandomize=True, deadline=None)
+@given(kind=st.sampled_from(["real", "cloud", "witness"]),
+       seed=st.integers(0, 2 ** 16), m=st.integers(1, 12))
+def test_layout_matrix_matches_pairwise_l1(kind, seed, m):
+    ens = _layout_ensemble(kind, seed, m)
+    assert ens._layout is not None
+    d = ens.distance_matrix()
+    assert np.array_equal(d, d.T)
+    assert np.all(np.diag(d) == 0.0)
+    # witness families run to hundreds of members: check a sample of pairs
+    picks = np.random.default_rng(seed).permutation(len(ens))[:12]
+    for i in picks:
+        row = ens.distances_from(i)
+        for j in picks:
+            exact = l1_distance(ens.members[i], ens.members[j])
+            assert abs(d[i, j] - exact) <= 1e-12 * exact
+            assert abs(row[j] - exact) <= 1e-12 * exact
+
+
+class TestOneMatrixPerScan:
+    @pytest.mark.parametrize("layout", [True, False])
+    def test_scan_reads_rows_from_one_matrix(self, monkeypatch, layout):
+        ens = random_bv_ensemble(40, 1.0, 1.0, seed=8)
+        if not layout:
+            ens._layout = None          # matrix rows from per-pair l1_distance
+        calls = []
+        rows = FunctionEnsemble.distances_from
+        monkeypatch.setattr(FunctionEnsemble, "distances_from",
+                            lambda self, i: calls.append(i) or rows(self, i))
+        res = entropy_scan(ens, [0.2, 0.1, 0.05, 0.025])
+        assert len(calls) <= len(ens)
+        for r in res.rows:
+            assert (r.cover_count, r.pack_count) == empirical_counts(ens, r.epsilon)
+
+    def test_above_cap_builds_no_matrix(self, monkeypatch):
+        ens = block_grid_ensemble(2)
+        assert len(ens) > MATRIX_CAP
+
+        def refuse(self):
+            raise AssertionError("distance matrix built above MATRIX_CAP")
+        monkeypatch.setattr(FunctionEnsemble, "distance_matrix", refuse)
+        res = entropy_scan(ens, [0.2, 0.1])
+        assert all(r.cover_count == r.pack_count >= 1 for r in res.rows)
+
+    def test_layout_over_budget_falls_back_to_rows(self):
+        # 2,100 members with 12 pieces each and no shared breakpoint: the
+        # refinement would hold about 48M entries
+        rng = np.random.default_rng(12)
+        tracemalloc.start()
+        try:
+            members = [StepFunction(np.concatenate([[0.0], np.sort(rng.uniform(0, 1, 11)),
+                                                    [1.0]]), rng.uniform(0, 1, 12))
+                       for _ in range(2100)]
+            ens = FunctionEnsemble(members)
+            row = ens.distances_from(0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ens._layout is None
+        assert peak < 64 * 2 ** 20
+        assert row[0] == 0.0
+        assert row[7] == l1_distance(members[0], members[7])
+
+
+NAN_CALLS = """
+import math
+from bventropy.entropy_estimator import block_grid_ensemble, empirical_counts, entropy_scan
+from bventropy.metric_core import covering_number, farthest_first, line_points, packing_number
+space = line_points(20)
+for name, call in [
+    ("entropy_scan", lambda: entropy_scan(block_grid_ensemble(1), [math.nan])),
+    ("empirical_counts", lambda: empirical_counts(block_grid_ensemble(1), math.nan)),
+    ("covering_number", lambda: covering_number(space, None, math.nan, mode="greedy")),
+    ("packing_number", lambda: packing_number(space, None, math.nan, mode="greedy")),
+    ("farthest_first", lambda: farthest_first(lambda i: space.dist[i], 0, math.nan)),
+]:
+    try:
+        call()
+    except ValueError:
+        print(name)
+"""
+
+
+class TestNanScale:
+    """A NaN scale used to loop forever in farthest-first; these calls run in
+    a child process with a timeout."""
+
+    def test_library_calls_raise(self):
+        proc = run_python("-c", NAN_CALLS)
+        assert proc.stdout.split() == ["entropy_scan", "empirical_counts", "covering_number",
+                                       "packing_number", "farthest_first"], proc.stderr
+
+    def test_scan_subcommand_exits_1(self, tmp_path):
+        proc = run_python("-m", "bventropy.cli", "scan", "--out", str(tmp_path / "s"),
+                          "--gamma", "1", "--eps-grid", "0.1,nan")
+        assert proc.returncode == 1
+        assert len(proc.stderr.strip().splitlines()) == 1
+
+
+class TestNonPositiveScale:
+    def test_scan_checks_whole_grid_first(self, monkeypatch):
+        ens = random_bv_ensemble(10, 1.0, 1.0, seed=2)
+
+        def refuse(self):
+            raise AssertionError("matrix built before the grid was checked")
+        monkeypatch.setattr(FunctionEnsemble, "distance_matrix", refuse)
+        for grid in ([0.1, 0.0], [0.1, -0.1], [np.nan], [0.1, np.nan]):
+            with pytest.raises(ValueError):
+                entropy_scan(ens, grid)
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0])
+    def test_counts_reject(self, eps):
+        with pytest.raises(ValueError):
+            empirical_counts(two_constants(1.0), eps)
+        with pytest.raises(ValueError):
+            packing_number(line_points(5), None, eps, mode="greedy")
