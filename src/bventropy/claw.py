@@ -25,7 +25,7 @@ from .errors import (
     OutOfRange,
     UnstableConfig,
 )
-from .gauge_variation import Gauge, GaugeReport, StepFunction, gauge_check, right_continuous, tv_psi
+from .gauge_variation import Gauge, GaugeReport, StepFunction, right_continuous, tv_psi
 
 LOG_TERM = 3.0 * math.log2(5.0) + math.log2(5.0 * math.e)   # 3 log2 5 + log2(5e)
 
@@ -294,7 +294,7 @@ def flux_gauge(flux: Flux, M: float, h_grid) -> FluxGauge:
     if psi.max(initial=0.0) <= 1e-15:
         raise GaugeDegenerate("flux is affine on a full window; gauge vanishes")
     gauge = Gauge.tabulated(x, psi, token="table:flux")
-    report = gauge_check(gauge, np.concatenate([[0.0], x]))
+    report = gauge.certify()        # the table was checked when it was built
     return FluxGauge(h_grid=hs, d_table=d_vals, phi_table=phi, gauge=gauge,
                      report=report)
 
@@ -396,17 +396,17 @@ def _require_positive_time(T: float) -> None:
 # solution snapshots as step functions
 
 
-def to_step_function(sol: GridSolution, cap: int = 4096) -> StepFunction:
-    """Snapshot on [0, 2W] (domain shifted to start at zero), uniformly
-    thinned to at most ``cap`` cells."""
+def to_step_function(sol: GridSolution, cap: int | None = None) -> StepFunction:
+    """Snapshot on [0, 2W] (domain shifted to start at zero) with every cell
+    kept; only adjacent cells of equal value merge.  ``cap`` bounds the cells
+    accepted (``None``: no bound); a larger snapshot raises ``ValueError``
+    instead of being thinned, so what gets measured and encoded is always
+    the computed solution itself."""
     cells = sol.cells
-    stride = max(1, int(math.ceil(cells.size / cap)))
-    vals = cells[::stride]
-    edges = np.concatenate([
-        sol.x[::stride] - sol.dx / 2.0, [sol.x[-1] + sol.dx / 2.0]
-    ])
-    edges = edges - edges[0]
-    return right_continuous(edges, vals)
+    if cap is not None and cells.size > cap:
+        raise ValueError(f"snapshot has {cells.size} cells, above cap = {cap}")
+    edges = np.concatenate([sol.x - sol.dx / 2.0, [sol.x[-1] + sol.dx / 2.0]])
+    return right_continuous(edges - edges[0], cells)
 
 
 @dataclass(frozen=True)
@@ -419,10 +419,11 @@ class CalibrationReport:
 
 def calibrate_gamma(
     flux: Flux, L: float, M: float, T: float, gauge: Gauge,
-    n_samples: int = 6, dx: float = 0.01, seed: int = 0, cap: int = 4096,
+    n_samples: int = 6, dx: float = 0.01, seed: int = 0, cap: int | None = None,
 ) -> CalibrationReport:
     """Measure the variation constant: evolve a seeded ensemble of initial
-    data and report max tv_psi(u(T)) / (1 + 1/T)."""
+    data and report max tv_psi(u(T)) / (1 + 1/T), each sample taken on the
+    whole snapshot (``cap`` as in :func:`to_step_function`)."""
     rng = np.random.default_rng(seed)
     x = make_grid(L, M, T, flux, dx)
     measured = []

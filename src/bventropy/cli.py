@@ -42,7 +42,7 @@ from .entropy_estimator import (
     entropy_scan,
     from_witness_family,
 )
-from .errors import BVEntropyError, ConfigError
+from .errors import BVEntropyError, ConfigError, GaugeViolation
 from .gauge_variation import Gauge, StepFunction, l1_distance, read_step, tv, tv_psi, write_step
 from .metric_core import (
     covering_number,
@@ -96,6 +96,14 @@ def _load_space(args):
     raise ConfigError(f"unknown generator {parts[0]!r}")
 
 
+def _parse_gauge(token: str) -> Gauge:
+    # an inadmissible user table is bad input, not a broken invariant
+    try:
+        return Gauge.parse(token)
+    except GaugeViolation as exc:
+        raise ConfigError(f"gauge {token!r} fails the {exc.check} check: {exc}") from exc
+
+
 # --- subcommands -----------------------------------------------------------
 
 
@@ -117,7 +125,7 @@ def cmd_metric(args) -> None:
 
 def cmd_variation(args) -> None:
     f = read_step(args.input)
-    gauge = Gauge.parse(args.gauge)
+    gauge = _parse_gauge(args.gauge)
     _atomic_write(
         os.path.join(args.out, "variation.csv"),
         "tv,tv_psi,gauge\n" f"{tv(f)},{tv_psi(f, gauge)},{gauge.token}\n",
@@ -126,7 +134,7 @@ def cmd_variation(args) -> None:
 
 def cmd_encode(args) -> None:
     f = read_step(args.input)
-    gauge = Gauge.parse(args.gauge)
+    gauge = _parse_gauge(args.gauge)
     if gauge.kind == "identity":
         cw = encode_bv(f, args.budget, args.epsilon)
     else:
@@ -159,7 +167,7 @@ def cmd_witness(args) -> None:
     rep = dimension_report(space, args.window)
     p_tilde = max(rep.p_tilde, 1e-9)
     fam = build_family(
-        args.L, args.budget, args.epsilon, Gauge.parse(args.gauge),
+        args.L, args.budget, args.epsilon, _parse_gauge(args.gauge),
         space, args.center, p_tilde, seed=args.seed,
     )
     sep = verify_packing(fam)

@@ -30,8 +30,8 @@ class ExactModeTooLarge(BVEntropyError):
     pass
 
 
-class EmptyWindow(BVEntropyError):
-    pass
+class EmptyWindow(BVEntropyError, ValueError):
+    """An invalid or empty scale window: bad input, not a broken invariant."""
 
 
 class ScaleViolation(BVEntropyError):
@@ -41,23 +41,23 @@ class ScaleViolation(BVEntropyError):
 # --- gauges ---
 
 class GaugeViolation(BVEntropyError):
-    pass
+    check = ""          # the name of the failed check in GaugeReport.checks
 
 
 class NotConvex(GaugeViolation):
-    pass
+    check = "convex"
 
 
 class NotVanishingAtZero(GaugeViolation):
-    pass
+    check = "zero"
 
 
 class NotPositive(GaugeViolation):
-    pass
+    check = "positive"
 
 
 class InverseMismatch(GaugeViolation):
-    pass
+    check = "inverse"
 
 
 # --- codec ---

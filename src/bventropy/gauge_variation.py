@@ -7,8 +7,19 @@ live either on the real line (absolute-value metric) or are point indices
 into a :class:`~bventropy.metric_core.FiniteMetricSpace`.
 
 For step functions the partition supremum defining the generalized variation
-is attained on subsequences of the value sequence, so an O(k^2) dynamic
-program computes it exactly.
+is attained on subsequences of the value sequence, so a dynamic program over
+chains of value indices computes it exactly; it is quadratic in the number of
+indices it runs on.  For real values under a non-identity gauge that passed
+:func:`gauge_check`, the program runs on the endpoints and the turning points
+only: index 0, the first index of each interior run of equal values at which
+the sequence changes direction, and index k-1.  This is exact because a
+convex gauge with psi(0) = 0 is superadditive, psi(a + b) >= psi(a) + psi(b),
+so a chain element lying between its two neighbours can be dropped without
+lowering the sum (Butkus & Norvaisa, *Computation of p-variation*, 2018).  A
+Godunov snapshot of thousands of cells has a handful of extrema.  Point-cloud
+values have no order and keep every index.  So does the identity gauge:
+there a monotone run and its single jump tie in exact arithmetic but not in
+floating point, and the full program's float value is the recorded one.
 """
 
 from __future__ import annotations
@@ -19,6 +30,7 @@ import numpy as np
 
 from .errors import (
     DomainMismatch,
+    GaugeViolation,
     InverseMismatch,
     NotConvex,
     NotPositive,
@@ -32,22 +44,35 @@ class Gauge:
 
     Kinds: ``identity``, ``power`` (exponent >= 1) and ``tabulated``
     (strictly increasing sample table, linear interpolation, linear
-    extrapolation beyond the last sample).
+    extrapolation beyond the last sample).  Identity and power gauges are
+    admissible by construction.  A table runs :func:`gauge_check` when it is
+    built and keeps the outcome: ``report`` if it passed, ``violation`` if
+    not.  :meth:`certify` raises the violation; :meth:`parse` calls it, and
+    the chain DP reduces to extrema only under a gauge without one.
     """
 
     def __init__(self, kind, gamma=None, table=None, token=None):
         self.kind = kind
         self.gamma = gamma
+        self.report = self.violation = None
         if table is not None:
             s, v = (np.asarray(a, dtype=float) for a in table)
             if s.ndim != 1 or s.shape != v.shape or s.size < 2:
                 raise ValueError("table must be two equal-length 1-d arrays")
+            if not (np.isfinite(s).all() and np.isfinite(v).all()):
+                raise ValueError("table entries must be finite")
             if s[0] > 0:
                 s = np.concatenate([[0.0], s])
                 v = np.concatenate([[0.0], v])
             if np.any(np.diff(s) <= 0):
                 raise ValueError("table abscissae must be strictly increasing")
             self._s, self._v = s, v
+            # the abscissae, plus one probe on the linear continuation so
+            # that a two-sample table still gets the three-point grid
+            try:
+                self.report = gauge_check(self, np.append(s, 2.0 * s[-1]))
+            except GaugeViolation as exc:
+                self.violation = exc
         self._token = token
 
     # --- factories -------------------------------------------------------
@@ -75,8 +100,19 @@ class Gauge:
         if token.startswith("table:"):
             path = token[6:]
             data = np.loadtxt(path, delimiter=",", ndmin=2)
-            return cls.tabulated(data[:, 0], data[:, 1], token=token)
+            if data.shape[1] != 2:
+                raise ValueError(f"{path}: a gauge table has two columns, s and psi(s)")
+            gauge = cls.tabulated(data[:, 0], data[:, 1], token=token)
+            gauge.certify()
+            return gauge
         raise ValueError(f"unknown gauge token {token!r}")
+
+    def certify(self) -> GaugeReport | None:
+        """Raise the violation a table showed when it was built; otherwise
+        return its report (``None`` for identity and power gauges)."""
+        if self.violation is not None:
+            raise self.violation
+        return self.report
 
     # --- evaluation ------------------------------------------------------
 
@@ -283,26 +319,67 @@ def _chain_best(values: np.ndarray, gauge: Gauge, space) -> np.ndarray:
     return best
 
 
+def _chain(values: np.ndarray, gauge: Gauge, space) -> tuple[np.ndarray, np.ndarray]:
+    """The indices the chain DP runs on, and its ``best`` over them.
+
+    Every index, or for real values under an admissible non-identity gauge
+    the extrema of the module docstring: a run of equal values enters by its
+    first index, except the final run, which enters by k-1, where every chain
+    ends.
+    """
+    k = values.size
+    keep = np.arange(k)
+    if space is None and gauge.kind != "identity" and gauge.violation is None and k > 2:
+        step = np.sign(np.diff(values))
+        moves = np.flatnonzero(step)            # a new run starts after each
+        turns = moves[:-1][step[moves[:-1]] != step[moves[1:]]] + 1
+        keep = np.concatenate([[0], turns, [k - 1]])
+    return keep, _chain_best(values[keep], gauge, space)
+
+
 def tv_psi(f: StepFunction, gauge: Gauge) -> float:
-    """Generalized variation of a step function, exact via dynamic programming."""
-    return float(_chain_best(f.values, gauge, f.space)[-1])
+    """Generalized variation of a step function, exact via dynamic
+    programming over its extrema (over every value for point-cloud values and
+    the identity gauge)."""
+    return float(_chain(f.values, gauge, f.space)[1][-1])
+
+
+def _best_everywhere(values: np.ndarray, keep: np.ndarray, best_kept: np.ndarray,
+                     gauge: Gauge) -> np.ndarray:
+    # An optimal chain to j needs only the extrema before j, so
+    # best[j] = max over kept e < j of best_kept[e] + psi(|v_e - v_j|), taken
+    # in row blocks that hold about a million pairs.
+    best = np.zeros(values.size)
+    vk = values[keep]
+    rows = max(1, 2 ** 20 // keep.size)
+    for lo in range(1, values.size, rows):
+        j = np.arange(lo, min(lo + rows, values.size))
+        cand = best_kept + gauge(np.abs(vk - values[j, None]))
+        best[j] = np.where(keep < j[:, None], cand, -np.inf).max(axis=1)
+    return best
 
 
 def tv_psi_chain(f: StepFunction, gauge: Gauge) -> tuple[float, list[int]]:
     """Like :func:`tv_psi` but also returns an optimal value-index chain.
 
-    Ties resolve to the lexicographically smallest chain (earliest
-    predecessors win).  The chain is backtracked from the last value: each
-    element's candidate row is recomputed and its earliest argmax is the
-    predecessor, so the forward pass stays as cheap as :func:`tv_psi`.
+    The chain holds indices into ``f.values`` and runs from 0 to k-1.  Ties
+    resolve to the lexicographically smallest chain (earliest predecessors
+    win) over all indices, reduced DP or not.  The chain is backtracked from
+    the last value: each element's candidate row is recomputed and its
+    earliest argmax is the predecessor.  Under a reduced DP, ``best`` at the
+    indices it skipped comes from the extrema before them, in O(k m) for m
+    extrema, so the forward pass stays as cheap as :func:`tv_psi`.
     """
-    best = _chain_best(f.values, gauge, f.space)
+    keep, best = _chain(f.values, gauge, f.space)
+    value = float(best[-1])
+    if keep.size < f.k:
+        best = _best_everywhere(f.values, keep, best, gauge)
     chain = [f.k - 1]
     while chain[-1] > 0:
         j = chain[-1]
         cand = best[:j] + gauge(_pair_dist(f.values, j, f.space))
         chain.append(int(np.argmax(cand)))     # argmax -> earliest index on ties
-    return float(best[-1]), chain[::-1]
+    return value, chain[::-1]
 
 
 def right_continuous(
@@ -328,9 +405,10 @@ def right_continuous(
 
 def sample_sequence_variation(values, gauge: Gauge, space=None) -> float:
     """Chain maximum over an explicit value sequence (for representative
-    comparisons that include isolated-point samples)."""
+    comparisons that include isolated-point samples), reduced to extrema as
+    in :func:`tv_psi`."""
     v = np.asarray(values) if space is not None else np.asarray(values, dtype=float)
-    return float(_chain_best(v, gauge, space)[-1])
+    return float(_chain(v, gauge, space)[1][-1])
 
 
 def l1_distance(f: StepFunction, g: StepFunction, rel_tol: float = 1e-9) -> float:

@@ -5,6 +5,10 @@ chain-DP copies were merged into one kernel each; any change to a count, a
 witness, a CSV value or a chain shows up here.  A hypothesis property test
 checks the two greedy kernels against their defining properties and, on
 small spaces, against the exhaustive oracles.
+
+A second digest, recorded while the chain DP still ran over every cell and
+snapshots were thinned above 4,096 cells, pins what the conservation-law
+pipeline certifies about Godunov snapshots under their flux gauges.
 """
 
 import hashlib
@@ -13,6 +17,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bventropy.bv_codec import encode_bvpsi
+from bventropy.claw import Flux, evolve, flux_gauge, make_grid, to_step_function
 from bventropy.entropy_estimator import (
     ClassParams,
     block_grid_ensemble,
@@ -35,6 +41,7 @@ from bventropy.witness_lab import build_family, verify_packing
 from conftest import oracle_cover, oracle_pack, random_metric_matrix
 
 GOLDEN = "9fe2780272c6a70dc4b93cc407a95b4c6bf75039f7e7e88f2aeba3a9078377c5"
+SNAPSHOT_GOLDEN = "625cf0e4c2fd56f5265b53d4a88b15918f745968aeb73202749820005afc8dee"
 
 
 def _cover_pack_lines():
@@ -102,6 +109,35 @@ def test_golden_digest():
         for line in part():
             h.update(line.encode() + b"\n")
     assert h.hexdigest() == GOLDEN
+
+
+def _snapshot_lines():
+    # seeded piecewise-constant data on [-1, 1], evolved under each flux at
+    # M = 0.5 and dx = 0.002, measured and encoded under the flux gauge
+    rng = np.random.default_rng(2024)
+    L, M, dx = 1.0, 0.5, 0.002
+    for name in ("burgers", "cubic", "quartic"):
+        flux = Flux.parse(name, M)
+        gauge = flux_gauge(flux, M, np.linspace(0.05, 2.0 * M, 10)).gauge
+        for T in (0.5, 1.0, 0.5, 1.0):
+            x = make_grid(L, M, T, flux, dx)
+            edges = np.concatenate([[-L], np.sort(rng.uniform(-L, L, 4)), [L]])
+            levels = rng.choice((-1.0, 1.0), 5) * rng.uniform(0.25, 1.0, 5) * M
+            u0 = np.zeros_like(x)
+            for lo, hi, v in zip(edges[:-1], edges[1:], levels):
+                u0[(x >= lo) & (x < hi)] = v
+            snap = to_step_function(evolve(u0, flux, T, dx, x=x))
+            V = tv_psi(snap, gauge)
+            _, chain = tv_psi_chain(snap, gauge)
+            bits = [encode_bvpsi(snap, gauge, V, eps).bit_length for eps in (0.1, 0.05)]
+            yield f"{name},{T},{snap.k},{V!r},{chain},{bits}"
+
+
+def test_snapshot_digest():
+    h = hashlib.sha256()
+    for line in _snapshot_lines():
+        h.update(line.encode() + b"\n")
+    assert h.hexdigest() == SNAPSHOT_GOLDEN
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)

@@ -8,6 +8,7 @@ from numpy.polynomial import polynomial as P
 
 from bventropy.claw import (
     Flux,
+    _random_data,
     _window_minimax,
     affine_gap,
     calibrate_gamma,
@@ -28,7 +29,7 @@ from bventropy.errors import (
     OutOfRange,
     UnstableConfig,
 )
-from bventropy.gauge_variation import tv
+from bventropy.gauge_variation import right_continuous, tv, tv_psi
 
 from conftest import (
     burgers_exact_rarefaction,
@@ -346,6 +347,40 @@ class TestSnapshots:
         rep = calibrate_gamma(f, 1.0, 1.0, 1.0, fg.gauge, n_samples=3, dx=0.02)
         assert rep.gamma_lm > 0
         assert len(rep.samples) == 3
+
+
+class TestNoThinning:
+    """Snapshots above 4,096 cells are measured whole."""
+
+    # the seed-0 sample read 0.0438314 on every other cell, 0.0438886 whole
+    L, M, T, DX = 1.0, 1.0, 0.5, 4e-4
+
+    def test_snapshot_keeps_every_cell(self):
+        f = Flux.burgers(self.M)
+        x = make_grid(self.L, self.M, self.T, f, self.DX)
+        u0 = np.where(np.abs(x) <= self.L, self.M * np.exp(-8.0 * x ** 2), 0.0)
+        sol = evolve(u0, f, self.T, self.DX, x=x)
+        snap = to_step_function(sol)
+        assert sol.cells.size > 4096 and snap.k > 4096
+        centres = sol.x - sol.x[0] + self.DX / 2.0
+        piece = np.searchsorted(snap.breakpoints, centres, side="right") - 1
+        assert np.array_equal(snap.values[piece], sol.cells)
+        with pytest.raises(ValueError):
+            to_step_function(sol, cap=4096)
+
+    def test_calibrate_gamma_samples_whole_snapshots(self):
+        f = Flux.burgers(self.M)
+        fg = flux_gauge(f, self.M, np.linspace(0.05, 2.0 * self.M, 10))
+        rep = calibrate_gamma(f, self.L, self.M, self.T, fg.gauge, n_samples=1,
+                              dx=self.DX, seed=0)
+        rng = np.random.default_rng(0)
+        x = make_grid(self.L, self.M, self.T, f, self.DX)
+        assert x.size > 4096
+        for sample in rep.samples:
+            sol = evolve(_random_data(rng, x, self.L, self.M), f, self.T, self.DX, x=x)
+            edges = np.append(x - self.DX / 2.0, x[-1] + self.DX / 2.0)
+            whole = right_continuous(edges - edges[0], sol.cells)
+            assert sample == tv_psi(whole, fg.gauge)
 
 
 class TestConvergence:

@@ -68,6 +68,15 @@ class TestMetric:
         assert [r.split(",")[1:3] for r in rows] == [["6", "exact"], ["9", "exact"]]
 
 
+    @pytest.mark.parametrize("window", [("0.45", "0.05"), ("nan", "0.45")])
+    def test_bad_window_is_config_error(self, tmp_path, window, capsys):
+        # was exit 2, "invariant violated"
+        assert run("metric", "--out", str(tmp_path / "o"), "--generate", "line:17:1.0",
+                   "--window", *window) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: invalid window")
+
+
 class TestVariation:
     def test_report(self, tmp_path, step_file):
         out = str(tmp_path / "v")
@@ -83,6 +92,29 @@ class TestVariation:
                    "--gauge", f"table:{tmp_path}") == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 2 and all(e.startswith("error: ") for e in err)
+
+    @pytest.mark.parametrize("command", ["variation", "encode"])
+    def test_inadmissible_table_is_config_error(self, tmp_path, step_file, command, capsys):
+        # was exit 0 with tv_psi = 0.96: the chord slope drops at s = 0.5
+        table = tmp_path / "table.csv"
+        table.write_text("0,0\n0.5,0.4\n1,0.5\n2,3\n")
+        extra = ["--epsilon", "0.1", "--budget", "1.0"] if command == "encode" else []
+        assert run(command, "--out", str(tmp_path / "v"), "--input", step_file,
+                   "--gauge", f"table:{table}", *extra) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "fails the convex check" in err[0]
+
+    @pytest.mark.parametrize("table", ["0,0\n0.5,nan\n1,1\n2,3\n", "0,0\n1,1\n2,inf\n",
+                                       "0\n1\n2\n", "0,0,1\n1,1,1\n2,3,1\n"])
+    def test_malformed_table_is_config_error(self, tmp_path, step_file, table, capsys):
+        # a NaN entry gave exit 0 and tv_psi = nan; one column was a traceback
+        path = tmp_path / "table.csv"
+        path.write_text(table)
+        assert run("variation", "--out", str(tmp_path / "v"), "--input", step_file,
+                   "--gauge", f"table:{path}") == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
     @pytest.mark.parametrize("text", ["1.0,2\n0.0\n0.5,1.0\n", "nan,2\n0.0,0.2\n0.5,0.6\n"])
     def test_bad_step_file_is_config_error(self, tmp_path, text, capsys):

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bventropy.gauge_variation as gv
+from bventropy.claw import Flux, flux_gauge
 from bventropy.errors import (
     DomainMismatch,
     InverseMismatch,
@@ -10,6 +14,7 @@ from bventropy.errors import (
 )
 from bventropy.gauge_variation import (
     Gauge,
+    _chain_best,
     StepFunction,
     gauge_check,
     l1_distance,
@@ -86,6 +91,50 @@ class TestGauge:
         assert Gauge.parse("pow:2").gamma == 2.0
         with pytest.raises(ValueError):
             Gauge.parse("nope")
+
+
+class TestTableCheckedWhenBuilt:
+    def test_admissible_table_keeps_its_report(self):
+        g = Gauge.tabulated([0, 0.5, 1, 2], [0, 0.3, 1.0, 3.0])
+        assert g.violation is None and g.report.ok
+        assert g.certify() is g.report
+        assert Gauge.power(2).certify() is None
+
+    def test_two_sample_table(self):
+        assert Gauge.tabulated([0, 1], [0, 2]).certify().ok
+
+    def test_inadmissible_table_keeps_its_violation(self):
+        # the chord slope drops from 0.8 to 0.2 at s = 0.5
+        g = Gauge.tabulated([0, 0.5, 1, 2], [0, 0.4, 0.5, 3])
+        assert isinstance(g.violation, NotConvex) and g.report is None
+        with pytest.raises(NotConvex):
+            g.certify()
+
+    def test_parse_raises_the_violation(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("0,0\n0.5,0.4\n1,0.5\n2,3\n")
+        with pytest.raises(NotConvex):
+            Gauge.parse(f"table:{path}")
+        path.write_text("0,0\n0.5,0.3\n1,1\n2,3\n")
+        assert Gauge.parse(f"table:{path}").report.ok
+
+    def test_inadmissible_table_runs_the_full_dp(self):
+        # superadditivity fails, so extrema alone would miss the best chain
+        g = Gauge.tabulated([0, 0.5, 1, 2], [0, 0.4, 0.5, 3])
+        f = StepFunction(np.linspace(0.0, 1.0, 4), np.array([0.0, 0.5, 1.0]))
+        assert tv_psi(f, g) == pytest.approx(0.8) == oracle_tv_psi(f, g)
+
+    def test_flux_gauge_checks_once(self, monkeypatch):
+        calls = []
+
+        def counting(gauge, grid, rel_tol=1e-9):
+            calls.append(grid)
+            return check(gauge, grid, rel_tol)
+
+        check = gv.gauge_check
+        monkeypatch.setattr(gv, "gauge_check", counting)
+        fg = flux_gauge(Flux.cubic(1.0), 1.0, np.linspace(0.05, 2.0, 8))
+        assert len(calls) == 1 and fg.report.ok
 
 
 class TestStepFunction:
@@ -238,3 +287,39 @@ class TestL1Distance:
         g = StepFunction.constant(2.0, 0.0)
         with pytest.raises(DomainMismatch):
             l1_distance(f, g)
+
+
+# ---------------------------------------------------------------------------
+# the chain DP on extrema only
+
+
+REDUCED_GAUGES = (Gauge.power(1), Gauge.power(1.5), Gauge.power(2),
+                  Gauge.tabulated([0, 0.5, 1, 2], [0, 0.3, 1.0, 3.0]))
+
+
+def _close(a: float, b: float) -> bool:
+    return abs(a - b) <= 1e-12 * abs(b)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    steps=st.lists(st.integers(-3, 3), min_size=0, max_size=40),
+    start=st.integers(-5, 5),
+    g=st.sampled_from(REDUCED_GAUGES),
+)
+def test_reduced_chain_dp_matches_full_dp(steps, start, g):
+    # zero steps make plateaus, repeated signs monotone runs, and the tenth
+    # grid makes equal values and equal chain sums common
+    vals = np.round(0.1 * np.cumsum([start] + steps), 1)
+    f = StepFunction(np.linspace(0.0, 1.0, vals.size + 1), vals)
+    value = tv_psi(f, g)
+    assert _close(value, float(_chain_best(vals, g, None)[-1]))
+    if f.k <= 9:
+        assert _close(value, oracle_tv_psi(f, g))
+    assert sample_sequence_variation(vals, g) == value
+    chain_value, chain = tv_psi_chain(f, g)
+    assert chain_value == value
+    assert chain[0] == 0 and chain[-1] == f.k - 1
+    assert all(a < b for a, b in zip(chain, chain[1:]))
+    total = sum(float(g(abs(vals[b] - vals[a]))) for a, b in zip(chain, chain[1:]))
+    assert _close(total, value)
