@@ -1,13 +1,15 @@
 """Scalar 1-D conservation laws u_t + f(u)_x = 0 with polynomial fluxes.
 
 A Godunov finite-volume scheme evolves compactly supported data on a padded
-symmetric grid.  The flux also induces a gauge: the minimal affine-
-approximation error of f over windows of width h, convexified and rescaled,
-measures how strongly the flux bends and controls the generalized variation
-of solutions; the gauge feeds the variation codec and its bit bounds.  The
-error of every sampled window of one width comes from a single golden-section
-search over the approximating slope, run on a (windows x samples) array; the
-only convex hull in the module is the envelope taken over the widths.
+symmetric grid; one kernel gives the interface fluxes of a state array, and
+the scalar ``godunov_flux`` is that kernel on two states.  The flux also
+induces a gauge: the minimal affine-approximation error of f over windows of
+width h, convexified and rescaled, measures how strongly the flux bends and
+controls the generalized variation of solutions; the gauge feeds the
+variation codec and its bit bounds.  The error of every sampled window of
+one width comes from a single golden-section search over the approximating
+slope, run on a (windows x samples) array; the only convex hull in the
+module is the envelope taken over the widths.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ class Flux:
         self._d2 = P.polyder(self.coeffs, 2)
         self._check_derivatives()
         self.fprime_max = self._sup_abs(self._d1, self._d2)
-        self.critical_points = self._real_roots(self._d1)
+        self.critical_points = self._real_roots(self._d1, self.M)
 
     # factories -----------------------------------------------------------
 
@@ -99,15 +101,17 @@ class Flux:
         if np.any(np.abs(fd - self.df(probes)) > 1e-5 * scale):
             raise ValueError("derivative inconsistent with finite differences")
 
-    def _real_roots(self, poly) -> np.ndarray:
+    @staticmethod
+    def _real_roots(poly, M: float) -> np.ndarray:
+        """Sorted distinct real roots of ``poly`` in [-M, M]."""
         if np.all(np.abs(poly) < 1e-300) or poly.size <= 1:
             return np.zeros(0)
         roots = P.polyroots(poly)
         real = roots[np.abs(roots.imag) < 1e-9].real
-        return np.unique(real[(real >= -self.M) & (real <= self.M)])
+        return np.unique(real[(real >= -M) & (real <= M)])
 
     def _sup_abs(self, poly, dpoly) -> float:
-        cand = np.concatenate([[-self.M, self.M], self._real_roots(dpoly)])
+        cand = np.concatenate([[-self.M, self.M], self._real_roots(dpoly, self.M)])
         return float(np.abs(P.polyval(cand, poly)).max())
 
 
@@ -116,19 +120,23 @@ def godunov_flux(flux: Flux, ul: float, ur: float) -> float:
     tol = 1e-9 * max(flux.M, 1.0)
     if abs(ul) > flux.M + tol or abs(ur) > flux.M + tol:
         raise OutOfRange(f"states ({ul}, {ur}) leave [-M, M] with M = {flux.M}")
-    lo, hi = (ul, ur) if ul <= ur else (ur, ul)
-    crit = flux.critical_points
-    cand = [flux(lo), flux(hi)] + [flux(c) for c in crit if lo < c < hi]
-    return min(cand) if ul <= ur else max(cand)
+    return float(_godunov(flux, np.array([ul, ur], dtype=float))[0])
 
 
-def _godunov_array(flux: Flux, ul: np.ndarray, ur: np.ndarray) -> np.ndarray:
-    lo = np.minimum(ul, ur)
-    hi = np.maximum(ul, ur)
-    vals = np.stack([flux(lo), flux(hi)]
-                    + [np.where((lo < c) & (c < hi), flux(c), flux(lo))
-                       for c in flux.critical_points])
-    return np.where(ul <= ur, vals.min(axis=0), vals.max(axis=0))
+def _godunov(flux: Flux, u: np.ndarray) -> np.ndarray:
+    """Godunov fluxes between consecutive states of ``u``: f is evaluated
+    once per state, and each critical value enters where it lies strictly
+    between the two states."""
+    fu = flux(u)
+    ul, ur = u[:-1], u[1:]
+    rising = ul <= ur
+    F = np.where(rising, np.minimum(fu[:-1], fu[1:]), np.maximum(fu[:-1], fu[1:]))
+    lo, hi = np.minimum(ul, ur), np.maximum(ul, ur)
+    for c in flux.critical_points:
+        fc = flux(c)
+        F = np.where((lo < c) & (c < hi),
+                     np.where(rising, np.minimum(F, fc), np.maximum(F, fc)), F)
+    return F
 
 
 @dataclass(frozen=True)
@@ -139,10 +147,6 @@ class GridSolution:
     T: float
     mass: float
     max_tv_increase: float = 0.0    # largest per-step growth of cell TV
-
-    @property
-    def half_width(self) -> float:
-        return float(self.x[-1] + self.dx / 2.0)
 
 
 def make_grid(L: float, M: float, T: float, flux: Flux, dx: float) -> np.ndarray:
@@ -187,9 +191,7 @@ def evolve(
     max_tv_increase = 0.0
     while t < T - 1e-14:
         dt = min(dt_max, T - t)
-        ul = np.concatenate([[0.0], u])
-        ur = np.concatenate([u, [0.0]])
-        F = _godunov_array(flux, ul, ur)           # interface fluxes, n+1
+        F = _godunov(flux, np.pad(u, 1))           # interface fluxes, n+1
         u = u - dt / dx * (F[1:] - F[:-1])
         t += dt
         new_tv = float(np.abs(np.diff(u)).sum())
@@ -334,14 +336,10 @@ def degeneracy(flux: Flux, M: float | None = None) -> DegeneracyReport:
     """Vanishing orders of f'' at its roots: at each inflection point w the
     order p_w is the least p >= 2 with f^(p+1)(w) != 0."""
     M = flux.M if M is None else M
-    d2 = P.polyder(flux.coeffs, 2)
-    if np.all(np.abs(d2) < 1e-14):
+    if np.all(np.abs(flux._d2) < 1e-14):
         raise InfiniteDegeneracy("f'' vanishes identically")
-    roots = P.polyroots(d2) if d2.size > 1 else np.zeros(0)
-    real = np.unique(roots[np.abs(roots.imag) < 1e-9].real) if roots.size else np.zeros(0)
-    real = real[(real >= -M) & (real <= M)]
     pts, orders = [], []
-    for w in real:
+    for w in flux._real_roots(flux._d2, M):
         p = 2
         deriv = P.polyder(flux.coeffs, p + 1)
         while deriv.size and abs(P.polyval(w, deriv)) < 1e-9:

@@ -42,7 +42,7 @@ from .entropy_estimator import (
     entropy_scan,
     from_witness_family,
 )
-from .errors import BVEntropyError, ConfigError, GaugeViolation
+from .errors import BudgetViolation, BVEntropyError, ConfigError, GaugeViolation, OutOfRange
 from .gauge_variation import Gauge, StepFunction, l1_distance, read_step, tv, tv_psi, write_step
 from .metric_core import (
     covering_number,
@@ -153,7 +153,7 @@ def cmd_encode(args) -> None:
         f"{args.epsilon},{args.budget},{cw.bit_length},{bound},{err}\n",
     )
     if err > args.epsilon:
-        raise AssertionError(f"decode error {err} exceeds epsilon {args.epsilon}")
+        raise BudgetViolation(f"decode error {err} exceeds epsilon {args.epsilon}")
 
 
 def cmd_decode(args) -> None:
@@ -190,7 +190,7 @@ def cmd_claw(args) -> None:
     u0 = np.where(np.abs(x) <= args.L, args.M * np.exp(-8.0 * (x / args.L) ** 2), 0.0)
     sol = evolve(u0, flux, args.T, args.dx, cfl=args.cfl, x=x)
     if not support_check(sol, args.L, args.M, args.T, flux):
-        raise AssertionError("support grew beyond the certified light cone")
+        raise OutOfRange("support grew beyond the certified light cone")
     rows = "\n".join(f"{xi},{ui}" for xi, ui in zip(sol.x, sol.cells))
     _atomic_write(os.path.join(args.out, "solution.csv"), "x,u\n" + rows + "\n")
 
@@ -300,7 +300,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (BVEntropyError, AssertionError) as exc:
+    except BVEntropyError as exc:
         print(f"invariant violated: {exc}", file=sys.stderr)
         return 2
 

@@ -36,7 +36,7 @@ from .errors import (
     NotPositive,
     NotVanishingAtZero,
 )
-from .metric_core import FiniteMetricSpace
+from .metric_core import FiniteMetricSpace, _read_table
 
 
 class Gauge:
@@ -99,7 +99,7 @@ class Gauge:
             return cls.power(float(token[4:]))
         if token.startswith("table:"):
             path = token[6:]
-            data = np.loadtxt(path, delimiter=",", ndmin=2)
+            data = _read_table(path)
             if data.shape[1] != 2:
                 raise ValueError(f"{path}: a gauge table has two columns, s and psi(s)")
             gauge = cls.tabulated(data[:, 0], data[:, 1], token=token)

@@ -20,12 +20,16 @@ Every greedy count in the package runs on one of two kernels:
 * :func:`farthest_first` over a row oracle inserts the point farthest from
   the chosen set, lowest index on ties, until every point lies within the
   separation.  Its output is both a strict packing and a closed cover.
+
+The exact searches run on integer bitmasks from one builder: the centers'
+coverage sets for covers, the points' conflict sets for packings.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -133,9 +137,18 @@ def uniform_random(n: int, extent: float, seed: int, dim: int = 1) -> FiniteMetr
     return from_points(rng.uniform(0.0, extent, size=(n, dim)))
 
 
+def _read_table(path) -> np.ndarray:
+    """A comma-separated numeric file as a 2-D array; empty is an error."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        data = np.loadtxt(path, delimiter=",", ndmin=2)
+    if data.size == 0:
+        raise ValueError(f"{path}: file holds no data")
+    return data
+
+
 def read_matrix_csv(path) -> FiniteMetricSpace:
-    m = np.loadtxt(path, delimiter=",", ndmin=2)
-    return validate_metric(m)
+    return validate_metric(_read_table(path))
 
 
 @dataclass(frozen=True)
@@ -200,37 +213,53 @@ def farthest_first(rows, start: int, sep: float) -> list[int]:
         np.minimum(mind, rows(nxt), out=mind)
 
 
+def _bitmasks(rows: np.ndarray) -> list[int]:
+    """Each row of a boolean matrix as an integer whose bit j is column j."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _search(space: FiniteMetricSpace, subset, alpha: float, mode: str,
+            exact_cap: int, exact, greedy):
+    """Check the arguments shared by the counts and run the search the mode
+    names; returns the subset as indices and the search's witness."""
+    if not alpha > 0:
+        raise ValueError("alpha must be positive")
+    k = _as_index_array(space, subset)
+    if mode == "greedy":
+        return k, greedy(space, k, alpha)
+    if mode != "exact":
+        raise ValueError(f"unknown mode {mode!r}")
+    if space.n > exact_cap:
+        raise ExactModeTooLarge(
+            f"exact search capped at n <= {exact_cap}, space has n = {space.n}"
+        )
+    return k, exact(space, k, alpha)
+
+
 def _greedy_cover(space: FiniteMetricSpace, k: np.ndarray, alpha: float):
     # centers come from the whole space, points from the subset
     return greedy_set_cover(space.dist[:, k] <= alpha)
 
 
 def _exact_cover(space: FiniteMetricSpace, k: np.ndarray, alpha: float):
-    covers = space.dist[:, k] <= alpha
-    masks = []
-    for c in range(space.n):
-        bits = 0
-        for pos in np.flatnonzero(covers[c]):
-            bits |= 1 << int(pos)
-        masks.append(bits)
+    masks = _bitmasks(space.dist[:, k] <= alpha)
     # drop empty and duplicate coverage sets (keeps the lowest center index)
-    seen = set()
-    keep = []
+    first: dict[int, int] = {}
     for c, bits in enumerate(masks):
-        if bits == 0 or bits in seen:
-            continue
-        seen.add(bits)
-        keep.append(c)
+        if bits:
+            first.setdefault(bits, c)
+    keep = list(first.values())
     full = (1 << k.size) - 1
-    ub = _greedy_cover(space, k, alpha)
-    for r in range(1, len(ub) + 1):
+    # every point of the subset covers itself, so some size finds a cover
+    for r in range(1, len(keep) + 1):
         for combo in itertools.combinations(keep, r):
             got = 0
             for c in combo:
                 got |= masks[c]
             if got == full:
                 return list(combo)
-    return ub
+    raise NetIncomplete("a point is covered by no candidate")
 
 
 def covering_number(
@@ -242,19 +271,8 @@ def covering_number(
 ) -> CoverPackResult:
     """Minimal (exact) or greedy upper-bound count of closed alpha-balls
     covering the subset, with centers drawn from the whole space."""
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
-    k = _as_index_array(space, subset)
-    if mode == "exact":
-        if space.n > exact_cap:
-            raise ExactModeTooLarge(
-                f"exact search capped at n <= {exact_cap}, space has n = {space.n}"
-            )
-        centers = _exact_cover(space, k, alpha)
-    elif mode == "greedy":
-        centers = _greedy_cover(space, k, alpha)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    k, centers = _search(space, subset, alpha, mode, exact_cap,
+                         _exact_cover, _greedy_cover)
     if not np.all(space.dist[np.ix_(centers, k)].min(axis=0) <= alpha):
         raise NetIncomplete(f"{len(centers)} centers leave a point uncovered at alpha = {alpha}")
     return CoverPackResult(len(centers), tuple(centers), mode, alpha)
@@ -267,15 +285,9 @@ def _greedy_pack(space: FiniteMetricSpace, k: np.ndarray, alpha: float):
 
 
 def _exact_pack(space: FiniteMetricSpace, k: np.ndarray, alpha: float):
-    m = k.size
-    conflict = []
-    sub = space.dist[np.ix_(k, k)]
-    for i in range(m):
-        bits = 0
-        for j in range(m):
-            if j != i and sub[i, j] <= alpha:
-                bits |= 1 << j
-        conflict.append(bits)
+    close = space.dist[np.ix_(k, k)] <= alpha
+    np.fill_diagonal(close, False)
+    conflict = _bitmasks(close)
 
     best: list[int] = []
 
@@ -291,7 +303,7 @@ def _exact_pack(space: FiniteMetricSpace, k: np.ndarray, alpha: float):
         grow(cand & ~(1 << v) & ~conflict[v], chosen + [v])
         grow(cand & ~(1 << v), chosen)
 
-    grow((1 << m) - 1, [])
+    grow((1 << k.size) - 1, [])
     return sorted(int(k[i]) for i in best)
 
 
@@ -304,19 +316,8 @@ def packing_number(
 ) -> CoverPackResult:
     """Maximal (exact) or greedy lower-bound size of a strictly alpha-separated
     subset of the given point set."""
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
-    k = _as_index_array(space, subset)
-    if mode == "exact":
-        if space.n > exact_cap:
-            raise ExactModeTooLarge(
-                f"exact search capped at n <= {exact_cap}, space has n = {space.n}"
-            )
-        points = _exact_pack(space, k, alpha)
-    elif mode == "greedy":
-        points = _greedy_pack(space, k, alpha)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    _, points = _search(space, subset, alpha, mode, exact_cap,
+                        _exact_pack, _greedy_pack)
     if len(points) > 1:
         sub = space.dist[np.ix_(points, points)]
         off = sub[np.triu_indices(len(points), k=1)]

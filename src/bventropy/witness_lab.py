@@ -219,6 +219,9 @@ def family_floor(
     return 2.0 ** (p_tilde * V / (2.0 * float(gauge(arg))))
 
 
+_PAIR_CHUNK = 4096      # sampled pairs checked per block
+
+
 def verify_packing(
     fam: WitnessFamily, pair_cap: int = 2 * 10 ** 6, seed: int = 0
 ) -> SeparationReport:
@@ -226,45 +229,36 @@ def verify_packing(
 
     Each pair must satisfy the exact bound
     distance > separation_factor * (L h / N1) * (number of differing blocks);
-    any failure is an implementation bug, not a tolerance issue.
+    any failure is an implementation bug, not a tolerance issue.  Up to
+    ``pair_cap`` pairs, every pair i < j is checked, a row at a time; above
+    it, ``pair_cap`` pairs drawn from ``seed`` are, with i == j skipped.
     """
     m = fam.size
     if m == 0:
         raise ValueError("empty family")
     per_block = separation_factor(fam.p_tilde) * fam.L * fam.h / fam.N1
-    rng = np.random.default_rng(seed)
-    total_pairs = m * (m - 1) // 2
+    if m * (m - 1) // 2 <= pair_cap:
+        blocks = ((np.full(m - 1 - i, i), np.arange(i + 1, m)) for i in range(m - 1))
+    else:
+        rng = np.random.default_rng(seed)
+        draws = (rng.integers(0, m, size=(min(_PAIR_CHUNK, pair_cap - s), 2))
+                 for s in range(0, pair_cap, _PAIR_CHUNK))
+        blocks = (ij[ij[:, 0] != ij[:, 1]].T for ij in draws)
     min_dist = math.inf
     checked = 0
-
-    def check_pair(i: int, j: int) -> float:
-        d = fam.member_distance(i, j)
-        k = eta(fam.members[i], fam.members[j])
-        if d <= per_block * k * (1 - 1e-12):
+    for I, J in blocks:
+        a, b = fam.members[I], fam.members[J]
+        d = fam.L / fam.N1 * fam.space.dist[a, b].sum(axis=1)
+        k = (a != b).sum(axis=1)
+        bad = np.flatnonzero(d <= per_block * k * (1 - 1e-12))
+        if bad.size:
+            t = bad[0]
             raise SeparationFailure(
-                f"pair ({i},{j}): distance {d} <= {per_block * k} "
-                f"with {k} differing blocks"
+                f"pair ({I[t]},{J[t]}): distance {d[t]} <= {per_block * k[t]} "
+                f"with {k[t]} differing blocks"
             )
-        return d
-
-    if total_pairs <= pair_cap:
-        for i in range(m):
-            d_row = fam.distances_from(i)[i + 1:]
-            k_row = (fam.members[i + 1:] != fam.members[i]).sum(axis=1)
-            bad = d_row <= per_block * k_row * (1 - 1e-12)
-            if np.any(bad):
-                j = i + 1 + int(np.flatnonzero(bad)[0])
-                check_pair(i, j)        # raises with details
-            if d_row.size:
-                min_dist = min(min_dist, float(d_row.min()))
-            checked += d_row.size
-    else:
-        for _ in range(pair_cap):
-            i, j = rng.integers(0, m, size=2)
-            if i == j:
-                continue
-            min_dist = min(min_dist, check_pair(int(i), int(j)))
-            checked += 1
+        min_dist = min(min_dist, float(d.min(initial=math.inf)))
+        checked += I.size
 
     extracted = _greedy_extract(fam, fam.target_separation)
     return SeparationReport(

@@ -9,6 +9,11 @@ small spaces, against the exhaustive oracles.
 A second digest, recorded while the chain DP still ran over every cell and
 snapshots were thinned above 4,096 cells, pins what the conservation-law
 pipeline certifies about Godunov snapshots under their flux gauges.
+
+A third digest, recorded while the scalar Godunov flux and the array kernel
+were still two implementations, pins the Godunov scheme itself: the cells,
+mass and largest TV increase of `evolve` and the scalar interface flux on a
+grid of states, for fluxes with zero, one and two critical points.
 """
 
 import hashlib
@@ -18,7 +23,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bventropy.bv_codec import encode_bvpsi
-from bventropy.claw import Flux, evolve, flux_gauge, make_grid, to_step_function
+from bventropy.claw import (
+    Flux,
+    evolve,
+    flux_gauge,
+    godunov_flux,
+    make_grid,
+    to_step_function,
+)
 from bventropy.entropy_estimator import (
     ClassParams,
     block_grid_ensemble,
@@ -42,6 +54,9 @@ from conftest import oracle_cover, oracle_pack, random_metric_matrix
 
 GOLDEN = "9fe2780272c6a70dc4b93cc407a95b4c6bf75039f7e7e88f2aeba3a9078377c5"
 SNAPSHOT_GOLDEN = "625cf0e4c2fd56f5265b53d4a88b15918f745968aeb73202749820005afc8dee"
+EVOLVE_GOLDEN = "c192595cf8f1b56f44351c9135016c7a004b9273afaf2d6c7db96a8e70609799"
+EVOLVE_FLUXES = ("burgers", "cubic", "quartic", "poly:0;-0.3;0;1",
+                 "poly:0.1;0.2;-0.5;0;0.8")
 
 
 def _cover_pack_lines():
@@ -138,6 +153,36 @@ def test_snapshot_digest():
     for line in _snapshot_lines():
         h.update(line.encode() + b"\n")
     assert h.hexdigest() == SNAPSHOT_GOLDEN
+
+
+def _evolve_lines():
+    # seeded piecewise-constant data on [-1, 1] with |u| <= M = 1, evolved by
+    # the Godunov scheme; the scalar flux is taken on a 9 x 9 grid of states
+    rng = np.random.default_rng(7)
+    L = 1.0
+    for token in EVOLVE_FLUXES:
+        flux = Flux.parse(token)
+        for dx in (0.01, 0.004):
+            for T in (0.3, 1.0):
+                x = make_grid(L, flux.M, T, flux, dx)
+                edges = np.concatenate([[-L], np.sort(rng.uniform(-L, L, 5)), [L]])
+                levels = rng.uniform(-flux.M, flux.M, 6)
+                u0 = np.zeros_like(x)
+                for lo, hi, v in zip(edges[:-1], edges[1:], levels):
+                    u0[(x >= lo) & (x < hi)] = v
+                sol = evolve(u0, flux, T, dx, x=x)
+                cells = hashlib.sha256(sol.cells.tobytes()).hexdigest()
+                yield f"{token},{dx},{T},{cells},{sol.max_tv_increase!r},{sol.mass!r}"
+        states = np.linspace(-flux.M, flux.M, 9)
+        yield ",".join(repr(float(godunov_flux(flux, a, b)))
+                       for a in states for b in states)
+
+
+def test_evolve_digest():
+    h = hashlib.sha256()
+    for line in _evolve_lines():
+        h.update(line.encode() + b"\n")
+    assert h.hexdigest() == EVOLVE_GOLDEN
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)

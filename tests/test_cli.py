@@ -5,8 +5,10 @@ import os
 import numpy as np
 import pytest
 
+from bventropy import cli
 from bventropy.bv_codec import RealInterval, encode_bv, write_codeword
-from bventropy.cli import main
+from bventropy.cli import build_parser, main
+from bventropy.errors import BudgetViolation, OutOfRange
 from bventropy.gauge_variation import StepFunction, read_step, write_step
 
 from conftest import run_python
@@ -22,6 +24,13 @@ def step_file(tmp_path):
 
 def run(*argv):
     return main(list(argv))
+
+
+def run_command(*argv):
+    """Run one subcommand without main's exit-code mapping."""
+    args = build_parser().parse_args(list(argv))
+    os.makedirs(args.out, exist_ok=True)
+    args.func(args)
 
 
 class TestMetric:
@@ -116,6 +125,18 @@ class TestVariation:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
+    @pytest.mark.parametrize("command", ["variation", "metric"])
+    def test_empty_table_is_one_error_line(self, tmp_path, step_file, command):
+        # numpy's two-line "input contained no data" warning came first
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        source = (["--input", step_file, "--gauge", f"table:{empty}"]
+                  if command == "variation" else ["--matrix", str(empty)])
+        proc = run_python("-m", "bventropy.cli", command, "--out", str(tmp_path / "v"),
+                          *source)
+        assert proc.returncode == 1
+        assert proc.stderr.strip().splitlines() == [f"error: {empty}: file holds no data"]
+
     @pytest.mark.parametrize("text", ["1.0,2\n0.0\n0.5,1.0\n", "nan,2\n0.0,0.2\n0.5,0.6\n"])
     def test_bad_step_file_is_config_error(self, tmp_path, text, capsys):
         path = tmp_path / "bad.step"
@@ -144,6 +165,16 @@ class TestCodecCommands:
         out = str(tmp_path / "enc")
         assert run("encode", "--out", out, "--input", step_file,
                    "--epsilon", "0.1", "--budget", "0.01") == 2
+
+    def test_decode_error_above_epsilon_is_budget_violation(self, tmp_path, step_file,
+                                                            monkeypatch, capsys):
+        monkeypatch.setattr(cli, "l1_distance", lambda f, g: 0.5)
+        argv = ("encode", "--out", str(tmp_path / "enc"), "--input", step_file,
+                "--epsilon", "0.1", "--budget", "1.0")
+        with pytest.raises(BudgetViolation, match="decode error 0.5 exceeds epsilon 0.1"):
+            run_command(*argv)
+        assert run(*argv) == 2
+        assert capsys.readouterr().err.startswith("invariant violated: decode error")
 
 
 class TestCorruptCodewords:
@@ -218,6 +249,14 @@ class TestClaw:
         assert code == 0
         for name in ("solution.csv", "flux_gauge.csv", "claw_report.csv"):
             assert os.path.exists(os.path.join(out, name))
+
+    def test_support_outside_light_cone_is_out_of_range(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "support_check", lambda *args: False)
+        argv = ("claw", "--out", str(tmp_path / "c"), "--T", "0.5", "--dx", "0.02")
+        with pytest.raises(OutOfRange, match="certified light cone"):
+            run_command(*argv)
+        assert run(*argv) == 2
+        assert capsys.readouterr().err.startswith("invariant violated: support grew")
 
     def test_unknown_flux(self, tmp_path):
         # unknown token propagates as a nonzero exit

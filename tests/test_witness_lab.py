@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from bventropy.errors import DegenerateBall, LengthMismatch
+from bventropy.errors import DegenerateBall, LengthMismatch, SeparationFailure
 from bventropy.gauge_variation import Gauge, l1_distance, tv_psi
 from bventropy.metric_core import line_points, validate_metric
 from bventropy.witness_lab import (
@@ -143,6 +145,46 @@ class TestVerifyPacking:
         rep = verify_packing(fam)
         row = rep.csv_row()
         assert row.count(",") == 8
+
+
+class TestSampledVerify:
+    """``verify_packing`` on more pairs than ``pair_cap`` checks sampled
+    pairs; each is compared with one ``size=2`` draw per pair."""
+
+    PAIR_CAP = 5000         # above one chunk of draws, below the 19,900 pairs
+
+    @pytest.fixture
+    def fam(self):
+        space = line_points(257, 1.0)
+        return build_family(1.0, 4.0, 1 / 1024, Gauge.identity(), space, 128,
+                            1.0, seed=7, cap=1000, sample_size=200)
+
+    def _draws(self, fam, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(self.PAIR_CAP):
+            i, j = (int(v) for v in rng.integers(0, fam.size, size=2))
+            if i != j:
+                yield i, j
+
+    def test_matches_per_pair_draws(self, fam):
+        rep = verify_packing(fam, pair_cap=self.PAIR_CAP, seed=3)
+        dists = [fam.member_distance(i, j) for i, j in self._draws(fam, 3)]
+        assert rep.pairs_checked == len(dists) < self.PAIR_CAP
+        assert rep.min_distance == min(dists)
+
+    def test_planted_pair_names_first_failure(self, fam):
+        # a copy of member i at j is at distance 0; the reference loop finds
+        # the first drawn pair that breaks the per-block bound
+        i, j = list(self._draws(fam, 3))[4500]
+        members = fam.members.copy()
+        members[j] = members[i]
+        bad = dataclasses.replace(fam, members=members)
+        per_block = separation_factor(bad.p_tilde) * bad.L * bad.h / bad.N1
+        first = next((a, b) for a, b in self._draws(bad, 3)
+                     if bad.member_distance(a, b)
+                     <= per_block * eta(bad.members[a], bad.members[b]) * (1 - 1e-12))
+        with pytest.raises(SeparationFailure, match=rf"^pair \({first[0]},{first[1]}\):"):
+            verify_packing(bad, pair_cap=self.PAIR_CAP, seed=3)
 
 
 class TestGlobalFamily:
