@@ -34,7 +34,7 @@ from .errors import (
     EpsilonTooLarge,
     NetIncomplete,
 )
-from .gauge_variation import Gauge, StepFunction, l1_distance, tv, tv_psi
+from .gauge_variation import Gauge, StepFunction, l1_distance, tv, tv_psi, value_distance
 from .metric_core import CoverPackResult, FiniteMetricSpace, covering_number
 
 LOG2_5E = math.log2(5.0 * math.e)
@@ -67,10 +67,6 @@ class RealInterval:
 
     def entropy_bits(self, alpha: float) -> float:
         return math.log2(self.cover_count(alpha))
-
-    # A closed ball of radius 2a in an interval is itself an interval of
-    # length at most 4a, covered by two closed a-balls: doubling exponent 1.
-    doubling_dim = 1
 
 
 # Interval nets use the closed-form radius 2|i - j| only while the rounding
@@ -137,29 +133,24 @@ class Net:
         pos = np.empty(uniq.size, dtype=int)
         dist = np.empty(uniq.size)
         for i, v in enumerate(uniq):
-            if self.space is None:
-                d = np.abs(self.centers - float(v))
-            else:
-                d = self.space.dist[int(v), self.centers]
+            d = value_distance(v, self.centers, self.space)
             pos[i] = np.argmin(d)
             dist[i] = d[pos[i]]
         return pos[inverse], dist[inverse]
 
     def rho_sharp_matrix(self) -> np.ndarray:
         if self._rho_sharp is None:
-            if self.space is None:
-                d = np.abs(self.centers[:, None] - self.centers[None, :])
-            else:
-                d = self.space.dist[np.ix_(self.centers, self.centers)]
+            d = value_distance(self.centers[:, None], self.centers[None, :], self.space)
             self._rho_sharp = _rho_sharp_from_dist(d, self.h2)
         return self._rho_sharp
 
     def _rho_sharp_row(self, pos: int) -> np.ndarray:
         # Interval nets compute a row on demand instead of building the
         # net-by-net matrix; finite-space nets read the cached matrix.
-        if self.space is None:
-            return _rho_sharp_from_dist(np.abs(self.centers[pos] - self.centers), self.h2)
-        return self.rho_sharp_matrix()[pos]
+        if self.space is not None:
+            return self.rho_sharp_matrix()[pos]
+        d = value_distance(self.centers[pos], self.centers, None)
+        return _rho_sharp_from_dist(d, self.h2)
 
     def shell(self, pos: int, k: int) -> np.ndarray:
         """Center positions at discrete radius exactly k from ``pos``."""
@@ -202,8 +193,7 @@ def rho_sharp(x, y, h2: float, space: FiniteMetricSpace | None = None) -> int:
     ratio in (q, q+1]."""
     if h2 <= 0:
         raise ValueError("h2 must be positive")
-    d = abs(float(x) - float(y)) if space is None else space.dist[int(x), int(y)]
-    return int(_rho_sharp_from_dist(np.array([d]), h2)[0])
+    return int(_rho_sharp_from_dist(np.array([value_distance(x, y, space)]), h2)[0])
 
 
 def net_from_token(token: str, h2: float, space=None) -> Net:
@@ -475,7 +465,6 @@ def encode_bv(
     V: float,
     eps: float,
     value_space=None,
-    net: Net | None = None,
     gauge_token: str = "id",
 ) -> Codeword:
     """Encode a step function with total variation at most V to accuracy eps."""
@@ -485,8 +474,7 @@ def encode_bv(
         raise BudgetViolation(f"tv(f) = {tvf} exceeds declared budget {V}")
     N1, h2 = choose_params(L, V, eps)
     grid = QuantizerGrid(L, N1)
-    if net is None:
-        net = _build_net(_resolve_value_space(f, value_space), h2)
+    net = _build_net(_resolve_value_space(f, value_space), h2)
     positions = quantize_positions(f, grid, net)
 
     fsharp = StepFunction(grid.edges, net.centers[positions], net.space)

@@ -152,23 +152,23 @@ class GridSolution:
 def make_grid(L: float, M: float, T: float, flux: Flux, dx: float) -> np.ndarray:
     """Cell centers on a symmetric domain wide enough that waves leaving
     [-L, L] never reach the boundary by time T."""
+    _require_positive_dx(dx)
     W = L + T * flux.fprime_max + 6.0 * dx
     n = int(math.ceil(W / dx))
     return (np.arange(-n, n) + 0.5) * dx
 
 
 def evolve(
-    u0: np.ndarray, flux: Flux, T: float, dx: float, cfl: float = 0.45,
-    x: np.ndarray | None = None,
+    u0: np.ndarray, flux: Flux, T: float, dx: float, cfl: float = 0.45, *,
+    x: np.ndarray,
 ) -> GridSolution:
-    """Explicit conservative Godunov update to time T with zero ghost cells."""
+    """Explicit conservative Godunov update to time T with zero ghost cells;
+    ``x``, the cell centres of ``u0`` from :func:`make_grid`, is carried over."""
     if not 0 < cfl <= 0.9:
         # above 0.9 the scheme is unstable; at or below 0 time never advances
         raise UnstableConfig(f"cfl = {cfl} must lie in (0, 0.9]")
+    _require_positive_dx(dx)        # a negative step never reaches T
     u = np.asarray(u0, dtype=float).copy()
-    if x is None:
-        n = u.size
-        x = (np.arange(n) - (n - 1) / 2.0) * dx
     if not np.all(np.isfinite(u)):
         raise OutOfRange("initial data must be finite")
     if np.abs(u).max(initial=0.0) > flux.M * (1 + 1e-9):
@@ -202,12 +202,16 @@ def evolve(
                         max_tv_increase=max_tv_increase)
 
 
-def support_check(sol: GridSolution, L: float, M: float, T: float, flux: Flux,
-                  threshold: float = 1e-12) -> bool:
-    """True iff the numerical support stays inside
-    [-(L + T f'_M) - 2 dx, (L + T f'_M) + 2 dx]."""
+def _require_positive_dx(dx: float) -> None:
+    if not 0 < dx < math.inf:
+        raise ValueError(f"dx must be positive and finite, got {dx}")
+
+
+def support_check(sol: GridSolution, L: float, M: float, T: float, flux: Flux) -> bool:
+    """True iff the numerical support, the cells above 1e-12 in size, stays
+    inside [-(L + T f'_M) - 2 dx, (L + T f'_M) + 2 dx]."""
     ell = L + T * flux.fprime_max
-    idx = np.flatnonzero(np.abs(sol.cells) > threshold)
+    idx = np.flatnonzero(np.abs(sol.cells) > 1e-12)
     if idx.size == 0:
         return True
     lo = sol.x[idx[0]] - sol.dx / 2.0
@@ -254,23 +258,23 @@ def _window_minimax(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return np.minimum(fc, fd)
 
 
-def affine_gap(flux: Flux, M: float, h: float, coarse: int = 65,
-               subgrid: int = 257, refine_subgrid: int = 513) -> float:
+def affine_gap(flux: Flux, M: float, h: float) -> float:
     """Smallest uniform distance of f to an affine function over any window
-    [a, a+h] inside [-M, M]; outer grid search over a with one refinement."""
+    [a, a+h] inside [-M, M]: 65 starts a with 257 samples per window, then 17
+    starts between the neighbours of the best with 513 samples each."""
     if not 0 < h <= 2.0 * M:
         raise ValueError("need 0 < h <= 2M")
-    a_grid = np.linspace(-M, M - h, coarse)
+    a_grid = np.linspace(-M, M - h, 65)
 
     def gaps(starts: np.ndarray, pts: int) -> np.ndarray:
         xs = np.linspace(starts, starts + h, pts, axis=1)
         return _window_minimax(xs, flux(xs))
 
-    i = int(np.argmin(gaps(a_grid, subgrid)))
+    i = int(np.argmin(gaps(a_grid, 257)))
     lo = a_grid[max(i - 1, 0)]
     hi = a_grid[min(i + 1, a_grid.size - 1)]
     fine = np.linspace(lo, hi, 17)
-    return float(gaps(fine, refine_subgrid).min())
+    return float(gaps(fine, 513).min())
 
 
 @dataclass(frozen=True)
@@ -361,7 +365,7 @@ def solution_entropy_bound(
 ) -> float:
     """Bit bound for the set of time-T solutions with data bounded by M and
     supported in [-L, L], using the flux gauge and a variation constant."""
-    _require_positive_time(T)
+    _require_bound_args(epsilon, T)
     ell = L + T * flux.fprime_max
     head = math.log2(16.0 * M * ell / epsilon + 1.0)
     tail = 2.0 * LOG_TERM * gamma_lm * (1.0 + 1.0 / T) / float(
@@ -375,7 +379,7 @@ def solution_entropy_bound_pf(
     p_f: int, gamma_lm_tilde: float,
 ) -> float:
     """Power-law form of the solution-set bound with exponent p_f."""
-    _require_positive_time(T)
+    _require_bound_args(epsilon, T)
     ell = L + T * flux.fprime_max
     big_gamma = (
         2.0 ** (2.0 * p_f + 1.0) * LOG_TERM * gamma_lm_tilde
@@ -384,10 +388,12 @@ def solution_entropy_bound_pf(
     return big_gamma / epsilon ** p_f + math.log2(16.0 * ell * M / epsilon + 1.0)
 
 
-def _require_positive_time(T: float) -> None:
+def _require_bound_args(epsilon: float, T: float) -> None:
     # both bounds carry the factor 1 + 1/T of the solution's variation
     if not T > 0:
         raise OutOfRange(f"the entropy bounds need T > 0, got T = {T}")
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,15 @@
 
 Each run writes a ``manifest.json`` echoing all parameters, so any output
 directory can be reproduced from its manifest alone.  Outputs are written
-atomically (temp file + rename).  Exit codes: 0 success, 1 configuration
-error, 2 violated invariant.
+atomically (temp file + rename).  Exit codes: 0 success, 1 usage or
+configuration error, 2 violated invariant.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -40,10 +41,9 @@ from .entropy_estimator import (
     ClassParams,
     block_grid_ensemble,
     entropy_scan,
-    from_witness_family,
 )
 from .errors import BudgetViolation, BVEntropyError, ConfigError, GaugeViolation, OutOfRange
-from .gauge_variation import Gauge, StepFunction, l1_distance, read_step, tv, tv_psi, write_step
+from .gauge_variation import Gauge, l1_distance, read_step, tv, tv_psi, write_step
 from .metric_core import (
     covering_number,
     dimension_report,
@@ -185,6 +185,10 @@ def cmd_scan(args) -> None:
 
 
 def cmd_claw(args) -> None:
+    for name in ("T", "L", "M"):
+        value = getattr(args, name)
+        if not 0 < value < math.inf:
+            raise ConfigError(f"--{name} must be positive and finite, got {value}")
     flux = Flux.parse(args.flux, args.M)
     x = make_grid(args.L, args.M, args.T, flux, args.dx)
     u0 = np.where(np.abs(x) <= args.L, args.M * np.exp(-8.0 * (x / args.L) ** 2), 0.0)
@@ -224,10 +228,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("metric", help="covering/packing tables and dimensions")
     common(p)
+    p.add_argument("--seed", type=int, default=0, help="seed of the uniform: generator")
     p.add_argument("--matrix", help="distance matrix CSV")
     p.add_argument("--generate", help="line:n:len | lattice:d:n:s | uniform:n:ext:d")
     p.add_argument("--alpha", action="append", default=[])
@@ -256,6 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", help="build and verify a packing witness family")
     common(p)
+    p.add_argument("--seed", type=int, default=0, help="seed of uniform: and sampled families")
     p.add_argument("--matrix")
     p.add_argument("--generate")
     p.add_argument("--epsilon", type=float, required=True)
@@ -274,6 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("claw", help="conservation-law evolution and entropy bound")
     common(p)
+    p.add_argument("--seed", type=int, default=0, help="seed of the --calibrate data")
     p.add_argument("--flux", default="burgers")
     p.add_argument("--T", type=float, default=1.0)
     p.add_argument("--dx", type=float, default=0.01)
@@ -291,7 +297,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
-        return int(exc.code or 0)
+        # argparse exits 2 on a usage error; 2 is kept for violated invariants
+        return 1 if exc.code else 0
     try:
         os.makedirs(args.out, exist_ok=True)
         _write_manifest(args)

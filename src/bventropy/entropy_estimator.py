@@ -16,13 +16,13 @@ pack from it; a larger scan builds no matrix and runs on distance rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bv_codec import RealInterval, upper_bound_bits
 from .errors import DomainMismatch, InsufficientRows
-from .gauge_variation import Gauge, StepFunction, l1_distance, tv_psi
+from .gauge_variation import Gauge, StepFunction, l1_distance, tv_psi, value_distance
 from .metric_core import farthest_first, greedy_set_cover
 from .witness_lab import WitnessFamily, lower_bound_bits
 
@@ -57,17 +57,14 @@ class FunctionEnsemble:
     are the case of a refinement with no extra cells.  The layout is kept
     within ``MATRIX_CAP``**2 entries (32 MB of float64); an ensemble whose
     refinement is larger has no layout and computes each row with
-    per-pair :func:`l1_distance` calls.
+    per-pair :func:`l1_distance` calls.  An ensemble holds its members only;
+    class parameters for the bound columns go to :func:`entropy_scan`.
     """
 
-    def __init__(self, members, generator: str = "custom", seed: int = 0,
-                 params: ClassParams | None = None):
+    def __init__(self, members):
         if not members:
             raise ValueError("ensemble must be nonempty")
         self.members = list(members)
-        self.generator = generator
-        self.seed = seed
-        self.params = params
         L = self.members[0].L
         space = self.members[0].space
         for f in self.members:
@@ -82,9 +79,7 @@ class FunctionEnsemble:
 
     def _cell_distances(self, rows: np.ndarray, i: int) -> np.ndarray:
         vals, w = self._layout
-        if self.space is None:
-            return np.abs(rows - vals[i]) @ w
-        return self.space.dist[rows, vals[i]] @ w
+        return value_distance(rows, vals[i], self.space) @ w
 
     def distances_from(self, i: int) -> np.ndarray:
         if self._layout is None:
@@ -181,7 +176,6 @@ class ScanResult:
     rows: tuple
     fitted_exponent: float | None = None
     residual: float | None = None
-    params: ClassParams | None = field(default=None, repr=False)
 
     CSV_HEADER = (
         "epsilon,cover_count,pack_count,log2_cover,log2_pack,"
@@ -209,7 +203,6 @@ def entropy_scan(
         raise ValueError("epsilon grid must be strictly decreasing")
     if not np.all(grid > 0):
         raise ValueError("epsilon must be positive")
-    params = params or ens.params
     dist = _scan_matrix(ens)
     rows = []
     for eps in grid:
@@ -224,11 +217,10 @@ def entropy_scan(
                 float(eps), params.L, params.V, params.gauge, params.p, params.K_term
             )
         rows.append(ScanRow(float(eps), cover, pack, lhs, rhs))
-    result = ScanResult(rows=tuple(rows), params=params)
+    result = ScanResult(rows=tuple(rows))
     try:
         expo, res = fit_exponent(result)
-        return ScanResult(rows=tuple(rows), fitted_exponent=expo,
-                          residual=res, params=params)
+        return ScanResult(rows=tuple(rows), fitted_exponent=expo, residual=res)
     except InsufficientRows:
         return result
 
@@ -264,7 +256,7 @@ def random_bv_ensemble(
         bp = np.unique(bp)
         vals = np.clip(_bounded_walk(rng, bp.size - 1, V), lo, hi)
         members.append(StepFunction(bp, vals))
-    return FunctionEnsemble(members, generator="random_bv", seed=seed)
+    return FunctionEnsemble(members)
 
 
 def _bounded_walk(rng, k: int, V: float) -> np.ndarray:
@@ -298,7 +290,7 @@ def random_bvpsi_ensemble(
             if tv_psi(f, gauge) > V:
                 continue
         members.append(f)
-    return FunctionEnsemble(members, generator="random_bvpsi", seed=seed)
+    return FunctionEnsemble(members)
 
 
 def block_grid_ensemble(
@@ -311,9 +303,9 @@ def block_grid_ensemble(
     grids = np.meshgrid(*([levels] * gamma), indexing="ij")
     combos = np.stack([g.ravel() for g in grids], axis=1)
     members = [StepFunction(edges, row) for row in combos]
-    return FunctionEnsemble(members, generator=f"block_grid:{gamma}")
+    return FunctionEnsemble(members)
 
 
 def from_witness_family(fam: WitnessFamily) -> FunctionEnsemble:
     members = [fam.member_function(i) for i in range(fam.size)]
-    return FunctionEnsemble(members, generator="witness_family", seed=fam.seed)
+    return FunctionEnsemble(members)

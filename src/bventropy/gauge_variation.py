@@ -4,7 +4,8 @@ A gauge is a convex function vanishing at zero and positive elsewhere.  Step
 functions are right-continuous on [0, L): value ``j`` holds on
 ``[b_j, b_{j+1})`` and the value at ``L`` is the last value.  Their values
 live either on the real line (absolute-value metric) or are point indices
-into a :class:`~bventropy.metric_core.FiniteMetricSpace`.
+into a :class:`~bventropy.metric_core.FiniteMetricSpace`;
+:func:`value_distance` is the one place that tells the two apart.
 
 For step functions the partition supremum defining the generalized variation
 is attained on subsequences of the value sequence, so a dynamic program over
@@ -24,7 +25,7 @@ floating point, and the full program's float value is the recorded one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -201,6 +202,18 @@ def gauge_check(gauge: Gauge, grid, rel_tol: float = 1e-9) -> GaugeReport:
     )
 
 
+def value_distance(a, b, space: FiniteMetricSpace | None):
+    """Distance rho(a, b) in the value space E, elementwise over arrays.
+
+    With ``space`` None, E is the real line and a, b are values; otherwise
+    a, b are point indices into ``space``.  Code that serves both kinds of
+    value takes its distances here, so each gets the same floats.
+    """
+    if space is None:
+        return abs(a - b)
+    return space.dist[a, b]
+
+
 @dataclass(frozen=True)
 class StepFunction:
     """Piecewise-constant function on [0, L], right-continuous on [0, L)."""
@@ -249,16 +262,12 @@ class StepFunction:
         return self.values[min(max(i, 0), self.k - 1)]
 
     def rho(self, a, b) -> float:
-        if self.space is None:
-            return abs(float(a) - float(b))
-        return float(self.space.dist[int(a), int(b)])
+        return float(value_distance(a, b, self.space))
 
     def jump_sizes(self) -> np.ndarray:
         if self.k < 2:
             return np.zeros(0)
-        if self.space is None:
-            return np.abs(np.diff(self.values))
-        return self.space.dist[self.values[:-1], self.values[1:]]
+        return value_distance(self.values[:-1], self.values[1:], self.space)
 
     def restrict(self, b: float) -> "StepFunction":
         """Restriction to [0, b] for a breakpoint (or interior point) b > 0."""
@@ -302,12 +311,6 @@ def tv(f: StepFunction) -> float:
     return float(f.jump_sizes().sum())
 
 
-def _pair_dist(values: np.ndarray, j: int, space) -> np.ndarray:
-    if space is None:
-        return np.abs(values[:j] - values[j])
-    return space.dist[values[:j], values[j]]
-
-
 def _chain_best(values: np.ndarray, gauge: Gauge, space) -> np.ndarray:
     # best[j] = largest gauge-sum over chains starting at 0 and ending at j.
     # Dropping interior or endpoint samples never increases the sum (extra
@@ -315,7 +318,8 @@ def _chain_best(values: np.ndarray, gauge: Gauge, space) -> np.ndarray:
     # sequence gets best = [0].
     best = np.zeros(max(values.size, 1))
     for j in range(1, values.size):
-        best[j] = float(np.max(best[:j] + gauge(_pair_dist(values, j, space))))
+        d = value_distance(values[:j], values[j], space)
+        best[j] = float(np.max(best[:j] + gauge(d)))
     return best
 
 
@@ -377,14 +381,12 @@ def tv_psi_chain(f: StepFunction, gauge: Gauge) -> tuple[float, list[int]]:
     chain = [f.k - 1]
     while chain[-1] > 0:
         j = chain[-1]
-        cand = best[:j] + gauge(_pair_dist(f.values, j, f.space))
+        cand = best[:j] + gauge(value_distance(f.values[:j], f.values[j], f.space))
         chain.append(int(np.argmax(cand)))     # argmax -> earliest index on ties
     return value, chain[::-1]
 
 
-def right_continuous(
-    breakpoints, values, point_values=None, space=None
-) -> StepFunction:
+def right_continuous(breakpoints, values, point_values=None) -> StepFunction:
     """Normalize a piecewise representation to its right-continuous version.
 
     ``point_values`` maps isolated points to deviating values; they carry no
@@ -400,20 +402,19 @@ def right_continuous(
         else:
             out_v.append(v[j])
             out_b.append(b[j + 1])
-    return StepFunction(np.asarray(out_b, dtype=float), np.asarray(out_v), space)
+    return StepFunction(np.asarray(out_b, dtype=float), np.asarray(out_v))
 
 
-def sample_sequence_variation(values, gauge: Gauge, space=None) -> float:
-    """Chain maximum over an explicit value sequence (for representative
+def sample_sequence_variation(values, gauge: Gauge) -> float:
+    """Chain maximum over an explicit real value sequence (for representative
     comparisons that include isolated-point samples), reduced to extrema as
     in :func:`tv_psi`."""
-    v = np.asarray(values) if space is not None else np.asarray(values, dtype=float)
-    return float(_chain(v, gauge, space)[1][-1])
+    return float(_chain(np.asarray(values, dtype=float), gauge, None)[1][-1])
 
 
-def l1_distance(f: StepFunction, g: StepFunction, rel_tol: float = 1e-9) -> float:
+def l1_distance(f: StepFunction, g: StepFunction) -> float:
     """Exact integral of the pointwise distance between two step functions."""
-    if abs(f.L - g.L) > rel_tol * max(f.L, 1.0):
+    if abs(f.L - g.L) > 1e-9 * max(f.L, 1.0):
         raise DomainMismatch(f"domain lengths differ: {f.L} vs {g.L}")
     if f.space is not g.space:
         raise DomainMismatch("value spaces differ")
@@ -421,9 +422,5 @@ def l1_distance(f: StepFunction, g: StepFunction, rel_tol: float = 1e-9) -> floa
     mids = 0.5 * (cuts[:-1] + cuts[1:])
     fi = np.clip(np.searchsorted(f.breakpoints, mids, side="right") - 1, 0, f.k - 1)
     gi = np.clip(np.searchsorted(g.breakpoints, mids, side="right") - 1, 0, g.k - 1)
-    widths = np.diff(cuts)
-    if f.space is None:
-        d = np.abs(f.values[fi] - g.values[gi])
-    else:
-        d = f.space.dist[f.values[fi], g.values[gi]]
-    return float(np.sum(d * widths))
+    d = value_distance(f.values[fi], g.values[gi], f.space)
+    return float(np.sum(d * np.diff(cuts)))

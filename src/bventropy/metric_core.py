@@ -76,8 +76,9 @@ class FiniteMetricSpace:
         return vals[vals > 0]
 
 
-def validate_metric(matrix, atol: float = 1e-9) -> FiniteMetricSpace:
-    """Check symmetry, zero diagonal and the triangle inequality.
+def validate_metric(matrix) -> FiniteMetricSpace:
+    """Check symmetry, zero diagonal and the triangle inequality, each up to
+    an absolute slack of 1e-9 for rounding in the entries.
 
     Raises :class:`TriangleViolation` with the first offending triple
     ``(i, j, via)`` such that ``d[i][j] > d[i][via] + d[via][j]``.
@@ -85,6 +86,7 @@ def validate_metric(matrix, atol: float = 1e-9) -> FiniteMetricSpace:
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    atol = 1e-9
     if np.any(m < -atol):
         raise ValueError("distance matrix has negative entries")
     n = m.shape[0]

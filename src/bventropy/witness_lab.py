@@ -58,6 +58,8 @@ def ball_packing(
 ) -> BallPacking:
     """Greedy packing of the closed ball B(center, h) at the separation
     prescribed by the packing exponent."""
+    if not 0 <= center < space.n:
+        raise ValueError(f"center {center} is not a point of the {space.n}-point space")
     ball = space.ball(center, h)
     if ball.size <= 1:
         raise DegenerateBall(f"ball of radius {h} around {center} is a single point")
@@ -158,6 +160,8 @@ def build_family(
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    if not L > 0:
+        raise ValueError(f"L must be positive, got {L}")
     h = 2.0 ** (4.0 + 2.0 / p_tilde) * epsilon / L
     N1 = int(math.floor(V / float(gauge(2.0 * h)))) + 1
     if (N1 - 1) * float(gauge(2.0 * h)) > V * (1 + 1e-9):

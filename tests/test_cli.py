@@ -262,3 +262,46 @@ class TestClaw:
         # unknown token propagates as a nonzero exit
         code = run("claw", "--out", str(tmp_path / "c"), "--flux", "woble")
         assert code != 0
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("argv", [
+        ("scan",),
+        ("nosuch", "--out", "o"),
+        ("scan", "--out", "o", "--gamma", "abc"),
+        ("scan", "--out", "o", "--seed", "1"),
+        ("variation", "--out", "o", "--input", "f.step", "--seed", "1"),
+        ("encode", "--out", "o", "--input", "f.step", "--epsilon", "0.1",
+         "--budget", "1", "--seed", "1"),
+        ("decode", "--out", "o", "--input", "c.bvc", "--seed", "1"),
+    ])
+    def test_usage_error_exits_1(self, tmp_path, monkeypatch, argv):
+        # argparse's own code is 2, which the CLI keeps for violated invariants
+        monkeypatch.chdir(tmp_path)
+        assert run(*argv) == 1
+        assert not os.path.exists("o")
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_0(self, flag):
+        assert run(flag) == 0
+
+
+WITNESS_LINE5 = ("witness", "--generate", "line:5:1.0", "--epsilon", "0.01",
+                 "--budget", "1.0", "--window", "0.05", "0.45")
+
+
+@pytest.mark.parametrize("argv", [
+    ("claw", "--dx", "0"),
+    ("claw", "--epsilon", "0"),
+    ("claw", "--T", "0"),
+    ("claw", "--T", "-1"),
+    ("claw", "--L", "0"),
+    WITNESS_LINE5 + ("--L", "0"),
+    WITNESS_LINE5 + ("--center", "5"),
+    WITNESS_LINE5 + ("--center", "-1"),
+])
+def test_bad_number_is_one_error_line(tmp_path, argv):
+    proc = run_python("-m", "bventropy.cli", *argv, "--out", str(tmp_path / "o"))
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr

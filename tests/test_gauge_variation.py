@@ -26,7 +26,8 @@ from bventropy.gauge_variation import (
     tv_psi_chain,
     write_step,
 )
-from bventropy.metric_core import line_points
+from bventropy.entropy_estimator import FunctionEnsemble
+from bventropy.metric_core import from_points, line_points
 
 from conftest import oracle_tv_psi, random_step_function
 
@@ -323,3 +324,35 @@ def test_reduced_chain_dp_matches_full_dp(steps, start, g):
     assert all(a < b for a, b in zip(chain, chain[1:]))
     total = sum(float(g(abs(vals[b] - vals[a]))) for a, b in zip(chain, chain[1:]))
     assert _close(total, value)
+
+
+# ---------------------------------------------------------------------------
+# one value distance for real values and point indices
+
+
+def _real_and_indexed(rng, x, space):
+    k = int(rng.integers(1, 13))
+    idx = rng.integers(0, x.size, size=k)
+    b = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, k - 1)), [1.0]])
+    return StepFunction(b, x[idx]), StepFunction(b, idx, space)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), m=st.integers(1, 6))
+def test_real_values_and_point_indices_agree(seed, m):
+    # Under the sup norm the distance of points i and j of a one-dimensional
+    # cloud is |x_i - x_j|, the same float as for the real values x_i and x_j,
+    # so each quantity must agree bit for bit; values on the tenth grid make
+    # ties and zero jumps common.
+    rng = np.random.default_rng(seed)
+    x = np.round(rng.uniform(-1.0, 1.0, size=int(rng.integers(1, 9))), 1)
+    space = from_points(x[:, None], norm=np.inf)
+    reals, points = zip(*(_real_and_indexed(rng, x, space) for _ in range(m)))
+    identity = Gauge.identity()
+    for f, g in zip(reals, points):
+        assert tv(f) == tv(g)
+        assert tv_psi(f, identity) == tv_psi(g, identity)
+        assert l1_distance(f, reals[0]) == l1_distance(g, points[0])
+    ens_real, ens_points = FunctionEnsemble(reals), FunctionEnsemble(points)
+    for i in range(m):
+        assert np.array_equal(ens_real.distances_from(i), ens_points.distances_from(i))
