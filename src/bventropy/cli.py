@@ -2,8 +2,9 @@
 
 Each run writes a ``manifest.json`` echoing all parameters, so any output
 directory can be reproduced from its manifest alone.  Outputs are written
-atomically (temp file + rename).  Exit codes: 0 success, 1 usage or
-configuration error, 2 violated invariant.
+atomically (temp file + rename).  Exit codes: 0 success, 1 usage,
+configuration or out-of-range input error (an input too large for memory
+included), 2 violated invariant.
 """
 
 from __future__ import annotations
@@ -176,6 +177,8 @@ def cmd_witness(args) -> None:
 
 
 def cmd_scan(args) -> None:
+    if args.gamma < 1:
+        raise ConfigError(f"--gamma must be at least 1, got {args.gamma}")
     grid = sorted((float(e) for e in args.eps_grid.split(",")), reverse=True)
     ens = block_grid_ensemble(args.gamma)
     params = ClassParams(L=1.0, V=1.0, gauge=Gauge.power(args.gamma)
@@ -304,7 +307,7 @@ def main(argv=None) -> int:
         _write_manifest(args)
         args.func(args)
         return 0
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BVEntropyError as exc:

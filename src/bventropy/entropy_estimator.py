@@ -298,6 +298,8 @@ def block_grid_ensemble(
 ) -> FunctionEnsemble:
     """All functions constant on gamma equal blocks with values on a uniform
     grid; their packing counts scale like epsilon^-gamma."""
+    if gamma < 1:
+        raise ValueError(f"gamma must be at least 1, got {gamma}")
     levels = np.arange(0.0, value_range + spacing / 2, spacing)
     edges = np.linspace(0.0, L, gamma + 1)
     grids = np.meshgrid(*([levels] * gamma), indexing="ij")

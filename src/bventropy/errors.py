@@ -62,8 +62,8 @@ class InverseMismatch(GaugeViolation):
 
 # --- codec ---
 
-class EpsilonTooLarge(BVEntropyError):
-    pass
+class EpsilonTooLarge(BVEntropyError, ValueError):
+    """An accuracy coarser than the class admits: bad input, not a broken invariant."""
 
 
 class NetIncomplete(BVEntropyError):
@@ -112,8 +112,8 @@ class OutOfRange(BVEntropyError):
     pass
 
 
-class UnstableConfig(BVEntropyError):
-    pass
+class UnstableConfig(BVEntropyError, ValueError):
+    """A CFL number outside (0, 0.9]: bad input, not a broken invariant."""
 
 
 class DomainTooSmall(BVEntropyError):

@@ -21,14 +21,20 @@ Every greedy count in the package runs on one of two kernels:
   the chosen set, lowest index on ties, until every point lies within the
   separation.  Its output is both a strict packing and a closed cover.
 
-The exact searches run on integer bitmasks from one builder: the centers'
-coverage sets for covers, the points' conflict sets for packings.
+Both carry a leading batch axis of independent problems that advance in
+lockstep.  :func:`dimension_report` sweeps its probe scales one at a time
+and solves all distinct balls of a scale as one batch; every other caller is
+a batch of one.  The exact searches run on integer bitmasks from one
+builder, with bits in point-index order: the centers' coverage sets for
+covers, the points' closed neighbourhoods for packings.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -87,6 +93,8 @@ def validate_metric(matrix) -> FiniteMetricSpace:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     atol = 1e-9
+    if not np.all(np.isfinite(m)):
+        raise ValueError("distance matrix has non-finite entries")
     if np.any(m < -atol):
         raise ValueError("distance matrix has negative entries")
     n = m.shape[0]
@@ -165,35 +173,39 @@ class CoverPackResult:
         return f"{self.alpha},{self.count},{self.mode},{idx}"
 
 
-def _as_index_array(space: FiniteMetricSpace, subset) -> np.ndarray:
-    if subset is None:
-        return np.arange(space.n)
-    k = np.asarray(subset, dtype=int)
-    if k.size == 0:
-        raise ValueError("subset must be nonempty")
-    return k
-
-
-def greedy_set_cover(covers: np.ndarray) -> list[int]:
+def greedy_set_cover(covers: np.ndarray, targets=None):
     """Set-cover greedy on a boolean (candidates x points) matrix.
 
-    Each step takes the candidate covering the most still-uncovered points,
-    lowest index on ties; raises :class:`NetIncomplete` if some point is
-    covered by no candidate.
+    Row b of the boolean (batch x points) ``targets`` names the points that
+    problem b must cover; without it one problem covers every point.  The
+    problems advance in lockstep: each step gives every unfinished one the
+    candidate covering most of its still-uncovered points, lowest index on
+    ties.  The gains are one (batch x points) @ (points x candidates)
+    product against a float32 copy of ``covers``, so a step holds
+    O(batch x candidates) memory.  Returns the chosen candidates, one list
+    per row of ``targets`` (one list without them); raises
+    :class:`NetIncomplete` if a point has no candidate.
     """
-    uncovered = np.ones(covers.shape[1], dtype=bool)
-    chosen = []
-    while uncovered.any():
-        gain = (covers & uncovered).sum(axis=1)
-        c = int(np.argmax(gain))                # argmax takes the lowest index
-        if gain[c] == 0:
-            raise NetIncomplete("a point is covered by no candidate")
-        chosen.append(c)
-        uncovered &= ~covers[c]
-    return chosen
+    weights = covers.T.astype(np.float32)     # exact counts below 2**24
+    batch = targets is not None
+    uncovered = (np.array(targets, bool, ndmin=2) if batch
+                 else np.ones((1, covers.shape[1]), bool))
+    left = uncovered.sum(axis=1).tolist()
+    chosen = [[] for _ in left]
+    while any(left):
+        gain = uncovered @ weights
+        best = gain.argmax(axis=1)              # argmax takes the lowest index
+        for b, c in enumerate(best.tolist()):
+            if left[b]:
+                if not gain[b, c]:
+                    raise NetIncomplete("a point is covered by no candidate")
+                left[b] -= int(gain[b, c])
+                chosen[b].append(c)
+        uncovered &= ~covers[best]
+    return chosen if batch else chosen[0]
 
 
-def farthest_first(rows, start: int, sep: float) -> list[int]:
+def farthest_first(rows, start, sep: float):
     """Farthest-point insertion over a row oracle.
 
     ``rows(i)`` returns the distances from point ``i`` to every point.  From
@@ -202,17 +214,26 @@ def farthest_first(rows, start: int, sep: float) -> list[int]:
     chosen points are then strictly ``sep``-separated and cover every point
     with closed ``sep``-balls.  A NaN ``sep`` raises ``ValueError``, as no
     distance would ever be within it.
+
+    An index array ``start`` runs one problem per entry in lockstep and
+    returns one list per entry; ``rows`` then maps such an array to a
+    (batch x points) array.  A point at ``-inf`` in a problem's first row is
+    never picked, which confines the problem to a subset.
     """
     if math.isnan(sep):
         raise ValueError("separation must not be NaN")
-    chosen = [start]
-    mind = np.array(rows(start), dtype=float)
+    batch = np.ndim(start) > 0
+    chosen = [[int(s)] for s in np.atleast_1d(start)]
+    mind = np.array(rows(start), dtype=float, ndmin=2)
+    line = mind if batch else mind[0]
     while True:
-        nxt = int(np.argmax(mind))
-        if mind[nxt] <= sep:
-            return chosen
-        chosen.append(nxt)
-        np.minimum(mind, rows(nxt), out=mind)
+        picks = mind.argmax(axis=1).tolist()    # argmax takes the lowest index
+        far = [b for b, j in enumerate(picks) if mind[b, j] > sep]
+        if not far:
+            return chosen if batch else chosen[0]
+        for b in far:
+            chosen[b].append(picks[b])
+        np.minimum(line, rows(np.array(picks) if batch else picks[0]), out=line)
 
 
 def _bitmasks(rows: np.ndarray) -> list[int]:
@@ -221,13 +242,75 @@ def _bitmasks(rows: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
+def _exact_cover(masks: list[int], target: int) -> list[int]:
+    """Fewest centers whose coverage sets ``masks`` hold every bit of
+    ``target``: the first such set in ``combinations`` order over the
+    centers with a nonempty, not yet seen share of ``target``."""
+    first: dict[int, int] = {}
+    for c, bits in enumerate(masks):
+        if bits & target:
+            first.setdefault(bits & target, c)
+    # no fewer sets than this can hold all of target's bits
+    least = -(-target.bit_count() // max((b.bit_count() for b in first), default=1))
+    for r in range(least, len(first) + 1):
+        for combo in itertools.combinations(first, r):
+            if functools.reduce(operator.or_, combo) == target:
+                return [first[bits] for bits in combo]
+    raise NetIncomplete("a point is covered by no candidate")
+
+
+def _exact_pack(near: list[int], cand: int) -> list[int]:
+    """Largest subset of the bits of ``cand`` with no bit in another's
+    ``near`` set, by branch and bound on the lowest bit (taken first)."""
+    best: list[int] = []
+
+    def grow(cand: int, chosen: list[int]):
+        nonlocal best
+        if len(chosen) + cand.bit_count() <= len(best):
+            return
+        if cand == 0:
+            best = chosen
+            return
+        v = (cand & -cand).bit_length() - 1
+        grow(cand & ~(1 << v) & ~near[v], chosen + [v])
+        grow(cand & ~(1 << v), chosen)
+
+    grow(cand, [])
+    return best
+
+
+def _selection(picks: list[list[int]], n: int) -> np.ndarray:
+    """How often each of ``n`` indices occurs in each list, as float32 rows."""
+    flat = np.fromiter(itertools.chain.from_iterable(picks), int)
+    flat += n * np.repeat(np.arange(len(picks)), [len(p) for p in picks])
+    return np.bincount(flat, minlength=len(picks) * n).reshape(-1, n).astype(np.float32)
+
+
+def _check_covers(near: np.ndarray, centers, targets: np.ndarray, alpha: float) -> None:
+    """Raise :class:`NetIncomplete` unless the centers of each row reach every
+    point of its target row; ``near`` is ``dist <= alpha`` (centers x points)."""
+    if np.any(targets & (_selection(centers, near.shape[0]) @ near == 0)):
+        raise NetIncomplete(f"a cover leaves a point uncovered at alpha = {alpha}")
+
+
+def _check_packings(near: np.ndarray, points, alpha: float) -> None:
+    """Raise :class:`SeparationFailure` unless the points of each row are
+    distinct and pairwise more than alpha apart; ``near`` is ``dist <= alpha``
+    (points x points), so a chosen point must see itself alone."""
+    sel = _selection(points, near.shape[0])
+    if np.any((sel @ near)[sel > 0] != 1):
+        raise SeparationFailure(f"packing points lie within alpha = {alpha} of each other")
+
+
 def _search(space: FiniteMetricSpace, subset, alpha: float, mode: str,
             exact_cap: int, exact, greedy):
     """Check the arguments shared by the counts and run the search the mode
     names; returns the subset as indices and the search's witness."""
     if not alpha > 0:
         raise ValueError("alpha must be positive")
-    k = _as_index_array(space, subset)
+    k = np.arange(space.n) if subset is None else np.asarray(subset, dtype=int)
+    if k.size == 0:
+        raise ValueError("subset must be nonempty")
     if mode == "greedy":
         return k, greedy(space, k, alpha)
     if mode != "exact":
@@ -244,24 +327,10 @@ def _greedy_cover(space: FiniteMetricSpace, k: np.ndarray, alpha: float):
     return greedy_set_cover(space.dist[:, k] <= alpha)
 
 
-def _exact_cover(space: FiniteMetricSpace, k: np.ndarray, alpha: float):
-    masks = _bitmasks(space.dist[:, k] <= alpha)
-    # drop empty and duplicate coverage sets (keeps the lowest center index)
-    first: dict[int, int] = {}
-    for c, bits in enumerate(masks):
-        if bits:
-            first.setdefault(bits, c)
-    keep = list(first.values())
-    full = (1 << k.size) - 1
-    # every point of the subset covers itself, so some size finds a cover
-    for r in range(1, len(keep) + 1):
-        for combo in itertools.combinations(keep, r):
-            got = 0
-            for c in combo:
-                got |= masks[c]
-            if got == full:
-                return list(combo)
-    raise NetIncomplete("a point is covered by no candidate")
+def _greedy_pack(space: FiniteMetricSpace, k: np.ndarray, alpha: float):
+    # seeded at the lowest index of the subset
+    pos = farthest_first(lambda i: space.dist[k[i], k], int(np.argmin(k)), alpha)
+    return k[pos].tolist()
 
 
 def covering_number(
@@ -273,40 +342,13 @@ def covering_number(
 ) -> CoverPackResult:
     """Minimal (exact) or greedy upper-bound count of closed alpha-balls
     covering the subset, with centers drawn from the whole space."""
-    k, centers = _search(space, subset, alpha, mode, exact_cap,
-                         _exact_cover, _greedy_cover)
-    if not np.all(space.dist[np.ix_(centers, k)].min(axis=0) <= alpha):
-        raise NetIncomplete(f"{len(centers)} centers leave a point uncovered at alpha = {alpha}")
+    k, centers = _search(
+        space, subset, alpha, mode, exact_cap,
+        lambda s, k, a: _exact_cover(_bitmasks(s.dist[:, k] <= a), (1 << k.size) - 1),
+        _greedy_cover)
+    _check_covers(space.dist[np.ix_(centers, k)] <= alpha, [range(len(centers))],
+                  np.ones((1, k.size), bool), alpha)
     return CoverPackResult(len(centers), tuple(centers), mode, alpha)
-
-
-def _greedy_pack(space: FiniteMetricSpace, k: np.ndarray, alpha: float):
-    # seeded at the lowest index of the subset
-    pos = farthest_first(lambda i: space.dist[k[i], k], int(np.argmin(k)), alpha)
-    return k[pos].tolist()
-
-
-def _exact_pack(space: FiniteMetricSpace, k: np.ndarray, alpha: float):
-    close = space.dist[np.ix_(k, k)] <= alpha
-    np.fill_diagonal(close, False)
-    conflict = _bitmasks(close)
-
-    best: list[int] = []
-
-    def grow(cand: int, chosen: list[int]):
-        nonlocal best
-        if len(chosen) + bin(cand).count("1") <= len(best):
-            return
-        if cand == 0:
-            if len(chosen) > len(best):
-                best = list(chosen)
-            return
-        v = (cand & -cand).bit_length() - 1
-        grow(cand & ~(1 << v) & ~conflict[v], chosen + [v])
-        grow(cand & ~(1 << v), chosen)
-
-    grow((1 << k.size) - 1, [])
-    return sorted(int(k[i]) for i in best)
 
 
 def packing_number(
@@ -318,13 +360,12 @@ def packing_number(
 ) -> CoverPackResult:
     """Maximal (exact) or greedy lower-bound size of a strictly alpha-separated
     subset of the given point set."""
-    _, points = _search(space, subset, alpha, mode, exact_cap,
-                        _exact_pack, _greedy_pack)
-    if len(points) > 1:
-        sub = space.dist[np.ix_(points, points)]
-        off = sub[np.triu_indices(len(points), k=1)]
-        if not np.all(off > alpha):
-            raise SeparationFailure(f"packing points lie within alpha = {alpha} of each other")
+    _, points = _search(
+        space, subset, alpha, mode, exact_cap,
+        lambda s, k, a: sorted(int(k[i]) for i in _exact_pack(
+            _bitmasks(s.dist[np.ix_(k, k)] <= a), (1 << k.size) - 1)),
+        _greedy_pack)
+    _check_packings(space.dist[np.ix_(points, points)] <= alpha, [range(len(points))], alpha)
     return CoverPackResult(len(points), tuple(points), mode, alpha)
 
 
@@ -367,6 +408,33 @@ def probe_scales(
     return scales
 
 
+def _scale_witnesses(space: FiniteMetricSpace, alpha: float, mode: str):
+    """The distinct balls B(x, 2 alpha) as boolean rows, in order of their
+    first center, with each one's cover by closed alpha-balls and strictly
+    alpha-separated subset, all found at once and all checked.  Points with
+    equal balls share one problem, as ball and alpha fix the witness.  The
+    searches see a ball's points in index order, as :func:`covering_number`
+    and :func:`packing_number` see it given as a subset, so the witnesses
+    equal theirs."""
+    near = space.dist <= alpha
+    balls = space.dist <= 2.0 * alpha
+    first: dict[int, int] = {}
+    for x, bits in enumerate(_bitmasks(balls)):
+        first.setdefault(bits, x)
+    balls = balls[list(first.values())]
+    if mode == "exact":
+        near_bits = _bitmasks(near)
+        covers = [_exact_cover(near_bits, b) for b in first]
+        packs = [_exact_pack(near_bits, b) for b in first]
+    else:
+        covers = greedy_set_cover(near, balls)
+        packs = farthest_first(lambda i: np.where(balls, space.dist[i], -np.inf),
+                               balls.argmax(axis=1), alpha)
+    _check_covers(near, covers, balls, alpha)
+    _check_packings(near, packs, alpha)
+    return balls, covers, packs
+
+
 def dimension_report(
     space: FiniteMetricSpace,
     window,
@@ -378,23 +446,21 @@ def dimension_report(
     ``d`` is the smallest integer with every ball of radius ``2a`` coverable by
     ``2**d`` balls of radius ``a``; ``p`` the largest integer with every such
     ball containing a strictly ``a``-separated subset of size ``2**p``
-    (one-sided reading over the window).
+    (one-sided reading over the window).  The sweep takes one scale at a
+    time and solves all its distinct balls together: exact searches on
+    bitmasks of the scale's tables when ``n <= exact_cap``, else the greedy
+    kernels with the balls as their batch.
     """
     scales = probe_scales(space, window, max_scales=max_scales)
     mode = "exact" if space.n <= exact_cap else "greedy"
-    max_cover = 1
-    min_pack = None
+    max_cover, min_pack = 1, space.n
     for alpha in scales:
-        for x in range(space.n):
-            ball = space.ball(x, 2.0 * alpha)
-            nc = covering_number(space, ball, alpha, mode=mode, exact_cap=exact_cap).count
-            mp = packing_number(space, ball, alpha, mode=mode, exact_cap=exact_cap).count
-            max_cover = max(max_cover, nc)
-            min_pack = mp if min_pack is None else min(min_pack, mp)
-    d = math.ceil(math.log2(max_cover)) if max_cover > 1 else 0
-    p = math.floor(math.log2(min_pack)) if min_pack and min_pack > 1 else 0
+        _, covers, packs = _scale_witnesses(space, float(alpha), mode)
+        max_cover = max(max_cover, *map(len, covers))
+        min_pack = min(min_pack, *map(len, packs))
     return DimensionReport(
-        d=d, p=p, window=(float(window[0]), float(window[1])),
+        d=math.ceil(math.log2(max_cover)), p=math.floor(math.log2(min_pack)),
+        window=(float(window[0]), float(window[1])),
         scales=tuple(float(s) for s in scales), mode=mode,
     )
 

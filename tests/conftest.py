@@ -3,7 +3,9 @@
 The oracles deliberately avoid the library's algorithms: covering/packing by
 exhaustive subset search, generalized variation by brute-force subsequence
 enumeration, minimax affine gaps by trying every pairwise chord slope, and
-Burgers Riemann problems by their closed-form solutions.
+Burgers Riemann problems by their closed-form solutions.  The one reference
+that does call the library is the per-ball loop for metric dimensions, which
+checks the batched sweep against the public covering and packing counts.
 """
 
 import itertools
@@ -16,7 +18,15 @@ import pytest
 
 import bventropy
 from bventropy.gauge_variation import Gauge, StepFunction
-from bventropy.metric_core import FiniteMetricSpace, from_points, validate_metric
+from bventropy.metric_core import (
+    DimensionReport,
+    FiniteMetricSpace,
+    covering_number,
+    from_points,
+    packing_number,
+    probe_scales,
+    validate_metric,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +90,25 @@ def oracle_pack(space: FiniteMetricSpace, subset, alpha: float) -> int:
                 best = r
                 break
     return best
+
+
+def reference_dimension_report(space: FiniteMetricSpace, window, exact_cap: int = 16,
+                               max_scales=64) -> DimensionReport:
+    """``dimension_report`` as a plain loop: one public ``covering_number``
+    and one ``packing_number`` call on the ball B(x, 2a) for every probe
+    scale a and every point x, with no ball shared between points."""
+    scales = probe_scales(space, window, max_scales=max_scales)
+    mode = "exact" if space.n <= exact_cap else "greedy"
+    covers, packs = [], []
+    for alpha in scales:
+        for x in range(space.n):
+            ball = space.ball(x, 2.0 * alpha)
+            covers.append(covering_number(space, ball, alpha, mode, exact_cap).count)
+            packs.append(packing_number(space, ball, alpha, mode, exact_cap).count)
+    d = int(np.ceil(np.log2(max(covers))))
+    p = int(np.floor(np.log2(min(packs))))
+    return DimensionReport(d=d, p=p, window=(float(window[0]), float(window[1])),
+                           scales=tuple(float(s) for s in scales), mode=mode)
 
 
 # ---------------------------------------------------------------------------

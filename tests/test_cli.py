@@ -51,6 +51,14 @@ class TestMetric:
         assert run("metric", "--out", out, "--matrix", str(m),
                    "--alpha", "0.5") == 0
 
+    def test_nan_matrix_is_config_error(self, tmp_path, capsys):
+        m = tmp_path / "m.csv"
+        m.write_text("0,nan,1\nnan,0,1\n1,1,0\n")
+        assert run("metric", "--out", str(tmp_path / "o"), "--matrix", str(m),
+                   "--alpha", "0.5", "--window", "0.5", "1") == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: distance matrix has non-finite entries"]
+
     def test_missing_input_is_config_error(self, tmp_path):
         assert run("metric", "--out", str(tmp_path / "o")) == 1
 
@@ -176,6 +184,12 @@ class TestCodecCommands:
         assert run(*argv) == 2
         assert capsys.readouterr().err.startswith("invariant violated: decode error")
 
+    def test_epsilon_above_class_is_config_error(self, tmp_path, step_file, capsys):
+        assert run("encode", "--out", str(tmp_path / "o"), "--input", step_file,
+                   "--epsilon", "1e9", "--budget", "1") == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: need eps <=")
+
 
 class TestCorruptCodewords:
     @pytest.fixture
@@ -240,6 +254,12 @@ class TestScan:
         assert (open(os.path.join(a, "scan.csv")).read()
                 == open(os.path.join(b, "scan.csv")).read())
 
+    @pytest.mark.parametrize("gamma", ["0", "-2"])
+    def test_gamma_below_one_names_option(self, tmp_path, gamma, capsys):
+        assert run("scan", "--out", str(tmp_path / "s"), "--gamma", gamma) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: --gamma must be at least 1, got {gamma}"]
+
 
 class TestClaw:
     def test_full_pipeline(self, tmp_path):
@@ -257,6 +277,12 @@ class TestClaw:
             run_command(*argv)
         assert run(*argv) == 2
         assert capsys.readouterr().err.startswith("invariant violated: support grew")
+
+    @pytest.mark.parametrize("cfl", ["0", "2"])
+    def test_unstable_cfl_is_config_error(self, tmp_path, cfl, capsys):
+        assert run("claw", "--out", str(tmp_path / "c"), "--cfl", cfl) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cfl = {float(cfl)} must lie in")
 
     def test_unknown_flux(self, tmp_path):
         # unknown token propagates as a nonzero exit
@@ -299,6 +325,11 @@ WITNESS_LINE5 = ("witness", "--generate", "line:5:1.0", "--epsilon", "0.01",
     WITNESS_LINE5 + ("--L", "0"),
     WITNESS_LINE5 + ("--center", "5"),
     WITNESS_LINE5 + ("--center", "-1"),
+    ("claw", "--cfl", "0"),
+    ("claw", "--cfl", "2"),
+    ("scan", "--gamma", "0"),
+    # a 2.8 PiB grid: numpy refuses the allocation, so nothing is used
+    ("claw", "--dx", "1e-14"),
 ])
 def test_bad_number_is_one_error_line(tmp_path, argv):
     proc = run_python("-m", "bventropy.cli", *argv, "--out", str(tmp_path / "o"))

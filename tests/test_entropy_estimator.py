@@ -165,6 +165,11 @@ class TestGenerators:
         for f in ens.members:
             assert tv_psi(f, g) <= 1.0 + 1e-9
 
+    @pytest.mark.parametrize("gamma", [0, -1])
+    def test_block_grid_rejects_gamma_below_one(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be at least 1"):
+            block_grid_ensemble(gamma)
+
     def test_from_witness_family(self):
         space = line_points(17, 1.0)
         fam = build_family(1.0, 1.0, 1 / 256, Gauge.identity(), space, 8, 1.0)

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bventropy.errors import (
     AsymmetricMatrix,
@@ -20,13 +23,19 @@ from bventropy.metric_core import (
     covering_number,
     dimension_report,
     from_points,
+    lattice,
     line_points,
     packing_number,
     probe_scales,
     validate_metric,
 )
 
-from conftest import oracle_cover, oracle_pack, random_metric_matrix
+from conftest import (
+    oracle_cover,
+    oracle_pack,
+    random_metric_matrix,
+    reference_dimension_report,
+)
 
 
 class TestValidation:
@@ -50,6 +59,12 @@ class TestValidation:
     def test_nonzero_diagonal(self):
         with pytest.raises(NonzeroDiagonal):
             validate_metric([[1, 1], [1, 0]])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite(self, bad):
+        # a NaN distance is neither within alpha nor beyond it
+        with pytest.raises(ValueError, match="non-finite"):
+            validate_metric([[0, bad, 1], [bad, 0, 1], [1, 1, 0]])
 
     def test_non_square(self):
         with pytest.raises(ValueError):
@@ -211,3 +226,77 @@ def test_csv_row():
     res = covering_number(line_points(4, 3.0), None, 1.0)
     row = res.csv_row()
     assert row.startswith("1.0,2,exact,")
+
+
+# ---------------------------------------------------------------------------
+# the batched dimension sweep against the per-ball loop
+
+
+def _sweep_space(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "line":
+        return line_points(n, 1.0)
+    if kind == "lattice":
+        return lattice(2, max(2, int(round(math.sqrt(n)))))
+    if kind == "grid":
+        # coordinates on a 0.1 grid: tie distances and many equal balls
+        return from_points(np.round(rng.uniform(0.0, 1.0, size=(n, 2)) * 10) / 10)
+    return from_points(rng.uniform(0.0, 1.0, size=(n, 2)))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    kind=st.sampled_from(["line", "lattice", "grid", "uniform"]),
+    greedy=st.booleans(),
+    size=st.integers(0, 23),
+    seed=st.integers(0, 2 ** 16),
+    lo=st.floats(0.0, 0.8),
+    width=st.floats(1.0, 4.0),
+)
+def test_dimension_sweep_matches_per_ball_loop(kind, greedy, size, seed, lo, width):
+    n = 17 + size if greedy else 2 + size % 11
+    space = _sweep_space(kind, n, seed)
+    d = space.pairwise_distances()
+    a = float(d[int(lo * (d.size - 1))])
+    window = (a, width * a)
+    rep = dimension_report(space, window, max_scales=6)
+    assert rep.mode == ("greedy" if space.n > 16 else "exact")
+    assert rep == reference_dimension_report(space, window, max_scales=6)
+    for alpha in rep.scales:
+        balls, covers, packs = metric_core._scale_witnesses(space, alpha, rep.mode)
+        # one problem per distinct ball, and every point's ball is among them
+        every = space.dist <= 2.0 * alpha
+        assert len({row.tobytes() for row in balls}) == len(balls)
+        assert {row.tobytes() for row in every} == {row.tobytes() for row in balls}
+        for ball, centers, points in zip(balls, covers, packs):
+            k = np.flatnonzero(ball)
+            assert tuple(centers) == covering_number(space, k, alpha, rep.mode).witness
+            assert tuple(points) == packing_number(space, k, alpha, rep.mode).witness
+
+
+def test_batched_certificates_raise(monkeypatch):
+    space = line_points(20, 1.0)
+    monkeypatch.setattr(metric_core, "greedy_set_cover",
+                        lambda covers, targets: [[0] for _ in targets])
+    with pytest.raises(NetIncomplete):
+        dimension_report(space, (0.05, 0.5))
+    monkeypatch.undo()
+    monkeypatch.setattr(metric_core, "farthest_first",
+                        lambda rows, start, sep: [[0, 1] for _ in start])
+    with pytest.raises(SeparationFailure):
+        dimension_report(space, (0.05, 0.5))
+
+
+def test_dimension_sweep_memory():
+    # 600 points in the plane: a (balls x candidates x points) boolean array
+    # for one scale would alone take 600**3 bytes = 216 MB; the sweep keeps
+    # each step to (balls x points) arrays of a few MB.
+    space = from_points(np.random.default_rng(7).uniform(0.0, 1.0, size=(600, 2)))
+    tracemalloc.start()
+    try:
+        rep = dimension_report(space, (0.1, 0.11), max_scales=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.mode == "greedy" and len(rep.scales) == 1
+    assert peak < 32e6
