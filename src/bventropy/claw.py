@@ -2,7 +2,10 @@
 
 A Godunov finite-volume scheme evolves compactly supported data on a padded
 symmetric grid; one kernel gives the interface fluxes of a state array, and
-the scalar ``godunov_flux`` is that kernel on two states.  The flux also
+the scalar ``godunov_flux`` is that kernel on two states.  ``evolve`` keeps
+the cells in one buffer between two zero ghost cells and updates it in place.
+The kernel evaluates f once per state; each critical value, computed once per
+flux, is folded in only at the interfaces that straddle its point.  The flux also
 induces a gauge: the minimal affine-approximation error of f over windows of
 width h, convexified and rescaled, measures how strongly the flux bends and
 controls the generalized variation of solutions; the gauge feeds the
@@ -24,6 +27,7 @@ from .errors import (
     DomainTooSmall,
     GaugeDegenerate,
     InfiniteDegeneracy,
+    InvalidGrid,
     OutOfRange,
     UnstableConfig,
 )
@@ -44,6 +48,7 @@ class Flux:
         self._check_derivatives()
         self.fprime_max = self._sup_abs(self._d1, self._d2)
         self.critical_points = self._real_roots(self._d1, self.M)
+        self.critical_values = self(self.critical_points)
 
     # factories -----------------------------------------------------------
 
@@ -78,13 +83,13 @@ class Flux:
     # evaluation ----------------------------------------------------------
 
     def __call__(self, u):
-        return P.polyval(u, self.coeffs)
+        return _polyval(u, self.coeffs)
 
     def df(self, u):
-        return P.polyval(u, self._d1)
+        return _polyval(u, self._d1)
 
     def d2f(self, u):
-        return P.polyval(u, self._d2)
+        return _polyval(u, self._d2)
 
     def is_wgn(self) -> bool:
         """No affine part: f'' is not identically zero."""
@@ -112,30 +117,39 @@ class Flux:
 
     def _sup_abs(self, poly, dpoly) -> float:
         cand = np.concatenate([[-self.M, self.M], self._real_roots(dpoly, self.M)])
-        return float(np.abs(P.polyval(cand, poly)).max())
+        return float(np.abs(_polyval(cand, poly)).max())
+
+
+def _polyval(u, coeffs: np.ndarray):
+    """Horner's rule in place, in ``P.polyval``'s operation order: same floats."""
+    out = coeffs[-1] + u * 0.0
+    for c in coeffs[-2::-1]:
+        out *= u
+        out += c
+    return out
 
 
 def godunov_flux(flux: Flux, ul: float, ur: float) -> float:
     """Interface flux: min of f over [ul, ur] if ul <= ur, else max."""
     tol = 1e-9 * max(flux.M, 1.0)
-    if abs(ul) > flux.M + tol or abs(ur) > flux.M + tol:
+    if not (abs(ul) <= flux.M + tol and abs(ur) <= flux.M + tol):    # NaN fails too
         raise OutOfRange(f"states ({ul}, {ur}) leave [-M, M] with M = {flux.M}")
     return float(_godunov(flux, np.array([ul, ur], dtype=float))[0])
 
 
 def _godunov(flux: Flux, u: np.ndarray) -> np.ndarray:
     """Godunov fluxes between consecutive states of ``u``: f is evaluated
-    once per state, and each critical value enters where it lies strictly
-    between the two states."""
+    once per state, and each critical value enters only at the interfaces
+    whose states lie strictly on either side of its critical point."""
     fu = flux(u)
-    ul, ur = u[:-1], u[1:]
-    rising = ul <= ur
-    F = np.where(rising, np.minimum(fu[:-1], fu[1:]), np.maximum(fu[:-1], fu[1:]))
-    lo, hi = np.minimum(ul, ur), np.maximum(ul, ur)
-    for c in flux.critical_points:
-        fc = flux(c)
-        F = np.where((lo < c) & (c < hi),
-                     np.where(rising, np.minimum(F, fc), np.maximum(F, fc)), F)
+    F = np.where(u[:-1] <= u[1:], np.minimum(fu[:-1], fu[1:]),
+                 np.maximum(fu[:-1], fu[1:]))
+    for c, fc in zip(flux.critical_points, flux.critical_values):
+        below, above = u < c, u > c
+        up = (below[:-1] & above[1:]).nonzero()[0]         # min over [ul, ur]
+        down = (above[:-1] & below[1:]).nonzero()[0]       # max over [ur, ul]
+        F[up] = np.minimum(F[up], fc)
+        F[down] = np.maximum(F[down], fc)
     return F
 
 
@@ -152,7 +166,7 @@ class GridSolution:
 def make_grid(L: float, M: float, T: float, flux: Flux, dx: float) -> np.ndarray:
     """Cell centers on a symmetric domain wide enough that waves leaving
     [-L, L] never reach the boundary by time T."""
-    _require_positive_dx(dx)
+    _require_grid(T, dx)
     W = L + T * flux.fprime_max + 6.0 * dx
     n = int(math.ceil(W / dx))
     return (np.arange(-n, n) + 0.5) * dx
@@ -167,8 +181,11 @@ def evolve(
     if not 0 < cfl <= 0.9:
         # above 0.9 the scheme is unstable; at or below 0 time never advances
         raise UnstableConfig(f"cfl = {cfl} must lie in (0, 0.9]")
-    _require_positive_dx(dx)        # a negative step never reaches T
-    u = np.asarray(u0, dtype=float).copy()
+    _require_grid(T, dx)        # an infinite T or a negative step never ends
+    if np.shape(x) != np.shape(u0):
+        raise InvalidGrid(f"{np.size(x)} cell centres for {np.size(u0)} cells")
+    buf = np.pad(np.asarray(u0, dtype=float), 1)    # zero ghost cells at both ends
+    u = buf[1:-1]                                   # the cells, updated in place
     if not np.all(np.isfinite(u)):
         raise OutOfRange("initial data must be finite")
     if np.abs(u).max(initial=0.0) > flux.M * (1 + 1e-9):
@@ -187,24 +204,26 @@ def evolve(
     speed = max(flux.fprime_max, 1e-300)
     dt_max = cfl * dx / speed
     t = 0.0
-    cell_tv = float(np.abs(np.diff(u)).sum())
+    cell_tv = float(np.abs(u[1:] - u[:-1]).sum())
     max_tv_increase = 0.0
     while t < T - 1e-14:
         dt = min(dt_max, T - t)
-        F = _godunov(flux, np.pad(u, 1))           # interface fluxes, n+1
-        u = u - dt / dx * (F[1:] - F[:-1])
+        F = _godunov(flux, buf)                    # interface fluxes, n+1
+        u -= dt / dx * (F[1:] - F[:-1])
         t += dt
-        new_tv = float(np.abs(np.diff(u)).sum())
+        new_tv = float(np.abs(u[1:] - u[:-1]).sum())
         max_tv_increase = max(max_tv_increase, new_tv - cell_tv)
         cell_tv = new_tv
-    return GridSolution(dx=dx, x=np.asarray(x, dtype=float), cells=u, T=T,
+    return GridSolution(dx=dx, x=np.asarray(x, dtype=float), cells=u.copy(), T=T,
                         mass=float(u.sum() * dx),
                         max_tv_increase=max_tv_increase)
 
 
-def _require_positive_dx(dx: float) -> None:
+def _require_grid(T: float, dx: float) -> None:
     if not 0 < dx < math.inf:
-        raise ValueError(f"dx must be positive and finite, got {dx}")
+        raise InvalidGrid(f"dx must be positive and finite, got {dx}")
+    if not 0 <= T < math.inf:
+        raise InvalidGrid(f"T must be non-negative and finite, got {T}")
 
 
 def support_check(sol: GridSolution, L: float, M: float, T: float, flux: Flux) -> bool:
@@ -346,7 +365,7 @@ def degeneracy(flux: Flux, M: float | None = None) -> DegeneracyReport:
     for w in flux._real_roots(flux._d2, M):
         p = 2
         deriv = P.polyder(flux.coeffs, p + 1)
-        while deriv.size and abs(P.polyval(w, deriv)) < 1e-9:
+        while deriv.size and abs(_polyval(w, deriv)) < 1e-9:
             p += 1
             deriv = P.polyder(flux.coeffs, p + 1)
         pts.append(float(w))

@@ -116,6 +116,10 @@ class UnstableConfig(BVEntropyError, ValueError):
     """A CFL number outside (0, 0.9]: bad input, not a broken invariant."""
 
 
+class InvalidGrid(BVEntropyError, ValueError):
+    """A bad step, time or cell-centre count: bad input, not a broken invariant."""
+
+
 class DomainTooSmall(BVEntropyError):
     pass
 

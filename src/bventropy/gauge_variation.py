@@ -163,7 +163,7 @@ class GaugeReport:
     checks: tuple
 
 
-def gauge_check(gauge: Gauge, grid, rel_tol: float = 1e-9) -> GaugeReport:
+def gauge_check(gauge: Gauge, grid) -> GaugeReport:
     """Assert gauge admissibility on a probe grid; raises on first violation.
 
     Checked: vanishing at zero, positivity, convexity (non-decreasing chord
@@ -175,8 +175,8 @@ def gauge_check(gauge: Gauge, grid, rel_tol: float = 1e-9) -> GaugeReport:
     if g.size < 3:
         raise ValueError("probe grid needs at least 3 points")
     vals = np.atleast_1d(gauge(g))
-    scale = max(abs(vals).max(), 1.0)
-    if abs(float(gauge(0.0))) > rel_tol * scale:
+    tol = 1e-9 * max(abs(vals).max(), 1.0)
+    if abs(float(gauge(0.0))) > tol:
         raise NotVanishingAtZero(f"psi(0) = {gauge(0.0)}")
     pos = g > 0
     if np.any(vals[pos] <= 0):
@@ -185,7 +185,7 @@ def gauge_check(gauge: Gauge, grid, rel_tol: float = 1e-9) -> GaugeReport:
     pts_s = np.concatenate([[0.0], g[pos]])
     pts_v = np.concatenate([[0.0], vals[pos]])
     slopes = np.diff(pts_v) / np.diff(pts_s)
-    bad = np.flatnonzero(np.diff(slopes) < -rel_tol * scale)
+    bad = np.flatnonzero(np.diff(slopes) < -tol)
     if bad.size:
         i = int(bad[0])
         raise NotConvex(

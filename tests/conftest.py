@@ -6,6 +6,8 @@ enumeration, minimax affine gaps by trying every pairwise chord slope, and
 Burgers Riemann problems by their closed-form solutions.  The one reference
 that does call the library is the per-ball loop for metric dimensions, which
 checks the batched sweep against the public covering and packing counts.
+The full-array Godunov kernel is the reference the sparse one must match bit
+for bit; it reads only a flux's coefficients and critical points.
 """
 
 import itertools
@@ -15,6 +17,7 @@ import sys
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 
 import bventropy
 from bventropy.gauge_variation import Gauge, StepFunction
@@ -148,6 +151,26 @@ def oracle_window_minimax(xs: np.ndarray, ys: np.ndarray) -> float:
     s = (ys[j] - ys[i]) / (xs[j] - xs[i])
     r = ys[None, :] - s[:, None] * xs[None, :]
     return float((r.max(axis=1) - r.min(axis=1)).min() / 2.0)
+
+
+# ---------------------------------------------------------------------------
+# full-array Godunov reference
+
+
+def reference_godunov(flux, u: np.ndarray) -> np.ndarray:
+    """Godunov fluxes between consecutive states of ``u``: f from
+    ``P.polyval``, and each critical value folded in over every interface by
+    two nested ``where``s, where it lies strictly between the two states."""
+    fu = P.polyval(u, flux.coeffs)
+    ul, ur = u[:-1], u[1:]
+    rising = ul <= ur
+    F = np.where(rising, np.minimum(fu[:-1], fu[1:]), np.maximum(fu[:-1], fu[1:]))
+    lo, hi = np.minimum(ul, ur), np.maximum(ul, ur)
+    for c in flux.critical_points:
+        fc = P.polyval(c, flux.coeffs)
+        F = np.where((lo < c) & (c < hi),
+                     np.where(rising, np.minimum(F, fc), np.maximum(F, fc)), F)
+    return F
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,10 @@ pipeline certifies about Godunov snapshots under their flux gauges.
 A third digest, recorded while the scalar Godunov flux and the array kernel
 were still two implementations, pins the Godunov scheme itself: the cells,
 mass and largest TV increase of `evolve` and the scalar interface flux on a
-grid of states, for fluxes with zero, one and two critical points.
+grid of states, for fluxes with zero, one and two critical points.  Two
+hypothesis tests check the Godunov kernel against the full-array reference
+in `conftest.py`, and the flux's Horner evaluation against `P.polyval`, bit
+for bit.
 """
 
 import hashlib
@@ -21,10 +24,12 @@ import hashlib
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as P
 
 from bventropy.bv_codec import encode_bvpsi
 from bventropy.claw import (
     Flux,
+    _godunov,
     evolve,
     flux_gauge,
     godunov_flux,
@@ -50,7 +55,7 @@ from bventropy.metric_core import (
 )
 from bventropy.witness_lab import build_family, verify_packing
 
-from conftest import oracle_cover, oracle_pack, random_metric_matrix
+from conftest import oracle_cover, oracle_pack, random_metric_matrix, reference_godunov
 
 GOLDEN = "9fe2780272c6a70dc4b93cc407a95b4c6bf75039f7e7e88f2aeba3a9078377c5"
 SNAPSHOT_GOLDEN = "625cf0e4c2fd56f5265b53d4a88b15918f745968aeb73202749820005afc8dee"
@@ -183,6 +188,38 @@ def test_evolve_digest():
     for line in _evolve_lines():
         h.update(line.encode() + b"\n")
     assert h.hexdigest() == EVOLVE_GOLDEN
+
+
+def _states(flux: Flux) -> list:
+    # each critical point exactly and its float neighbours, both zeros and a
+    # coarse grid; drawing a state twice gives ties
+    c = flux.critical_points
+    return [float(v) for v in np.concatenate([
+        np.linspace(-flux.M, flux.M, 9), c, np.nextafter(c, -np.inf),
+        np.nextafter(c, np.inf), [0.0, -0.0]])]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(token=st.sampled_from(EVOLVE_FLUXES), data=st.data())
+def test_godunov_matches_reference(token, data):
+    flux = Flux.parse(token)
+    u = np.array(data.draw(st.lists(st.sampled_from(_states(flux)),
+                                    min_size=2, max_size=40)))
+    assert _godunov(flux, u).tobytes() == reference_godunov(flux, u).tobytes()
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(token=st.sampled_from(EVOLVE_FLUXES),
+       values=st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6))
+def test_flux_horner_matches_polyval(token, values):
+    flux = Flux.parse(token)
+    for u in (values[0], np.float64(values[1]), np.array(values),
+              np.array(values).reshape(2, 3)):
+        for got, coeffs in ((flux(u), flux.coeffs), (flux.df(u), flux._d1),
+                            (flux.d2f(u), flux._d2)):
+            want = P.polyval(u, coeffs)
+            assert type(got) is type(want) and np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)

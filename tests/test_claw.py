@@ -26,6 +26,7 @@ from bventropy.errors import (
     DomainTooSmall,
     GaugeDegenerate,
     InfiniteDegeneracy,
+    InvalidGrid,
     OutOfRange,
     UnstableConfig,
 )
@@ -124,6 +125,11 @@ class TestGodunov:
         with pytest.raises(OutOfRange):
             godunov_flux(Flux.burgers(1.0), 2.0, 0.0)
 
+    @pytest.mark.parametrize("ul, ur", [(math.nan, 0.0), (0.0, math.nan)])
+    def test_nan_state(self, ul, ur):
+        with pytest.raises(OutOfRange):
+            godunov_flux(Flux.burgers(1.0), ul, ur)
+
 
 class TestEvolve:
     def test_zero_stays_zero(self):
@@ -152,6 +158,34 @@ class TestEvolve:
         u0[x.size // 2] = np.nan
         with pytest.raises(OutOfRange):
             evolve(u0, f, 0.1, 0.02, x=x)
+
+    @pytest.mark.parametrize("T", [math.inf, math.nan, -1.0])
+    def test_bad_time(self, T):
+        # an infinite T would never end; a NaN or negative T names no time
+        f = Flux.burgers(1.0)
+        x = make_grid(1.0, 1.0, 0.1, f, 0.02)
+        with pytest.raises(InvalidGrid):
+            evolve(np.zeros_like(x), f, T, 0.02, x=x)
+        with pytest.raises(InvalidGrid):
+            make_grid(1.0, 1.0, T, f, 0.02)
+        assert issubclass(InvalidGrid, ValueError)     # the CLI exits 1
+
+    def test_centres_must_match_cells(self):
+        f = Flux.burgers(1.0)
+        x = make_grid(1.0, 1.0, 0.1, f, 0.02)
+        with pytest.raises(InvalidGrid):
+            evolve(np.zeros(10), f, 0.1, 0.02, x=x)
+
+    @pytest.mark.parametrize("T", [0.0, 0.3])
+    def test_fresh_cells(self, T):
+        f = Flux.burgers(1.0)
+        x = make_grid(1.0, 1.0, 0.3, f, 0.02)
+        u0 = np.where(np.abs(x) <= 0.5, 0.8, 0.0)
+        kept = u0.copy()
+        sol = evolve(u0, f, T, 0.02, x=x)
+        assert np.array_equal(u0, kept)
+        assert sol.cells.flags.owndata and not np.shares_memory(sol.cells, u0)
+        assert np.array_equal(sol.cells, u0) == (T == 0)
 
     def test_domain_too_small(self):
         f = Flux.burgers(1.0)

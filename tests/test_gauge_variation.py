@@ -128,9 +128,9 @@ class TestTableCheckedWhenBuilt:
     def test_flux_gauge_checks_once(self, monkeypatch):
         calls = []
 
-        def counting(gauge, grid, rel_tol=1e-9):
+        def counting(gauge, grid):
             calls.append(grid)
-            return check(gauge, grid, rel_tol)
+            return check(gauge, grid)
 
         check = gv.gauge_check
         monkeypatch.setattr(gv, "gauge_check", counting)
