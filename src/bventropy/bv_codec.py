@@ -82,10 +82,7 @@ class Net:
         self.h2 = float(h2)
         self.space = space
         self.token = token
-        if space is None:
-            self.centers = np.asarray(centers, dtype=float)
-        else:
-            self.centers = np.asarray(centers, dtype=int)
+        self.centers = np.asarray(centers, dtype=float if space is None else int)
         self._rho_sharp = None
         # True only for a uniform interval net within the precision bound.
         self._closed_form = False
@@ -265,8 +262,7 @@ def quantize_positions(f: StepFunction, grid: QuantizerGrid, net: Net) -> np.nda
 def quantize(f: StepFunction, grid: QuantizerGrid, net: Net) -> StepFunction:
     """Snap f to a piecewise-constant function with net values per grid cell."""
     positions = quantize_positions(f, grid, net)
-    values = net.centers[positions]
-    return StepFunction(grid.edges, values, net.space)
+    return StepFunction(grid.edges, net.centers[positions], net.space)
 
 
 def jump_profile(fs: StepFunction, h2: float) -> np.ndarray:
@@ -405,11 +401,7 @@ MAGIC = b"BVC1"
 def write_codeword(c: Codeword, path) -> None:
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(struct.pack("<d", c.L))
-        fh.write(struct.pack("<I", c.N1))
-        net_size = 0
-        fh.write(struct.pack("<I", net_size))
-        fh.write(struct.pack("<d", c.h2))
+        fh.write(struct.pack("<dIId", c.L, c.N1, 0, c.h2))     # 0: reserved net size
         for token in (c.gauge_token, c.net_token):
             raw = token.encode("utf-8")
             fh.write(struct.pack("<H", len(raw)))
@@ -525,8 +517,7 @@ def decode(c: Codeword, net: Net) -> StepFunction:
         positions.append(pos)
     if not r.exhausted:
         raise CorruptStream("bits left over after the last cell")
-    grid = c.grid()
-    return StepFunction(grid.edges, net.centers[positions], net.space)
+    return StepFunction(c.grid().edges, net.centers[positions], net.space)
 
 
 # ---------------------------------------------------------------------------

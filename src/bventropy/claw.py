@@ -70,12 +70,8 @@ class Flux:
 
     @classmethod
     def parse(cls, token: str, M: float = 1.0) -> "Flux":
-        if token == "burgers":
-            return cls.burgers(M)
-        if token == "cubic":
-            return cls.cubic(M)
-        if token == "quartic":
-            return cls.quartic(M)
+        if token in ("burgers", "cubic", "quartic"):
+            return getattr(cls, token)(M)
         if token.startswith("poly:"):
             return cls.polynomial([float(c) for c in token[5:].split(";")], M)
         raise ValueError(f"unknown flux token {token!r}")
@@ -166,6 +162,8 @@ class GridSolution:
 def make_grid(L: float, M: float, T: float, flux: Flux, dx: float) -> np.ndarray:
     """Cell centers on a symmetric domain wide enough that waves leaving
     [-L, L] never reach the boundary by time T."""
+    if not 0 < L < math.inf:
+        raise InvalidGrid(f"L must be positive and finite, got {L}")
     _require_grid(T, dx)
     W = L + T * flux.fprime_max + 6.0 * dx
     n = int(math.ceil(W / dx))
@@ -331,8 +329,7 @@ def _lower_envelope(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         while len(hull) >= 2 and _cross(hull[-2], hull[-1], p) <= 0:
             hull.pop()
         hull.append(p)
-    hx = np.array([p[0] for p in hull])
-    hy = np.array([p[1] for p in hull])
+    hx, hy = np.array(hull).T
     return np.interp(xs, hx, hy)
 
 
@@ -447,6 +444,8 @@ def calibrate_gamma(
     """Measure the variation constant: evolve a seeded ensemble of initial
     data and report max tv_psi(u(T)) / (1 + 1/T), each sample taken on the
     whole snapshot (``cap`` as in :func:`to_step_function`)."""
+    if not T > 0:
+        raise InvalidGrid(f"calibration needs T > 0, got T = {T}")
     rng = np.random.default_rng(seed)
     x = make_grid(L, M, T, flux, dx)
     measured = []

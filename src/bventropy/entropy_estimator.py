@@ -5,12 +5,14 @@ a decreasing accuracy grid, the packing exponent is fitted on a log-log scale,
 and each row can carry the closed-form upper/lower bit bounds of the
 variation class the ensemble was sampled from.
 
-An ensemble holds all its members on the common refinement of their
-breakpoints, so a row of L1 distances is one weighted sum over cells; the
-layout is bounded by ``MATRIX_CAP``**2 entries, beyond which rows fall back
-to per-pair :func:`l1_distance`.  A scan over at most ``MATRIX_CAP`` members
-builds the member x member matrix once and reads every epsilon's cover and
-pack from it; a larger scan builds no matrix and runs on distance rows.
+An ensemble holds its members as one (members x cells) value matrix on common
+cells, so a row of L1 distances is one :func:`l1_row`.  Block grids and
+witness families hand over the matrix they already have; step functions
+given one by one are laid out on the common refinement of their breakpoints,
+up to ``MATRIX_CAP``**2 entries, beyond which rows fall back to per-pair
+:func:`l1_distance`.  A scan over at most ``MATRIX_CAP`` members builds the
+member x member matrix once and reads every epsilon's cover and pack from
+it; a larger scan builds no matrix and runs on distance rows.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from .bv_codec import RealInterval, upper_bound_bits
 from .errors import DomainMismatch, InsufficientRows
-from .gauge_variation import Gauge, StepFunction, l1_distance, tv_psi, value_distance
+from .gauge_variation import Gauge, StepFunction, _step_arrays, l1_distance, l1_row, tv_psi
 from .metric_core import farthest_first, greedy_set_cover
 from .witness_lab import WitnessFamily, lower_bound_bits
 
@@ -49,42 +51,55 @@ class ClassParams:
 class FunctionEnsemble:
     """Finite sample of step functions on a common [0, L].
 
-    Distances come from one layout built at construction: every member's
-    values on the common refinement of all members' breakpoints, as a
-    (members x cells) array, with the cell widths.  A distance row is then
-    one weighted sum over cells, the same for real and point-cloud values,
-    and ensembles that share breakpoints (block grids, witness families)
-    are the case of a refinement with no extra cells.  The layout is kept
-    within ``MATRIX_CAP``**2 entries (32 MB of float64); an ensemble whose
-    refinement is larger has no layout and computes each row with
-    per-pair :func:`l1_distance` calls.  An ensemble holds its members only;
-    class parameters for the bound columns go to :func:`entropy_scan`.
+    ``FunctionEnsemble(members)`` lays step functions out on the common
+    refinement of their breakpoints; a layout above ``MATRIX_CAP``**2
+    entries (32 MB of float64) is not built, and rows then come from
+    per-pair :func:`l1_distance` calls.  :meth:`from_values` takes the
+    layout itself, a value matrix on shared edges, and builds the member
+    step functions only when ``members`` is read.  Class parameters for the
+    bound columns go to :func:`entropy_scan`.
     """
 
     def __init__(self, members):
+        members = list(members)
         if not members:
             raise ValueError("ensemble must be nonempty")
-        self.members = list(members)
-        L = self.members[0].L
-        space = self.members[0].space
-        for f in self.members:
+        L, space = members[0].L, members[0].space
+        for f in members:
             if abs(f.L - L) > 1e-12 * max(L, 1.0) or f.space is not space:
                 raise DomainMismatch("members must share domain and value space")
-        self.L = L
-        self.space = space
-        self._layout = _refinement_layout(self.members)
+        self.L, self.space, self._size = L, space, len(members)
+        self._members, self._edges = members, None
+        self._layout = _refinement_layout(members)
+
+    @classmethod
+    def from_values(cls, edges, values, space=None) -> "FunctionEnsemble":
+        """The ensemble whose member i is the step function on ``edges`` with
+        the values in row i of the (members x cells) matrix ``values``."""
+        edges, values = _step_arrays(edges, values, space)
+        if values.ndim != 2 or values.shape[0] == 0:
+            raise ValueError("ensemble must be a nonempty (members x cells) matrix")
+        ens = cls.__new__(cls)
+        ens.L, ens.space, ens._size = float(edges[-1]), space, values.shape[0]
+        ens._members, ens._edges = None, edges
+        ens._layout = values, np.diff(edges)
+        return ens
+
+    @property
+    def members(self) -> list:
+        if self._members is None:
+            self._members = [StepFunction(self._edges, row, self.space)
+                             for row in self._layout[0]]
+        return self._members
 
     def __len__(self) -> int:
-        return len(self.members)
-
-    def _cell_distances(self, rows: np.ndarray, i: int) -> np.ndarray:
-        vals, w = self._layout
-        return value_distance(rows, vals[i], self.space) @ w
+        return self._size
 
     def distances_from(self, i: int) -> np.ndarray:
         if self._layout is None:
             return np.array([l1_distance(self.members[i], g) for g in self.members])
-        return self._cell_distances(self._layout[0], i)
+        vals, w = self._layout
+        return l1_row(vals, vals[i], w, self.space)
 
     def distance_matrix(self) -> np.ndarray:
         """Full member x member L1 matrix; from the layout, each pair is
@@ -96,9 +111,9 @@ class FunctionEnsemble:
             for i in range(m):
                 out[i] = self.distances_from(i)
             return out
-        vals = self._layout[0]
+        vals, w = self._layout
         for i in range(m - 1):
-            out[i, i + 1:] = self._cell_distances(vals[i + 1:], i)
+            out[i, i + 1:] = l1_row(vals[i + 1:], vals[i], w, self.space)
         return out + out.T
 
 
@@ -248,24 +263,21 @@ def random_bv_ensemble(
     """Random step functions with total variation at most V and values in
     [lo, hi]."""
     rng = np.random.default_rng(seed)
-    members = []
-    for _ in range(n):
-        k = int(rng.integers(1, pieces + 1))
-        cuts = np.sort(rng.uniform(0.0, L, size=k - 1))
-        bp = np.concatenate([[0.0], cuts, [L]])
-        bp = np.unique(bp)
-        vals = np.clip(_bounded_walk(rng, bp.size - 1, V), lo, hi)
-        members.append(StepFunction(bp, vals))
-    return FunctionEnsemble(members)
+    return FunctionEnsemble([StepFunction(*_random_steps(rng, L, V, pieces, lo, hi))
+                             for _ in range(n)])
 
 
-def _bounded_walk(rng, k: int, V: float) -> np.ndarray:
-    steps = rng.uniform(-1.0, 1.0, size=k - 1)
+def _random_steps(rng, L: float, V: float, pieces: int, lo: float, hi: float):
+    # breakpoints of up to ``pieces`` pieces, and a random walk of total
+    # variation at most V clipped to [lo, hi]
+    k = int(rng.integers(1, pieces + 1))
+    bp = np.unique(np.concatenate([[0.0], rng.uniform(0.0, L, size=k - 1), [L]]))
+    steps = rng.uniform(-1.0, 1.0, size=bp.size - 2)
     total = np.abs(steps).sum()
     if total > 0:
         steps *= min(1.0, V / total) * rng.uniform(0.3, 1.0)
     start = rng.uniform(0.2, 0.8)
-    return start + np.concatenate([[0.0], np.cumsum(steps)])
+    return bp, np.clip(start + np.concatenate([[0.0], np.cumsum(steps)]), lo, hi)
 
 
 def random_bvpsi_ensemble(
@@ -277,10 +289,7 @@ def random_bvpsi_ensemble(
     rng = np.random.default_rng(seed)
     members = []
     while len(members) < n:
-        k = int(rng.integers(1, pieces + 1))
-        cuts = np.unique(np.sort(rng.uniform(0.0, L, size=k - 1)))
-        bp = np.concatenate([[0.0], cuts, [L]])
-        vals = np.clip(_bounded_walk(rng, bp.size - 1, V), lo, hi)
+        bp, vals = _random_steps(rng, L, V, pieces, lo, hi)
         f = StepFunction(bp, vals)
         v = tv_psi(f, gauge)
         if v > V:
@@ -302,12 +311,9 @@ def block_grid_ensemble(
         raise ValueError(f"gamma must be at least 1, got {gamma}")
     levels = np.arange(0.0, value_range + spacing / 2, spacing)
     edges = np.linspace(0.0, L, gamma + 1)
-    grids = np.meshgrid(*([levels] * gamma), indexing="ij")
-    combos = np.stack([g.ravel() for g in grids], axis=1)
-    members = [StepFunction(edges, row) for row in combos]
-    return FunctionEnsemble(members)
+    grids = np.meshgrid(*([levels] * gamma), indexing="ij", copy=False)
+    return FunctionEnsemble.from_values(edges, np.stack(grids, axis=-1).reshape(-1, gamma))
 
 
 def from_witness_family(fam: WitnessFamily) -> FunctionEnsemble:
-    members = [fam.member_function(i) for i in range(fam.size)]
-    return FunctionEnsemble(members)
+    return FunctionEnsemble.from_values(fam.block_edges, fam.members, fam.space)

@@ -214,6 +214,31 @@ def value_distance(a, b, space: FiniteMetricSpace | None):
     return space.dist[a, b]
 
 
+def _step_arrays(breakpoints, values, space: FiniteMetricSpace | None):
+    """Checked arrays of a step function, or with a (functions x intervals)
+    ``values`` matrix of step functions sharing the breakpoints."""
+    b = np.asarray(breakpoints, dtype=float)
+    if space is None:
+        v = np.asarray(values, dtype=float)
+    else:
+        v = np.asarray(values, dtype=int)
+        if v.size and (v.min() < 0 or v.max() >= space.n):
+            raise ValueError("value index out of range for the metric space")
+    if b.ndim != 1 or b.size < 2:
+        raise ValueError("need breakpoints 0 = b_0 < ... < b_k = L")
+    if b[0] != 0.0:
+        raise ValueError("first breakpoint must be 0")
+    if not np.isfinite(b).all():
+        raise ValueError("breakpoints must be finite")
+    if np.any(np.diff(b) <= 0):
+        raise ValueError("breakpoints must be strictly increasing")
+    if v.shape[-1:] != (b.size - 1,):
+        raise ValueError("need exactly one value per interval")
+    if space is None and not np.isfinite(v).all():
+        raise ValueError("values must be finite")
+    return b, v
+
+
 @dataclass(frozen=True)
 class StepFunction:
     """Piecewise-constant function on [0, L], right-continuous on [0, L)."""
@@ -223,27 +248,9 @@ class StepFunction:
     space: FiniteMetricSpace | None = None
 
     def __post_init__(self):
-        b = np.asarray(self.breakpoints, dtype=float)
-        if self.space is None:
-            v = np.asarray(self.values, dtype=float)
-        else:
-            v = np.asarray(self.values, dtype=int)
-            if v.size and (v.min() < 0 or v.max() >= self.space.n):
-                raise ValueError("value index out of range for the metric space")
+        b, v = _step_arrays(self.breakpoints, self.values, self.space)
         object.__setattr__(self, "breakpoints", b)
         object.__setattr__(self, "values", v)
-        if b.ndim != 1 or b.size < 2:
-            raise ValueError("need breakpoints 0 = b_0 < ... < b_k = L")
-        if b[0] != 0.0:
-            raise ValueError("first breakpoint must be 0")
-        if not np.isfinite(b).all():
-            raise ValueError("breakpoints must be finite")
-        if np.any(np.diff(b) <= 0):
-            raise ValueError("breakpoints must be strictly increasing")
-        if v.size != b.size - 1:
-            raise ValueError("need exactly one value per interval")
-        if self.space is None and not np.isfinite(v).all():
-            raise ValueError("values must be finite")
 
     @property
     def L(self) -> float:
@@ -265,8 +272,6 @@ class StepFunction:
         return float(value_distance(a, b, self.space))
 
     def jump_sizes(self) -> np.ndarray:
-        if self.k < 2:
-            return np.zeros(0)
         return value_distance(self.values[:-1], self.values[1:], self.space)
 
     def restrict(self, b: float) -> "StepFunction":
@@ -312,14 +317,15 @@ def tv(f: StepFunction) -> float:
 
 
 def _chain_best(values: np.ndarray, gauge: Gauge, space) -> np.ndarray:
-    # best[j] = largest gauge-sum over chains starting at 0 and ending at j.
-    # Dropping interior or endpoint samples never increases the sum (extra
-    # terms are nonnegative), so the overall maximum is best[k-1].  An empty
-    # sequence gets best = [0].
-    best = np.zeros(max(values.size, 1))
-    for j in range(1, values.size):
-        d = value_distance(values[:j], values[j], space)
-        best[j] = float(np.max(best[:j] + gauge(d)))
+    # best[..., j] = largest gauge-sum over chains starting at 0 and ending at
+    # j, along the last axis: each row of an (m, k) matrix gets the float it
+    # gets alone.  Dropping interior or endpoint samples never increases the
+    # sum (extra terms are nonnegative), so the overall maximum is
+    # best[..., k-1].  An empty sequence gets best = [0].
+    best = np.zeros(values.shape[:-1] + (max(values.shape[-1], 1),))
+    for j in range(1, values.shape[-1]):
+        d = value_distance(values[..., :j], values[..., j, None], space)
+        best[..., j] = np.max(best[..., :j] + gauge(d), axis=-1)
     return best
 
 
@@ -394,15 +400,9 @@ def right_continuous(breakpoints, values, point_values=None) -> StepFunction:
     """
     b = np.asarray(breakpoints, dtype=float)
     v = np.asarray(values)
-    out_b = [b[0]]
-    out_v: list = []
-    for j in range(v.size):
-        if out_v and out_v[-1] == v[j]:
-            out_b[-1] = b[j + 1]        # extend the previous piece
-        else:
-            out_v.append(v[j])
-            out_b.append(b[j + 1])
-    return StepFunction(np.asarray(out_b, dtype=float), np.asarray(out_v))
+    start = np.ones(v.size, dtype=bool)       # pieces that open a run of equal values
+    start[1:] = v[1:] != v[:-1]
+    return StepFunction(np.append(b[:v.size][start], b[v.size]), v[start])
 
 
 def sample_sequence_variation(values, gauge: Gauge) -> float:
@@ -410,6 +410,12 @@ def sample_sequence_variation(values, gauge: Gauge) -> float:
     comparisons that include isolated-point samples), reduced to extrema as
     in :func:`tv_psi`."""
     return float(_chain(np.asarray(values, dtype=float), gauge, None)[1][-1])
+
+
+def l1_row(values, row, widths, space: FiniteMetricSpace | None) -> np.ndarray:
+    """L1 distances from the step function ``row`` to each row of the
+    (functions x cells) ``values``, all on cells of the given widths."""
+    return value_distance(values, row, space) @ widths
 
 
 def l1_distance(f: StepFunction, g: StepFunction) -> float:

@@ -143,6 +143,8 @@ def lattice(dim: int, per_side: int, spacing: float = 1.0) -> FiniteMetricSpace:
 
 
 def uniform_random(n: int, extent: float, seed: int, dim: int = 1) -> FiniteMetricSpace:
+    if not math.isfinite(extent):
+        raise ValueError(f"extent must be finite, got {extent}")
     rng = np.random.default_rng(seed)
     return from_points(rng.uniform(0.0, extent, size=(n, dim)))
 

@@ -6,6 +6,11 @@ from a strictly separated point set inside a ball of the value space, so two
 members that differ in many blocks are far apart in L1.  The family size
 certifies a lower bound on the packing number of the variation class, and the
 minimum pairwise distance is verifiable exactly because members share blocks.
+
+A family is its (members x N1) matrix of point indices: budgets run one
+chain DP over the whole matrix, and extraction and the cross-center check
+read distance rows from :func:`~bventropy.gauge_variation.l1_row`, as an
+ensemble does.  The pair check of :func:`verify_packing` keeps its own float.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from .errors import (
     LengthMismatch,
     SeparationFailure,
 )
-from .gauge_variation import Gauge, StepFunction, tv_psi
+from .gauge_variation import Gauge, StepFunction, _chain_best, l1_row
 from .metric_core import FiniteMetricSpace, farthest_first, packing_number
 
 LOG2_7 = math.log2(7.0)
@@ -115,14 +120,6 @@ class WitnessFamily:
     def member_function(self, i: int) -> StepFunction:
         return StepFunction(self.block_edges, self.members[i], self.space)
 
-    def member_distance(self, i: int, j: int) -> float:
-        """Exact L1 distance; members share blocks, so it is a plain sum."""
-        d = self.space.dist[self.members[i], self.members[j]]
-        return float(self.L / self.N1 * d.sum())
-
-    def distances_from(self, i: int) -> np.ndarray:
-        d = self.space.dist[self.members[i][None, :], self.members]
-        return self.L / self.N1 * d.sum(axis=1)
 
 def _member_matrix(ah: np.ndarray, N1: int, cap: int, sample: int, seed: int):
     total = ah.size ** N1
@@ -130,14 +127,10 @@ def _member_matrix(ah: np.ndarray, N1: int, cap: int, sample: int, seed: int):
         combos = np.array(list(itertools.product(range(ah.size), repeat=N1)), dtype=int)
         return ah[combos], "enumerated"
     rng = np.random.default_rng(seed)
-    seen = set()
-    rows = []
+    rows: dict = {}                 # distinct draws in the order first drawn
     while len(rows) < sample:
-        draw = tuple(int(v) for v in rng.integers(0, ah.size, size=N1))
-        if draw not in seen:
-            seen.add(draw)
-            rows.append(draw)
-    return ah[np.array(rows, dtype=int)], "sampled"
+        rows[tuple(int(v) for v in rng.integers(0, ah.size, size=N1))] = None
+    return ah[np.array(list(rows), dtype=int).reshape(-1, N1)], "sampled"
 
 
 def build_family(
@@ -180,13 +173,16 @@ def build_family(
 
 
 def _check_budgets(fam: WitnessFamily) -> None:
-    # Independent recomputation of the variation of every member.
-    for i in range(fam.size):
-        v = tv_psi(fam.member_function(i), fam.gauge)
-        if v > fam.V * (1 + 1e-9) + 1e-12:
-            raise InfeasibleConstraint(
-                f"member {i} has generalized variation {v} > budget {fam.V}"
-            )
+    # Independent recomputation of the variation of every member: one chain
+    # DP over the member matrix, each row the float tv_psi gives (values are
+    # point indices, so every index enters the program).
+    v = _chain_best(fam.members, fam.gauge, fam.space)[:, -1]
+    bad = np.flatnonzero(v > fam.V * (1 + 1e-9) + 1e-12)
+    if bad.size:
+        raise InfeasibleConstraint(
+            f"member {bad[0]} has generalized variation {float(v[bad[0]])} "
+            f"> budget {fam.V}"
+        )
 
 
 @dataclass(frozen=True)
@@ -236,6 +232,9 @@ def verify_packing(
     any failure is an implementation bug, not a tolerance issue.  Up to
     ``pair_cap`` pairs, every pair i < j is checked, a row at a time; above
     it, ``pair_cap`` pairs drawn from ``seed`` are, with i == j skipped.
+    Pair distances are L / N1 times the block sum, not the extraction's
+    :func:`l1_row`, with which they can differ in the last bits: the
+    reported minimum is pinned by recorded values.
     """
     m = fam.size
     if m == 0:
@@ -277,7 +276,9 @@ def verify_packing(
 
 def _greedy_extract(fam: WitnessFamily, separation: float) -> list[int]:
     """Farthest-first member selection at strict separation."""
-    return farthest_first(fam.distances_from, 0, separation)
+    w = np.diff(fam.block_edges)
+    return farthest_first(lambda i: l1_row(fam.members, fam.members[i], w, fam.space),
+                          0, separation)
 
 
 def global_family(
@@ -339,20 +340,13 @@ def global_family(
 
 
 def _check_cross_centers(fam: WitnessFamily, blocks) -> None:
+    # the first member of each center's block against every later block
     target = fam.target_separation
-    offset = 0
-    starts = []
-    for part in blocks:
-        starts.append(offset)
-        offset += part.shape[0]
-    for a in range(len(blocks)):
-        for b in range(a + 1, len(blocks)):
-            i = starts[a]
-            d = fam.distances_from(i)[starts[b]: starts[b] + blocks[b].shape[0]]
-            if d.size and float(d.min()) < target * (1 - 1e-9):
-                raise SeparationFailure(
-                    f"cross-center distance {float(d.min())} below {target}"
-                )
+    w = np.diff(fam.block_edges)
+    for first, later in itertools.combinations(blocks, 2):
+        d = l1_row(later, first[0], w, fam.space)
+        if d.size and float(d.min()) < target * (1 - 1e-9):
+            raise SeparationFailure(f"cross-center distance {float(d.min())} below {target}")
 
 
 def lower_bound_bits(

@@ -30,7 +30,8 @@ from bventropy.errors import (
     OutOfRange,
     UnstableConfig,
 )
-from bventropy.gauge_variation import right_continuous, tv, tv_psi
+from bventropy import claw
+from bventropy.gauge_variation import Gauge, right_continuous, tv, tv_psi
 
 from conftest import (
     burgers_exact_rarefaction,
@@ -169,6 +170,13 @@ class TestEvolve:
         with pytest.raises(InvalidGrid):
             make_grid(1.0, 1.0, T, f, 0.02)
         assert issubclass(InvalidGrid, ValueError)     # the CLI exits 1
+
+    @pytest.mark.parametrize("L", [math.inf, math.nan, 0.0, -2.0])
+    def test_bad_half_width(self, L):
+        # inf and nan used to raise a bare OverflowError or ValueError from
+        # the cell count, and -2 returned an empty grid
+        with pytest.raises(InvalidGrid, match="L must be positive and finite"):
+            make_grid(L, 1.0, 0.1, Flux.burgers(1.0), 0.02)
 
     def test_centres_must_match_cells(self):
         f = Flux.burgers(1.0)
@@ -381,6 +389,16 @@ class TestSnapshots:
         rep = calibrate_gamma(f, 1.0, 1.0, 1.0, fg.gauge, n_samples=3, dx=0.02)
         assert rep.gamma_lm > 0
         assert len(rep.samples) == 3
+
+    @pytest.mark.parametrize("T", [0.0, -1.0])
+    def test_calibrate_rejects_nonpositive_time(self, monkeypatch, T):
+        # T = 0 used to evolve every sample, then divide by zero
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sample was evolved before T was checked")
+        monkeypatch.setattr(claw, "evolve", refuse)
+        with pytest.raises(InvalidGrid, match="needs T > 0"):
+            calibrate_gamma(Flux.burgers(1.0), 1.0, 1.0, T, Gauge.identity(),
+                            n_samples=1, dx=0.02)
 
 
 class TestNoThinning:

@@ -75,6 +75,16 @@ class TestMetric:
             assert proc.returncode == 1
             assert proc.stderr.strip().splitlines() == ["error: alpha must be positive"]
 
+    @pytest.mark.parametrize("extent", ["inf", "nan"])
+    def test_non_finite_extent_is_one_error_line(self, tmp_path, extent):
+        # was an OverflowError traceback from the uniform draw
+        proc = run_python("-m", "bventropy.cli", "metric", "--out", str(tmp_path / "o"),
+                          "--generate", f"uniform:4:{extent}:2", "--alpha", "0.5")
+        assert proc.returncode == 1, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+        assert "extent must be finite" in lines[0]
+
     def test_exact_cap_reaches_exact_search(self, tmp_path):
         out = str(tmp_path / "run")
         assert run("metric", "--out", out, "--generate", "line:18:1.0",

@@ -262,6 +262,70 @@ class TestOneMatrixPerScan:
         assert row[7] == l1_distance(members[0], members[7])
 
 
+class TestArrayEnsembles:
+    """Block grids and witness families hand their value matrix over as it
+    is; member step functions are built only when ``members`` is read."""
+
+    def test_no_member_objects_until_read(self, monkeypatch):
+        calls = []
+        post = StepFunction.__post_init__
+        monkeypatch.setattr(StepFunction, "__post_init__",
+                            lambda self: calls.append(1) or post(self))
+        fam = build_family(1.0, 1.0, 1 / 256, Gauge.identity(), line_points(17, 1.0), 8, 1.0)
+        grid = block_grid_ensemble(2)
+        ens = from_witness_family(fam)
+        entropy_scan(ens, [0.1, 0.05])
+        assert calls == []
+        assert len(grid.members) == len(grid) == 81 ** 2 == len(calls)
+        members = ens.members
+        assert len(calls) == len(grid) + fam.size
+        assert ens.members is members
+        assert np.array_equal(members[5].values, fam.members[5])
+        assert members[5].space is fam.space
+
+    def test_matches_the_member_constructor(self):
+        grid = block_grid_ensemble(2, spacing=0.1, value_range=0.6)
+        fam = build_family(1.0, 1.0, 1 / 128, Gauge.identity(), line_points(17, 1.0), 5, 1.0)
+        for ens in (grid, from_witness_family(fam)):
+            again = FunctionEnsemble(ens.members)
+            assert np.array_equal(again.distance_matrix(), ens.distance_matrix())
+            assert np.array_equal(again.distances_from(3), ens.distances_from(3))
+
+    @pytest.mark.parametrize("edges, values, match", [
+        ([0.0, 0.5, 0.5, 1.0], [[0.0, 1.0, 2.0]], "strictly increasing"),
+        ([0.1, 1.0], [[0.0]], "first breakpoint"),
+        ([0.0, np.inf], [[0.0]], "breakpoints must be finite"),
+        ([0.0, 1.0], [[0.0, 1.0]], "one value per interval"),
+        ([0.0, 1.0], [[np.nan]], "values must be finite"),
+    ])
+    def test_checks_like_step_function(self, edges, values, match):
+        with pytest.raises(ValueError, match=match):
+            StepFunction(edges, values[0])
+        with pytest.raises(ValueError, match=match):
+            FunctionEnsemble.from_values(edges, values)
+
+    def test_checks_point_indices(self):
+        space = line_points(4, 1.0)
+        with pytest.raises(ValueError, match="out of range"):
+            FunctionEnsemble.from_values([0.0, 0.5, 1.0], [[0, 1], [2, 4]], space)
+
+    @pytest.mark.parametrize("values", [np.zeros((0, 2)), np.zeros(2)])
+    def test_needs_a_nonempty_matrix(self, values):
+        with pytest.raises(ValueError, match="nonempty"):
+            FunctionEnsemble.from_values([0.0, 0.5, 1.0], values)
+
+    def test_gamma_three_grid_memory(self):
+        # 531,441 members; one object each took 274 MB
+        tracemalloc.start()
+        try:
+            ens = block_grid_ensemble(3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(ens) == 81 ** 3
+        assert peak < 24 * 2 ** 20
+
+
 NAN_CALLS = """
 import math
 from bventropy.entropy_estimator import block_grid_ensemble, empirical_counts, entropy_scan

@@ -29,7 +29,7 @@ from bventropy.gauge_variation import (
 from bventropy.entropy_estimator import FunctionEnsemble
 from bventropy.metric_core import from_points, line_points
 
-from conftest import oracle_tv_psi, random_step_function
+from conftest import oracle_tv_psi, random_metric_space, random_step_function
 
 
 class TestGauge:
@@ -324,6 +324,42 @@ def test_reduced_chain_dp_matches_full_dp(steps, start, g):
     assert all(a < b for a, b in zip(chain, chain[1:]))
     total = sum(float(g(abs(vals[b] - vals[a]))) for a, b in zip(chain, chain[1:]))
     assert _close(total, value)
+
+
+# ---------------------------------------------------------------------------
+# one chain DP over a batch of rows
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2 ** 16), m=st.integers(1, 8), k=st.integers(1, 12),
+    kind=st.sampled_from(["cloud", "real", "zigzag"]),
+    g=st.sampled_from((Gauge.identity(),) + REDUCED_GAUGES),
+)
+def test_batched_chain_dp_matches_tv_psi(seed, m, k, kind, g):
+    # An (m, k) matrix runs every row's program at once; each row must be the
+    # 1-D program bit for bit, and equal tv_psi wherever tv_psi keeps every
+    # index: point clouds, the identity gauge, and real rows whose every
+    # interior value is a strict turning point (the zigzag kind).
+    rng = np.random.default_rng(seed)
+    space = None
+    if kind == "cloud":
+        space = random_metric_space(rng, int(rng.integers(1, 7)))
+        vals = rng.integers(0, space.n, size=(m, k))
+    elif kind == "real":
+        vals = np.round(0.1 * np.cumsum(rng.integers(-3, 4, size=(m, k)), axis=1), 1)
+    else:
+        sign = (-1.0) ** np.arange(k)
+        vals = np.cumsum(0.1 * rng.integers(1, 6, size=(m, k)) * sign, axis=1)
+    batch = _chain_best(vals, g, space)
+    assert batch.shape == (m, k)
+    edges = np.linspace(0.0, 1.0, k + 1)
+    for row, best in zip(vals, batch):
+        assert np.array_equal(best, _chain_best(row, g, space))
+        keep, _ = gv._chain(row, g, space)
+        assert kind != "zigzag" or keep.size == k
+        if keep.size == k:
+            assert best[-1] == tv_psi(StepFunction(edges, row, space), g)
 
 
 # ---------------------------------------------------------------------------

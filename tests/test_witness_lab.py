@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bventropy.errors import DegenerateBall, LengthMismatch, SeparationFailure
-from bventropy.gauge_variation import Gauge, l1_distance, tv_psi
+from bventropy.gauge_variation import Gauge, l1_distance, l1_row, tv_psi
 from bventropy.metric_core import line_points, validate_metric
 from bventropy.witness_lab import (
     ball_packing,
@@ -19,6 +19,16 @@ from bventropy.witness_lab import (
 )
 
 LOG2_7 = np.log2(7.0)
+
+
+def member_row(fam, i):
+    """L1 distances from member i to every member, as extraction reads them."""
+    return l1_row(fam.members, fam.members[i], np.diff(fam.block_edges), fam.space)
+
+
+def pair_distance(fam, i, j):
+    """The pair check's own float: L / N1 times the block sum."""
+    return float(fam.L / fam.N1 * fam.space.dist[fam.members[i], fam.members[j]].sum())
 
 
 class TestBallPacking:
@@ -119,9 +129,11 @@ class TestVerifyPacking:
         # independent check of the extracted packing distances
         from bventropy.witness_lab import _greedy_extract
         chosen = _greedy_extract(fam, fam.target_separation)
+        assert len(chosen) == rep.extracted_packing_size
         for a in range(len(chosen)):
+            row = member_row(fam, chosen[a])
             for b in range(a + 1, len(chosen)):
-                assert fam.member_distance(chosen[a], chosen[b]) > fam.target_separation
+                assert row[chosen[b]] > fam.target_separation
 
     def test_single_member(self):
         space = line_points(17, 1.0)
@@ -135,11 +147,12 @@ class TestVerifyPacking:
         assert rep.extracted_packing_size == 1
 
     def test_pairwise_matches_l1(self, fam):
-        # block-sum distance equals the generic step-function L1 distance
+        # block-sum and shared-cell row distances equal the generic
+        # step-function L1 distance
         for i, j in [(0, 1), (2, 5), (10, 20)]:
-            d = fam.member_distance(i, j)
             exact = l1_distance(fam.member_function(i), fam.member_function(j))
-            assert d == pytest.approx(exact, rel=1e-12)
+            assert pair_distance(fam, i, j) == pytest.approx(exact, rel=1e-12)
+            assert member_row(fam, i)[j] == pytest.approx(exact, rel=1e-12)
 
     def test_csv_row(self, fam):
         rep = verify_packing(fam)
@@ -168,7 +181,7 @@ class TestSampledVerify:
 
     def test_matches_per_pair_draws(self, fam):
         rep = verify_packing(fam, pair_cap=self.PAIR_CAP, seed=3)
-        dists = [fam.member_distance(i, j) for i, j in self._draws(fam, 3)]
+        dists = [pair_distance(fam, i, j) for i, j in self._draws(fam, 3)]
         assert rep.pairs_checked == len(dists) < self.PAIR_CAP
         assert rep.min_distance == min(dists)
 
@@ -181,7 +194,7 @@ class TestSampledVerify:
         bad = dataclasses.replace(fam, members=members)
         per_block = separation_factor(bad.p_tilde) * bad.L * bad.h / bad.N1
         first = next((a, b) for a, b in self._draws(bad, 3)
-                     if bad.member_distance(a, b)
+                     if pair_distance(bad, a, b)
                      <= per_block * eta(bad.members[a], bad.members[b]) * (1 - 1e-12))
         with pytest.raises(SeparationFailure, match=rf"^pair \({first[0]},{first[1]}\):"):
             verify_packing(bad, pair_cap=self.PAIR_CAP, seed=3)
@@ -194,8 +207,7 @@ class TestGlobalFamily:
         assert fam.mode == "constants" and fam.N1 == 1
         # constants at a 4 eps packing are pairwise > 2 eps apart in L1
         for i in range(min(fam.size, 10)):
-            d = fam.distances_from(i)
-            d = np.delete(d, i)
+            d = np.delete(member_row(fam, i), i)
             assert np.all(d > fam.target_separation)
 
     def test_cross_center_separation(self):
