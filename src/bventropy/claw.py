@@ -35,6 +35,9 @@ from .gauge_variation import Gauge, GaugeReport, StepFunction, right_continuous,
 
 LOG_TERM = 3.0 * math.log2(5.0) + math.log2(5.0 * math.e)   # 3 log2 5 + log2(5e)
 
+#: Most time steps one :func:`evolve` may take; more is refused up front.
+MAX_STEPS = 10 ** 6
+
 
 class Flux:
     """Polynomial flux with exact derivatives, evaluated on [-M, M]."""
@@ -94,12 +97,16 @@ class Flux:
     # internals -----------------------------------------------------------
 
     def _check_derivatives(self) -> None:
-        # finite-difference consistency of the supplied derivative
+        # f and f' finite on [-M, M], and finite-difference consistency of f'
         probes = np.linspace(-self.M, self.M, 17)
         eps = 1e-6 * max(self.M, 1.0)
-        fd = (self(probes + eps) - self(probes - eps)) / (2.0 * eps)
-        scale = np.maximum(np.abs(self.df(probes)), 1.0)
-        if np.any(np.abs(fd - self.df(probes)) > 1e-5 * scale):
+        with np.errstate(over="ignore", invalid="ignore"):
+            f, df = self(probes), self.df(probes)
+            fd = (self(probes + eps) - self(probes - eps)) / (2.0 * eps)
+        if not np.all(np.isfinite(f) & np.isfinite(df)):
+            raise ValueError(f"f or f' is not finite on [-M, M] with M = {self.M}")
+        scale = np.maximum(np.abs(df), 1.0)
+        if np.any(np.abs(fd - df) > 1e-5 * scale):
             raise ValueError("derivative inconsistent with finite differences")
 
     @staticmethod
@@ -201,6 +208,8 @@ def evolve(
 
     speed = max(flux.fprime_max, 1e-300)
     dt_max = cfl * dx / speed
+    if T > MAX_STEPS * dt_max:
+        raise InvalidGrid(f"T = {T} takes more than {MAX_STEPS} steps of {dt_max}")
     t = 0.0
     cell_tv = float(np.abs(u[1:] - u[:-1]).sum())
     max_tv_increase = 0.0

@@ -10,9 +10,11 @@ included), 2 violated invariant.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
+import pathlib
 import sys
 import tempfile
 
@@ -57,17 +59,23 @@ from .metric_core import (
 from .witness_lab import build_family, verify_packing
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic(path: str, write) -> None:
+    """Run ``write`` on a temp file beside ``path``, then rename it over
+    ``path``: a failed writer leaves neither a partial file nor the temp."""
     d = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    os.close(fd)
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        write(tmp)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _atomic_write(path: str, text: str) -> None:
+    _atomic(path, lambda tmp: pathlib.Path(tmp).write_text(text))
 
 
 def _write_manifest(args: argparse.Namespace) -> None:
@@ -140,7 +148,7 @@ def cmd_encode(args) -> None:
         cw = encode_bv(f, args.budget, args.epsilon)
     else:
         cw = encode_bvpsi(f, gauge, args.budget, args.epsilon)
-    write_codeword(cw, os.path.join(args.out, "codeword.bvc"))
+    _atomic(os.path.join(args.out, "codeword.bvc"), functools.partial(write_codeword, cw))
     net = net_from_token(cw.net_token, cw.h2)
     err = l1_distance(decode(cw, net), f)
     bound = upper_bound_bits(
@@ -160,7 +168,8 @@ def cmd_encode(args) -> None:
 def cmd_decode(args) -> None:
     cw = read_codeword(args.input)
     net = net_from_token(cw.net_token, cw.h2)
-    write_step(decode(cw, net), os.path.join(args.out, "decoded.step"))
+    _atomic(os.path.join(args.out, "decoded.step"),
+            functools.partial(write_step, decode(cw, net)))
 
 
 def cmd_witness(args) -> None:
@@ -179,6 +188,8 @@ def cmd_witness(args) -> None:
 def cmd_scan(args) -> None:
     if args.gamma < 1:
         raise ConfigError(f"--gamma must be at least 1, got {args.gamma}")
+    if args.gamma > 2:
+        raise ConfigError(f"--gamma must be at most 2 (a 6,561-member grid), got {args.gamma}")
     grid = sorted((float(e) for e in args.eps_grid.split(",")), reverse=True)
     ens = block_grid_ensemble(args.gamma)
     params = ClassParams(L=1.0, V=1.0, gauge=Gauge.power(args.gamma)
@@ -194,7 +205,9 @@ def cmd_claw(args) -> None:
             raise ConfigError(f"--{name} must be positive and finite, got {value}")
     flux = Flux.parse(args.flux, args.M)
     x = make_grid(args.L, args.M, args.T, flux, args.dx)
-    u0 = np.where(np.abs(x) <= args.L, args.M * np.exp(-8.0 * (x / args.L) ** 2), 0.0)
+    inside = np.abs(x) <= args.L        # the Gaussian overflows far outside
+    u0 = np.zeros_like(x)
+    u0[inside] = args.M * np.exp(-8.0 * (x[inside] / args.L) ** 2)
     sol = evolve(u0, flux, args.T, args.dx, cfl=args.cfl, x=x)
     if not support_check(sol, args.L, args.M, args.T, flux):
         raise OutOfRange("support grew beyond the certified light cone")

@@ -10,9 +10,10 @@ cells, so a row of L1 distances is one :func:`l1_row`.  Block grids and
 witness families hand over the matrix they already have; step functions
 given one by one are laid out on the common refinement of their breakpoints,
 up to ``MATRIX_CAP``**2 entries, beyond which rows fall back to per-pair
-:func:`l1_distance`.  A scan over at most ``MATRIX_CAP`` members builds the
-member x member matrix once and reads every epsilon's cover and pack from
-it; a larger scan builds no matrix and runs on distance rows.
+:func:`l1_distance`.  A scan makes one farthest-first traversal, to its
+smallest epsilon, and reads each epsilon's pack off the insertion radii; up
+to ``MATRIX_CAP`` members it runs on the member x member matrix, built once,
+which also gives each set-cover greedy, and a larger scan runs on rows.
 """
 
 from __future__ import annotations
@@ -141,33 +142,29 @@ def _refinement_layout(members):
     return vals.reshape(m, cells), np.diff(cuts)
 
 
-def _counts(ens: FunctionEnsemble, dist, epsilon: float) -> tuple[int, int]:
-    # Without a matrix the farthest-first set, also a closed cover, is both.
+def _counts(ens: FunctionEnsemble, eps_grid) -> list[tuple[int, int]]:
+    """(cover, pack) at each epsilon of a strictly decreasing grid; above
+    ``MATRIX_CAP`` the farthest-first set, also a closed cover, is both."""
+    grid = np.asarray(eps_grid, dtype=float)
+    if grid.size == 0 or np.any(np.diff(grid) >= 0):
+        raise ValueError("epsilon grid must be strictly decreasing")
+    if not np.all(grid > 0):
+        raise ValueError("epsilon must be positive")
+    dist = ens.distance_matrix() if len(ens) <= MATRIX_CAP else None
+    _, radii = farthest_first(ens.distances_from if dist is None else dist.__getitem__,
+                              0, float(grid[-1]))
+    packs = [sum(r > eps for r in radii) for eps in grid.tolist()]
     if dist is None:
-        pack = len(farthest_first(ens.distances_from, 0, epsilon))
-        return pack, pack
-    pack = len(farthest_first(dist.__getitem__, 0, epsilon))
-    return len(greedy_set_cover(dist <= epsilon)), pack
-
-
-def _scan_matrix(ens: FunctionEnsemble):
-    return ens.distance_matrix() if len(ens) <= MATRIX_CAP else None
+        return [(p, p) for p in packs]
+    return [(len(greedy_set_cover(dist <= eps)), p) for eps, p in zip(grid, packs)]
 
 
 def empirical_counts(ens: FunctionEnsemble, epsilon: float) -> tuple[int, int]:
     """Greedy covering count (closed balls) and greedy packing count (strict
-    separation) of the ensemble at accuracy epsilon.
-
-    The packing is farthest-first from member 0.  Up to ``MATRIX_CAP``
-    members both counts run on one full distance matrix, built from the
-    ensemble's common-refinement layout, and the cover is the set-cover
-    greedy on it; above the cap no matrix is built and the farthest-first
-    set, which is also a closed epsilon-ball cover, serves as both cover and
-    pack.  :func:`entropy_scan` builds that matrix once for its whole grid.
-    """
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
-    return _counts(ens, _scan_matrix(ens), epsilon)
+    separation) of the ensemble at accuracy epsilon: the one-epsilon case of
+    :func:`entropy_scan`'s counts, with the packing farthest-first from
+    member 0."""
+    return _counts(ens, [epsilon])[0]
 
 
 @dataclass(frozen=True)
@@ -210,28 +207,22 @@ def entropy_scan(
     """Empirical counts across a strictly decreasing epsilon grid, with the
     closed-form class bounds per row when class parameters are declared.
 
-    Up to ``MATRIX_CAP`` members the distance matrix is built once per call
-    and every epsilon reuses it; it is not cached on the ensemble.
+    One farthest-first traversal from member 0, to the smallest epsilon,
+    gives every row's pack count.  Up to ``MATRIX_CAP`` members the distance
+    matrix is built once per call and is not cached on the ensemble.
     """
-    grid = np.asarray(eps_grid, dtype=float)
-    if grid.size == 0 or np.any(np.diff(grid) >= 0):
-        raise ValueError("epsilon grid must be strictly decreasing")
-    if not np.all(grid > 0):
-        raise ValueError("epsilon must be positive")
-    dist = _scan_matrix(ens)
     rows = []
-    for eps in grid:
-        cover, pack = _counts(ens, dist, float(eps))
+    for eps, (cover, pack) in zip(map(float, eps_grid), _counts(ens, eps_grid)):
         lhs = rhs = float("nan")
         if params is not None:
             rhs = upper_bound_bits(
-                params.L, params.V, float(eps), params.gauge, params.d,
-                params.entropy_term(float(eps) / (4.0 * params.L)),
+                params.L, params.V, eps, params.gauge, params.d,
+                params.entropy_term(eps / (4.0 * params.L)),
             )
             lhs = lower_bound_bits(
-                float(eps), params.L, params.V, params.gauge, params.p, params.K_term
+                eps, params.L, params.V, params.gauge, params.p, params.K_term
             )
-        rows.append(ScanRow(float(eps), cover, pack, lhs, rhs))
+        rows.append(ScanRow(eps, cover, pack, lhs, rhs))
     result = ScanResult(rows=tuple(rows))
     try:
         expo, res = fit_exponent(result)

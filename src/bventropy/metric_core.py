@@ -19,7 +19,8 @@ Every greedy count in the package runs on one of two kernels:
   points, lowest candidate index on ties;
 * :func:`farthest_first` over a row oracle inserts the point farthest from
   the chosen set, lowest index on ties, until every point lies within the
-  separation.  Its output is both a strict packing and a closed cover.
+  separation.  Its output is both a strict packing and a closed cover, and
+  its insertion radii give the run to every larger separation as a prefix.
 
 Both carry a leading batch axis of independent problems that advance in
 lockstep.  :func:`dimension_report` sweeps its probe scales one at a time
@@ -217,8 +218,13 @@ def farthest_first(rows, start, sep: float):
     with closed ``sep``-balls.  A NaN ``sep`` raises ``ValueError``, as no
     distance would ever be within it.
 
+    Returns the chosen points and their insertion radii: each pick's
+    distance to the earlier picks, ``inf`` for ``start``.  The radii never
+    increase and the path does not depend on ``sep``, so the run to any
+    larger separation is the prefix whose radii exceed it.
+
     An index array ``start`` runs one problem per entry in lockstep and
-    returns one list per entry; ``rows`` then maps such an array to a
+    returns both lists for each entry; ``rows`` then maps such an array to a
     (batch x points) array.  A point at ``-inf`` in a problem's first row is
     never picked, which confines the problem to a subset.
     """
@@ -226,15 +232,17 @@ def farthest_first(rows, start, sep: float):
         raise ValueError("separation must not be NaN")
     batch = np.ndim(start) > 0
     chosen = [[int(s)] for s in np.atleast_1d(start)]
+    radii = [[math.inf] for _ in chosen]
     mind = np.array(rows(start), dtype=float, ndmin=2)
     line = mind if batch else mind[0]
     while True:
         picks = mind.argmax(axis=1).tolist()    # argmax takes the lowest index
         far = [b for b, j in enumerate(picks) if mind[b, j] > sep]
         if not far:
-            return chosen if batch else chosen[0]
+            return (chosen, radii) if batch else (chosen[0], radii[0])
         for b in far:
             chosen[b].append(picks[b])
+            radii[b].append(float(mind[b, picks[b]]))
         np.minimum(line, rows(np.array(picks) if batch else picks[0]), out=line)
 
 
@@ -331,7 +339,7 @@ def _greedy_cover(space: FiniteMetricSpace, k: np.ndarray, alpha: float):
 
 def _greedy_pack(space: FiniteMetricSpace, k: np.ndarray, alpha: float):
     # seeded at the lowest index of the subset
-    pos = farthest_first(lambda i: space.dist[k[i], k], int(np.argmin(k)), alpha)
+    pos, _ = farthest_first(lambda i: space.dist[k[i], k], int(np.argmin(k)), alpha)
     return k[pos].tolist()
 
 
@@ -430,8 +438,8 @@ def _scale_witnesses(space: FiniteMetricSpace, alpha: float, mode: str):
         packs = [_exact_pack(near_bits, b) for b in first]
     else:
         covers = greedy_set_cover(near, balls)
-        packs = farthest_first(lambda i: np.where(balls, space.dist[i], -np.inf),
-                               balls.argmax(axis=1), alpha)
+        packs, _ = farthest_first(lambda i: np.where(balls, space.dist[i], -np.inf),
+                                  balls.argmax(axis=1), alpha)
     _check_covers(near, covers, balls, alpha)
     _check_packings(near, packs, alpha)
     return balls, covers, packs

@@ -278,7 +278,7 @@ def _greedy_extract(fam: WitnessFamily, separation: float) -> list[int]:
     """Farthest-first member selection at strict separation."""
     w = np.diff(fam.block_edges)
     return farthest_first(lambda i: l1_row(fam.members, fam.members[i], w, fam.space),
-                          0, separation)
+                          0, separation)[0]
 
 
 def global_family(

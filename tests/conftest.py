@@ -3,9 +3,11 @@
 The oracles deliberately avoid the library's algorithms: covering/packing by
 exhaustive subset search, generalized variation by brute-force subsequence
 enumeration, minimax affine gaps by trying every pairwise chord slope, and
-Burgers Riemann problems by their closed-form solutions.  The one reference
-that does call the library is the per-ball loop for metric dimensions, which
-checks the batched sweep against the public covering and packing counts.
+Burgers Riemann problems by their closed-form solutions.  Two references do
+call the library: the per-ball loop for metric dimensions, which checks the
+batched sweep against the public covering and packing counts, and the
+per-epsilon scan counts, one traversal and one set cover per epsilon, which
+check the scan's single traversal.
 The full-array Godunov kernel is the reference the sparse one must match bit
 for bit; it reads only a flux's coefficients and critical points.
 """
@@ -20,12 +22,15 @@ import pytest
 from numpy.polynomial import polynomial as P
 
 import bventropy
+from bventropy.entropy_estimator import MATRIX_CAP
 from bventropy.gauge_variation import Gauge, StepFunction
 from bventropy.metric_core import (
     DimensionReport,
     FiniteMetricSpace,
     covering_number,
+    farthest_first,
     from_points,
+    greedy_set_cover,
     packing_number,
     probe_scales,
     validate_metric,
@@ -112,6 +117,23 @@ def reference_dimension_report(space: FiniteMetricSpace, window, exact_cap: int 
     p = int(np.floor(np.log2(min(packs))))
     return DimensionReport(d=d, p=p, window=(float(window[0]), float(window[1])),
                            scales=tuple(float(s) for s in scales), mode=mode)
+
+
+def reference_scan_counts(ens, grid) -> list[tuple[int, int]]:
+    """(cover, pack) of an ensemble at each epsilon, each from its own
+    farthest-first run from member 0 and, up to ``MATRIX_CAP`` members, its
+    own set-cover greedy on the full distance matrix; above the cap the
+    farthest-first set is both."""
+    dist = ens.distance_matrix() if len(ens) <= MATRIX_CAP else None
+    counts = []
+    for eps in grid:
+        if dist is None:
+            pack = len(farthest_first(ens.distances_from, 0, eps)[0])
+            counts.append((pack, pack))
+        else:
+            counts.append((len(greedy_set_cover(dist <= eps)),
+                           len(farthest_first(dist.__getitem__, 0, eps)[0])))
+    return counts
 
 
 # ---------------------------------------------------------------------------

@@ -229,14 +229,26 @@ def test_flux_horner_matches_polyval(token, values):
     seed=st.integers(0, 2 ** 16),
     sep=st.floats(0.02, 0.8),
     start=st.integers(0, 8),
+    grow=st.floats(1.0, 4.0),
 )
-def test_greedy_kernels_properties(n, dim, seed, sep, start):
+def test_greedy_kernels_properties(n, dim, seed, sep, start, grow):
     rng = np.random.default_rng(seed)
     # coordinates on a 0.05 grid produce distance ties
     space = from_points(np.round(rng.uniform(0.0, 1.0, size=(n, dim)) * 20) / 20)
     start %= n
-    chosen = farthest_first(lambda i: space.dist[i], start, sep)
+    chosen, radii = farthest_first(lambda i: space.dist[i], start, sep)
     assert chosen[0] == start and len(set(chosen)) == len(chosen)
+    # insertion radii: inf first, never increasing, each the pick's distance
+    # to the earlier picks; a larger separation, a radius itself included,
+    # stops the same run at the prefix of radii above it
+    assert radii[0] == np.inf and len(radii) == len(chosen)
+    assert all(a >= b for a, b in zip(radii, radii[1:]))
+    for k in range(1, len(chosen)):
+        assert radii[k] == space.dist[chosen[k], chosen[:k]].min()
+    for wider in [sep * grow] + radii[1:]:
+        keep = sum(r > wider for r in radii)
+        assert farthest_first(lambda i: space.dist[i], start, wider) == (
+            chosen[:keep], radii[:keep])
     sub = space.dist[np.ix_(chosen, chosen)]
     assert np.all(sub[np.triu_indices(len(chosen), k=1)] > sep)
     assert np.all(space.dist[chosen].min(axis=0) <= sep)

@@ -110,6 +110,11 @@ class TestFlux:
         assert Flux.parse("cubic", 2.0).name == "cubic"
         assert Flux.parse("poly:0;0;0.5", 1.0)(1.0) == pytest.approx(0.5)
 
+    def test_not_finite_on_range(self):
+        # f(1e300) overflowed with two RuntimeWarnings before any error
+        with pytest.raises(ValueError, match="not finite on"):
+            Flux.burgers(1e300)
+
 
 class TestGodunov:
     def test_consistency(self):
@@ -151,6 +156,17 @@ class TestEvolve:
         x = make_grid(1.0, 1.0, 0.1, f, 0.02)
         with pytest.raises(UnstableConfig):
             evolve(np.zeros_like(x), f, 0.1, 0.02, cfl=0.0, x=x)
+
+    def test_step_count_cap(self, monkeypatch):
+        # cfl = 1e-300 asks for about 2e301 steps: refused before the first
+        f = Flux.burgers(1.0)
+        x = make_grid(1.0, 1.0, 1.0, f, 0.05)
+
+        def refuse(flux, u):
+            raise AssertionError("a step was taken")
+        monkeypatch.setattr(claw, "_godunov", refuse)
+        with pytest.raises(InvalidGrid, match=f"more than {claw.MAX_STEPS} steps"):
+            evolve(np.zeros_like(x), f, 1.0, 0.05, cfl=1e-300, x=x)
 
     def test_nonfinite_data(self):
         f = Flux.burgers(1.0)

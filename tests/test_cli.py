@@ -200,6 +200,27 @@ class TestCodecCommands:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: need eps <=")
 
+    @pytest.mark.parametrize("command, writer", [("encode", "write_codeword"),
+                                                 ("decode", "write_step")])
+    def test_failed_writer_leaves_nothing(self, tmp_path, step_file, monkeypatch,
+                                          command, writer):
+        # both used to write straight to the final path, so a writer that
+        # failed halfway left a partial codeword.bvc or decoded.step
+        enc = str(tmp_path / "enc")
+        assert run("encode", "--out", enc, "--input", step_file,
+                   "--epsilon", "0.1", "--budget", "1.0") == 0
+
+        def halfway(obj, path):
+            with open(path, "w") as fh:
+                fh.write("partial")
+            raise OSError("disk full")
+        monkeypatch.setattr(cli, writer, halfway)
+        out = tmp_path / "out"
+        source = step_file if command == "encode" else os.path.join(enc, "codeword.bvc")
+        extra = ["--epsilon", "0.1", "--budget", "1.0"] if command == "encode" else []
+        assert run(command, "--out", str(out), "--input", source, *extra) == 1
+        assert sorted(os.listdir(out)) == ["manifest.json"]
+
 
 class TestCorruptCodewords:
     @pytest.fixture
@@ -340,6 +361,14 @@ WITNESS_LINE5 = ("witness", "--generate", "line:5:1.0", "--epsilon", "0.01",
     ("scan", "--gamma", "0"),
     # a 2.8 PiB grid: numpy refuses the allocation, so nothing is used
     ("claw", "--dx", "1e-14"),
+    # gamma = 3 ran past 15 s; gamma = 40 was a numpy RuntimeError traceback
+    ("scan", "--gamma", "3"),
+    ("scan", "--gamma", "40"),
+    # about 2e301 time steps: ran until killed
+    ("claw", "--cfl", "1e-300", "--dx", "0.05"),
+    # overflow warnings came first: f at 1e300, then the Gaussian far out
+    ("claw", "--dx", "0", "--M", "1e300"),
+    ("claw", "--dx", "1e300", "--M", "1e-300", "--epsilon", "2"),
 ])
 def test_bad_number_is_one_error_line(tmp_path, argv):
     proc = run_python("-m", "bventropy.cli", *argv, "--out", str(tmp_path / "o"))

@@ -22,7 +22,12 @@ from bventropy.gauge_variation import Gauge, StepFunction, l1_distance, tv, tv_p
 from bventropy.metric_core import line_points, packing_number
 from bventropy.witness_lab import build_family
 
-from conftest import random_metric_space, random_step_function, run_python
+from conftest import (
+    random_metric_space,
+    random_step_function,
+    reference_scan_counts,
+    run_python,
+)
 
 
 def two_constants(d):
@@ -239,8 +244,31 @@ class TestOneMatrixPerScan:
         def refuse(self):
             raise AssertionError("distance matrix built above MATRIX_CAP")
         monkeypatch.setattr(FunctionEnsemble, "distance_matrix", refuse)
-        res = entropy_scan(ens, [0.2, 0.1])
-        assert all(r.cover_count == r.pack_count >= 1 for r in res.rows)
+        calls = []
+        rows = FunctionEnsemble.distances_from
+        monkeypatch.setattr(FunctionEnsemble, "distances_from",
+                            lambda self, i: calls.append(i) or rows(self, i))
+        res = entropy_scan(ens, [0.1, 0.05, 0.025, 0.0125])
+        assert [r.pack_count for r in res.rows] == [19, 63, 268, 862]
+        assert all(r.cover_count == r.pack_count for r in res.rows)
+        # one traversal, to the smallest epsilon: one row per member it picks
+        assert len(calls) == res.rows[-1].pack_count
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(kind=st.sampled_from(["real", "cloud", "witness"]),
+           seed=st.integers(0, 2 ** 16), m=st.integers(1, 12),
+           picks=st.lists(st.tuples(st.floats(0.0, 1.0), st.sampled_from([0.5, 1.0, 1.5])),
+                          min_size=1, max_size=6))
+    def test_scan_matches_per_epsilon_counts(self, kind, seed, m, picks):
+        # grid points at or between the ensemble's own distances, ties included
+        ens = _layout_ensemble(kind, seed, m)
+        d = np.unique(ens.distance_matrix())[1:]
+        if d.size == 0:
+            d = np.array([0.1])
+        grid = sorted({float(d[int(q * (d.size - 1))] * f) for q, f in picks}, reverse=True)
+        res = entropy_scan(ens, grid)
+        assert [(r.cover_count, r.pack_count) for r in res.rows] == \
+            reference_scan_counts(ens, grid)
 
     def test_layout_over_budget_falls_back_to_rows(self):
         # 2,100 members with 12 pieces each and no shared breakpoint: the

@@ -282,7 +282,8 @@ def test_batched_certificates_raise(monkeypatch):
         dimension_report(space, (0.05, 0.5))
     monkeypatch.undo()
     monkeypatch.setattr(metric_core, "farthest_first",
-                        lambda rows, start, sep: [[0, 1] for _ in start])
+                        lambda rows, start, sep: ([[0, 1] for _ in start],
+                                                  [[math.inf, 0.0] for _ in start]))
     with pytest.raises(SeparationFailure):
         dimension_report(space, (0.05, 0.5))
 
