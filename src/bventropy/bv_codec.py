@@ -13,7 +13,8 @@ radii and shell ranks have closed forms: encoding and decoding cost O(N1)
 time and memory, and no net-by-net matrix is ever built.  A net over a finite
 metric space keeps a cached matrix of discrete radii, whose size is bounded
 by the space's own distance matrix.  Bits are packed and unpacked in bulk
-with numpy; decoding loops once per grid cell.
+with numpy.  Both sides take their shells from ``Net.shell``: the decoder
+once per grid cell, the encoder only at the steps that jump.
 
 Generalized-variation inputs are first coarsened by the adaptive partition
 that advances while the function stays within h of its value at the current
@@ -141,41 +142,24 @@ class Net:
             self._rho_sharp = _rho_sharp_from_dist(d, self.h2)
         return self._rho_sharp
 
-    def _rho_sharp_row(self, pos: int) -> np.ndarray:
-        # Interval nets compute a row on demand instead of building the
-        # net-by-net matrix; finite-space nets read the cached matrix.
-        if self.space is not None:
-            return self.rho_sharp_matrix()[pos]
-        d = value_distance(self.centers[pos], self.centers, None)
-        return _rho_sharp_from_dist(d, self.h2)
-
-    def shell(self, pos: int, k: int) -> np.ndarray:
-        """Center positions at discrete radius exactly k from ``pos``."""
-        if not self._closed_form:
-            return np.flatnonzero(self._rho_sharp_row(pos) == k)
-        half, odd = divmod(k, 2)
-        if odd:
-            return np.empty(0, dtype=int)
-        ends = (pos - half, pos + half) if half else (pos,)
-        return np.array([p for p in ends if 0 <= p < self.size], dtype=int)
-
-    def shell_ranks(self, src, dst, k) -> tuple[np.ndarray, np.ndarray]:
-        """Rank of each ``dst[i]`` in the shell of radius ``k[i]`` around
-        ``src[i]``, and the size of that shell."""
+    def shell(self, pos: int, k: int) -> list[int]:
+        """Center positions at discrete radius exactly k from ``pos``, in
+        ascending order.  This is the alphabet of both sides of the codec:
+        the encoder writes a rank in it and the decoder reads one back."""
         if self._closed_form:
-            half = k // 2
-            lower = src - half >= 0
-            upper = src + half < self.size
-            sizes = np.where(k == 0, 1, lower.astype(int) + upper)
-            ranks = ((dst > src) & lower).astype(int)
-            return ranks, sizes
-        ranks = np.empty(k.size, dtype=int)
-        sizes = np.empty(k.size, dtype=int)
-        for i, (p, q, r) in enumerate(zip(src, dst, k)):
-            shell = self.shell(int(p), int(r))
-            ranks[i] = np.searchsorted(shell, q)
-            sizes[i] = shell.size
-        return ranks, sizes
+            half, odd = divmod(k, 2)
+            if odd:
+                return []
+            ends = (pos - half, pos + half) if half else (pos,)
+            return [p for p in ends if 0 <= p < self.size]
+        # Other interval nets compute the row on demand instead of building
+        # the net-by-net matrix; finite-space nets read the cached matrix.
+        if self.space is None:
+            row = _rho_sharp_from_dist(value_distance(self.centers[pos], self.centers, None),
+                                       self.h2)
+        else:
+            row = self.rho_sharp_matrix()[pos]
+        return np.flatnonzero(row == k).tolist()
 
 
 def _rho_sharp_from_dist(d, h2: float):
@@ -250,7 +234,9 @@ def quantize_positions(f: StepFunction, grid: QuantizerGrid, net: Net) -> np.nda
     t = grid.midpoints
     piece = np.searchsorted(f.breakpoints, t, side="right") - 1
     positions, d = net.nearest_many(f.values[np.clip(piece, 0, f.k - 1)])
-    far = d > net.h2 * (1 + 1e-9)
+    # Interval centres far from the origin sit up to an ulp off their lattice.
+    ulp = 0.0 if net.space is not None else float(np.spacing(np.abs(net.centers).max()))
+    far = d > net.h2 * (1 + 1e-9) + 2.0 * ulp
     if far.any():
         i = int(np.argmax(far))
         raise NetIncomplete(
@@ -287,15 +273,11 @@ def gamma_budget(N1: int, h2: float, V: float) -> int:
 # bit-level plumbing
 
 
-def _bit_length(n) -> np.ndarray:
-    """int.bit_length of each entry of a nonnegative integer array below 2**53."""
-    return np.frexp(np.asarray(n, dtype=float))[1]
-
-
 def _gamma_width(n):
-    """Width of the Elias gamma code of n >= 1: the value n written in
-    2*bit_length(n) - 1 bits, its leading zeros being the unary prefix."""
-    return 2 * _bit_length(n) - 1
+    """Width of the Elias gamma code of each n >= 1 below 2**53: the value n
+    written in 2*bit_length(n) - 1 bits, its leading zeros being the unary
+    prefix.  frexp's exponent is the bit length."""
+    return 2 * np.frexp(np.asarray(n, dtype=float))[1] - 1
 
 
 class BitWriter:
@@ -482,16 +464,22 @@ def encode_bv(
     if not profile[-1] <= cap:
         raise BudgetViolation(f"jump profile {profile[-1]} exceeds its cap {cap}")
 
-    src, dst = positions[:-1], positions[1:]
-    ranks, sizes = net.shell_ranks(src, dst, radii)
+    # Per step: the gamma code of k + 1, then the rank of the next position
+    # in the shell at radius k.  Distinct centres are at positive distance,
+    # so a radius-0 shell is [pos] alone and its rank takes no bits.
+    ranks = np.zeros(radii.size, dtype=int)
+    widths = np.zeros(radii.size, dtype=int)
+    for i in np.flatnonzero(radii).tolist():
+        shell = net.shell(int(positions[i]), int(radii[i]))
+        try:
+            ranks[i] = shell.index(int(positions[i + 1]))
+        except ValueError as exc:
+            raise CorruptStream(f"step {i} leaves its shell at radius {radii[i]}") from exc
+        widths[i] = _rank_width(len(shell))
     w = BitWriter()
     w.write(int(positions[0]), _rank_width(net.size))
-    # Per step: the gamma code of k + 1, then the shell rank in
-    # bit_length(size - 1) bits, which is _rank_width(size) for size >= 1.
-    w.write_fields(
-        np.column_stack([radii + 1, ranks]).ravel(),
-        np.column_stack([_gamma_width(radii + 1), _bit_length(sizes - 1)]).ravel(),
-    )
+    w.write_fields(np.column_stack([radii + 1, ranks]).ravel(),
+                   np.column_stack([_gamma_width(radii + 1), widths]).ravel())
     return Codeword(
         L=L, N1=N1, h2=h2, net_token=net.token, gauge_token=gauge_token,
         payload=w.to_bytes(), bit_length=w.bit_length,
@@ -508,12 +496,12 @@ def decode(c: Codeword, net: Net) -> StepFunction:
     for _ in range(c.N1 - 1):
         k = r.read_gamma() - 1
         shell = net.shell(pos, k)
-        if shell.size == 0:
+        if not shell:
             raise CorruptStream(f"empty shell at radius {k}")
-        rank = r.read(_rank_width(shell.size))
-        if rank >= shell.size:
+        rank = r.read(_rank_width(len(shell)))
+        if rank >= len(shell):
             raise CorruptStream("shell rank out of range")
-        pos = int(shell[rank])
+        pos = shell[rank]
         positions.append(pos)
     if not r.exhausted:
         raise CorruptStream("bits left over after the last cell")
@@ -548,29 +536,18 @@ def adaptive_coarsen(
     """
     if h <= 0:
         raise ValueError("h must be positive")
-    cuts = [0.0]
-    vals = []
-    j = 0
-    while True:
-        anchor = f.values[j]
-        vals.append(anchor)
-        nxt = None
-        for m in range(j + 1, f.k):
-            if f.rho(f.values[m], anchor) > h:
-                nxt = m
-                break
-        if nxt is None:
-            cuts.append(f.L)
-            break
-        cuts.append(float(f.breakpoints[nxt]))
-        j = nxt
-    fh = StepFunction(np.asarray(cuts), np.asarray(vals), f.space)
+    keep = [0]
+    for m in range(1, f.k):
+        if f.rho(f.values[m], f.values[keep[-1]]) > h:
+            keep.append(m)
+    cuts = np.concatenate([[0.0], f.breakpoints[keep[1:]], [f.L]])
+    fh = StepFunction(cuts, f.values[keep], f.space)
 
     psi_h = float(gauge(h))
     V_h = h * V / psi_h
     cert = CoarseningCertificate(
         h=h,
-        partition=np.asarray(cuts),
+        partition=cuts,
         V_h=V_h,
         tv_coarse=tv(fh),
         l1_error=l1_distance(fh, f),

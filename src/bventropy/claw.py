@@ -46,8 +46,9 @@ class Flux:
         self.coeffs = np.asarray(coeffs, dtype=float)
         self.M = float(M)
         self.name = name
-        self._d1 = P.polyder(self.coeffs)
-        self._d2 = P.polyder(self.coeffs, 2)
+        with np.errstate(over="ignore", invalid="ignore"):    # checked just below
+            self._d1 = P.polyder(self.coeffs)
+            self._d2 = P.polyder(self.coeffs, 2)
         self._check_derivatives()
         self.fprime_max = self._sup_abs(self._d1, self._d2)
         self.critical_points = self._real_roots(self._d1, self.M)

@@ -2,7 +2,8 @@
 
 Each run writes a ``manifest.json`` echoing all parameters, so any output
 directory can be reproduced from its manifest alone.  Outputs are written
-atomically (temp file + rename).  Exit codes: 0 success, 1 usage,
+atomically (temp file + rename), with the mode a plain ``open`` would give
+under the current umask.  Exit codes: 0 success, 1 usage,
 configuration or out-of-range input error (an input too large for memory
 included), 2 violated invariant.
 """
@@ -66,6 +67,10 @@ def _atomic(path: str, write) -> None:
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     os.close(fd)
     try:
+        # mkstemp's 0600 would survive the rename; give the mode open() gives
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         write(tmp)
         os.replace(tmp, path)
     except BaseException:
@@ -113,6 +118,18 @@ def _parse_gauge(token: str) -> Gauge:
         raise ConfigError(f"gauge {token!r} fails the {exc.check} check: {exc}") from exc
 
 
+def _check_numbers(args, positive=(), nonnegative=()) -> None:
+    """Reject an infinite or NaN number option, or one out of its range."""
+    for name in positive:
+        value = getattr(args, name)
+        if not 0 < value < math.inf:
+            raise ConfigError(f"--{name} must be positive and finite, got {value}")
+    for name in nonnegative:
+        value = getattr(args, name)
+        if not 0 <= value < math.inf:
+            raise ConfigError(f"--{name} must be at least 0 and finite, got {value}")
+
+
 # --- subcommands -----------------------------------------------------------
 
 
@@ -142,6 +159,7 @@ def cmd_variation(args) -> None:
 
 
 def cmd_encode(args) -> None:
+    _check_numbers(args, positive=("epsilon",), nonnegative=("budget",))
     f = read_step(args.input)
     gauge = _parse_gauge(args.gauge)
     if gauge.kind == "identity":
@@ -173,6 +191,7 @@ def cmd_decode(args) -> None:
 
 
 def cmd_witness(args) -> None:
+    _check_numbers(args, positive=("epsilon", "L"), nonnegative=("budget",))
     space = _load_space(args)
     rep = dimension_report(space, args.window)
     p_tilde = max(rep.p_tilde, 1e-9)
@@ -199,11 +218,11 @@ def cmd_scan(args) -> None:
 
 
 def cmd_claw(args) -> None:
-    for name in ("T", "L", "M"):
-        value = getattr(args, name)
-        if not 0 < value < math.inf:
-            raise ConfigError(f"--{name} must be positive and finite, got {value}")
+    _check_numbers(args, positive=("T", "L", "M"))
     flux = Flux.parse(args.flux, args.M)
+    if not flux.is_wgn():
+        raise ConfigError(f"flux {args.flux!r} is affine: the bound needs a weakly "
+                          "genuinely nonlinear flux")
     x = make_grid(args.L, args.M, args.T, flux, args.dx)
     inside = np.abs(x) <= args.L        # the Gaussian overflows far outside
     u0 = np.zeros_like(x)

@@ -9,7 +9,9 @@ batched sweep against the public covering and packing counts, and the
 per-epsilon scan counts, one traversal and one set cover per epsilon, which
 check the scan's single traversal.
 The full-array Godunov kernel is the reference the sparse one must match bit
-for bit; it reads only a flux's coefficients and critical points.
+for bit; it reads only a flux's coefficients and critical points.  The
+reference decoder reads each shell off a net's dense matrix of discrete radii
+rather than from ``Net.shell``.
 """
 
 import itertools
@@ -22,7 +24,9 @@ import pytest
 from numpy.polynomial import polynomial as P
 
 import bventropy
+from bventropy.bv_codec import BitReader, _rank_width
 from bventropy.entropy_estimator import MATRIX_CAP
+from bventropy.errors import CorruptStream
 from bventropy.gauge_variation import Gauge, StepFunction
 from bventropy.metric_core import (
     DimensionReport,
@@ -156,6 +160,34 @@ def oracle_tv_psi(f: StepFunction, gauge: Gauge) -> float:
             )
             best = max(best, total)
     return best
+
+
+# ---------------------------------------------------------------------------
+# codec reference
+
+
+def reference_decode(cw, net) -> StepFunction:
+    """``decode`` with each shell taken from the net's dense matrix of
+    discrete radii: the centres whose radius from the current one is k."""
+    radii = net.rho_sharp_matrix()
+    r = BitReader(cw.payload, cw.bit_length)
+    pos = r.read(_rank_width(net.size))
+    if pos >= net.size:
+        raise CorruptStream("start index out of range")
+    positions = [pos]
+    for _ in range(cw.N1 - 1):
+        k = r.read_gamma() - 1
+        shell = np.flatnonzero(radii[pos] == k)
+        if shell.size == 0:
+            raise CorruptStream(f"empty shell at radius {k}")
+        rank = r.read(_rank_width(shell.size))
+        if rank >= shell.size:
+            raise CorruptStream("shell rank out of range")
+        pos = int(shell[rank])
+        positions.append(pos)
+    if not r.exhausted:
+        raise CorruptStream("bits left over after the last cell")
+    return StepFunction(cw.grid().edges, net.centers[positions], net.space)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bventropy.bv_codec import (
     BitReader,
@@ -34,8 +36,9 @@ from bventropy import bv_codec
 from bventropy.entropy_estimator import random_bv_ensemble, random_bvpsi_ensemble
 from bventropy.errors import BudgetViolation, CorruptStream, EpsilonTooLarge, NetIncomplete
 from bventropy.gauge_variation import Gauge, StepFunction, l1_distance, tv, tv_psi
+from bventropy.metric_core import from_points
 
-from conftest import random_step_function
+from conftest import reference_decode, random_step_function
 
 LOG2_5E = math.log2(5 * math.e)
 
@@ -103,6 +106,16 @@ class TestNetAndQuantize:
         with pytest.raises(NetIncomplete):
             quantize(f, grid, net)
 
+    def test_far_interval_ends_are_covered(self):
+        # Centres near 1e6 are rounded by up to an ulp (1.2e-10), more than
+        # the 1e-9 relative slack on this radius; the low end raised
+        # NetIncomplete.
+        iv = RealInterval(1e6, 1e6 + 1.0)
+        net = Net.uniform(iv, 0.018145161290322582)
+        f = StepFunction(np.array([0.0, 0.5, 1.0]), np.array([iv.lo, iv.hi]))
+        fs = quantize(f, QuantizerGrid(1.0, 4), net)
+        assert fs.values.tolist() == [net.centers[0]] * 2 + [net.centers[-1]] * 2
+
     def test_jump_snaps_to_boundary(self):
         net = Net.uniform(RealInterval(0.0, 1.0), 0.05)
         grid = QuantizerGrid(1.0, 4)
@@ -132,7 +145,7 @@ class TestIntervalNetShells:
         monkeypatch.setattr(Net, "rho_sharp_matrix", no_matrix)
         for pos in range(net.size):
             for k in range(2 * net.size + 1):
-                assert np.array_equal(net.shell(pos, k), np.flatnonzero(dense[pos] == k))
+                assert net.shell(pos, k) == np.flatnonzero(dense[pos] == k).tolist()
 
         p = np.random.default_rng(3).integers(0, net.size, 500)
         fs = StepFunction(np.linspace(0.0, 1.0, p.size + 1), net.centers[p])
@@ -140,10 +153,68 @@ class TestIntervalNetShells:
         assert np.array_equal(radii, dense[p[:-1], p[1:]])
         assert np.array_equal(jump_profile(fs, net.h2)[1:],
                               np.cumsum(radii) + np.arange(radii.size))
-        ranks, sizes = net.shell_ranks(p[:-1], p[1:], radii)
-        for a, b, k, rank, size in zip(p[:-1], p[1:], radii, ranks, sizes):
-            shell = np.flatnonzero(dense[a] == k)
-            assert (rank, size) == (np.searchsorted(shell, b), shell.size)
+
+
+# A closed-form interval net, an interval far enough from the origin to take
+# its shells from an on-demand row, and a small point cloud: one of each way
+# Net.shell finds a shell.
+SHELL_SPACES = (RealInterval(0.0, 1.0), RealInterval(1e6, 1e6 + 1.0),
+                from_points(np.random.default_rng(5).uniform(0.0, 1.0, size=(12, 2))))
+
+
+def _shell_case(space, values, pieces, frac):
+    """A step function with values drawn from ``space``, its codeword at
+    eps = frac * V, and the net the decoder rebuilds."""
+    bp = np.linspace(0.0, 1.0, pieces + 1)
+    if isinstance(space, RealInterval):
+        f = StepFunction(bp, space.lo + np.asarray(values[:pieces]) * space.diameter)
+        cw = encode_bv(f, max(tv(f), 0.1), frac * max(tv(f), 0.1), value_space=space)
+    else:
+        f = StepFunction(bp, (np.asarray(values[:pieces]) * (space.n - 1)).round(), space)
+        cw = encode_bv(f, max(tv(f), 0.1), frac * max(tv(f), 0.1))
+    return f, cw, net_from_token(cw.net_token, cw.h2, space)
+
+
+def _decode_or_error(cw, net, decoder):
+    try:
+        return decoder(cw, net).values.tolist()
+    except CorruptStream:
+        return CorruptStream
+
+
+class TestOneShellRule:
+    """``decode`` against the dense-matrix reference decoder, and the
+    encoder's use of the same shells."""
+
+    @pytest.mark.parametrize("space", SHELL_SPACES, ids=["closed", "far", "cloud"])
+    def test_radius_zero_shell_is_the_centre(self, space):
+        net = _shell_case(space, [0.5], 1, 0.2)[2]
+        assert all(net.shell(p, 0) == [p] for p in range(net.size))
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(space=st.sampled_from(SHELL_SPACES),
+           values=st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8),
+           pieces=st.integers(1, 8), frac=st.sampled_from([0.05, 0.1, 0.25, 0.5]))
+    def test_decode_matches_reference(self, space, values, pieces, frac):
+        f, cw, net = _shell_case(space, values, pieces, frac)
+        assert decode(cw, net).values.tolist() == reference_decode(cw, net).values.tolist()
+        payload = np.frombuffer(cw.payload, dtype=np.uint8)
+        variants = [dataclasses.replace(cw, bit_length=n) for n in range(cw.bit_length)]
+        for bit in range(cw.bit_length):
+            flipped = payload.copy()
+            flipped[bit // 8] ^= 0x80 >> (bit % 8)
+            variants.append(dataclasses.replace(cw, payload=flipped.tobytes()))
+        for bad in variants:
+            assert _decode_or_error(bad, net, decode) == _decode_or_error(
+                bad, net, reference_decode)
+
+    def test_encoder_rejects_a_step_outside_its_shell(self, monkeypatch):
+        shell = Net.shell
+        monkeypatch.setattr(Net, "shell",
+                            lambda self, pos, k: shell(self, pos, k)[:-1])
+        f = StepFunction(np.array([0, 0.5, 1.0]), np.array([0.2, 0.8]))
+        with pytest.raises(CorruptStream):
+            encode_bv(f, 1.0, 0.2, value_space=RealInterval(0, 1))
 
 
 class TestJumpProfile:

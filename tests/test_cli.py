@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -345,6 +346,8 @@ class TestExitCodes:
 
 WITNESS_LINE5 = ("witness", "--generate", "line:5:1.0", "--epsilon", "0.01",
                  "--budget", "1.0", "--window", "0.05", "0.45")
+# The step file of the ``step_file`` fixture stands in for STEP.
+ENCODE_STEP = ("encode", "--input", "STEP", "--epsilon", "0.1", "--budget", "1.0")
 
 
 @pytest.mark.parametrize("argv", [
@@ -369,9 +372,45 @@ WITNESS_LINE5 = ("witness", "--generate", "line:5:1.0", "--epsilon", "0.01",
     # overflow warnings came first: f at 1e300, then the Gaussian far out
     ("claw", "--dx", "0", "--M", "1e300"),
     ("claw", "--dx", "1e300", "--M", "1e-300", "--epsilon", "2"),
+    # an OverflowError traceback from choose_params or build_family
+    WITNESS_LINE5 + ("--budget", "inf"),
+    ENCODE_STEP + ("--budget", "inf"),
+    # exited 2, "invariant violated"
+    WITNESS_LINE5 + ("--budget", "-1"),
+    ENCODE_STEP + ("--budget", "-1"),
+    # a ZeroDivisionError traceback
+    WITNESS_LINE5 + ("--L", "inf"),
+    # exited 0 with h = inf
+    WITNESS_LINE5 + ("--epsilon", "inf"),
+    ENCODE_STEP + ("--epsilon", "inf"),
+    # affine fluxes are not weakly genuinely nonlinear; both exited 2
+    ("claw", "--flux", "poly:0;1"),
+    ("claw", "--flux", "poly:0;0;0"),
+    # numpy's overflow warning printed before the error line
+    ("claw", "--flux", "poly:0;1e308;1e308"),
 ])
-def test_bad_number_is_one_error_line(tmp_path, argv):
+def test_bad_number_is_one_error_line(tmp_path, step_file, argv):
+    argv = [step_file if a == "STEP" else a for a in argv]
     proc = run_python("-m", "bventropy.cli", *argv, "--out", str(tmp_path / "o"))
     assert proc.returncode == 1, proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
+def test_zero_budget_witness_is_a_family_of_constants(tmp_path):
+    assert run(*WITNESS_LINE5, "--budget", "0", "--out", str(tmp_path / "w")) == 0
+
+
+def test_outputs_get_the_mode_open_gives(tmp_path, step_file):
+    old = os.umask(0o022)
+    try:
+        assert run("scan", "--out", str(tmp_path / "s"), "--eps-grid", "0.1,0.05") == 0
+        assert run("encode", "--out", str(tmp_path / "e"), "--input", step_file,
+                   "--epsilon", "0.1", "--budget", "1.0") == 0
+        assert run("decode", "--out", str(tmp_path / "d"),
+                   "--input", str(tmp_path / "e" / "codeword.bvc")) == 0
+    finally:
+        os.umask(old)
+    files = [p for d in "sed" for p in (tmp_path / d).iterdir()]
+    assert len(files) == 7
+    assert {oct(stat.S_IMODE(p.stat().st_mode)) for p in files} == {"0o644"}
