@@ -53,8 +53,8 @@ class RealInterval:
     hi: float
 
     def __post_init__(self):
-        if not self.hi >= self.lo:
-            raise ValueError("empty interval")
+        if not (math.isfinite(self.lo) and self.lo <= self.hi < math.inf):
+            raise ValueError(f"need finite lo <= hi, got [{self.lo}, {self.hi}]")
 
     @property
     def diameter(self) -> float:
@@ -169,23 +169,31 @@ def _rho_sharp_from_dist(d, h2: float):
     return k
 
 
-def rho_sharp(x, y, h2: float, space: FiniteMetricSpace | None = None) -> int:
-    """Discrete jump radius: 0 for equal points, else q+1 for a distance
-    ratio in (q, q+1]."""
+def rho_sharp(x: float, y: float, h2: float) -> int:
+    """Discrete jump radius of two reals: 0 for equal values, else q+1 for a
+    distance ratio in (q, q+1]."""
     if h2 <= 0:
         raise ValueError("h2 must be positive")
-    return int(_rho_sharp_from_dist(np.array([value_distance(x, y, space)]), h2)[0])
+    return int(_rho_sharp_from_dist(np.array([abs(x - y)]), h2)[0])
+
+
+def _token_interval(token: str) -> RealInterval | None:
+    # "uniform:lo:hi" names an interval net, "space" a metric-space net
+    if token == "space":
+        return None
+    kind, *bounds = token.split(":")
+    if kind != "uniform" or len(bounds) != 2:
+        raise ValueError(f"unknown net token {token!r}")
+    return RealInterval(*map(float, bounds))
 
 
 def net_from_token(token: str, h2: float, space=None) -> Net:
-    if token.startswith("uniform:"):
-        _, lo, hi = token.split(":")
-        return Net.uniform(RealInterval(float(lo), float(hi)), h2)
-    if token == "space":
-        if space is None:
-            raise ValueError("space net needs the metric space to rebuild")
-        return Net.greedy_cover(space, h2)
-    raise ValueError(f"unknown net token {token!r}")
+    interval = _token_interval(token)
+    if interval is not None:
+        return Net.uniform(interval, h2)
+    if space is None:
+        raise ValueError("space net needs the metric space to rebuild")
+    return Net.greedy_cover(space, h2)
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +421,12 @@ def read_codeword(path) -> Codeword:
                 raise CorruptStream(f"token is not UTF-8: {exc}") from exc
         bit_length = struct.unpack("<I", _read_exact(fh, 4))[0]
         payload = fh.read()
+    if not (0 < L < math.inf and 0 < h2 < math.inf and N1 >= 1):
+        raise CorruptStream(f"bad header: L = {L}, N1 = {N1}, h2 = {h2}")
+    try:
+        _token_interval(tokens[1])
+    except ValueError as exc:
+        raise CorruptStream(f"bad net token: {exc}") from exc
     return Codeword(L, N1, h2, tokens[1], tokens[0], payload, bit_length)
 
 
@@ -543,7 +557,7 @@ def adaptive_coarsen(
     cuts = np.concatenate([[0.0], f.breakpoints[keep[1:]], [f.L]])
     fh = StepFunction(cuts, f.values[keep], f.space)
 
-    psi_h = float(gauge(h))
+    psi_h = gauge.positive(h)
     V_h = h * V / psi_h
     cert = CoarseningCertificate(
         h=h,
@@ -607,7 +621,7 @@ def upper_bound_bits(
 ) -> float:
     """Bit budget for generalized-variation inputs:
     [3d + log2(5e)] * 2V / psi(eps/2L) + H at scale eps/4L."""
-    return (3.0 * d + LOG2_5E) * 2.0 * V / float(gauge(eps / (2.0 * L))) + H_quarter
+    return (3.0 * d + LOG2_5E) * 2.0 * V / gauge.positive(eps / (2.0 * L)) + H_quarter
 
 
 def power_budget_bits(
@@ -626,6 +640,6 @@ def euclidean_budget_bits(
     """Budget for d-dimensional bounded values:
     [3 d log2(5) + log2(5e)] 2V / psi(eps/2L) + d log2(8LM/eps + 1)."""
     return (
-        (3.0 * d * math.log2(5.0) + LOG2_5E) * 2.0 * V / float(gauge(eps / (2.0 * L)))
+        (3.0 * d * math.log2(5.0) + LOG2_5E) * 2.0 * V / gauge.positive(eps / (2.0 * L))
         + d * math.log2(8.0 * L * M / eps + 1.0)
     )

@@ -121,11 +121,11 @@ def _parse_gauge(token: str) -> Gauge:
 def _check_numbers(args, positive=(), nonnegative=()) -> None:
     """Reject an infinite or NaN number option, or one out of its range."""
     for name in positive:
-        value = getattr(args, name)
+        value = getattr(args, name.replace("-", "_"))
         if not 0 < value < math.inf:
             raise ConfigError(f"--{name} must be positive and finite, got {value}")
     for name in nonnegative:
-        value = getattr(args, name)
+        value = getattr(args, name.replace("-", "_"))
         if not 0 <= value < math.inf:
             raise ConfigError(f"--{name} must be at least 0 and finite, got {value}")
 
@@ -218,7 +218,7 @@ def cmd_scan(args) -> None:
 
 
 def cmd_claw(args) -> None:
-    _check_numbers(args, positive=("T", "L", "M"))
+    _check_numbers(args, positive=("T", "L", "M", "epsilon"), nonnegative=("gamma-lm",))
     flux = Flux.parse(args.flux, args.M)
     if not flux.is_wgn():
         raise ConfigError(f"flux {args.flux!r} is affine: the bound needs a weakly "

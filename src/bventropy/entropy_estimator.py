@@ -34,19 +34,12 @@ MATRIX_CAP = 2000     # full pairwise distance matrix allowed up to this size
 
 @dataclass(frozen=True)
 class ClassParams:
-    """Declared variation-class parameters used for the bound columns."""
+    """Declared class (L, V, psi) for the bound columns; values lie in [0, 1],
+    so the bounds take dimension and packing exponent 1."""
 
     L: float
     V: float
     gauge: Gauge
-    d: int = 1
-    p: float = 1.0
-    value_lo: float = 0.0
-    value_hi: float = 1.0
-    K_term: float = 0.0
-
-    def entropy_term(self, alpha: float) -> float:
-        return RealInterval(self.value_lo, self.value_hi).entropy_bits(alpha)
 
 
 class FunctionEnsemble:
@@ -148,8 +141,8 @@ def _counts(ens: FunctionEnsemble, eps_grid) -> list[tuple[int, int]]:
     grid = np.asarray(eps_grid, dtype=float)
     if grid.size == 0 or np.any(np.diff(grid) >= 0):
         raise ValueError("epsilon grid must be strictly decreasing")
-    if not np.all(grid > 0):
-        raise ValueError("epsilon must be positive")
+    if not np.all((grid > 0) & (grid < math.inf)):
+        raise ValueError("epsilon must be positive and finite")
     dist = ens.distance_matrix() if len(ens) <= MATRIX_CAP else None
     _, radii = farthest_first(ens.distances_from if dist is None else dist.__getitem__,
                               0, float(grid[-1]))
@@ -215,13 +208,9 @@ def entropy_scan(
     for eps, (cover, pack) in zip(map(float, eps_grid), _counts(ens, eps_grid)):
         lhs = rhs = float("nan")
         if params is not None:
-            rhs = upper_bound_bits(
-                params.L, params.V, eps, params.gauge, params.d,
-                params.entropy_term(eps / (4.0 * params.L)),
-            )
-            lhs = lower_bound_bits(
-                eps, params.L, params.V, params.gauge, params.p, params.K_term
-            )
+            H = RealInterval(0.0, 1.0).entropy_bits(eps / (4.0 * params.L))
+            rhs = upper_bound_bits(params.L, params.V, eps, params.gauge, 1, H)
+            lhs = lower_bound_bits(eps, params.L, params.V, params.gauge, 1.0)
         rows.append(ScanRow(eps, cover, pack, lhs, rhs))
     result = ScanResult(rows=tuple(rows))
     try:
@@ -247,40 +236,34 @@ def fit_exponent(scan: ScanResult) -> tuple[float, float]:
 # generators
 
 
-def random_bv_ensemble(
-    n: int, L: float, V: float, seed: int = 0, pieces: int = 12,
-    lo: float = 0.0, hi: float = 1.0,
-) -> FunctionEnsemble:
+def random_bv_ensemble(n: int, L: float, V: float, seed: int = 0) -> FunctionEnsemble:
     """Random step functions with total variation at most V and values in
-    [lo, hi]."""
+    [0, 1]."""
     rng = np.random.default_rng(seed)
-    return FunctionEnsemble([StepFunction(*_random_steps(rng, L, V, pieces, lo, hi))
-                             for _ in range(n)])
+    return FunctionEnsemble([StepFunction(*_random_steps(rng, L, V)) for _ in range(n)])
 
 
-def _random_steps(rng, L: float, V: float, pieces: int, lo: float, hi: float):
-    # breakpoints of up to ``pieces`` pieces, and a random walk of total
-    # variation at most V clipped to [lo, hi]
-    k = int(rng.integers(1, pieces + 1))
+def _random_steps(rng, L: float, V: float):
+    # breakpoints of up to 12 pieces, and a random walk of total variation at
+    # most V clipped to [0, 1]
+    k = int(rng.integers(1, 13))
     bp = np.unique(np.concatenate([[0.0], rng.uniform(0.0, L, size=k - 1), [L]]))
     steps = rng.uniform(-1.0, 1.0, size=bp.size - 2)
     total = np.abs(steps).sum()
     if total > 0:
         steps *= min(1.0, V / total) * rng.uniform(0.3, 1.0)
     start = rng.uniform(0.2, 0.8)
-    return bp, np.clip(start + np.concatenate([[0.0], np.cumsum(steps)]), lo, hi)
+    return bp, np.clip(start + np.concatenate([[0.0], np.cumsum(steps)]), 0.0, 1.0)
 
 
-def random_bvpsi_ensemble(
-    n: int, L: float, V: float, gauge: Gauge, seed: int = 0, pieces: int = 12,
-    lo: float = 0.0, hi: float = 1.0,
-) -> FunctionEnsemble:
+def random_bvpsi_ensemble(n: int, L: float, V: float, gauge: Gauge,
+                          seed: int = 0) -> FunctionEnsemble:
     """Random step functions with generalized variation at most V: rejection
     scaling of BV samples against the exact variation."""
     rng = np.random.default_rng(seed)
     members = []
     while len(members) < n:
-        bp, vals = _random_steps(rng, L, V, pieces, lo, hi)
+        bp, vals = _random_steps(rng, L, V)
         f = StepFunction(bp, vals)
         v = tv_psi(f, gauge)
         if v > V:
@@ -293,15 +276,14 @@ def random_bvpsi_ensemble(
     return FunctionEnsemble(members)
 
 
-def block_grid_ensemble(
-    gamma: int, L: float = 1.0, value_range: float = 0.8, spacing: float = 0.01,
-) -> FunctionEnsemble:
-    """All functions constant on gamma equal blocks with values on a uniform
-    grid; their packing counts scale like epsilon^-gamma."""
+def block_grid_ensemble(gamma: int, value_range: float = 0.8,
+                        spacing: float = 0.01) -> FunctionEnsemble:
+    """All functions constant on gamma equal blocks of [0, 1] with values on a
+    uniform grid; their packing counts scale like epsilon^-gamma."""
     if gamma < 1:
         raise ValueError(f"gamma must be at least 1, got {gamma}")
     levels = np.arange(0.0, value_range + spacing / 2, spacing)
-    edges = np.linspace(0.0, L, gamma + 1)
+    edges = np.linspace(0.0, 1.0, gamma + 1)
     grids = np.meshgrid(*([levels] * gamma), indexing="ij", copy=False)
     return FunctionEnsemble.from_values(edges, np.stack(grids, axis=-1).reshape(-1, gamma))
 

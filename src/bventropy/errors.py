@@ -60,6 +60,10 @@ class InverseMismatch(GaugeViolation):
     check = "inverse"
 
 
+class ScaleUnderflow(BVEntropyError, ValueError):
+    """psi underflows to 0 at a positive scale: bad input, not a broken invariant."""
+
+
 # --- codec ---
 
 class EpsilonTooLarge(BVEntropyError, ValueError):
@@ -94,6 +98,10 @@ class LengthMismatch(BVEntropyError):
 
 class SeparationFailure(BVEntropyError):
     pass
+
+
+class FamilyTooLarge(BVEntropyError, ValueError):
+    """A witness family above ``MAX_FAMILY_WORK``: bad input, not a broken invariant."""
 
 
 # --- ensembles ---

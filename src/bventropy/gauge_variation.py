@@ -36,6 +36,7 @@ from .errors import (
     NotConvex,
     NotPositive,
     NotVanishingAtZero,
+    ScaleUnderflow,
 )
 from .metric_core import FiniteMetricSpace, _read_table
 
@@ -151,6 +152,12 @@ class Gauge:
                 out = np.where(over, self._s[-1] + (v - self._v[-1]) / self._tail_slope(), out)
         return out if out.ndim else float(out)
 
+    def positive(self, s: float) -> float:
+        """psi(s) as a float; :class:`ScaleUnderflow` unless it is positive."""
+        if (v := float(self(s))) > 0:
+            return v
+        raise ScaleUnderflow(f"gauge {self.token} gives psi({s}) = {v}, not positive")
+
     def _tail_slope(self) -> float:
         return (self._v[-1] - self._v[-2]) / (self._s[-1] - self._s[-2])
 
@@ -261,8 +268,8 @@ class StepFunction:
         return self.values.size
 
     @classmethod
-    def constant(cls, L: float, value, space=None) -> "StepFunction":
-        return cls(np.array([0.0, float(L)]), np.array([value]), space)
+    def constant(cls, L: float, value: float) -> "StepFunction":
+        return cls(np.array([0.0, float(L)]), np.array([value]))
 
     def value_at(self, x: float):
         i = int(np.searchsorted(self.breakpoints, x, side="right")) - 1
@@ -298,17 +305,13 @@ def _step_fields(fh, path, lineno: int) -> list[str]:
     return fields
 
 
-def read_step(path, space=None) -> StepFunction:
+def read_step(path) -> StepFunction:
     with open(path) as fh:
         header = _step_fields(fh, path, 1)
         L, k = float(header[0]), int(header[1])
         rows = [_step_fields(fh, path, n + 2) for n in range(k)]
     b = np.array([float(r[0]) for r in rows] + [L])
-    if space is None:
-        v = np.array([float(r[1]) for r in rows])
-    else:
-        v = np.array([int(float(r[1])) for r in rows])
-    return StepFunction(b, v, space)
+    return StepFunction(b, np.array([float(r[1]) for r in rows]))
 
 
 def tv(f: StepFunction) -> float:
@@ -392,12 +395,9 @@ def tv_psi_chain(f: StepFunction, gauge: Gauge) -> tuple[float, list[int]]:
     return value, chain[::-1]
 
 
-def right_continuous(breakpoints, values, point_values=None) -> StepFunction:
-    """Normalize a piecewise representation to its right-continuous version.
-
-    ``point_values`` maps isolated points to deviating values; they carry no
-    measure and are discarded.  Adjacent pieces with equal values merge.
-    """
+def right_continuous(breakpoints, values) -> StepFunction:
+    """Right-continuous step function with ``values[j]`` on [b_j, b_{j+1}) and
+    equal neighbours merged; point values have measure zero and no place in it."""
     b = np.asarray(breakpoints, dtype=float)
     v = np.asarray(values)
     start = np.ones(v.size, dtype=bool)       # pieces that open a run of equal values

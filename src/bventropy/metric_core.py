@@ -116,8 +116,10 @@ def validate_metric(matrix) -> FiniteMetricSpace:
 
 
 def from_points(points, norm: float = 2.0) -> FiniteMetricSpace:
-    """Metric space of explicit coordinates under a p-norm."""
+    """Metric space of explicit, finite coordinates under a p-norm."""
     pts = np.asarray(points, dtype=float)
+    if not np.isfinite(pts).all():
+        raise ValueError("point coordinates must be finite")
     if pts.ndim == 1:
         pts = pts[:, None]
     diff = pts[:, None, :] - pts[None, :, :]
@@ -133,21 +135,20 @@ def line_points(n: int, length: float = 1.0) -> FiniteMetricSpace:
     """``n`` equally spaced points spanning a segment of the given length."""
     if n < 1:
         raise ValueError("need at least one point")
-    xs = np.linspace(0.0, length, n) if n > 1 else np.array([0.0])
-    return from_points(xs[:, None])
+    with np.errstate(invalid="ignore"):        # an infinite length: from_points refuses
+        return from_points(np.linspace(0.0, length, n)[:, None])
 
 
 def lattice(dim: int, per_side: int, spacing: float = 1.0) -> FiniteMetricSpace:
-    axes = [np.arange(per_side) * spacing] * dim
+    with np.errstate(invalid="ignore"):        # an infinite spacing: from_points refuses
+        axes = [np.arange(per_side) * spacing] * dim
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
     return from_points(grid)
 
 
 def uniform_random(n: int, extent: float, seed: int, dim: int = 1) -> FiniteMetricSpace:
-    if not math.isfinite(extent):
-        raise ValueError(f"extent must be finite, got {extent}")
-    rng = np.random.default_rng(seed)
-    return from_points(rng.uniform(0.0, extent, size=(n, dim)))
+    # the draws of rng.uniform(0, extent), which refuses an infinite extent
+    return from_points(extent * np.random.default_rng(seed).random((n, dim)))
 
 
 def _read_table(path) -> np.ndarray:
@@ -312,24 +313,20 @@ def _check_packings(near: np.ndarray, points, alpha: float) -> None:
         raise SeparationFailure(f"packing points lie within alpha = {alpha} of each other")
 
 
-def _search(space: FiniteMetricSpace, subset, alpha: float, mode: str,
-            exact_cap: int, exact, greedy):
-    """Check the arguments shared by the counts and run the search the mode
-    names; returns the subset as indices and the search's witness."""
+def _subset(space: FiniteMetricSpace, subset, alpha: float, mode: str,
+            exact_cap: int) -> np.ndarray:
+    """Check the arguments shared by the counts; the subset as indices."""
     if not alpha > 0:
         raise ValueError("alpha must be positive")
     k = np.arange(space.n) if subset is None else np.asarray(subset, dtype=int)
     if k.size == 0:
         raise ValueError("subset must be nonempty")
-    if mode == "greedy":
-        return k, greedy(space, k, alpha)
-    if mode != "exact":
+    if mode not in ("exact", "greedy"):
         raise ValueError(f"unknown mode {mode!r}")
-    if space.n > exact_cap:
-        raise ExactModeTooLarge(
-            f"exact search capped at n <= {exact_cap}, space has n = {space.n}"
-        )
-    return k, exact(space, k, alpha)
+    if mode == "exact" and space.n > exact_cap:
+        raise ExactModeTooLarge(f"exact search capped at n <= {exact_cap}, "
+                                f"space has n = {space.n}")
+    return k
 
 
 def _greedy_cover(space: FiniteMetricSpace, k: np.ndarray, alpha: float):
@@ -352,10 +349,9 @@ def covering_number(
 ) -> CoverPackResult:
     """Minimal (exact) or greedy upper-bound count of closed alpha-balls
     covering the subset, with centers drawn from the whole space."""
-    k, centers = _search(
-        space, subset, alpha, mode, exact_cap,
-        lambda s, k, a: _exact_cover(_bitmasks(s.dist[:, k] <= a), (1 << k.size) - 1),
-        _greedy_cover)
+    k = _subset(space, subset, alpha, mode, exact_cap)
+    centers = (_exact_cover(_bitmasks(space.dist[:, k] <= alpha), (1 << k.size) - 1)
+               if mode == "exact" else _greedy_cover(space, k, alpha))
     _check_covers(space.dist[np.ix_(centers, k)] <= alpha, [range(len(centers))],
                   np.ones((1, k.size), bool), alpha)
     return CoverPackResult(len(centers), tuple(centers), mode, alpha)
@@ -370,11 +366,10 @@ def packing_number(
 ) -> CoverPackResult:
     """Maximal (exact) or greedy lower-bound size of a strictly alpha-separated
     subset of the given point set."""
-    _, points = _search(
-        space, subset, alpha, mode, exact_cap,
-        lambda s, k, a: sorted(int(k[i]) for i in _exact_pack(
-            _bitmasks(s.dist[np.ix_(k, k)] <= a), (1 << k.size) - 1)),
-        _greedy_pack)
+    k = _subset(space, subset, alpha, mode, exact_cap)
+    points = (sorted(int(k[i]) for i in _exact_pack(
+                  _bitmasks(space.dist[np.ix_(k, k)] <= alpha), (1 << k.size) - 1))
+              if mode == "exact" else _greedy_pack(space, k, alpha))
     _check_packings(space.dist[np.ix_(points, points)] <= alpha, [range(len(points))], alpha)
     return CoverPackResult(len(points), tuple(points), mode, alpha)
 

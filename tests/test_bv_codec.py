@@ -330,6 +330,14 @@ class TestEncodeBv:
         with pytest.raises(CorruptStream):
             read_codeword(path)
 
+    def test_header_without_cells_is_corrupt(self, tmp_path):
+        # decode refused it only because the start index left bits over
+        f = StepFunction(np.array([0, 0.4, 1.0]), np.array([0.2, 0.8]))
+        cw = encode_bv(f, 1.0, 0.2, value_space=RealInterval(0, 1))
+        write_codeword(dataclasses.replace(cw, N1=0), tmp_path / "c.bvc")
+        with pytest.raises(CorruptStream, match="bad header"):
+            read_codeword(tmp_path / "c.bvc")
+
     def test_corrupt_rank(self):
         f = StepFunction(np.array([0, 0.5, 1.0]), np.array([0.2, 0.8]))
         cw = encode_bv(f, 1.0, 0.2, value_space=RealInterval(0, 1))

@@ -115,6 +115,17 @@ class TestFlux:
         with pytest.raises(ValueError, match="not finite on"):
             Flux.burgers(1e300)
 
+    def test_constant_offset_builds(self):
+        # a finite-difference check of f' rejected this flux; an offset moves
+        # no flux difference, so the snapshot is the offset-5 flux's
+        tvs = []
+        for token in ("poly:1e6;0;1", "poly:5;0;1"):
+            flux = Flux.parse(token, 1.0)
+            x = make_grid(1.0, 1.0, 1.0, flux, 0.01)
+            u0 = np.where(np.abs(x) <= 1.0, np.exp(-8.0 * x ** 2), 0.0)
+            tvs.append(tv(to_step_function(evolve(u0, flux, 1.0, 0.01, x=x))))
+        assert tvs[0] == pytest.approx(tvs[1], abs=1e-9)
+
 
 class TestGodunov:
     def test_consistency(self):
@@ -397,7 +408,6 @@ class TestSnapshots:
         snap = to_step_function(sol)
         assert snap.breakpoints[0] == 0.0
         assert snap.L == pytest.approx(sol.x[-1] - sol.x[0] + dx)
-        assert tv(snap) <= tv(to_step_function(sol, cap=10 ** 9)) + 1e-9
 
     def test_calibrate(self):
         f = Flux.burgers(1.0)
@@ -433,8 +443,6 @@ class TestNoThinning:
         centres = sol.x - sol.x[0] + self.DX / 2.0
         piece = np.searchsorted(snap.breakpoints, centres, side="right") - 1
         assert np.array_equal(snap.values[piece], sol.cells)
-        with pytest.raises(ValueError):
-            to_step_function(sol, cap=4096)
 
     def test_calibrate_gamma_samples_whole_snapshots(self):
         f = Flux.burgers(self.M)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import stat
 
@@ -84,7 +85,7 @@ class TestMetric:
         assert proc.returncode == 1, proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
-        assert "extent must be finite" in lines[0]
+        assert "coordinates must be finite" in lines[0]
 
     def test_exact_cap_reaches_exact_search(self, tmp_path):
         out = str(tmp_path / "run")
@@ -253,6 +254,23 @@ class TestCorruptCodewords:
         assert raw[30:32] == b"id"
         assert self.decode_exit(tmp_path, raw[:30] + b"\xff\xfe" + raw[32:]) == 2
 
+    @pytest.mark.parametrize("header", [
+        # numpy or Python messages, exit 1
+        {"L": -1.0}, {"h2": 0.0},
+        {"net_token": "uniform:1.0:0.0"}, {"net_token": "uniform:a:b"},
+        {"net_token": "bogus"},
+        # a RuntimeWarning first; two, then exit 2; an OverflowError traceback
+        {"L": math.inf}, {"h2": math.inf}, {"net_token": "uniform:0:inf"},
+    ])
+    def test_bad_header_is_one_line_exit_2(self, tmp_path, codeword, header):
+        path = tmp_path / "bad.bvc"
+        write_codeword(dataclasses.replace(codeword, **header), path)
+        proc = run_python("-m", "bventropy.cli", "decode", "--input", str(path),
+                          "--out", str(tmp_path / "d"))
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("invariant violated: "), proc.stderr
+
     def test_trailing_bits_exit_2(self, tmp_path, codeword):
         padded = dataclasses.replace(codeword, payload=codeword.payload + b"\0\0",
                                      bit_length=codeword.bit_length + 16)
@@ -346,6 +364,8 @@ class TestExitCodes:
 
 WITNESS_LINE5 = ("witness", "--generate", "line:5:1.0", "--epsilon", "0.01",
                  "--budget", "1.0", "--window", "0.05", "0.45")
+WITNESS_LINE17 = ("witness", "--generate", "line:17:1.0", "--epsilon", "0.002",
+                  "--window", "0.05", "0.45")
 # The step file of the ``step_file`` fixture stands in for STEP.
 ENCODE_STEP = ("encode", "--input", "STEP", "--epsilon", "0.1", "--budget", "1.0")
 
@@ -388,6 +408,23 @@ ENCODE_STEP = ("encode", "--input", "STEP", "--epsilon", "0.1", "--budget", "1.0
     ("claw", "--flux", "poly:0;0;0"),
     # numpy's overflow warning printed before the error line
     ("claw", "--flux", "poly:0;1e308;1e308"),
+    # psi of a positive scale underflows to 0: a ZeroDivisionError traceback
+    ENCODE_STEP + ("--gauge", "pow:1e300"),
+    ("scan", "--gamma", "2", "--eps-grid", "1e-300"),
+    # exited 0, the first with a 0.0-bit bound
+    ("claw", "--epsilon", "inf"),
+    ("claw", "--gamma-lm", "nan"),
+    ("claw", "--gamma-lm", "-1"),
+    # exited 2, "invariant violated"; the last after four warning lines
+    ("metric", "--generate", "line:5:nan"),
+    ("metric", "--generate", "lattice:2:3:nan"),
+    ("metric", "--generate", "line:5:inf"),
+    # witness families too large to check: 83,521 members verified in 234 s,
+    # N1 = 319 took 43 s, and the last two ran past 60 s
+    WITNESS_LINE17 + ("--budget", "10"),
+    WITNESS_LINE17 + ("--budget", "1e3"),
+    WITNESS_LINE17 + ("--budget", "1e4"),
+    WITNESS_LINE17 + ("--budget", "1e300"),
 ])
 def test_bad_number_is_one_error_line(tmp_path, step_file, argv):
     argv = [step_file if a == "STEP" else a for a in argv]

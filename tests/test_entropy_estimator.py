@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -169,6 +170,11 @@ class TestGenerators:
         ens = random_bvpsi_ensemble(30, 1.0, 1.0, g, seed=5)
         for f in ens.members:
             assert tv_psi(f, g) <= 1.0 + 1e-9
+
+    def test_infinite_epsilon_is_refused(self):
+        # `scan --eps-grid inf,0.1` exited 1 with "math domain error"
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            entropy_scan(block_grid_ensemble(1), [math.inf, 0.1])
 
     @pytest.mark.parametrize("gamma", [0, -1])
     def test_block_grid_rejects_gamma_below_one(self, gamma):

@@ -255,15 +255,11 @@ class TestRightContinuous:
         f = right_continuous([0, 0.3, 0.6, 1.0], [1.0, 1.0, 2.0])
         assert f.k == 2 and f.breakpoints[1] == 0.6
 
-    def test_discards_point_values(self):
-        f = right_continuous([0, 0.5, 1.0], [1.0, 2.0], point_values={0.5: 9.0})
-        assert 9.0 not in f.values
-
     def test_variation_not_increased(self):
         # a deviating sample point can only add variation; the representative
         # drops it
         g = Gauge.power(2)
-        f = right_continuous([0, 0.5, 1.0], [1.0, 1.0], point_values={0.5: 3.0})
+        f = right_continuous([0, 0.5, 1.0], [1.0, 1.0])
         seq = sample_sequence_variation([1.0, 3.0, 1.0], g)
         assert tv_psi(f, g) <= seq
 
