@@ -13,8 +13,9 @@ radii and shell ranks have closed forms: encoding and decoding cost O(N1)
 time and memory, and no net-by-net matrix is ever built.  A net over a finite
 metric space keeps a cached matrix of discrete radii, whose size is bounded
 by the space's own distance matrix.  Bits are packed and unpacked in bulk
-with numpy.  Both sides take their shells from ``Net.shell``: the decoder
-once per grid cell, the encoder only at the steps that jump.
+with numpy.  Both sides take their shells from ``Net.shell``, and only at the
+steps that jump: a radius-0 shell is ``[pos]`` with a 0-bit rank, so a run of
+stays is a run of 1 bits, which the decoder takes in one read.
 
 Generalized-variation inputs are first coarsened by the adaptive partition
 that advances while the function stays within h of its value at the current
@@ -34,6 +35,7 @@ from .errors import (
     CorruptStream,
     EpsilonTooLarge,
     NetIncomplete,
+    NetTooLarge,
 )
 from .gauge_variation import Gauge, StepFunction, l1_distance, tv, tv_psi, value_distance
 from .metric_core import CoverPackResult, FiniteMetricSpace, covering_number
@@ -70,6 +72,18 @@ class RealInterval:
         return math.log2(self.cover_count(alpha))
 
 
+# Largest uniform net, shared by encoder and decoder: 10**7 centres are 80 MB.
+MAX_NET_SIZE = 10 ** 7
+
+
+def _uniform_size(interval: RealInterval, h2: float) -> int:
+    """Centre count of the uniform h2-net of ``interval``, at most MAX_NET_SIZE."""
+    if not interval.diameter / (2.0 * h2) <= MAX_NET_SIZE:
+        raise NetTooLarge(f"a uniform net of [{interval.lo}, {interval.hi}] at radius "
+                          f"{h2} needs more than MAX_NET_SIZE = {MAX_NET_SIZE} centres")
+    return interval.cover_count(h2)
+
+
 # Interval nets use the closed-form radius 2|i - j| only while the rounding
 # error of |c_i - c_j| / h2 stays far below the 1e-9 slack of
 # _rho_sharp_from_dist: max|c| / h2 < 1e5 keeps it under 1e-10.
@@ -94,7 +108,7 @@ class Net:
 
     @classmethod
     def uniform(cls, interval: RealInterval, h2: float) -> "Net":
-        m = interval.cover_count(h2)
+        m = _uniform_size(interval, h2)
         centers = interval.lo + h2 + 2.0 * h2 * np.arange(m)
         token = f"uniform:{interval.lo!r}:{interval.hi!r}"
         net = cls(h2, centers, None, token)
@@ -329,7 +343,8 @@ class BitWriter:
 
 
 class BitReader:
-    """MSB-first bit reader over the first ``bit_length`` bits of a payload."""
+    """MSB-first bit reader over the first ``bit_length`` bits of a payload:
+    fixed-width fields, gamma codes, and runs of 1 bits in one call."""
 
     def __init__(self, payload: bytes, bit_length: int):
         if not 0 <= bit_length <= 8 * len(payload):
@@ -347,6 +362,14 @@ class BitReader:
         value = int(self._bits[self._pos:end], 2) if width else 0
         self._pos = end
         return value
+
+    def read_ones(self, limit: int) -> int:
+        """Consume up to ``limit`` consecutive 1 bits; return how many."""
+        end = min(self._pos + limit, self._n)
+        zero = self._bits.find(b"0", self._pos, end)
+        count = (end if zero < 0 else zero) - self._pos
+        self._pos += count
+        return count
 
     def read_gamma(self) -> int:
         one = self._bits.find(b"1", self._pos, min(self._pos + 65, self._n))
@@ -424,7 +447,9 @@ def read_codeword(path) -> Codeword:
     if not (0 < L < math.inf and 0 < h2 < math.inf and N1 >= 1):
         raise CorruptStream(f"bad header: L = {L}, N1 = {N1}, h2 = {h2}")
     try:
-        _token_interval(tokens[1])
+        interval = _token_interval(tokens[1])
+        if interval is not None:
+            _uniform_size(interval, h2)
     except ValueError as exc:
         raise CorruptStream(f"bad net token: {exc}") from exc
     return Codeword(L, N1, h2, tokens[1], tokens[0], payload, bit_length)
@@ -501,13 +526,22 @@ def encode_bv(
 
 
 def decode(c: Codeword, net: Net) -> StepFunction:
-    """Reconstruct the snapped step function exactly from the bitstream."""
+    """Reconstruct the snapped step function exactly from the bitstream.  A
+    radius-0 step is the bit 1 with a 0-bit rank in ``[pos]``, so each run of
+    stays is one ``read_ones``; a jump's gamma code starts with 0, so k >= 1."""
     r = BitReader(c.payload, c.bit_length)
     pos = r.read(_rank_width(net.size))
     if pos >= net.size:
         raise CorruptStream("start index out of range")
-    positions = [pos]
-    for _ in range(c.N1 - 1):
+    starts, counts = [], []
+    left = c.N1 - 1
+    while True:
+        stays = r.read_ones(left)
+        starts.append(pos)
+        counts.append(stays + 1)
+        left -= stays
+        if not left:
+            break
         k = r.read_gamma() - 1
         shell = net.shell(pos, k)
         if not shell:
@@ -516,10 +550,10 @@ def decode(c: Codeword, net: Net) -> StepFunction:
         if rank >= len(shell):
             raise CorruptStream("shell rank out of range")
         pos = shell[rank]
-        positions.append(pos)
+        left -= 1
     if not r.exhausted:
         raise CorruptStream("bits left over after the last cell")
-    return StepFunction(c.grid().edges, net.centers[positions], net.space)
+    return StepFunction(c.grid().edges, net.centers[np.repeat(starts, counts)], net.space)
 
 
 # ---------------------------------------------------------------------------

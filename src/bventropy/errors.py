@@ -74,6 +74,10 @@ class NetIncomplete(BVEntropyError):
     pass
 
 
+class NetTooLarge(BVEntropyError, ValueError):
+    """A uniform net above ``MAX_NET_SIZE``: bad input, not a broken invariant."""
+
+
 class BudgetViolation(BVEntropyError):
     pass
 

@@ -141,8 +141,10 @@ def _block_count(V: float, gauge: Gauge, h: float) -> int:
 
 def _member_matrix(ah: np.ndarray, N1: int, cap: int, sample: int, seed: int):
     total = ah.size ** N1
-    _check_work(total if total <= cap else sample, N1)
-    if total <= cap:
+    # Sampling draws distinct rows, so it needs more rows than it draws.
+    enumerate_all = total <= max(cap, sample)
+    _check_work(total if enumerate_all else sample, N1)
+    if enumerate_all:
         combos = np.array(list(itertools.product(range(ah.size), repeat=N1)), dtype=int)
         return ah[combos], "enumerated"
     rng = np.random.default_rng(seed)
@@ -233,9 +235,13 @@ class SeparationReport:
 def family_floor(
     p_tilde: float, V: float, epsilon: float, L: float, gauge: Gauge
 ) -> float:
-    """Guaranteed cardinality 2^(p_tilde V / 2 psi(2 * 2^(4+2/p_tilde) eps/L))."""
+    """Guaranteed cardinality 2^(p_tilde V / 2 psi(2 * 2^(4+2/p_tilde) eps/L)),
+    or inf once that leaves float range."""
     arg = 2.0 ** (4.0 + 2.0 / p_tilde) * 2.0 * epsilon / L
-    return 2.0 ** (p_tilde * V / (2.0 * gauge.positive(arg)))
+    try:
+        return 2.0 ** (p_tilde * V / (2.0 * gauge.positive(arg)))
+    except OverflowError:
+        return math.inf
 
 
 _PAIR_CHUNK = 4096      # sampled pairs checked per block

@@ -34,7 +34,9 @@ from bventropy.bv_codec import (
 )
 from bventropy import bv_codec
 from bventropy.entropy_estimator import random_bv_ensemble, random_bvpsi_ensemble
-from bventropy.errors import BudgetViolation, CorruptStream, EpsilonTooLarge, NetIncomplete
+from bventropy.errors import (
+    BudgetViolation, CorruptStream, EpsilonTooLarge, NetIncomplete, NetTooLarge,
+)
 from bventropy.gauge_variation import Gauge, StepFunction, l1_distance, tv, tv_psi
 from bventropy.metric_core import from_points
 
@@ -115,6 +117,16 @@ class TestNetAndQuantize:
         f = StepFunction(np.array([0.0, 0.5, 1.0]), np.array([iv.lo, iv.hi]))
         fs = quantize(f, QuantizerGrid(1.0, 4), net)
         assert fs.values.tolist() == [net.centers[0]] * 2 + [net.centers[-1]] * 2
+
+    def test_net_size_is_capped(self, monkeypatch):
+        monkeypatch.setattr(bv_codec, "MAX_NET_SIZE", 1000)
+        iv = RealInterval(0.0, 1.0)
+        h2 = 0.5 / 1000
+        assert Net.uniform(iv, h2 * (1 + 1e-9)).size == 1000
+        with pytest.raises(NetTooLarge):
+            Net.uniform(iv, h2 * (1 - 1e-9))
+        with pytest.raises(NetTooLarge):
+            Net.uniform(RealInterval(-1e308, 1e308), 1.0)
 
     def test_jump_snaps_to_boundary(self):
         net = Net.uniform(RealInterval(0.0, 1.0), 0.05)
@@ -208,6 +220,46 @@ class TestOneShellRule:
             assert _decode_or_error(bad, net, decode) == _decode_or_error(
                 bad, net, reference_decode)
 
+    # Long runs of radius-0 steps, which decode takes in one read each.
+    @pytest.mark.parametrize("space", SHELL_SPACES, ids=["closed", "far", "cloud"])
+    def test_long_runs_and_their_truncations(self, space):
+        f, cw, net = _shell_case(space, [0.1, 0.9, 0.4, 0.6], 4, 0.002)
+        assert cw.N1 > 700
+        assert decode(cw, net).values.tolist() == reference_decode(cw, net).values.tolist()
+        bits = BitReader(cw.payload, cw.bit_length)._bits
+        run_ends = [i for i in range(1, cw.bit_length) if bits[i - 1:i + 1] == b"10"]
+        assert len(run_ends) >= 3
+        for n in run_ends + [cw.bit_length - 1, 1, 0]:
+            bad = dataclasses.replace(cw, bit_length=n)
+            assert _decode_or_error(bad, net, decode) == _decode_or_error(
+                bad, net, reference_decode) == CorruptStream
+
+    @pytest.mark.parametrize("N1", [1, 2, 500])
+    @pytest.mark.parametrize("extra", [0, 1, 64])
+    def test_all_ones_payload(self, N1, extra):
+        # Start at centre 4 of 5, then nothing but stays, some of them too many.
+        net = Net.uniform(RealInterval(0.0, 1.0), 0.1)
+        w = BitWriter()
+        w.write(4, 3)
+        w.write_fields(np.ones(N1 - 1 + extra), np.ones(N1 - 1 + extra))
+        cw = Codeword(1.0, N1, 0.1, net.token, "id", w.to_bytes(), w.bit_length)
+        got = _decode_or_error(cw, net, decode)
+        assert got == _decode_or_error(cw, net, reference_decode)
+        assert got == (CorruptStream if extra else [net.centers[4]] * N1)
+
+    def test_decode_looks_up_one_shell_per_jump(self, monkeypatch):
+        calls = []
+        shell = Net.shell
+        monkeypatch.setattr(Net, "shell",
+                            lambda self, pos, k: calls.append(k) or shell(self, pos, k))
+        f = StepFunction(np.linspace(0.0, 1.0, 6), np.array([0.1, 0.5, 0.5, 0.9, 0.2]))
+        cw = encode_bv(f, 1.5, 0.0011, value_space=RealInterval(0.0, 1.0))
+        encoded, calls[:] = list(calls), []
+        fd = decode(cw, net_from_token(cw.net_token, cw.h2))
+        assert 2000 <= cw.N1 <= 2100
+        assert calls == encoded and 0 not in calls
+        assert len(calls) == np.count_nonzero(np.diff(fd.values)) > 0
+
     def test_encoder_rejects_a_step_outside_its_shell(self, monkeypatch):
         shell = Net.shell
         monkeypatch.setattr(Net, "shell",
@@ -268,6 +320,14 @@ class TestBitstream:
             single.write(v, n)
         assert bulk.to_bytes() == single.to_bytes() == bytes([0b10100001, 0b10010110, 0])
         assert bulk.bit_length == 17
+
+    def test_read_ones_stops_at_zero_limit_and_end(self):
+        w = BitWriter()
+        w.write_fields([1, 1, 1, 0, 1, 1], [1] * 6)
+        r = BitReader(w.to_bytes(), w.bit_length)
+        assert (r.read_ones(2), r.read_ones(5), r.read_ones(5)) == (2, 1, 0)
+        assert r.read(1) == 0
+        assert (r.read_ones(0), r.read_ones(5), r.exhausted) == (0, 2, True)
 
     def test_gamma_rejects_zero(self):
         with pytest.raises(ValueError):

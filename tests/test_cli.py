@@ -261,6 +261,9 @@ class TestCorruptCodewords:
         {"net_token": "bogus"},
         # a RuntimeWarning first; two, then exit 2; an OverflowError traceback
         {"L": math.inf}, {"h2": math.inf}, {"net_token": "uniform:0:inf"},
+        # nets past MAX_NET_SIZE: "Unable to allocate 113. TiB" (exit 1), and
+        # a diameter that overflows to inf
+        {"net_token": "uniform:0:1e12"}, {"net_token": "uniform:-1e308:1e308"},
     ])
     def test_bad_header_is_one_line_exit_2(self, tmp_path, codeword, header):
         path = tmp_path / "bad.bvc"

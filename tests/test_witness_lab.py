@@ -1,11 +1,12 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from bventropy.errors import DegenerateBall, LengthMismatch, SeparationFailure
 from bventropy.gauge_variation import Gauge, l1_distance, l1_row, tv_psi
-from bventropy.metric_core import line_points, validate_metric
+from bventropy.metric_core import from_points, line_points, validate_metric
 from bventropy.witness_lab import (
     ball_packing,
     build_family,
@@ -17,6 +18,8 @@ from bventropy.witness_lab import (
     separation_factor,
     verify_packing,
 )
+
+from conftest import run_python
 
 LOG2_7 = np.log2(7.0)
 
@@ -243,3 +246,21 @@ def test_family_floor_matches_exponent():
     g = Gauge.identity()
     expect = 2.0 ** (1.0 * 1.0 / (2.0 * float(g(2 ** 6 * 2 / 256))))
     assert family_floor(1.0, 1.0, 1 / 256, 1.0, g) == pytest.approx(expect)
+
+
+def test_family_floor_past_float_range_is_inf():
+    # One member on 23,438 blocks: the exponent is far above 1024.
+    fam = build_family(1, 3000, 0.001, Gauge.identity(),
+                       from_points([0, 1e-6, 0.5, 10]), 0, 1.0)
+    assert verify_packing(fam).theoretical_floor == math.inf
+
+
+def test_member_matrix_sample_above_row_count_returns():
+    # 3 values on 4 blocks are 81 rows, fewer than the 100 asked for; the
+    # sampler drew forever.  The child's timeout bounds the wait.
+    proc = run_python("-c", (
+        "import numpy as np\n"
+        "from bventropy.witness_lab import _member_matrix\n"
+        "rows, mode = _member_matrix(np.arange(3), 4, cap=10, sample=100, seed=0)\n"
+        "print(len({tuple(r) for r in rows.tolist()}), rows.shape[1], mode)\n"))
+    assert proc.stdout.split() == ["81", "4", "enumerated"], proc.stderr
