@@ -584,9 +584,9 @@ def adaptive_coarsen(
     """
     if h <= 0:
         raise ValueError("h must be positive")
-    keep = [0]
+    keep, vals = [0], f.values.tolist()     # Python scalars: the same floats, faster
     for m in range(1, f.k):
-        if f.rho(f.values[m], f.values[keep[-1]]) > h:
+        if value_distance(vals[m], vals[keep[-1]], f.space) > h:
             keep.append(m)
     cuts = np.concatenate([[0.0], f.breakpoints[keep[1:]], [f.L]])
     fh = StepFunction(cuts, f.values[keep], f.space)

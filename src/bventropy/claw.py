@@ -1,11 +1,13 @@
 """Scalar 1-D conservation laws u_t + f(u)_x = 0 with polynomial fluxes.
 
 A Godunov finite-volume scheme evolves compactly supported data on a padded
-symmetric grid; one kernel gives the interface fluxes of a state array, and
-the scalar ``godunov_flux`` is that kernel on two states.  ``evolve`` keeps
-the cells in one buffer between two zero ghost cells and updates it in place.
-The kernel evaluates f once per state; each critical value, computed once per
-flux, is folded in only at the interfaces that straddle its point.  The flux also
+symmetric grid; one kernel gives the interface fluxes along the last axis of
+a state array, on buffers allocated once, and the scalar ``godunov_flux`` is
+that kernel on two states.  ``evolve`` keeps the cells in one buffer between
+two zero ghost cells and updates it in place; calibration steps all of its
+samples as the rows of one such buffer.  The kernel evaluates f once per
+state; each critical value, computed once per flux, is folded in only at the
+interfaces that straddle its point.  The flux also
 induces a gauge: the minimal affine-approximation error of f over windows of
 width h, convexified and rescaled, measures how strongly the flux bends and
 controls the generalized variation of solutions; the gauge feeds the
@@ -38,10 +40,13 @@ LOG_TERM = 3.0 * math.log2(5.0) + math.log2(5.0 * math.e)   # 3 log2 5 + log2(5e
 #: Most time steps one :func:`evolve` may take; more is refused up front.
 MAX_STEPS = 10 ** 6
 
+CFL = 0.45      # Courant number of :func:`evolve` and of the calibration runs
+
 
 class Flux:
-    """Polynomial flux on [-M, M] with exact ``P.polyder`` derivatives; the one
-    check is that f and f' are finite at 17 probes spanning [-M, M]."""
+    """Polynomial flux f on [-M, M], with f' as ``df`` and f'' as ``d2f`` from
+    exact ``P.polyder`` derivatives; the one check is that f and f' are finite
+    at 17 probes spanning [-M, M]."""
 
     def __init__(self, coeffs, M: float, name: str = "poly"):
         self.coeffs = np.asarray(coeffs, dtype=float)
@@ -50,6 +55,7 @@ class Flux:
         with np.errstate(over="ignore", invalid="ignore"):    # checked just below
             self._d1 = P.polyder(self.coeffs)
             self._d2 = P.polyder(self.coeffs, 2)
+            self._f, self.df, self.d2f = map(_Horner, [self.coeffs, self._d1, self._d2])
             probes = np.linspace(-self.M, self.M, 17)
             finite = np.isfinite(self(probes)).all() and np.isfinite(self.df(probes)).all()
         if not finite:
@@ -89,13 +95,7 @@ class Flux:
     # evaluation ----------------------------------------------------------
 
     def __call__(self, u):
-        return _polyval(u, self.coeffs)
-
-    def df(self, u):
-        return _polyval(u, self._d1)
-
-    def d2f(self, u):
-        return _polyval(u, self._d2)
+        return self._f(u)
 
     def is_wgn(self) -> bool:
         """No affine part: f'' is not identically zero."""
@@ -113,13 +113,30 @@ class Flux:
         return np.unique(real[(real >= -M) & (real <= M)])
 
 
-def _polyval(u, coeffs: np.ndarray):
-    """Horner's rule in place, in ``P.polyval``'s operation order: same floats."""
-    out = coeffs[-1] + u * 0.0
-    for c in coeffs[-2::-1]:
-        out *= u
-        out += c
-    return out
+class _Horner:
+    """A polynomial by Horner's rule with ``P.polyval``'s floats for finite u.
+    It starts from the top nonzero coefficient c_k, polyval's exact partial
+    value there.  Adding a zero only turns -0 into +0, which a later nonzero
+    add or a +0.0 constant erases, so it is skipped (None) unless the constant
+    is -0.0."""
+
+    def __init__(self, coeffs: np.ndarray):
+        c = coeffs.tolist()
+        k = max((i for i, v in enumerate(c) if v != 0.0), default=0)
+        self.top, adds = (c[k], c[k - 1:0:-1]) if k else (0.0, c[:0:-1])
+        keep = c[0] == 0.0 and math.copysign(1.0, c[0]) < 0
+        self.adds, self.last = [v if v != 0.0 or keep and math.copysign(1.0, v) > 0
+                                else None for v in adds], c[0]
+
+    def __call__(self, u, out=None):
+        """The values at u, written into ``out`` when it is given."""
+        out = np.multiply(u, self.top, out=out)
+        for c in self.adds:             # each add but the last, then a multiply
+            if c is not None:
+                out += c
+            out *= u
+        out += self.last
+        return out
 
 
 def godunov_flux(flux: Flux, ul: float, ur: float) -> float:
@@ -131,19 +148,48 @@ def godunov_flux(flux: Flux, ul: float, ur: float) -> float:
 
 
 def _godunov(flux: Flux, u: np.ndarray) -> np.ndarray:
-    """Godunov fluxes between consecutive states of ``u``: f is evaluated
-    once per state, and each critical value enters only at the interfaces
-    whose states lie strictly on either side of its critical point."""
-    fu = flux(u)
-    F = np.where(u[:-1] <= u[1:], np.minimum(fu[:-1], fu[1:]),
-                 np.maximum(fu[:-1], fu[1:]))
-    for c, fc in zip(flux.critical_points, flux.critical_values):
-        below, above = u < c, u > c
-        up = (below[:-1] & above[1:]).nonzero()[0]         # min over [ul, ur]
-        down = (above[:-1] & below[1:]).nonzero()[0]       # max over [ur, ul]
-        F[up] = np.minimum(F[up], fc)
-        F[down] = np.maximum(F[down], fc)
-    return F
+    """Godunov fluxes between consecutive states of ``u``, newly allocated."""
+    return _Kernel(flux, u).fluxes().copy()
+
+
+class _Kernel:
+    """Godunov fluxes between neighbours along the last axis of the states
+    ``u``, which the caller updates in place, on buffers allocated once.  f is
+    evaluated once per state; each critical value enters only at interfaces
+    whose states lie strictly on either side of its point.  The rise test reads
+    ``d`` = u[..., 1:] - u[..., :-1], which :meth:`diff` renews after u changes."""
+
+    def __init__(self, flux: Flux, u: np.ndarray):
+        faces = (*u.shape[:-1], u.shape[-1] - 1)
+        self.f, self.ul, self.ur = flux._f, u[..., :-1], u[..., 1:]
+        self.critical = tuple(zip(flux.critical_points, flux.critical_values))
+        self.d, self.F, fu = np.empty(faces), np.empty(faces), np.empty(u.shape)
+        below, above = np.empty(u.shape, bool), np.empty(u.shape, bool)
+        # every view made once: slicing costs about as much as a small ufunc call
+        self.work = (u, self.F, fu, fu[..., :-1], fu[..., 1:], below, above,
+                     below[..., :-1], above[..., 1:], above[..., :-1], below[..., 1:],
+                     *(np.empty(faces, bool) for _ in range(3)))
+        self.diff()
+
+    def diff(self) -> np.ndarray:
+        return np.subtract(self.ur, self.ul, out=self.d)
+
+    def fluxes(self) -> np.ndarray:
+        (u, F, fu, fl, fr, below, above, below_l, above_r, above_l, below_r,
+         rise, up, down) = self.work
+        self.f(u, fu)
+        # for finite states d >= 0 exactly when ul <= ur, signed zeros included
+        np.greater_equal(self.d, 0.0, out=rise)
+        np.maximum(fl, fr, out=F)
+        np.minimum(fl, fr, out=F, where=rise)           # min over [ul, ur]
+        for c, fc in self.critical:
+            np.less(u, c, out=below)
+            np.greater(u, c, out=above)
+            np.logical_and(below_l, above_r, out=up)
+            np.minimum(F, fc, out=F, where=up)
+            np.logical_and(above_l, below_r, out=down)
+            np.maximum(F, fc, out=F, where=down)
+        return F
 
 
 @dataclass(frozen=True)
@@ -168,52 +214,64 @@ def make_grid(L: float, M: float, T: float, flux: Flux, dx: float) -> np.ndarray
 
 
 def evolve(
-    u0: np.ndarray, flux: Flux, T: float, dx: float, cfl: float = 0.45, *,
+    u0: np.ndarray, flux: Flux, T: float, dx: float, cfl: float = CFL, *,
     x: np.ndarray,
 ) -> GridSolution:
     """Explicit conservative Godunov update to time T with zero ghost cells;
     ``x``, the cell centres of ``u0`` from :func:`make_grid`, is carried over."""
+    return _evolve_rows(np.asarray(u0, dtype=float)[None], flux, T, dx, cfl, x)[0]
+
+
+def _evolve_rows(rows: np.ndarray, flux: Flux, T: float, dx: float, cfl: float,
+                 x: np.ndarray) -> list:
+    """:func:`evolve` of every row of ``rows`` on the grid ``x``, stepped
+    together: the rows share each time step, and the kernel runs on one
+    buffer of all rows, each between two zero ghost cells, updated in place."""
     if not 0 < cfl <= 0.9:
         # above 0.9 the scheme is unstable; at or below 0 time never advances
         raise UnstableConfig(f"cfl = {cfl} must lie in (0, 0.9]")
     _require_grid(T, dx)        # an infinite T or a negative step never ends
-    if np.shape(x) != np.shape(u0):
-        raise InvalidGrid(f"{np.size(x)} cell centres for {np.size(u0)} cells")
-    buf = np.pad(np.asarray(u0, dtype=float), 1)    # zero ghost cells at both ends
-    u = buf[1:-1]                                   # the cells, updated in place
+    if np.shape(x) != rows.shape[1:]:
+        raise InvalidGrid(f"{np.size(x)} cell centres for {rows[0].size} cells")
+    buf = np.pad(rows, ((0, 0), (1, 1)))    # zero ghost cells at both ends
+    u = buf[:, 1:-1]                        # the cells, updated in place
     if not np.all(np.isfinite(u)):
         raise OutOfRange("initial data must be finite")
     if np.abs(u).max(initial=0.0) > flux.M * (1 + 1e-9):
         raise OutOfRange("initial data exceeds the flux evaluation radius M")
 
-    support = np.flatnonzero(np.abs(u) > 1e-12)
-    if support.size:
-        margin = T * flux.fprime_max + 2.0 * dx
-        left_room = (support[0]) * dx
-        right_room = (u.size - 1 - support[-1]) * dx
-        if left_room < margin or right_room < margin:
-            raise DomainTooSmall(
-                f"need {margin} of padding, have ({left_room}, {right_room})"
-            )
+    margin = T * flux.fprime_max + 2.0 * dx
+    for row in u:
+        support = np.flatnonzero(np.abs(row) > 1e-12).tolist()
+        rooms = (support[0] * dx, (row.size - 1 - support[-1]) * dx) if support else ()
+        if min(rooms, default=margin) < margin:
+            raise DomainTooSmall(f"need {margin} of padding, have {rooms}")
 
-    speed = max(flux.fprime_max, 1e-300)
-    dt_max = cfl * dx / speed
+    dt_max = cfl * dx / max(flux.fprime_max, 1e-300)
     if T > MAX_STEPS * dt_max:
         raise InvalidGrid(f"T = {T} takes more than {MAX_STEPS} steps of {dt_max}")
+    kernel = _Kernel(flux, buf)
+    jumps = kernel.d[:, 1:-1]               # d between cells, not ghosts
+    sizes, du = np.empty_like(jumps), np.empty_like(u)
+    F_left, F_right = kernel.F[:, :-1], kernel.F[:, 1:]
+    cell_tv = np.add.reduce(np.abs(jumps, out=sizes), axis=1)
+    max_tv_increase = np.zeros(len(rows))
     t = 0.0
-    cell_tv = float(np.abs(u[1:] - u[:-1]).sum())
-    max_tv_increase = 0.0
     while t < T - 1e-14:
         dt = min(dt_max, T - t)
-        F = _godunov(flux, buf)                    # interface fluxes, n+1
-        u -= dt / dx * (F[1:] - F[:-1])
+        kernel.fluxes()                     # interface fluxes, n+1 per row
+        np.subtract(F_right, F_left, out=du)
+        du *= dt / dx
+        u -= du
         t += dt
-        new_tv = float(np.abs(u[1:] - u[:-1]).sum())
-        max_tv_increase = max(max_tv_increase, new_tv - cell_tv)
+        kernel.diff()
+        new_tv = np.add.reduce(np.abs(jumps, out=sizes), axis=1)
+        np.maximum(max_tv_increase, new_tv - cell_tv, out=max_tv_increase)
         cell_tv = new_tv
-    return GridSolution(dx=dx, x=np.asarray(x, dtype=float), cells=u.copy(), T=T,
-                        mass=float(u.sum() * dx),
-                        max_tv_increase=max_tv_increase)
+    x = np.asarray(x, dtype=float)
+    return [GridSolution(dx=dx, x=x, cells=row.copy(), T=T, mass=float(row.sum() * dx),
+                         max_tv_increase=float(inc))
+            for row, inc in zip(u, max_tv_increase)]
 
 
 def _require_grid(T: float, dx: float) -> None:
@@ -360,7 +418,7 @@ def degeneracy(flux: Flux) -> DegeneracyReport:
     for w in flux._real_roots(flux._d2, flux.M):
         p = 2
         deriv = P.polyder(flux.coeffs, p + 1)
-        while deriv.size and abs(_polyval(w, deriv)) < 1e-9:
+        while deriv.size and abs(_Horner(deriv)(w)) < 1e-9:
             p += 1
             deriv = P.polyder(flux.coeffs, p + 1)
         pts.append(float(w))
@@ -433,16 +491,17 @@ def calibrate_gamma(
     n_samples: int = 6, dx: float = 0.01, seed: int = 0,
 ) -> CalibrationReport:
     """Measure the variation constant: evolve a seeded ensemble of initial
-    data and report max tv_psi(u(T)) / (1 + 1/T) over whole snapshots."""
+    data, stepped as one array, and report max tv_psi(u(T)) / (1 + 1/T) over
+    whole snapshots."""
     if not T > 0:
         raise InvalidGrid(f"calibration needs T > 0, got T = {T}")
+    if n_samples < 1:
+        raise ValueError(f"calibration needs at least one sample, got {n_samples}")
     rng = np.random.default_rng(seed)
     x = make_grid(L, M, T, flux, dx)
-    measured = []
-    for _ in range(n_samples):
-        u0 = _random_data(rng, x, L, M)
-        sol = evolve(u0, flux, T, dx, x=x)
-        measured.append(tv_psi(to_step_function(sol), gauge))
+    rows = np.reshape([_random_data(rng, x, L, M) for _ in range(n_samples)], (-1, x.size))
+    measured = [tv_psi(to_step_function(sol), gauge)
+                for sol in _evolve_rows(rows, flux, T, dx, CFL, x)]
     gamma = max(measured) / (1.0 + 1.0 / T)
     return CalibrationReport(gamma_lm=gamma, samples=tuple(measured),
                              seed=seed, dx=dx)

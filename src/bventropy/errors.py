@@ -136,8 +136,8 @@ class DomainTooSmall(BVEntropyError):
     pass
 
 
-class GaugeDegenerate(BVEntropyError):
-    pass
+class GaugeDegenerate(BVEntropyError, ValueError):
+    """A flux whose gauge vanishes: bad input, not a broken invariant."""
 
 
 class InfiniteDegeneracy(BVEntropyError):

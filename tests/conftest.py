@@ -10,6 +10,7 @@ per-epsilon scan counts, one traversal and one set cover per epsilon, which
 check the scan's single traversal.
 The full-array Godunov kernel is the reference the sparse one must match bit
 for bit; it reads only a flux's coefficients and critical points.  The
+reference step loop runs it on a freshly allocated array at every step.  The
 reference decoder reads each shell off a net's dense matrix of discrete radii
 rather than from ``Net.shell``.
 """
@@ -225,6 +226,26 @@ def reference_godunov(flux, u: np.ndarray) -> np.ndarray:
         F = np.where((lo < c) & (c < hi),
                      np.where(rising, np.minimum(F, fc), np.maximum(F, fc)), F)
     return F
+
+
+def reference_evolve(u0: np.ndarray, flux, T: float, dx: float, cfl: float = 0.45):
+    """``evolve``'s step loop as it was before its kernel ran on buffers
+    allocated once, on ``reference_godunov``: (cells, mass, max_tv_increase)."""
+    buf = np.pad(np.asarray(u0, dtype=float), 1)    # zero ghost cells at both ends
+    u = buf[1:-1]                                   # the cells, updated in place
+    dt_max = cfl * dx / max(flux.fprime_max, 1e-300)
+    t = 0.0
+    cell_tv = float(np.abs(u[1:] - u[:-1]).sum())
+    max_tv_increase = 0.0
+    while t < T - 1e-14:
+        dt = min(dt_max, T - t)
+        F = reference_godunov(flux, buf)           # interface fluxes, n+1
+        u -= dt / dx * (F[1:] - F[:-1])
+        t += dt
+        new_tv = float(np.abs(u[1:] - u[:-1]).sum())
+        max_tv_increase = max(max_tv_increase, new_tv - cell_tv)
+        cell_tv = new_tv
+    return u.copy(), float(u.sum() * dx), max_tv_increase
 
 
 # ---------------------------------------------------------------------------

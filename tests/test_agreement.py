@@ -13,9 +13,10 @@ pipeline certifies about Godunov snapshots under their flux gauges.
 A third digest, recorded while the scalar Godunov flux and the array kernel
 were still two implementations, pins the Godunov scheme itself: the cells,
 mass and largest TV increase of `evolve` and the scalar interface flux on a
-grid of states, for fluxes with zero, one and two critical points.  Two
+grid of states, for fluxes with zero, one and two critical points.  Three
 hypothesis tests check the Godunov kernel against the full-array reference
-in `conftest.py`, and the flux's Horner evaluation against `P.polyval`, bit
+in `conftest.py`, `evolve` and the batched stepper against the reference
+step loop there, and the flux's Horner evaluation against `P.polyval`, bit
 for bit.
 """
 
@@ -28,7 +29,9 @@ from numpy.polynomial import polynomial as P
 
 from bventropy.bv_codec import encode_bvpsi
 from bventropy.claw import (
+    CFL,
     Flux,
+    _evolve_rows,
     _godunov,
     evolve,
     flux_gauge,
@@ -55,13 +58,23 @@ from bventropy.metric_core import (
 )
 from bventropy.witness_lab import build_family, verify_packing
 
-from conftest import oracle_cover, oracle_pack, random_metric_matrix, reference_godunov
+from conftest import (
+    oracle_cover,
+    oracle_pack,
+    random_metric_matrix,
+    reference_evolve,
+    reference_godunov,
+)
 
 GOLDEN = "9fe2780272c6a70dc4b93cc407a95b4c6bf75039f7e7e88f2aeba3a9078377c5"
 SNAPSHOT_GOLDEN = "625cf0e4c2fd56f5265b53d4a88b15918f745968aeb73202749820005afc8dee"
 EVOLVE_GOLDEN = "c192595cf8f1b56f44351c9135016c7a004b9273afaf2d6c7db96a8e70609799"
 EVOLVE_FLUXES = ("burgers", "cubic", "quartic", "poly:0;-0.3;0;1",
                  "poly:0.1;0.2;-0.5;0;0.8")
+# zero coefficients of either sign: skipped adds, the top nonzero coefficient
+# below the top, a -0.0 constant term and a constant flux
+SIGNED_ZERO_FLUXES = ("poly:0;1;0", "poly:0;0;0;0;1", "poly:-0;0;1",
+                      "poly:0;-0;0.5;-0", "poly:-0;1;-0;-1;0", "poly:0.5;0")
 
 
 def _cover_pack_lines():
@@ -200,7 +213,7 @@ def _states(flux: Flux) -> list:
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
-@given(token=st.sampled_from(EVOLVE_FLUXES), data=st.data())
+@given(token=st.sampled_from(EVOLVE_FLUXES + SIGNED_ZERO_FLUXES), data=st.data())
 def test_godunov_matches_reference(token, data):
     flux = Flux.parse(token)
     u = np.array(data.draw(st.lists(st.sampled_from(_states(flux)),
@@ -208,8 +221,31 @@ def test_godunov_matches_reference(token, data):
     assert _godunov(flux, u).tobytes() == reference_godunov(flux, u).tobytes()
 
 
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(token=st.sampled_from(EVOLVE_FLUXES + SIGNED_ZERO_FLUXES),
+       T=st.sampled_from((0.0, 0.013, 0.1)), data=st.data())
+def test_evolve_matches_reference(token, T, data):
+    # rows of drawn states between runs of zeros, tiny values and -0.0 wide
+    # enough for the waves; evolve takes one row, the stepper all at once
+    flux = Flux.parse(token)
+    dx, pad = 0.05, 12
+    n, m = data.draw(st.integers(1, 30)), data.draw(st.integers(1, 3))
+    quiet = st.sampled_from((0.0, -0.0, 5e-324, -1e-13))
+    rows = np.array([data.draw(st.lists(quiet, min_size=pad, max_size=pad))
+                     + data.draw(st.lists(st.sampled_from(_states(flux)),
+                                          min_size=n, max_size=n))
+                     + data.draw(st.lists(quiet, min_size=pad, max_size=pad))
+                     for _ in range(m)])
+    x = (np.arange(rows.shape[1]) - rows.shape[1] / 2 + 0.5) * dx
+    sols = [evolve(rows[0], flux, T, dx, x=x)] + _evolve_rows(rows, flux, T, dx, CFL, x)
+    for row, sol in zip(np.concatenate([rows[:1], rows]), sols):
+        cells, mass, max_tv_increase = reference_evolve(row, flux, T, dx)
+        assert sol.cells.tobytes() == cells.tobytes()
+        assert repr((sol.mass, sol.max_tv_increase)) == repr((mass, max_tv_increase))
+
+
 @settings(max_examples=100, derandomize=True, deadline=None)
-@given(token=st.sampled_from(EVOLVE_FLUXES),
+@given(token=st.sampled_from(EVOLVE_FLUXES + SIGNED_ZERO_FLUXES),
        values=st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6))
 def test_flux_horner_matches_polyval(token, values):
     flux = Flux.parse(token)

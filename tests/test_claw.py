@@ -175,7 +175,7 @@ class TestEvolve:
 
         def refuse(flux, u):
             raise AssertionError("a step was taken")
-        monkeypatch.setattr(claw, "_godunov", refuse)
+        monkeypatch.setattr(claw, "_Kernel", refuse)
         with pytest.raises(InvalidGrid, match=f"more than {claw.MAX_STEPS} steps"):
             evolve(np.zeros_like(x), f, 1.0, 0.05, cfl=1e-300, x=x)
 
@@ -421,10 +421,33 @@ class TestSnapshots:
         # T = 0 used to evolve every sample, then divide by zero
         def refuse(*args, **kwargs):
             raise AssertionError("a sample was evolved before T was checked")
-        monkeypatch.setattr(claw, "evolve", refuse)
+        monkeypatch.setattr(claw, "_evolve_rows", refuse)
         with pytest.raises(InvalidGrid, match="needs T > 0"):
             calibrate_gamma(Flux.burgers(1.0), 1.0, 1.0, T, Gauge.identity(),
                             n_samples=1, dx=0.02)
+
+    def test_calibrate_rejects_no_samples(self, monkeypatch):
+        # no sample gave max() of nothing, after stepping an empty array
+        def refuse(*args, **kwargs):
+            raise AssertionError("an empty ensemble was evolved")
+        monkeypatch.setattr(claw, "_evolve_rows", refuse)
+        with pytest.raises(ValueError, match="at least one sample"):
+            calibrate_gamma(Flux.burgers(1.0), 1.0, 1.0, 1.0, Gauge.identity(),
+                            n_samples=0, dx=0.02)
+
+    @pytest.mark.parametrize("name", ["burgers", "cubic", "quartic"])
+    def test_calibrate_samples_are_evolve_and_tv_psi(self, name):
+        # the samples are stepped as one array; each must be the sample's own
+        # evolve measured whole
+        f = Flux.parse(name, 0.5)
+        gauge = flux_gauge(f, 0.5, np.linspace(0.05, 1.0, 10)).gauge
+        rep = calibrate_gamma(f, 1.0, 0.5, 1.0, gauge, n_samples=4, dx=0.01, seed=3)
+        rng = np.random.default_rng(3)
+        x = make_grid(1.0, 0.5, 1.0, f, 0.01)
+        want = tuple(tv_psi(to_step_function(evolve(_random_data(rng, x, 1.0, 0.5),
+                                                     f, 1.0, 0.01, x=x)), gauge)
+                     for _ in range(4))
+        assert rep.samples == want and rep.gamma_lm == max(want) / 2.0
 
 
 class TestNoThinning:

@@ -428,6 +428,8 @@ ENCODE_STEP = ("encode", "--input", "STEP", "--epsilon", "0.1", "--budget", "1.0
     WITNESS_LINE17 + ("--budget", "1e3"),
     WITNESS_LINE17 + ("--budget", "1e4"),
     WITNESS_LINE17 + ("--budget", "1e300"),
+    # nonlinear, but its affine gap underflows in float: exited 2
+    ("claw", "--flux", "poly:1e300;0;1"),
 ])
 def test_bad_number_is_one_error_line(tmp_path, step_file, argv):
     argv = [step_file if a == "STEP" else a for a in argv]
