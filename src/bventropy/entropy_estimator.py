@@ -5,15 +5,17 @@ a decreasing accuracy grid, the packing exponent is fitted on a log-log scale,
 and each row can carry the closed-form upper/lower bit bounds of the
 variation class the ensemble was sampled from.
 
-An ensemble holds its members as one (members x cells) value matrix on common
-cells, so a row of L1 distances is one :func:`l1_row`.  Block grids and
-witness families hand over the matrix they already have; step functions
-given one by one are laid out on the common refinement of their breakpoints,
-up to ``MATRIX_CAP``**2 entries, beyond which rows fall back to per-pair
-:func:`l1_distance`.  A scan makes one farthest-first traversal, to its
-smallest epsilon, and reads each epsilon's pack off the insertion radii; up
-to ``MATRIX_CAP`` members it runs on the member x member matrix, built once,
-which also gives each set-cover greedy, and a larger scan runs on rows.
+An ensemble holds its members as one cells-major (cells x members) value
+matrix on common cells; a row of L1 distances is one :func:`l1_row`, summed
+over the cells in order, so a row on some members holds the full row's
+floats.  Block grids and witness families hand over their matrix, transposed
+once; step functions given one by one are laid out on the common refinement
+of their breakpoints, up to ``MATRIX_CAP``**2 entries, beyond which rows
+fall back to per-pair :func:`l1_distance`.  A scan makes one farthest-first
+traversal, to its smallest epsilon, and reads each epsilon's pack off the
+insertion radii; up to ``MATRIX_CAP`` members it runs on the member x member
+matrix, built once, which also gives each set-cover greedy, and a larger
+scan runs on rows of the live members.
 """
 
 from __future__ import annotations
@@ -49,9 +51,9 @@ class FunctionEnsemble:
     refinement of their breakpoints; a layout above ``MATRIX_CAP``**2
     entries (32 MB of float64) is not built, and rows then come from
     per-pair :func:`l1_distance` calls.  :meth:`from_values` takes the
-    layout itself, a value matrix on shared edges, and builds the member
-    step functions only when ``members`` is read.  Class parameters for the
-    bound columns go to :func:`entropy_scan`.
+    layout itself, a value matrix on shared edges held transposed, and
+    builds the member step functions only when ``members`` is read.  Class
+    parameters for the bound columns go to :func:`entropy_scan`.
     """
 
     def __init__(self, members):
@@ -76,38 +78,37 @@ class FunctionEnsemble:
         ens = cls.__new__(cls)
         ens.L, ens.space, ens._size = float(edges[-1]), space, values.shape[0]
         ens._members, ens._edges = None, edges
-        ens._layout = values, np.diff(edges)
+        ens._layout = np.ascontiguousarray(values.T), np.diff(edges)
         return ens
 
     @property
     def members(self) -> list:
         if self._members is None:
             self._members = [StepFunction(self._edges, row, self.space)
-                             for row in self._layout[0]]
+                             for row in self._layout[0].T]
         return self._members
 
     def __len__(self) -> int:
         return self._size
 
     def distances_from(self, i: int) -> np.ndarray:
+        return self._distances(i, slice(None))
+
+    def _distances(self, i: int, cols) -> np.ndarray:
+        """The entries ``cols`` (a slice or index array) of the row of ``i``."""
         if self._layout is None:
-            return np.array([l1_distance(self.members[i], g) for g in self.members])
+            return np.array([l1_distance(self.members[i], self.members[j])
+                             for j in np.arange(len(self))[cols]])
         vals, w = self._layout
-        return l1_row(vals, vals[i], w, self.space)
+        sub = vals[:, cols] if isinstance(cols, slice) else vals.take(cols, axis=1)
+        return l1_row(sub, vals[:, i], w, self.space)
 
     def distance_matrix(self) -> np.ndarray:
-        """Full member x member L1 matrix; from the layout, each pair is
-        computed once, so the matrix is exactly symmetric with a zero
-        diagonal."""
-        m = len(self)
-        out = np.zeros((m, m))
-        if self._layout is None:
-            for i in range(m):
-                out[i] = self.distances_from(i)
-            return out
-        vals, w = self._layout
-        for i in range(m - 1):
-            out[i, i + 1:] = l1_row(vals[i + 1:], vals[i], w, self.space)
+        """Full member x member L1 matrix; each pair is computed once, so the
+        matrix is exactly symmetric with a zero diagonal."""
+        out = np.zeros((len(self), len(self)))
+        for i in range(len(self) - 1):
+            out[i, i:] = self._distances(i, slice(i, None))
         return out + out.T
 
 
@@ -132,7 +133,7 @@ def _refinement_layout(members):
     pos[last] = cells
     spans = np.delete(np.diff(pos), last[:-1])      # drop the member-to-member gaps
     vals = np.repeat(np.concatenate([f.values for f in members]), spans)
-    return vals.reshape(m, cells), np.diff(cuts)
+    return np.ascontiguousarray(vals.reshape(m, cells).T), np.diff(cuts)
 
 
 def _counts(ens: FunctionEnsemble, eps_grid) -> list[tuple[int, int]]:
@@ -144,8 +145,8 @@ def _counts(ens: FunctionEnsemble, eps_grid) -> list[tuple[int, int]]:
     if not np.all((grid > 0) & (grid < math.inf)):
         raise ValueError("epsilon must be positive and finite")
     dist = ens.distance_matrix() if len(ens) <= MATRIX_CAP else None
-    _, radii = farthest_first(ens.distances_from if dist is None else dist.__getitem__,
-                              0, float(grid[-1]))
+    _, radii = farthest_first(ens._distances if dist is None
+                              else lambda i, cols: dist[i, cols], 0, float(grid[-1]))
     packs = [sum(r > eps for r in radii) for eps in grid.tolist()]
     if dist is None:
         return [(p, p) for p in packs]
@@ -285,7 +286,8 @@ def block_grid_ensemble(gamma: int, value_range: float = 0.8,
     levels = np.arange(0.0, value_range + spacing / 2, spacing)
     edges = np.linspace(0.0, 1.0, gamma + 1)
     grids = np.meshgrid(*([levels] * gamma), indexing="ij", copy=False)
-    return FunctionEnsemble.from_values(edges, np.stack(grids, axis=-1).reshape(-1, gamma))
+    # built cells-major, the layout's own order, so from_values copies nothing
+    return FunctionEnsemble.from_values(edges, np.stack(grids).reshape(gamma, -1).T)
 
 
 def from_witness_family(fam: WitnessFamily) -> FunctionEnsemble:

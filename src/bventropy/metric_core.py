@@ -21,6 +21,7 @@ Every greedy count in the package runs on one of two kernels:
   the chosen set, lowest index on ties, until every point lies within the
   separation.  Its output is both a strict packing and a closed cover, and
   its insertion radii give the run to every larger separation as a prefix.
+  Its rows reach only the live points, and must equal the full rows there.
 
 Both carry a leading batch axis of independent problems that advance in
 lockstep.  :func:`dimension_report` sweeps its probe scales one at a time
@@ -210,14 +211,19 @@ def greedy_set_cover(covers: np.ndarray, targets=None):
 
 
 def farthest_first(rows, start, sep: float):
-    """Farthest-point insertion over a row oracle.
+    """Farthest-point insertion over a row oracle, on the live points.
 
-    ``rows(i)`` returns the distances from point ``i`` to every point.  From
+    ``rows(i, cols)`` returns the distances from point ``i`` to the points
+    ``cols``: a full slice, or once dead points are dropped, the live ones
+    as an index array; a subset's entries must equal the full row's.  From
     ``start``, each step adds the point farthest from the chosen set (lowest
     index on ties) and stops once that distance is at most ``sep``: the
     chosen points are then strictly ``sep``-separated and cover every point
-    with closed ``sep``-balls.  A NaN ``sep`` raises ``ValueError``, as no
-    distance would ever be within it.
+    with closed ``sep``-balls.  A NaN or negative ``sep`` raises
+    ``ValueError``, as no distance, or every one, would beat it.  A point's
+    distance to the chosen set only falls, so once it is at most ``sep`` the
+    point is dead: it is never picked, and dropped when a quarter of the
+    live points, and at least 64, have died (O(log n) times in all).
 
     Returns the chosen points and their insertion radii: each pick's
     distance to the earlier picks, ``inf`` for ``start``.  The radii never
@@ -226,25 +232,34 @@ def farthest_first(rows, start, sep: float):
 
     An index array ``start`` runs one problem per entry in lockstep and
     returns both lists for each entry; ``rows`` then maps such an array to a
-    (batch x points) array.  A point at ``-inf`` in a problem's first row is
-    never picked, which confines the problem to a subset.
+    (batch x points) array, and a point is dropped once dead in every
+    problem.  A point at ``-inf`` in a problem's first row is never picked,
+    which confines the problem to a subset.
     """
-    if math.isnan(sep):
-        raise ValueError("separation must not be NaN")
+    if not sep >= 0:
+        raise ValueError(f"separation must be a non-negative number, got {sep}")
     batch = np.ndim(start) > 0
     chosen = [[int(s)] for s in np.atleast_1d(start)]
     radii = [[math.inf] for _ in chosen]
-    mind = np.array(rows(start), dtype=float, ndmin=2)
-    line = mind if batch else mind[0]
-    while True:
-        picks = mind.argmax(axis=1).tolist()    # argmax takes the lowest index
-        far = [b for b, j in enumerate(picks) if mind[b, j] > sep]
+    mind = np.array(rows(start, slice(None)), dtype=float, ndmin=2)
+    live, cols, limit = np.arange(mind.shape[1]), slice(None), 0.75 * mind.size - 64
+    lanes, line = np.arange(len(chosen)), mind if batch else mind[0]
+    for step in itertools.count(1):
+        if limit > 0 and step % 4 == 0:         # a check costs a pass over mind
+            alive = mind > sep
+            if 0 < (count := np.count_nonzero(alive)) <= limit:
+                keep = alive.any(axis=0)
+                live, mind, limit = live[keep], mind[:, keep], 0.75 * count - 64
+                cols, line = live, mind if batch else mind[0]
+        pos = mind.argmax(axis=1)               # argmax takes the lowest index
+        picks, top = live[pos].tolist(), mind[lanes, pos].tolist()
+        far = [b for b, r in enumerate(top) if r > sep]
         if not far:
             return (chosen, radii) if batch else (chosen[0], radii[0])
         for b in far:
             chosen[b].append(picks[b])
-            radii[b].append(float(mind[b, picks[b]]))
-        np.minimum(line, rows(np.array(picks) if batch else picks[0]), out=line)
+            radii[b].append(top[b])
+        np.minimum(line, rows(np.array(picks) if batch else picks[0], cols), out=line)
 
 
 def _bitmasks(rows: np.ndarray) -> list[int]:
@@ -336,7 +351,7 @@ def _greedy_cover(space: FiniteMetricSpace, k: np.ndarray, alpha: float):
 
 def _greedy_pack(space: FiniteMetricSpace, k: np.ndarray, alpha: float):
     # seeded at the lowest index of the subset
-    pos, _ = farthest_first(lambda i: space.dist[k[i], k], int(np.argmin(k)), alpha)
+    pos, _ = farthest_first(lambda i, cols: space.dist[k[i], k[cols]], int(np.argmin(k)), alpha)
     return k[pos].tolist()
 
 
@@ -433,8 +448,8 @@ def _scale_witnesses(space: FiniteMetricSpace, alpha: float, mode: str):
         packs = [_exact_pack(near_bits, b) for b in first]
     else:
         covers = greedy_set_cover(near, balls)
-        packs, _ = farthest_first(lambda i: np.where(balls, space.dist[i], -np.inf),
-                                  balls.argmax(axis=1), alpha)
+        packs, _ = farthest_first(lambda i, cols: np.where(
+            balls[:, cols], space.dist[i][:, cols], -np.inf), balls.argmax(axis=1), alpha)
     _check_covers(near, covers, balls, alpha)
     _check_packings(near, packs, alpha)
     return balls, covers, packs

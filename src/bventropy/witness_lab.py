@@ -8,9 +8,9 @@ certifies a lower bound on the packing number of the variation class, and the
 minimum pairwise distance is verifiable exactly because members share blocks.
 
 A family is its (members x N1) matrix of point indices: budgets run one
-chain DP over the whole matrix, and extraction and the cross-center check
-read distance rows from :func:`~bventropy.gauge_variation.l1_row`, as an
-ensemble does.  The pair check of :func:`verify_packing` keeps its own float.
+chain DP over the whole matrix, extraction runs on the family as an ensemble,
+and the cross-center check reads rows from :func:`~bventropy.gauge_variation.l1_row`.
+The pair check of :func:`verify_packing` keeps its own float.
 """
 
 from __future__ import annotations
@@ -301,9 +301,8 @@ def verify_packing(
 
 def _greedy_extract(fam: WitnessFamily, separation: float) -> list[int]:
     """Farthest-first member selection at strict separation."""
-    w = np.diff(fam.block_edges)
-    return farthest_first(lambda i: l1_row(fam.members, fam.members[i], w, fam.space),
-                          0, separation)[0]
+    from .entropy_estimator import from_witness_family     # it imports this module
+    return farthest_first(from_witness_family(fam)._distances, 0, separation)[0]
 
 
 def global_family(
@@ -370,7 +369,7 @@ def _check_cross_centers(fam: WitnessFamily, blocks) -> None:
     target = fam.target_separation
     w = np.diff(fam.block_edges)
     for first, later in itertools.combinations(blocks, 2):
-        d = l1_row(later, first[0], w, fam.space)
+        d = l1_row(np.ascontiguousarray(later.T), first[0], w, fam.space)
         if d.size and float(d.min()) < target * (1 - 1e-9):
             raise SeparationFailure(f"cross-center distance {float(d.min())} below {target}")
 

@@ -7,7 +7,9 @@ Burgers Riemann problems by their closed-form solutions.  Two references do
 call the library: the per-ball loop for metric dimensions, which checks the
 batched sweep against the public covering and packing counts, and the
 per-epsilon scan counts, one traversal and one set cover per epsilon, which
-check the scan's single traversal.
+check the scan's single traversal.  The reference farthest-first computes a
+full row per pick and drops no point, the traversal that the live-set one
+must match pick for pick and radius for radius.
 The full-array Godunov kernel is the reference the sparse one must match bit
 for bit; it reads only a flux's coefficients and critical points.  The
 reference step loop runs it on a freshly allocated array at every step.  The
@@ -16,6 +18,7 @@ rather than from ``Net.shell``.
 """
 
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -33,7 +36,6 @@ from bventropy.metric_core import (
     DimensionReport,
     FiniteMetricSpace,
     covering_number,
-    farthest_first,
     from_points,
     greedy_set_cover,
     packing_number,
@@ -124,20 +126,42 @@ def reference_dimension_report(space: FiniteMetricSpace, window, exact_cap: int 
                            scales=tuple(float(s) for s in scales), mode=mode)
 
 
+def reference_farthest_first(rows, start, sep: float):
+    """Farthest-point insertion with a full row per pick, no point ever
+    dropped: ``rows(i)`` returns the distances from point ``i`` to every
+    point.  The same picks, radii and batch rules as ``farthest_first``."""
+    if math.isnan(sep):
+        raise ValueError("separation must not be NaN")
+    batch = np.ndim(start) > 0
+    chosen = [[int(s)] for s in np.atleast_1d(start)]
+    radii = [[math.inf] for _ in chosen]
+    mind = np.array(rows(start), dtype=float, ndmin=2)
+    line = mind if batch else mind[0]
+    while True:
+        picks = mind.argmax(axis=1).tolist()    # argmax takes the lowest index
+        far = [b for b, j in enumerate(picks) if mind[b, j] > sep]
+        if not far:
+            return (chosen, radii) if batch else (chosen[0], radii[0])
+        for b in far:
+            chosen[b].append(picks[b])
+            radii[b].append(float(mind[b, picks[b]]))
+        np.minimum(line, rows(np.array(picks) if batch else picks[0]), out=line)
+
+
 def reference_scan_counts(ens, grid) -> list[tuple[int, int]]:
     """(cover, pack) of an ensemble at each epsilon, each from its own
-    farthest-first run from member 0 and, up to ``MATRIX_CAP`` members, its
-    own set-cover greedy on the full distance matrix; above the cap the
-    farthest-first set is both."""
+    reference farthest-first run from member 0 and, up to ``MATRIX_CAP``
+    members, its own set-cover greedy on the full distance matrix; above the
+    cap the farthest-first set is both."""
     dist = ens.distance_matrix() if len(ens) <= MATRIX_CAP else None
     counts = []
     for eps in grid:
         if dist is None:
-            pack = len(farthest_first(ens.distances_from, 0, eps)[0])
+            pack = len(reference_farthest_first(ens.distances_from, 0, eps)[0])
             counts.append((pack, pack))
         else:
             counts.append((len(greedy_set_cover(dist <= eps)),
-                           len(farthest_first(dist.__getitem__, 0, eps)[0])))
+                           len(reference_farthest_first(dist.__getitem__, 0, eps)[0])))
     return counts
 
 

@@ -4,7 +4,9 @@ The digest below was recorded before the farthest-first, set-cover and
 chain-DP copies were merged into one kernel each; any change to a count, a
 witness, a CSV value or a chain shows up here.  A hypothesis property test
 checks the two greedy kernels against their defining properties and, on
-small spaces, against the exhaustive oracles.
+small spaces, against the exhaustive oracles; another checks that
+farthest-first on the live set picks what the reference traversal, with a
+full row per pick, picks.
 
 A second digest, recorded while the chain DP still ran over every cell and
 snapshots were thinned above 4,096 cells, pins what the conservation-law
@@ -41,8 +43,10 @@ from bventropy.claw import (
 )
 from bventropy.entropy_estimator import (
     ClassParams,
+    FunctionEnsemble,
     block_grid_ensemble,
     entropy_scan,
+    from_witness_family,
     random_bv_ensemble,
     random_bvpsi_ensemble,
 )
@@ -62,7 +66,9 @@ from conftest import (
     oracle_cover,
     oracle_pack,
     random_metric_matrix,
+    random_step_function,
     reference_evolve,
+    reference_farthest_first,
     reference_godunov,
 )
 
@@ -272,7 +278,7 @@ def test_greedy_kernels_properties(n, dim, seed, sep, start, grow):
     # coordinates on a 0.05 grid produce distance ties
     space = from_points(np.round(rng.uniform(0.0, 1.0, size=(n, dim)) * 20) / 20)
     start %= n
-    chosen, radii = farthest_first(lambda i: space.dist[i], start, sep)
+    chosen, radii = farthest_first(lambda i, cols: space.dist[i, cols], start, sep)
     assert chosen[0] == start and len(set(chosen)) == len(chosen)
     # insertion radii: inf first, never increasing, each the pick's distance
     # to the earlier picks; a larger separation, a radius itself included,
@@ -283,7 +289,7 @@ def test_greedy_kernels_properties(n, dim, seed, sep, start, grow):
         assert radii[k] == space.dist[chosen[k], chosen[:k]].min()
     for wider in [sep * grow] + radii[1:]:
         keep = sum(r > wider for r in radii)
-        assert farthest_first(lambda i: space.dist[i], start, wider) == (
+        assert farthest_first(lambda i, cols: space.dist[i, cols], start, wider) == (
             chosen[:keep], radii[:keep])
     sub = space.dist[np.ix_(chosen, chosen)]
     assert np.all(sub[np.triu_indices(len(chosen), k=1)] > sep)
@@ -294,3 +300,55 @@ def test_greedy_kernels_properties(n, dim, seed, sep, start, grow):
     # is sandwiched by the exact counts: N <= |chosen| <= M
     assert oracle_cover(space, None, sep) <= len(chosen) <= oracle_pack(space, None, sep)
     assert len(centers) >= oracle_cover(space, None, sep)
+
+
+def _traversal_case(kind, rng):
+    """(oracle on column subsets, full-row oracle, start, number of points)
+    for one kind of input to farthest-first."""
+    if kind in ("dense", "batch"):
+        # small integer distances: ties everywhere, sep often equal to one
+        n = int(rng.integers(1, 200))
+        d = np.triu(rng.integers(0, 5, size=(n, n)), 1).astype(float)
+        d += d.T
+        if kind == "dense":
+            return (lambda i, cols: d[i, cols]), d.__getitem__, int(rng.integers(n)), n
+        masks = rng.random((int(rng.integers(1, 6)), n)) < 0.6
+        masks[np.arange(masks.shape[0]), rng.integers(n, size=masks.shape[0])] = True
+        return (lambda i, cols: np.where(masks[:, cols], d[i][:, cols], -np.inf),
+                lambda i: np.where(masks, d[i], -np.inf), masks.argmax(axis=1), n)
+    if kind == "grid":
+        gamma = int(rng.integers(1, 4))
+        ens = block_grid_ensemble(gamma, value_range=0.6, spacing=(0.01, 0.04, 0.1)[gamma - 1])
+    elif kind == "witness":
+        # 125 to 729 members on three blocks
+        ens = from_witness_family(build_family(1.0, 1.0, 1 / 256, Gauge.identity(),
+                                               line_points(17, 1.0), int(rng.integers(17)), 1.0))
+    else:
+        # many cells on the common refinement, or no layout at all
+        ens = FunctionEnsemble([random_step_function(rng) for _ in range(rng.integers(1, 30))])
+        if kind == "pairwise":
+            ens._layout = None
+    return ens._distances, ens.distances_from, int(rng.integers(len(ens))), len(ens)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(kind=st.sampled_from(["dense", "batch", "grid", "witness", "refinement", "pairwise"]),
+       seed=st.integers(0, 2 ** 16), q=st.floats(0.0, 1.0), half=st.booleans())
+def test_live_set_traversal_matches_reference(kind, seed, q, half):
+    rows, full, start, n = _traversal_case(kind, np.random.default_rng(seed))
+    seen = []
+
+    def counted(i, cols):
+        row = rows(i, cols)
+        seen.append(row.shape[-1])
+        return row
+    # a separation equal to a distance that occurs, or half of one; witness
+    # families run to their smallest distance, so that the live set is compacted
+    first = full(start)
+    dist = np.unique(first[np.isfinite(first)])
+    sep = float(dist[min(1, dist.size - 1) if kind == "witness" else int(q * (dist.size - 1))])
+    sep *= 0.5 if half else 1.0
+    got = farthest_first(counted, start, sep)
+    assert got == reference_farthest_first(full, start, sep)
+    if kind == "witness" and n > 1:
+        assert min(seen) < n

@@ -228,6 +228,21 @@ def test_layout_matrix_matches_pairwise_l1(kind, seed, m):
             assert abs(row[j] - exact) <= 1e-12 * exact
 
 
+@settings(max_examples=45, derandomize=True, deadline=None)
+@given(kind=st.sampled_from(["real", "cloud", "witness"]),
+       seed=st.integers(0, 2 ** 16), m=st.integers(1, 40))
+def test_layout_rows_on_subsets_equal_full_rows(kind, seed, m):
+    # every subset size, a single member included, on refinements of up to
+    # hundreds of cells: an entry depends on its own member alone
+    ens = _layout_ensemble(kind, seed, m)
+    rng = np.random.default_rng(seed)
+    i = int(rng.integers(len(ens)))
+    row = ens.distances_from(i)
+    for k in range(1, min(len(ens), 12) + 1):
+        cols = np.sort(rng.choice(len(ens), size=k, replace=False))
+        assert ens._distances(i, cols).tobytes() == row[cols].tobytes()
+
+
 class TestOneMatrixPerScan:
     @pytest.mark.parametrize("layout", [True, False])
     def test_scan_reads_rows_from_one_matrix(self, monkeypatch, layout):
@@ -235,9 +250,9 @@ class TestOneMatrixPerScan:
         if not layout:
             ens._layout = None          # matrix rows from per-pair l1_distance
         calls = []
-        rows = FunctionEnsemble.distances_from
-        monkeypatch.setattr(FunctionEnsemble, "distances_from",
-                            lambda self, i: calls.append(i) or rows(self, i))
+        rows = FunctionEnsemble._distances
+        monkeypatch.setattr(FunctionEnsemble, "_distances",
+                            lambda self, i, cols: calls.append(i) or rows(self, i, cols))
         res = entropy_scan(ens, [0.2, 0.1, 0.05, 0.025])
         assert len(calls) <= len(ens)
         for r in res.rows:
@@ -251,14 +266,20 @@ class TestOneMatrixPerScan:
             raise AssertionError("distance matrix built above MATRIX_CAP")
         monkeypatch.setattr(FunctionEnsemble, "distance_matrix", refuse)
         calls = []
-        rows = FunctionEnsemble.distances_from
-        monkeypatch.setattr(FunctionEnsemble, "distances_from",
-                            lambda self, i: calls.append(i) or rows(self, i))
+        rows = FunctionEnsemble._distances
+
+        def counted(self, i, cols):
+            row = rows(self, i, cols)
+            calls.append(row.size)
+            return row
+        monkeypatch.setattr(FunctionEnsemble, "_distances", counted)
         res = entropy_scan(ens, [0.1, 0.05, 0.025, 0.0125])
         assert [r.pack_count for r in res.rows] == [19, 63, 268, 862]
         assert all(r.cover_count == r.pack_count for r in res.rows)
         # one traversal, to the smallest epsilon: one row per member it picks
         assert len(calls) == res.rows[-1].pack_count
+        # rows on the live members only: fewer than half the entries of full rows
+        assert sum(calls) < 863 * len(ens) / 2
 
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(kind=st.sampled_from(["real", "cloud", "witness"]),
@@ -365,12 +386,14 @@ import math
 from bventropy.entropy_estimator import block_grid_ensemble, empirical_counts, entropy_scan
 from bventropy.metric_core import covering_number, farthest_first, line_points, packing_number
 space = line_points(20)
+pair = line_points(2).dist
 for name, call in [
     ("entropy_scan", lambda: entropy_scan(block_grid_ensemble(1), [math.nan])),
     ("empirical_counts", lambda: empirical_counts(block_grid_ensemble(1), math.nan)),
     ("covering_number", lambda: covering_number(space, None, math.nan, mode="greedy")),
     ("packing_number", lambda: packing_number(space, None, math.nan, mode="greedy")),
-    ("farthest_first", lambda: farthest_first(lambda i: space.dist[i], 0, math.nan)),
+    ("farthest_first", lambda: farthest_first(lambda i, cols: space.dist[i, cols], 0, math.nan)),
+    ("negative_sep", lambda: farthest_first(lambda i, cols: pair[i, cols], 0, -1.0)),
 ]:
     try:
         call()
@@ -380,13 +403,14 @@ for name, call in [
 
 
 class TestNanScale:
-    """A NaN scale used to loop forever in farthest-first; these calls run in
-    a child process with a timeout."""
+    """A NaN or negative scale used to loop forever in farthest-first; these
+    calls run in a child process with a timeout."""
 
     def test_library_calls_raise(self):
         proc = run_python("-c", NAN_CALLS)
         assert proc.stdout.split() == ["entropy_scan", "empirical_counts", "covering_number",
-                                       "packing_number", "farthest_first"], proc.stderr
+                                       "packing_number", "farthest_first",
+                                       "negative_sep"], proc.stderr
 
     def test_scan_subcommand_exits_1(self, tmp_path):
         proc = run_python("-m", "bventropy.cli", "scan", "--out", str(tmp_path / "s"),

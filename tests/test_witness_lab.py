@@ -26,7 +26,8 @@ LOG2_7 = np.log2(7.0)
 
 def member_row(fam, i):
     """L1 distances from member i to every member, as extraction reads them."""
-    return l1_row(fam.members, fam.members[i], np.diff(fam.block_edges), fam.space)
+    return l1_row(np.ascontiguousarray(fam.members.T), fam.members[i],
+                  np.diff(fam.block_edges), fam.space)
 
 
 def pair_distance(fam, i, j):
