@@ -10,9 +10,9 @@ accuracy.
 
 On an interval net the centres form a lattice, so nearest centres, jump
 radii and shell ranks have closed forms: encoding and decoding cost O(N1)
-time and memory, and no net-by-net matrix is ever built.  A net over a finite
-metric space keeps a cached matrix of discrete radii, whose size is bounded
-by the space's own distance matrix.  Bits are packed and unpacked in bulk
+time and memory, and no net-by-net matrix is ever built.  Nor is one built
+for any other net: a shell takes one row of discrete radii, computed from
+the current centre when the step jumps.  Bits are packed and unpacked in bulk
 with numpy.  Both sides take their shells from ``Net.shell``, and only at the
 steps that jump: a radius-0 shell is ``[pos]`` with a 0-bit rank, so a run of
 stays is a run of 1 bits, which the decoder takes in one read.
@@ -98,7 +98,6 @@ class Net:
         self.space = space
         self.token = token
         self.centers = np.asarray(centers, dtype=float if space is None else int)
-        self._rho_sharp = None
         # True only for a uniform interval net within the precision bound.
         self._closed_form = False
 
@@ -151,10 +150,9 @@ class Net:
         return pos[inverse], dist[inverse]
 
     def rho_sharp_matrix(self) -> np.ndarray:
-        if self._rho_sharp is None:
-            d = value_distance(self.centers[:, None], self.centers[None, :], self.space)
-            self._rho_sharp = _rho_sharp_from_dist(d, self.h2)
-        return self._rho_sharp
+        """The net-by-net matrix of discrete radii (no codec path builds it)."""
+        d = value_distance(self.centers[:, None], self.centers[None, :], self.space)
+        return _rho_sharp_from_dist(d, self.h2)
 
     def shell(self, pos: int, k: int) -> list[int]:
         """Center positions at discrete radius exactly k from ``pos``, in
@@ -166,13 +164,10 @@ class Net:
                 return []
             ends = (pos - half, pos + half) if half else (pos,)
             return [p for p in ends if 0 <= p < self.size]
-        # Other interval nets compute the row on demand instead of building
-        # the net-by-net matrix; finite-space nets read the cached matrix.
-        if self.space is None:
-            row = _rho_sharp_from_dist(value_distance(self.centers[pos], self.centers, None),
-                                       self.h2)
-        else:
-            row = self.rho_sharp_matrix()[pos]
+        # Every other net computes the one row on demand: a function jumps far
+        # less often than its net has centres, so a full matrix costs more.
+        row = _rho_sharp_from_dist(
+            value_distance(self.centers[pos], self.centers, self.space), self.h2)
         return np.flatnonzero(row == k).tolist()
 
 

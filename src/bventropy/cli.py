@@ -256,6 +256,7 @@ def cmd_claw(args) -> None:
 # --- parser ----------------------------------------------------------------
 
 
+@functools.cache                # one parse leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="bventropy")
     ap.add_argument("--version", action="version", version=__version__)

@@ -16,7 +16,8 @@ Every greedy count in the package runs on one of two kernels:
 
 * :func:`greedy_set_cover` over a boolean (candidates x points) cover
   matrix takes, at each step, the candidate covering the most still-uncovered
-  points, lowest candidate index on ties;
+  points, lowest candidate index on ties, and once every step left would
+  cover one point, takes them all at once;
 * :func:`farthest_first` over a row oracle inserts the point farthest from
   the chosen set, lowest index on ties, until every point lies within the
   separation.  Its output is both a strict packing and a closed cover, and
@@ -187,9 +188,11 @@ def greedy_set_cover(covers: np.ndarray, targets=None):
     candidate covering most of its still-uncovered points, lowest index on
     ties.  The gains are one (batch x points) @ (points x candidates)
     product against a float32 copy of ``covers``, so a step holds
-    O(batch x candidates) memory.  Returns the chosen candidates, one list
-    per row of ``targets`` (one list without them); raises
-    :class:`NetIncomplete` if a point has no candidate.
+    O(batch x candidates) memory.  Once no gain in the batch exceeds one,
+    every problem takes the lowest candidate of each uncovered point at
+    once, in ascending order, as its one-point steps would.  Returns the
+    chosen candidates, one list per row of ``targets`` (one list without
+    them); raises :class:`NetIncomplete` if a point has no candidate.
     """
     weights = covers.T.astype(np.float32)     # exact counts below 2**24
     batch = targets is not None
@@ -197,14 +200,25 @@ def greedy_set_cover(covers: np.ndarray, targets=None):
                  else np.ones((1, covers.shape[1]), bool))
     left = uncovered.sum(axis=1).tolist()
     chosen = [[] for _ in left]
+    lanes, m = np.arange(len(left)), covers.shape[0]
     while any(left):
         gain = uncovered @ weights
         best = gain.argmax(axis=1)              # argmax takes the lowest index
-        for b, c in enumerate(best.tolist()):
+        top = gain[lanes, best].tolist()
+        if max(top) <= 1 < max(left):          # a last step alone is cheaper as a step
+            rows, points = np.nonzero(uncovered)
+            lowest = covers[:, points].argmax(axis=0)
+            if not covers[lowest, points].all():
+                raise NetIncomplete("a point is covered by no candidate")
+            picks = iter((np.sort(rows * m + lowest) % m).tolist())  # by problem, ascending
+            for b, n in enumerate(left):
+                chosen[b] += itertools.islice(picks, n)
+            break
+        for b, (c, g) in enumerate(zip(best.tolist(), top)):
             if left[b]:
-                if not gain[b, c]:
+                if not g:
                     raise NetIncomplete("a point is covered by no candidate")
-                left[b] -= int(gain[b, c])
+                left[b] -= int(g)
                 chosen[b].append(c)
         uncovered &= ~covers[best]
     return chosen if batch else chosen[0]

@@ -9,7 +9,9 @@ batched sweep against the public covering and packing counts, and the
 per-epsilon scan counts, one traversal and one set cover per epsilon, which
 check the scan's single traversal.  The reference farthest-first computes a
 full row per pick and drops no point, the traversal that the live-set one
-must match pick for pick and radius for radius.
+must match pick for pick and radius for radius.  The reference set cover
+makes one pick per step to the last point, where the library's finishes the
+steps that each cover one point at once.
 The full-array Godunov kernel is the reference the sparse one must match bit
 for bit; it reads only a flux's coefficients and critical points.  The
 reference step loop runs it on a freshly allocated array at every step.  The
@@ -30,7 +32,7 @@ from numpy.polynomial import polynomial as P
 import bventropy
 from bventropy.bv_codec import BitReader, _rank_width
 from bventropy.entropy_estimator import MATRIX_CAP
-from bventropy.errors import CorruptStream
+from bventropy.errors import CorruptStream, NetIncomplete
 from bventropy.gauge_variation import Gauge, StepFunction
 from bventropy.metric_core import (
     DimensionReport,
@@ -124,6 +126,28 @@ def reference_dimension_report(space: FiniteMetricSpace, window, exact_cap: int 
     p = int(np.floor(np.log2(min(packs))))
     return DimensionReport(d=d, p=p, window=(float(window[0]), float(window[1])),
                            scales=tuple(float(s) for s in scales), mode=mode)
+
+
+def reference_greedy_cover(covers: np.ndarray, targets=None):
+    """Set-cover greedy with one pick per problem per step, to the last
+    point: the picks, batch rules and error of ``greedy_set_cover``."""
+    weights = covers.T.astype(np.float32)     # exact counts below 2**24
+    batch = targets is not None
+    uncovered = (np.array(targets, bool, ndmin=2) if batch
+                 else np.ones((1, covers.shape[1]), bool))
+    left = uncovered.sum(axis=1).tolist()
+    chosen = [[] for _ in left]
+    while any(left):
+        gain = uncovered @ weights
+        best = gain.argmax(axis=1)              # argmax takes the lowest index
+        for b, c in enumerate(best.tolist()):
+            if left[b]:
+                if not gain[b, c]:
+                    raise NetIncomplete("a point is covered by no candidate")
+                left[b] -= int(gain[b, c])
+                chosen[b].append(c)
+        uncovered &= ~covers[best]
+    return chosen if batch else chosen[0]
 
 
 def reference_farthest_first(rows, start, sep: float):

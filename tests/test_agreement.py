@@ -6,7 +6,9 @@ witness, a CSV value or a chain shows up here.  A hypothesis property test
 checks the two greedy kernels against their defining properties and, on
 small spaces, against the exhaustive oracles; another checks that
 farthest-first on the live set picks what the reference traversal, with a
-full row per pick, picks.
+full row per pick, picks; and one more that the set cover, which finishes
+its one-point steps at once, picks what the reference with one pick per
+step picks, or raises as it does.
 
 A second digest, recorded while the chain DP still ran over every cell and
 snapshots were thinned above 4,096 cells, pins what the conservation-law
@@ -50,6 +52,7 @@ from bventropy.entropy_estimator import (
     random_bv_ensemble,
     random_bvpsi_ensemble,
 )
+from bventropy.errors import NetIncomplete
 from bventropy.gauge_variation import Gauge, StepFunction, tv_psi, tv_psi_chain
 from bventropy.metric_core import (
     covering_number,
@@ -70,6 +73,7 @@ from conftest import (
     reference_evolve,
     reference_farthest_first,
     reference_godunov,
+    reference_greedy_cover,
 )
 
 GOLDEN = "9fe2780272c6a70dc4b93cc407a95b4c6bf75039f7e7e88f2aeba3a9078377c5"
@@ -352,3 +356,32 @@ def test_live_set_traversal_matches_reference(kind, seed, q, half):
     assert got == reference_farthest_first(full, start, sep)
     if kind == "witness" and n > 1:
         assert min(seen) < n
+
+
+def _cover_or_error(cover, covers, targets):
+    try:
+        return cover(covers, targets) if targets is not None else cover(covers)
+    except NetIncomplete:
+        return NetIncomplete
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), batch=st.integers(0, 6),
+       dup=st.booleans(), hole=st.booleans())
+def test_greedy_cover_matches_reference(seed, batch, dup, hole):
+    rng = np.random.default_rng(seed)
+    cands, points = int(rng.integers(1, 30)), int(rng.integers(1, 50))
+    covers = rng.random((cands, points)) < rng.uniform(0.02, 0.4)
+    covers[rng.integers(0, cands, points), np.arange(points)] = True
+    if dup:
+        # repeated candidates: every tie between them goes to the lowest index
+        covers = covers[rng.integers(0, cands, 2 * cands)]
+    if hole:
+        covers[:, rng.integers(points)] = False
+    # rows of every density finish at different steps; batch 0 is one problem
+    targets = (rng.random((batch, points)) < rng.uniform(0.0, 1.0, (batch, 1))
+               if batch else None)
+    got = _cover_or_error(greedy_set_cover, covers, targets)
+    assert got == _cover_or_error(reference_greedy_cover, covers, targets)
+    if hole and targets is None:
+        assert got is NetIncomplete

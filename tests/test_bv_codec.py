@@ -142,19 +142,20 @@ def _dense_rho_sharp(net):
     return bv_codec._rho_sharp_from_dist(np.abs(c[:, None] - c[None, :]), net.h2)
 
 
+def _no_matrix(self):
+    raise AssertionError("no codec path may build the net-by-net matrix")
+
+
 class TestIntervalNetShells:
-    """Closed-form (and, far from the origin, on-demand) shells and radii
-    against the dense matrix of discrete radii."""
+    """Closed-form (and, far from the origin, on-demand) shells and radii,
+    and the on-demand shells of a point-cloud net, against the dense matrix
+    of discrete radii."""
 
     @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-3.0, -1.0), (1e6, 1e6 + 1.0)])
     def test_match_dense_matrix(self, lo, hi, monkeypatch):
         net = Net.uniform(RealInterval(lo, hi), (hi - lo) / 100.0)
         dense = _dense_rho_sharp(net)
-
-        def no_matrix(self):
-            raise AssertionError("interval nets must not build the matrix")
-
-        monkeypatch.setattr(Net, "rho_sharp_matrix", no_matrix)
+        monkeypatch.setattr(Net, "rho_sharp_matrix", _no_matrix)
         for pos in range(net.size):
             for k in range(2 * net.size + 1):
                 assert net.shell(pos, k) == np.flatnonzero(dense[pos] == k).tolist()
@@ -166,10 +167,29 @@ class TestIntervalNetShells:
         assert np.array_equal(jump_profile(fs, net.h2)[1:],
                               np.cumsum(radii) + np.arange(radii.size))
 
+    @pytest.mark.parametrize("frac", [0.04, 0.1])
+    def test_cloud_net_matches_dense_matrix(self, frac, monkeypatch):
+        space = from_points(np.random.default_rng(11).uniform(0.0, 1.0, size=(80, 2)))
+        f = StepFunction(np.linspace(0.0, 1.0, 9),
+                         np.random.default_rng(12).integers(0, space.n, 8), space)
+        monkeypatch.setattr(Net, "rho_sharp_matrix", _no_matrix)
+        cw = encode_bv(f, tv(f), frac * tv(f))
+        net = net_from_token(cw.net_token, cw.h2, space)
+        got = decode(cw, net)
+        dense = bv_codec._rho_sharp_from_dist(space.dist[np.ix_(net.centers, net.centers)],
+                                              net.h2)
+        assert 10 < net.size < space.n
+        for pos in range(net.size):
+            for k in range(dense.max() + 2):
+                assert net.shell(pos, k) == np.flatnonzero(dense[pos] == k).tolist()
+        monkeypatch.undo()
+        assert np.array_equal(net.rho_sharp_matrix(), dense)
+        assert got.values.tolist() == reference_decode(cw, net).values.tolist()
 
-# A closed-form interval net, an interval far enough from the origin to take
-# its shells from an on-demand row, and a small point cloud: one of each way
-# Net.shell finds a shell.
+
+# A closed-form interval net, and two nets that take each shell from an
+# on-demand row: an interval far enough from the origin to leave the closed
+# form, and a small point cloud.
 SHELL_SPACES = (RealInterval(0.0, 1.0), RealInterval(1e6, 1e6 + 1.0),
                 from_points(np.random.default_rng(5).uniform(0.0, 1.0, size=(12, 2))))
 

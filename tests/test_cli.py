@@ -46,6 +46,26 @@ class TestMetric:
         manifest = json.load(open(os.path.join(out, "manifest.json")))
         assert manifest["command"] == "metric"
 
+    def test_parser_shared_across_calls(self, tmp_path):
+        # One parser serves every in-process call; the --alpha list of one
+        # call must not become the default of the next, which then probes
+        # the pairwise distances as a fresh process does.
+        assert build_parser() is build_parser()
+        first, second, fresh = (str(tmp_path / d) for d in ("first", "second", "fresh"))
+        gen = ("--generate", "line:5:1.0")
+        assert run("metric", "--out", first, *gen, "--alpha", "0.3") == 0
+        assert run("metric", "--out", second, *gen) == 0
+        assert run_python("-m", "bventropy.cli", "metric", "--out", fresh, *gen).returncode == 0
+
+        def read(out, name):
+            with open(os.path.join(out, name)) as fh:
+                return fh.read()
+        manifests = [json.loads(read(out, "manifest.json")) for out in (second, fresh)]
+        assert manifests[0].pop("out") == second and manifests[1].pop("out") == fresh
+        assert manifests[0] == manifests[1] and manifests[0]["alpha"] == []
+        assert read(second, "cover_pack.csv") == read(fresh, "cover_pack.csv")
+        assert len(read(second, "cover_pack.csv").splitlines()) == 1 + 2 * 4
+
     def test_matrix_file(self, tmp_path):
         m = tmp_path / "m.csv"
         m.write_text("0,1\n1,0\n")
