@@ -17,6 +17,12 @@ with numpy.  Both sides take their shells from ``Net.shell``, and only at the
 steps that jump: a radius-0 shell is ``[pos]`` with a 0-bit rank, so a run of
 stays is a run of 1 bits, which the decoder takes in one read.
 
+Both sides build their net through ``net_from_token``, which keeps the last
+net it built: the net a codeword names is fixed by its token, h2 and, for a
+finite metric space, the space itself (compared by identity), so a decode
+right after its encode reuses the encoder's net instead of running the
+greedy cover again.  One net is kept at most, and its centres are read-only.
+
 Generalized-variation inputs are first coarsened by the adaptive partition
 that advances while the function stays within h of its value at the current
 partition point; the coarsened function is plain-BV with a certified budget.
@@ -24,6 +30,7 @@ partition point; the coarsened function is plain-BV with a certified budget.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -97,7 +104,10 @@ class Net:
         self.h2 = float(h2)
         self.space = space
         self.token = token
-        self.centers = np.asarray(centers, dtype=float if space is None else int)
+        # Read-only, as the builder hands one net to every caller; a view, so
+        # the array passed in stays writable.
+        self.centers = np.asarray(centers, dtype=float if space is None else int).view()
+        self.centers.setflags(write=False)
         # True only for a uniform interval net within the precision bound.
         self._closed_form = False
 
@@ -109,8 +119,7 @@ class Net:
     def uniform(cls, interval: RealInterval, h2: float) -> "Net":
         m = _uniform_size(interval, h2)
         centers = interval.lo + h2 + 2.0 * h2 * np.arange(m)
-        token = f"uniform:{interval.lo!r}:{interval.hi!r}"
-        net = cls(h2, centers, None, token)
+        net = cls(h2, centers, None, _net_token(interval))
         reach = max(abs(centers[0]), abs(centers[-1]))
         net._closed_form = bool(reach < _CLOSED_FORM_MAX_RATIO * net.h2)
         return net
@@ -196,7 +205,25 @@ def _token_interval(token: str) -> RealInterval | None:
     return RealInterval(*map(float, bounds))
 
 
+def _net_token(value_space) -> str:
+    if isinstance(value_space, RealInterval):
+        return f"uniform:{value_space.lo!r}:{value_space.hi!r}"
+    return "space"
+
+
 def net_from_token(token: str, h2: float, space=None) -> Net:
+    """The h2-net a codeword's token names: the uniform net of its interval,
+    or the greedy cover of ``space``.  Encoder and decoder both build here,
+    and the last net built is kept, so a decode right after its encode
+    reuses the encoder's net.  Its centres are read-only."""
+    return _build_net(token, float(h2), space if token == "space" else None)
+
+
+@functools.lru_cache(maxsize=1)
+def _build_net(token: str, h2: float, space) -> Net:
+    # The key fixes the net: the token spells the interval exactly (a float's
+    # repr round-trips, and -0.0 and 0.0 get different tokens though their
+    # intervals compare equal), and a space is keyed by identity.
     interval = _token_interval(token)
     if interval is not None:
         return Net.uniform(interval, h2)
@@ -462,12 +489,6 @@ def _resolve_value_space(f: StepFunction, value_space):
     return RealInterval(float(f.values.min()), float(f.values.max()))
 
 
-def _build_net(value_space, h2: float) -> Net:
-    if isinstance(value_space, RealInterval):
-        return Net.uniform(value_space, h2)
-    return Net.greedy_cover(value_space, h2)
-
-
 def encode_bv(
     f: StepFunction,
     V: float,
@@ -482,7 +503,11 @@ def encode_bv(
         raise BudgetViolation(f"tv(f) = {tvf} exceeds declared budget {V}")
     N1, h2 = choose_params(L, V, eps)
     grid = QuantizerGrid(L, N1)
-    net = _build_net(_resolve_value_space(f, value_space), h2)
+    vs = _resolve_value_space(f, value_space)
+    # The codeword keeps this token, not net.token: a net built from
+    # "uniform:0:1" names its parsed interval "uniform:0.0:1.0".
+    token = _net_token(vs)
+    net = net_from_token(token, h2, vs)
     positions = quantize_positions(f, grid, net)
 
     fsharp = StepFunction(grid.edges, net.centers[positions], net.space)
@@ -515,7 +540,7 @@ def encode_bv(
     w.write_fields(np.column_stack([radii + 1, ranks]).ravel(),
                    np.column_stack([_gamma_width(radii + 1), widths]).ravel())
     return Codeword(
-        L=L, N1=N1, h2=h2, net_token=net.token, gauge_token=gauge_token,
+        L=L, N1=N1, h2=h2, net_token=token, gauge_token=gauge_token,
         payload=w.to_bytes(), bit_length=w.bit_length,
     )
 

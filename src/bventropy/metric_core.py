@@ -60,9 +60,10 @@ LOG7_2 = math.log(2.0) / math.log(7.0)
 DEFAULT_EXACT_CAP = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteMetricSpace:
-    """An explicit point set given by its validated distance matrix."""
+    """An explicit point set given by its validated distance matrix.  Spaces
+    compare and hash by identity, so one can key a cache."""
 
     dist: np.ndarray
 

@@ -30,7 +30,7 @@ import pytest
 from numpy.polynomial import polynomial as P
 
 import bventropy
-from bventropy.bv_codec import BitReader, _rank_width
+from bventropy.bv_codec import BitReader, _build_net, _rank_width
 from bventropy.entropy_estimator import MATRIX_CAP
 from bventropy.errors import CorruptStream, NetIncomplete
 from bventropy.gauge_variation import Gauge, StepFunction
@@ -331,3 +331,12 @@ def random_step_function(rng, L=1.0, max_pieces=12, lo=0.0, hi=1.0,
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260823)
+
+
+@pytest.fixture(autouse=True)
+def fresh_net_memo():
+    """Each test starts and ends with no net remembered, so that no result
+    depends on test order or on a setting a test patched."""
+    _build_net.cache_clear()
+    yield
+    _build_net.cache_clear()

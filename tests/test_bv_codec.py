@@ -32,7 +32,7 @@ from bventropy.bv_codec import (
     upper_bound_bits,
     write_codeword,
 )
-from bventropy import bv_codec
+from bventropy import bv_codec, metric_core
 from bventropy.entropy_estimator import random_bv_ensemble, random_bvpsi_ensemble
 from bventropy.errors import (
     BudgetViolation, CorruptStream, EpsilonTooLarge, NetIncomplete, NetTooLarge,
@@ -128,6 +128,16 @@ class TestNetAndQuantize:
         with pytest.raises(NetTooLarge):
             Net.uniform(RealInterval(-1e308, 1e308), 1.0)
 
+    def test_centers_are_read_only(self):
+        space = from_points(np.random.default_rng(4).uniform(0.0, 1.0, size=(20, 2)))
+        for net in (Net.uniform(RealInterval(0.0, 1.0), 0.1), Net.greedy_cover(space, 0.3)):
+            with pytest.raises(ValueError):
+                net.centers[0] = net.centers[-1]
+        # the caller's own array stays writable
+        mine = np.linspace(0.0, 1.0, 5)
+        Net(0.1, mine)
+        mine[0] = 0.5
+
     def test_jump_snaps_to_boundary(self):
         net = Net.uniform(RealInterval(0.0, 1.0), 0.05)
         grid = QuantizerGrid(1.0, 4)
@@ -144,6 +154,89 @@ def _dense_rho_sharp(net):
 
 def _no_matrix(self):
     raise AssertionError("no codec path may build the net-by-net matrix")
+
+
+def _count_covers(monkeypatch) -> list:
+    """The space of each ``covering_number`` call the codec makes."""
+    calls = []
+
+    def counted(space, *args, **kwargs):
+        calls.append(space)
+        return metric_core.covering_number(space, *args, **kwargs)
+
+    monkeypatch.setattr(bv_codec, "covering_number", counted)
+    return calls
+
+
+def _cloud_function(space, seed: int) -> StepFunction:
+    idx = np.random.default_rng(seed).integers(0, space.n, 6)
+    return StepFunction(np.linspace(0.0, 1.0, 7), idx, space)
+
+
+class TestNetMemo:
+    """Encoder and decoder share one builder that keeps the last net."""
+
+    def test_cloud_round_trip_builds_one_net(self, monkeypatch):
+        calls = _count_covers(monkeypatch)
+        space = from_points(np.random.default_rng(21).uniform(0.0, 1.0, size=(60, 2)))
+        f = _cloud_function(space, 22)
+        eps = 0.1 * tv(f)
+        cw = encode_bv(f, tv(f), eps)
+        net = net_from_token(cw.net_token, cw.h2, space)
+        got = decode(cw, net)
+        assert calls == [space]
+        assert got.values.tolist() == reference_decode(cw, net).values.tolist()
+        assert l1_distance(got, f) <= eps
+
+    def test_equal_spaces_share_no_net(self, monkeypatch):
+        calls = _count_covers(monkeypatch)
+        pts = np.random.default_rng(23).uniform(0.0, 1.0, size=(40, 2))
+        spaces = (from_points(pts), from_points(pts))
+        nets = []
+        for space in spaces:
+            f = _cloud_function(space, 24)
+            cw = encode_bv(f, tv(f), 0.1 * tv(f))
+            nets.append(net_from_token(cw.net_token, cw.h2, space))
+        assert calls == list(spaces)
+        assert nets[0] is not nets[1]
+        assert nets[0].space is spaces[0] and nets[1].space is spaces[1]
+        assert nets[0].centers.tolist() == nets[1].centers.tolist()
+
+    def test_signed_zero_intervals_keep_their_tokens(self):
+        # The two intervals compare and hash equal; their tokens differ.
+        f = StepFunction(np.array([0.0, 0.5, 1.0]), np.array([0.2, 0.7]))
+        tokens = [encode_bv(f, 1.0, 0.1, value_space=RealInterval(lo, 1.0)).net_token
+                  for lo in (-0.0, 0.0)]
+        assert tokens == ["uniform:-0.0:1.0", "uniform:0.0:1.0"]
+
+    def test_warm_memo_changes_no_codeword(self):
+        space = from_points(np.random.default_rng(25).uniform(0.0, 1.0, size=(30, 2)))
+        g = _cloud_function(space, 26)
+        f = StepFunction(np.array([0.0, 0.3, 0.6, 1.0]), np.array([0.1, 0.9, 0.4]))
+        # Repeats that hit the memo, between intervals that spell the same
+        # values differently and a space net at the same h2.
+        cases = [(f, 1.5, 0.05, RealInterval(0, 1)), (f, 1.5, 0.05, RealInterval(0.0, 1.0)),
+                 (f, 1.5, 0.05, RealInterval(0.0, 1.0)), (g, tv(g), 0.1 * tv(g), None),
+                 (g, tv(g), 0.1 * tv(g), None), (f, 1.5, 0.05, RealInterval(0, 1)),
+                 (f, 1.5, 0.02, RealInterval(0, 1))]
+
+        def run(cold: bool) -> list:
+            out = []
+            for fn, V, eps, vs in cases:
+                if cold:
+                    bv_codec._build_net.cache_clear()
+                cw = encode_bv(fn, V, eps, value_space=vs)
+                if cold:
+                    bv_codec._build_net.cache_clear()
+                fd = decode(cw, net_from_token(cw.net_token, cw.h2, fn.space))
+                out.append((cw, fd.values.tolist()))
+            return out
+
+        cold = run(True)
+        assert run(False) == cold
+        assert cold[0][0].net_token == "uniform:0:1"
+        assert cold[1][0].net_token == "uniform:0.0:1.0"
+        assert bv_codec._build_net.cache_info().currsize == 1
 
 
 class TestIntervalNetShells:

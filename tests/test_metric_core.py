@@ -222,6 +222,14 @@ def test_from_points_1d():
     assert space.dist[0, 2] == 3.0
 
 
+def test_spaces_compare_by_identity():
+    # Equal matrices are still two spaces: == neither raises nor looks inside.
+    a, b = line_points(3), line_points(3)
+    assert a == a and not a != a
+    assert a != b and not a == b
+    assert {a: 1, b: 2}[a] == 1 and len({a, b, a}) == 2
+
+
 def test_csv_row():
     res = covering_number(line_points(4, 3.0), None, 1.0)
     row = res.csv_row()
