@@ -12,16 +12,16 @@ On an interval net the centres form a lattice, so nearest centres, jump
 radii and shell ranks have closed forms: encoding and decoding cost O(N1)
 time and memory, and no net-by-net matrix is ever built.  Nor is one built
 for any other net: a shell takes one row of discrete radii, computed from
-the current centre when the step jumps.  Bits are packed and unpacked in bulk
-with numpy.  Both sides take their shells from ``Net.shell``, and only at the
-steps that jump: a radius-0 shell is ``[pos]`` with a 0-bit rank, so a run of
-stays is a run of 1 bits, which the decoder takes in one read.
+the current centre when the step jumps.  One ``_pack_bits`` call packs the
+bits, which ``BitReader`` unpacks in bulk.  Both sides take their shells from
+``Net.shell``, and only at the steps that jump: a radius-0 shell is ``[pos]``
+with a 0-bit rank, so a run of stays is a run of 1 bits, read in one call.
 
-Both sides build their net through ``net_from_token``, which keeps the last
-net it built: the net a codeword names is fixed by its token, h2 and, for a
-finite metric space, the space itself (compared by identity), so a decode
-right after its encode reuses the encoder's net instead of running the
-greedy cover again.  One net is kept at most, and its centres are read-only.
+Nets come only from ``net_from_token``, which keeps the last net it built:
+the net a codeword names is fixed by its token, h2 and, for a finite metric
+space, the space itself (compared by identity), so a decode right after its
+encode reuses the encoder's net instead of running the greedy cover again.
+One net is kept at most, and its centres are read-only.
 
 Generalized-variation inputs are first coarsened by the adaptive partition
 that advances while the function stays within h of its value at the current
@@ -45,7 +45,7 @@ from .errors import (
     NetTooLarge,
 )
 from .gauge_variation import Gauge, StepFunction, l1_distance, tv, tv_psi, value_distance
-from .metric_core import CoverPackResult, FiniteMetricSpace, covering_number
+from .metric_core import covering_number
 
 LOG2_5E = math.log2(5.0 * math.e)
 
@@ -62,6 +62,9 @@ class RealInterval:
     hi: float
 
     def __post_init__(self):
+        # A numpy scalar bound becomes its Python twin, whose repr the token spells.
+        for name, v in (("lo", self.lo), ("hi", self.hi)):
+            object.__setattr__(self, name, v.item() if isinstance(v, np.generic) else v)
         if not (math.isfinite(self.lo) and self.lo <= self.hi < math.inf):
             raise ValueError(f"need finite lo <= hi, got [{self.lo}, {self.hi}]")
 
@@ -98,12 +101,11 @@ _CLOSED_FORM_MAX_RATIO = 1e5
 
 
 class Net:
-    """h2-covering of a value space, used as the codec alphabet."""
+    """h2-covering of a value space, the codec alphabet; built by ``net_from_token``."""
 
-    def __init__(self, h2, centers, space=None, token="net"):
+    def __init__(self, h2, centers, space=None):
         self.h2 = float(h2)
         self.space = space
-        self.token = token
         # Read-only, as the builder hands one net to every caller; a view, so
         # the array passed in stays writable.
         self.centers = np.asarray(centers, dtype=float if space is None else int).view()
@@ -114,25 +116,6 @@ class Net:
     @property
     def size(self) -> int:
         return self.centers.size
-
-    @classmethod
-    def uniform(cls, interval: RealInterval, h2: float) -> "Net":
-        m = _uniform_size(interval, h2)
-        centers = interval.lo + h2 + 2.0 * h2 * np.arange(m)
-        net = cls(h2, centers, None, _net_token(interval))
-        reach = max(abs(centers[0]), abs(centers[-1]))
-        net._closed_form = bool(reach < _CLOSED_FORM_MAX_RATIO * net.h2)
-        return net
-
-    @classmethod
-    def greedy_cover(cls, space: FiniteMetricSpace, h2: float) -> "Net":
-        res: CoverPackResult = covering_number(space, None, h2, mode="greedy")
-        return cls(h2, np.array(res.witness, dtype=int), space, "space")
-
-    def nearest(self, value) -> tuple[int, float]:
-        """Position of the nearest center, lowest index on ties."""
-        pos, d = self.nearest_many(np.array([value]))
-        return int(pos[0]), float(d[0])
 
     def nearest_many(self, values) -> tuple[np.ndarray, np.ndarray]:
         """Nearest-center position and distance for each value, lowest index
@@ -213,7 +196,7 @@ def _net_token(value_space) -> str:
 
 def net_from_token(token: str, h2: float, space=None) -> Net:
     """The h2-net a codeword's token names: the uniform net of its interval,
-    or the greedy cover of ``space``.  Encoder and decoder both build here,
+    or the greedy cover of ``space``.  Every codec net is built here,
     and the last net built is kept, so a decode right after its encode
     reuses the encoder's net.  Its centres are read-only."""
     return _build_net(token, float(h2), space if token == "space" else None)
@@ -225,11 +208,15 @@ def _build_net(token: str, h2: float, space) -> Net:
     # repr round-trips, and -0.0 and 0.0 get different tokens though their
     # intervals compare equal), and a space is keyed by identity.
     interval = _token_interval(token)
-    if interval is not None:
-        return Net.uniform(interval, h2)
-    if space is None:
-        raise ValueError("space net needs the metric space to rebuild")
-    return Net.greedy_cover(space, h2)
+    if interval is None:
+        if space is None:
+            raise ValueError("space net needs the metric space to rebuild")
+        return Net(h2, covering_number(space, None, h2, mode="greedy").witness, space)
+    centers = interval.lo + h2 + 2.0 * h2 * np.arange(_uniform_size(interval, h2))
+    net = Net(h2, centers)
+    reach = max(abs(centers[0]), abs(centers[-1]))
+    net._closed_form = bool(reach < _CLOSED_FORM_MAX_RATIO * h2)
+    return net
 
 
 # ---------------------------------------------------------------------------
@@ -324,44 +311,13 @@ def _gamma_width(n):
     return 2 * np.frexp(np.asarray(n, dtype=float))[1] - 1
 
 
-class BitWriter:
-    """MSB-first bit packer: fields queue up as (value, width) arrays and are
-    packed in one pass with ``np.packbits``."""
-
-    def __init__(self):
-        self._values: list[np.ndarray] = []
-        self._widths: list[np.ndarray] = []
-        self._n = 0
-
-    def write(self, value: int, width: int) -> None:
-        self.write_fields([value], [width])
-
-    def write_fields(self, values, widths) -> None:
-        """Append ``values[i]`` in ``widths[i]`` bits, in order."""
-        widths = np.asarray(widths, dtype=np.int64)
-        self._values.append(np.asarray(values, dtype=np.int64))
-        self._widths.append(widths)
-        self._n += int(widths.sum())
-
-    def write_gamma(self, n: int) -> None:
-        """Elias gamma code for n >= 1."""
-        if n < 1:
-            raise ValueError("gamma code needs n >= 1")
-        self.write(n, int(_gamma_width(n)))
-
-    @property
-    def bit_length(self) -> int:
-        return self._n
-
-    def to_bytes(self) -> bytes:
-        if not self._n:
-            return b""
-        values = np.concatenate(self._values)
-        widths = np.concatenate(self._widths)
-        field = np.repeat(np.arange(widths.size), widths)
-        shift = (np.cumsum(widths) - 1)[field] - np.arange(self._n)
-        bits = (values[field] >> shift) & 1
-        return np.packbits(bits.astype(np.uint8)).tobytes()
+def _pack_bits(values, widths) -> bytes:
+    """MSB-first bytes of ``values[i]`` in ``widths[i]`` bits (0 to 63), in
+    order, packed in one pass; 0 bits pad the last byte."""
+    values, widths = np.asarray(values, dtype=np.int64), np.asarray(widths, dtype=np.int64)
+    field = np.repeat(np.arange(widths.size), widths)
+    shift = (np.cumsum(widths) - 1)[field] - np.arange(field.size)
+    return np.packbits(((values[field] >> shift) & 1).astype(np.uint8)).tobytes()
 
 
 class BitReader:
@@ -504,8 +460,6 @@ def encode_bv(
     N1, h2 = choose_params(L, V, eps)
     grid = QuantizerGrid(L, N1)
     vs = _resolve_value_space(f, value_space)
-    # The codeword keeps this token, not net.token: a net built from
-    # "uniform:0:1" names its parsed interval "uniform:0.0:1.0".
     token = _net_token(vs)
     net = net_from_token(token, h2, vs)
     positions = quantize_positions(f, grid, net)
@@ -523,25 +477,24 @@ def encode_bv(
     if not profile[-1] <= cap:
         raise BudgetViolation(f"jump profile {profile[-1]} exceeds its cap {cap}")
 
-    # Per step: the gamma code of k + 1, then the rank of the next position
-    # in the shell at radius k.  Distinct centres are at positive distance,
-    # so a radius-0 shell is [pos] alone and its rank takes no bits.
-    ranks = np.zeros(radii.size, dtype=int)
-    widths = np.zeros(radii.size, dtype=int)
+    # One (value, width) table of fields: row 0 holds the start index, row
+    # i + 1 the gamma code of k + 1 for step i, then the rank of the next
+    # position in the shell at radius k.  Distinct centres are at positive
+    # distance, so a radius-0 shell is [pos] alone and its rank takes no bits.
+    values = np.zeros((radii.size + 1, 2), dtype=np.int64)
+    widths = np.zeros((radii.size + 1, 2), dtype=np.int64)
+    values[0, 1], widths[0, 1] = positions[0], _rank_width(net.size)
+    values[1:, 0], widths[1:, 0] = radii + 1, _gamma_width(radii + 1)
     for i in np.flatnonzero(radii).tolist():
         shell = net.shell(int(positions[i]), int(radii[i]))
         try:
-            ranks[i] = shell.index(int(positions[i + 1]))
+            values[i + 1, 1] = shell.index(int(positions[i + 1]))
         except ValueError as exc:
             raise CorruptStream(f"step {i} leaves its shell at radius {radii[i]}") from exc
-        widths[i] = _rank_width(len(shell))
-    w = BitWriter()
-    w.write(int(positions[0]), _rank_width(net.size))
-    w.write_fields(np.column_stack([radii + 1, ranks]).ravel(),
-                   np.column_stack([_gamma_width(radii + 1), widths]).ravel())
+        widths[i + 1, 1] = _rank_width(len(shell))
     return Codeword(
         L=L, N1=N1, h2=h2, net_token=token, gauge_token=gauge_token,
-        payload=w.to_bytes(), bit_length=w.bit_length,
+        payload=_pack_bits(values.ravel(), widths.ravel()), bit_length=int(widths.sum()),
     )
 
 

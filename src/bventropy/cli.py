@@ -21,7 +21,7 @@ import tempfile
 
 import numpy as np
 
-from . import __version__
+from . import __version__, claw, metric_core
 from .bv_codec import (
     decode,
     encode_bv,
@@ -272,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--generate", help="line:n:len | lattice:d:n:s | uniform:n:ext:d")
     p.add_argument("--alpha", action="append", default=[])
     p.add_argument("--window", nargs=2, type=float)
-    p.add_argument("--exact-cap", type=int, default=16)
+    p.add_argument("--exact-cap", type=int, default=metric_core.DEFAULT_EXACT_CAP)
     p.set_defaults(func=cmd_metric)
 
     p = sub.add_parser("variation", help="tv and generalized variation of a step file")
@@ -319,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flux", default="burgers")
     p.add_argument("--T", type=float, default=1.0)
     p.add_argument("--dx", type=float, default=0.01)
-    p.add_argument("--cfl", type=float, default=0.45)
+    p.add_argument("--cfl", type=float, default=claw.CFL)
     p.add_argument("--L", type=float, default=1.0)
     p.add_argument("--M", type=float, default=1.0)
     p.add_argument("--epsilon", type=float, default=0.1)

@@ -8,9 +8,9 @@ certifies a lower bound on the packing number of the variation class, and the
 minimum pairwise distance is verifiable exactly because members share blocks.
 
 A family is its (members x N1) matrix of point indices: budgets run one
-chain DP over the whole matrix, extraction runs on the family as an ensemble,
-and the cross-center check reads rows from :func:`~bventropy.gauge_variation.l1_row`.
-The pair check of :func:`verify_packing` keeps its own float.
+chain DP over the whole matrix, and extraction and the cross-center check
+read rows from :func:`~bventropy.gauge_variation.l1_row`.  The pair check of
+:func:`verify_packing` keeps its own float.
 """
 
 from __future__ import annotations
@@ -300,9 +300,13 @@ def verify_packing(
 
 
 def _greedy_extract(fam: WitnessFamily, separation: float) -> list[int]:
-    """Farthest-first member selection at strict separation."""
-    from .entropy_estimator import from_witness_family     # it imports this module
-    return farthest_first(from_witness_family(fam)._distances, 0, separation)[0]
+    """Farthest-first member selection at strict separation, on l1_row rows."""
+    vals, w = np.ascontiguousarray(fam.members.T), np.diff(fam.block_edges)
+
+    def rows(i, cols):
+        sub = vals[:, cols] if isinstance(cols, slice) else vals.take(cols, axis=1)
+        return l1_row(sub, vals[:, i], w, fam.space)
+    return farthest_first(rows, 0, separation)[0]
 
 
 def global_family(

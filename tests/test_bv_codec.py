@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from bventropy.bv_codec import (
     BitReader,
-    BitWriter,
     Codeword,
     Net,
     QuantizerGrid,
@@ -31,6 +30,7 @@ from bventropy.bv_codec import (
     rho_sharp,
     upper_bound_bits,
     write_codeword,
+    _pack_bits,
 )
 from bventropy import bv_codec, metric_core
 from bventropy.entropy_estimator import random_bv_ensemble, random_bvpsi_ensemble
@@ -80,29 +80,32 @@ class TestRhoSharp:
         assert rho_sharp(0.0, 1e-12, 0.1) == 1
 
 
+def _interval_net(lo, hi, h2):
+    """The uniform h2-net of [lo, hi], as a codeword's token names it."""
+    return net_from_token(f"uniform:{lo!r}:{hi!r}", h2)
+
+
 class TestNetAndQuantize:
     def test_uniform_net_covers(self):
-        net = Net.uniform(RealInterval(0.0, 1.0), 0.1)
-        xs = np.linspace(0, 1, 101)
-        for x in xs:
-            _, d = net.nearest(x)
-            assert d <= 0.1 + 1e-12
+        net = _interval_net(0.0, 1.0, 0.1)
+        _, d = net.nearest_many(np.linspace(0, 1, 101))
+        assert d.max() <= 0.1 + 1e-12
 
     def test_constant_at_center_is_exact(self):
-        net = Net.uniform(RealInterval(0.0, 1.0), 0.25)
+        net = _interval_net(0.0, 1.0, 0.25)
         grid = QuantizerGrid(1.0, 4)
         f = StepFunction.constant(1.0, float(net.centers[0]))
         fs = quantize(f, grid, net)
         assert np.all(fs.values == net.centers[0])
 
     def test_tie_goes_to_lower_index(self):
-        net = Net.uniform(RealInterval(0.0, 1.0), 0.25)
+        net = _interval_net(0.0, 1.0, 0.25)
         # boundary between centers 0.25 and 0.75 is at 0.5: both at distance 0.25
-        pos, d = net.nearest(0.5)
-        assert pos == 0 and d == pytest.approx(0.25)
+        pos, d = net.nearest_many(np.array([0.5, 0.5000001]))
+        assert pos.tolist() == [0, 1] and d[0] == pytest.approx(0.25)
 
     def test_net_incomplete(self):
-        net = Net.uniform(RealInterval(0.0, 1.0), 0.05)
+        net = _interval_net(0.0, 1.0, 0.05)
         grid = QuantizerGrid(1.0, 4)
         f = StepFunction.constant(1.0, 5.0)   # far outside the interval
         with pytest.raises(NetIncomplete):
@@ -113,24 +116,26 @@ class TestNetAndQuantize:
         # the 1e-9 relative slack on this radius; the low end raised
         # NetIncomplete.
         iv = RealInterval(1e6, 1e6 + 1.0)
-        net = Net.uniform(iv, 0.018145161290322582)
+        net = _interval_net(iv.lo, iv.hi, 0.018145161290322582)
+        assert not net._closed_form
         f = StepFunction(np.array([0.0, 0.5, 1.0]), np.array([iv.lo, iv.hi]))
         fs = quantize(f, QuantizerGrid(1.0, 4), net)
         assert fs.values.tolist() == [net.centers[0]] * 2 + [net.centers[-1]] * 2
 
     def test_net_size_is_capped(self, monkeypatch):
         monkeypatch.setattr(bv_codec, "MAX_NET_SIZE", 1000)
-        iv = RealInterval(0.0, 1.0)
         h2 = 0.5 / 1000
-        assert Net.uniform(iv, h2 * (1 + 1e-9)).size == 1000
+        assert _interval_net(0.0, 1.0, h2 * (1 + 1e-9)).size == 1000
         with pytest.raises(NetTooLarge):
-            Net.uniform(iv, h2 * (1 - 1e-9))
+            _interval_net(0.0, 1.0, h2 * (1 - 1e-9))
         with pytest.raises(NetTooLarge):
-            Net.uniform(RealInterval(-1e308, 1e308), 1.0)
+            _interval_net(-1e308, 1e308, 1.0)
 
     def test_centers_are_read_only(self):
         space = from_points(np.random.default_rng(4).uniform(0.0, 1.0, size=(20, 2)))
-        for net in (Net.uniform(RealInterval(0.0, 1.0), 0.1), Net.greedy_cover(space, 0.3)):
+        nets = (_interval_net(0.0, 1.0, 0.1), net_from_token("space", 0.3, space))
+        assert nets[0]._closed_form and nets[1].space is space
+        for net in nets:
             with pytest.raises(ValueError):
                 net.centers[0] = net.centers[-1]
         # the caller's own array stays writable
@@ -139,7 +144,7 @@ class TestNetAndQuantize:
         mine[0] = 0.5
 
     def test_jump_snaps_to_boundary(self):
-        net = Net.uniform(RealInterval(0.0, 1.0), 0.05)
+        net = _interval_net(0.0, 1.0, 0.05)
         grid = QuantizerGrid(1.0, 4)
         f = StepFunction(np.array([0.0, 0.6, 1.0]), np.array([0.05, 0.95]))
         fs = quantize(f, grid, net)
@@ -209,6 +214,26 @@ class TestNetMemo:
                   for lo in (-0.0, 0.0)]
         assert tokens == ["uniform:-0.0:1.0", "uniform:0.0:1.0"]
 
+    @pytest.mark.parametrize("cast, token", [(np.float64, "uniform:0.0:1.0"),
+                                             (np.int64, "uniform:0:1")])
+    def test_numpy_scalar_bounds_act_as_python_bounds(self, cast, token, tmp_path):
+        # np.float64(0.0) used to spell itself "np.float64(0.0)" in the token
+        f = StepFunction(np.array([0.0, 0.5, 1.0]), np.array([0.2, 0.7]))
+        iv = RealInterval(cast(0), cast(1))
+        assert (type(iv.lo), type(iv.hi)) == (type(cast(0).item()),) * 2
+        cw = encode_bv(f, 1.0, 0.1, value_space=iv)
+        twin = encode_bv(f, 1.0, 0.1, value_space=RealInterval(cast(0).item(), cast(1).item()))
+        assert cw == twin and cw.net_token == token
+        write_codeword(cw, tmp_path / "c.bvc")
+        back = read_codeword(tmp_path / "c.bvc")
+        assert back == cw
+        assert l1_distance(decode(back, net_from_token(back.net_token, back.h2)), f) <= 0.1
+
+    def test_numpy_negative_zero_keeps_its_sign(self):
+        f = StepFunction(np.array([0.0, 0.5, 1.0]), np.array([0.2, 0.7]))
+        iv = RealInterval(np.float64(-0.0), np.float64(1.0))
+        assert encode_bv(f, 1.0, 0.1, value_space=iv).net_token == "uniform:-0.0:1.0"
+
     def test_warm_memo_changes_no_codeword(self):
         space = from_points(np.random.default_rng(25).uniform(0.0, 1.0, size=(30, 2)))
         g = _cloud_function(space, 26)
@@ -246,7 +271,7 @@ class TestIntervalNetShells:
 
     @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-3.0, -1.0), (1e6, 1e6 + 1.0)])
     def test_match_dense_matrix(self, lo, hi, monkeypatch):
-        net = Net.uniform(RealInterval(lo, hi), (hi - lo) / 100.0)
+        net = _interval_net(lo, hi, (hi - lo) / 100.0)
         dense = _dense_rho_sharp(net)
         monkeypatch.setattr(Net, "rho_sharp_matrix", _no_matrix)
         for pos in range(net.size):
@@ -351,11 +376,10 @@ class TestOneShellRule:
     @pytest.mark.parametrize("extra", [0, 1, 64])
     def test_all_ones_payload(self, N1, extra):
         # Start at centre 4 of 5, then nothing but stays, some of them too many.
-        net = Net.uniform(RealInterval(0.0, 1.0), 0.1)
-        w = BitWriter()
-        w.write(4, 3)
-        w.write_fields(np.ones(N1 - 1 + extra), np.ones(N1 - 1 + extra))
-        cw = Codeword(1.0, N1, 0.1, net.token, "id", w.to_bytes(), w.bit_length)
+        net = net_from_token("uniform:0.0:1.0", 0.1)
+        widths = [3] + [1] * (N1 - 1 + extra)
+        payload = _pack_bits([4] + [1] * (N1 - 1 + extra), widths)
+        cw = Codeword(1.0, N1, 0.1, "uniform:0.0:1.0", "id", payload, sum(widths))
         got = _decode_or_error(cw, net, decode)
         assert got == _decode_or_error(cw, net, reference_decode)
         assert got == (CorruptStream if extra else [net.centers[4]] * N1)
@@ -397,13 +421,10 @@ class TestJumpProfile:
 
 
 class TestBitstream:
-    def test_writer_reader_round_trip(self):
-        w = BitWriter()
-        w.write(5, 4)
-        w.write_gamma(1)
-        w.write_gamma(7)
-        w.write(0, 3)
-        r = BitReader(w.to_bytes(), w.bit_length)
+    def test_gamma_round_trip(self):
+        # 5 in 4 bits, the gamma codes of 1 and 7, then 0 in 3 bits
+        assert bv_codec._gamma_width(np.array([1, 7])).tolist() == [1, 5]
+        r = BitReader(_pack_bits([5, 1, 7, 0], [4, 1, 5, 3]), 13)
         assert r.read(4) == 5
         assert r.read_gamma() == 1
         assert r.read_gamma() == 7
@@ -411,40 +432,38 @@ class TestBitstream:
         assert r.exhausted
 
     def test_truncation_detected(self):
-        w = BitWriter()
-        w.write(3, 8)
-        r = BitReader(w.to_bytes(), w.bit_length)
+        r = BitReader(_pack_bits([3], [8]), 8)
         r.read(4)
         with pytest.raises(CorruptStream):
             r.read(5)
 
     def test_gamma_prefix_too_long(self):
-        w = BitWriter()
-        w.write(0, 70)
-        w.write(1, 1)
+        # a 70-bit zero prefix, in two fields of at most 63 bits
         with pytest.raises(CorruptStream):
-            BitReader(w.to_bytes(), w.bit_length).read_gamma()
+            BitReader(_pack_bits([0, 0, 1], [35, 35, 1]), 71).read_gamma()
 
-    def test_bulk_fields_match_single_writes(self):
-        values, widths = [5, 0, 1, 300, 2], [3, 4, 1, 9, 0]
-        bulk, single = BitWriter(), BitWriter()
-        bulk.write_fields(values, widths)
-        for v, n in zip(values, widths):
-            single.write(v, n)
-        assert bulk.to_bytes() == single.to_bytes() == bytes([0b10100001, 0b10010110, 0])
-        assert bulk.bit_length == 17
+    def test_pack_bits_layout(self):
+        packed = _pack_bits([5, 0, 1, 300, 2], [3, 4, 1, 9, 0])
+        assert packed == bytes([0b10100001, 0b10010110, 0])
+        r = BitReader(packed, 17)
+        assert [r.read(n) for n in (3, 4, 1, 9, 0)] == [5, 0, 1, 300, 0]
+        assert r.exhausted
+        assert _pack_bits([], []) == _pack_bits([7], [0]) == b""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.lists(st.integers(0, 63).flatmap(
+        lambda w: st.tuples(st.integers(0, 2 ** w - 1), st.just(w))), max_size=40))
+    def test_pack_bits_matches_bit_strings(self, fields):
+        bits = "".join(format(v, f"0{w}b") if w else "" for v, w in fields)
+        bits += "0" * (-len(bits) % 8)
+        expect = bytes(int(bits[i:i + 8], 2) for i in range(0, len(bits), 8))
+        assert _pack_bits([v for v, _ in fields], [w for _, w in fields]) == expect
 
     def test_read_ones_stops_at_zero_limit_and_end(self):
-        w = BitWriter()
-        w.write_fields([1, 1, 1, 0, 1, 1], [1] * 6)
-        r = BitReader(w.to_bytes(), w.bit_length)
+        r = BitReader(_pack_bits([1, 1, 1, 0, 1, 1], [1] * 6), 6)
         assert (r.read_ones(2), r.read_ones(5), r.read_ones(5)) == (2, 1, 0)
         assert r.read(1) == 0
         assert (r.read_ones(0), r.read_ones(5), r.exhausted) == (0, 2, True)
-
-    def test_gamma_rejects_zero(self):
-        with pytest.raises(ValueError):
-            BitWriter().write_gamma(0)
 
 
 class TestEncodeBv:

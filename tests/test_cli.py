@@ -7,7 +7,7 @@ import stat
 import numpy as np
 import pytest
 
-from bventropy import cli
+from bventropy import claw, cli, metric_core
 from bventropy.bv_codec import RealInterval, encode_bv, write_codeword
 from bventropy.cli import build_parser, main
 from bventropy.errors import BudgetViolation, OutOfRange
@@ -476,3 +476,9 @@ def test_outputs_get_the_mode_open_gives(tmp_path, step_file):
     files = [p for d in "sed" for p in (tmp_path / d).iterdir()]
     assert len(files) == 7
     assert {oct(stat.S_IMODE(p.stat().st_mode)) for p in files} == {"0o644"}
+
+
+def test_parser_defaults_are_the_library_constants():
+    parser = build_parser()
+    assert parser.parse_args(["metric", "--out", "o"]).exact_cap == metric_core.DEFAULT_EXACT_CAP
+    assert parser.parse_args(["claw", "--out", "o"]).cfl == claw.CFL

@@ -1,4 +1,6 @@
-"""Certificates must hold under ``python -O``, which strips ``assert``."""
+"""Certificates must hold under ``python -O``, which strips ``assert``; and
+the modules import each other at module level only, so no import cycle hides
+inside a function."""
 
 import ast
 import pathlib
@@ -16,5 +18,19 @@ def test_no_assert_in_package():
         for path in modules
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_imports_at_module_level():
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    found = [
+        f"{path.name}:{inner.lineno}"
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for inner in ast.walk(node)
+        if isinstance(inner, (ast.Import, ast.ImportFrom))
     ]
     assert found == []
