@@ -477,10 +477,10 @@ def encode_bv(
     if not profile[-1] <= cap:
         raise BudgetViolation(f"jump profile {profile[-1]} exceeds its cap {cap}")
 
-    # One (value, width) table of fields: row 0 holds the start index, row
-    # i + 1 the gamma code of k + 1 for step i, then the rank of the next
-    # position in the shell at radius k.  Distinct centres are at positive
-    # distance, so a radius-0 shell is [pos] alone and its rank takes no bits.
+    # One (value, width) table: row 0 holds a 0-bit field, then the start
+    # index; row i + 1 the gamma code of k + 1 for step i, then the rank of
+    # the next position in the shell at radius k.  Distinct centres are at
+    # positive distance, so a radius-0 shell is [pos] alone: a 0-bit rank.
     values = np.zeros((radii.size + 1, 2), dtype=np.int64)
     widths = np.zeros((radii.size + 1, 2), dtype=np.int64)
     values[0, 1], widths[0, 1] = positions[0], _rank_width(net.size)
