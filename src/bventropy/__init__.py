@@ -5,6 +5,8 @@ laws with flux-derived gauges."""
 
 __version__ = "0.1.0"
 
+import types
+
 from .bv_codec import (
     Net,
     RealInterval,
@@ -80,68 +82,7 @@ from .witness_lab import (
     verify_packing,
 )
 
-__all__ = [
-    "BVEntropyError",
-    "ClassParams",
-    "FiniteMetricSpace",
-    "Flux",
-    "FunctionEnsemble",
-    "Gauge",
-    "Net",
-    "RealInterval",
-    "StepFunction",
-    "WitnessFamily",
-    "affine_gap",
-    "ball_count_bounds",
-    "block_grid_ensemble",
-    "build_family",
-    "bv_budget_bits",
-    "calibrate_gamma",
-    "covering_number",
-    "decode",
-    "degeneracy",
-    "dimension_report",
-    "empirical_counts",
-    "encode_bv",
-    "encode_bvpsi",
-    "entropy_scan",
-    "euclidean_budget_bits",
-    "evolve",
-    "family_floor",
-    "fit_exponent",
-    "flux_gauge",
-    "from_points",
-    "from_witness_family",
-    "gauge_check",
-    "global_family",
-    "godunov_flux",
-    "l1_distance",
-    "lattice",
-    "line_points",
-    "lower_bound_bits",
-    "make_grid",
-    "net_from_token",
-    "packing_number",
-    "power_budget_bits",
-    "probe_scales",
-    "random_bv_ensemble",
-    "random_bvpsi_ensemble",
-    "read_codeword",
-    "read_matrix_csv",
-    "read_step",
-    "right_continuous",
-    "solution_entropy_bound",
-    "solution_entropy_bound_pf",
-    "support_check",
-    "to_step_function",
-    "tv",
-    "tv_psi",
-    "tv_psi_chain",
-    "uniform_random",
-    "upper_bound_bits",
-    "validate_metric",
-    "verify_packing",
-    "write_codeword",
-    "write_step",
-    "__version__",
-]
+# every public name imported above
+__all__ = ["__version__"] + sorted(
+    name for name, obj in globals().items()
+    if not name.startswith("_") and not isinstance(obj, types.ModuleType))

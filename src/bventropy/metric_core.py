@@ -463,8 +463,10 @@ def _scale_witnesses(space: FiniteMetricSpace, alpha: float, mode: str):
         packs = [_exact_pack(near_bits, b) for b in first]
     else:
         covers = greedy_set_cover(near, balls)
-        packs, _ = farthest_first(lambda i, cols: np.where(
-            balls[:, cols], space.dist[i][:, cols], -np.inf), balls.argmax(axis=1), alpha)
+        starts = balls.argmax(axis=1)   # only the first rows are masked: -inf stays -inf
+        first = np.where(balls, space.dist[starts], -np.inf)
+        packs, _ = farthest_first(lambda i, cols: first if i is starts
+                                  else space.dist[i][:, cols], starts, alpha)
     _check_covers(near, covers, balls, alpha)
     _check_packings(near, packs, alpha)
     return balls, covers, packs

@@ -12,6 +12,8 @@ full row per pick and drops no point, the traversal that the live-set one
 must match pick for pick and radius for radius.  The reference set cover
 makes one pick per step to the last point, where the library's finishes the
 steps that each cover one point at once.
+The pair-by-pair separation check is the reference for the alphabet
+certificate: it reads every pair's block sum and extracts by farthest-first.
 The full-array Godunov kernel is the reference the sparse one must match bit
 for bit; it reads only a flux's coefficients and critical points.  The
 reference step loop runs it on a freshly allocated array at every step.  The
@@ -32,7 +34,7 @@ from numpy.polynomial import polynomial as P
 import bventropy
 from bventropy.bv_codec import BitReader, _build_net, _rank_width
 from bventropy.entropy_estimator import MATRIX_CAP
-from bventropy.errors import CorruptStream, NetIncomplete
+from bventropy.errors import CorruptStream, NetIncomplete, SeparationFailure
 from bventropy.gauge_variation import Gauge, StepFunction
 from bventropy.metric_core import (
     DimensionReport,
@@ -43,6 +45,12 @@ from bventropy.metric_core import (
     packing_number,
     probe_scales,
     validate_metric,
+)
+from bventropy.witness_lab import (
+    SeparationReport,
+    _greedy_extract,
+    family_floor,
+    separation_factor,
 )
 
 
@@ -209,6 +217,46 @@ def oracle_tv_psi(f: StepFunction, gauge: Gauge) -> float:
             )
             best = max(best, total)
     return best
+
+
+# ---------------------------------------------------------------------------
+# witness-separation reference
+
+
+def reference_verify_packing(fam) -> SeparationReport:
+    """``verify_packing`` pair by pair: every pair i < j checked a row at a
+    time against per_block times its differing blocks, the minimum over all
+    pairs, and the farthest-first extraction whatever the minimum."""
+    m = fam.size
+    if m == 0:
+        raise ValueError("empty family")
+    per_block = separation_factor(fam.p_tilde) * fam.L * fam.h / fam.N1
+    blocks = ((np.full(m - 1 - i, i), np.arange(i + 1, m)) for i in range(m - 1))
+    min_dist = math.inf
+    checked = 0
+    for I, J in blocks:
+        a, b = fam.members[I], fam.members[J]
+        d = fam.L / fam.N1 * fam.space.dist[a, b].sum(axis=1)
+        k = (a != b).sum(axis=1)
+        bad = np.flatnonzero(d <= per_block * k * (1 - 1e-12))
+        if bad.size:
+            t = bad[0]
+            raise SeparationFailure(
+                f"pair ({I[t]},{J[t]}): distance {d[t]} <= {per_block * k[t]} "
+                f"with {k[t]} differing blocks"
+            )
+        min_dist = min(min_dist, float(d.min(initial=math.inf)))
+        checked += I.size
+
+    extracted = _greedy_extract(fam, fam.target_separation)
+    return SeparationReport(
+        epsilon=fam.epsilon, h=fam.h, N1=fam.N1, family_size=m,
+        pairs_checked=checked,
+        min_distance=min_dist if math.isfinite(min_dist) else 0.0,
+        extracted_packing_size=len(extracted),
+        theoretical_floor=family_floor(fam.p_tilde, fam.V, fam.epsilon, fam.L, fam.gauge),
+        mode=fam.mode, seed=fam.seed,
+    )
 
 
 # ---------------------------------------------------------------------------

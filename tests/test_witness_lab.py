@@ -1,13 +1,18 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bventropy.errors import DegenerateBall, LengthMismatch, SeparationFailure
 from bventropy.gauge_variation import Gauge, l1_distance, l1_row, tv_psi
 from bventropy.metric_core import from_points, line_points, validate_metric
 from bventropy.witness_lab import (
+    SeparationReport,
+    WitnessFamily,
     ball_packing,
     build_family,
     eta,
@@ -19,7 +24,7 @@ from bventropy.witness_lab import (
     verify_packing,
 )
 
-from conftest import run_python
+from conftest import reference_verify_packing, run_python
 
 LOG2_7 = np.log2(7.0)
 
@@ -165,10 +170,9 @@ class TestVerifyPacking:
 
 
 class TestSampledVerify:
-    """``verify_packing`` on more pairs than ``pair_cap`` checks sampled
-    pairs; each is compared with one ``size=2`` draw per pair."""
-
-    PAIR_CAP = 5000         # above one chunk of draws, below the 19,900 pairs
+    """``verify_packing`` checks every pair of a sampled family: the report
+    holds the least distance over all pairs, and a failure names the first
+    failing pair in row order."""
 
     @pytest.fixture
     def fam(self):
@@ -176,32 +180,93 @@ class TestSampledVerify:
         return build_family(1.0, 4.0, 1 / 1024, Gauge.identity(), space, 128,
                             1.0, seed=7, cap=1000, sample_size=200)
 
-    def _draws(self, fam, seed):
-        rng = np.random.default_rng(seed)
-        for _ in range(self.PAIR_CAP):
-            i, j = (int(v) for v in rng.integers(0, fam.size, size=2))
-            if i != j:
-                yield i, j
-
-    def test_matches_per_pair_draws(self, fam):
-        rep = verify_packing(fam, pair_cap=self.PAIR_CAP, seed=3)
-        dists = [pair_distance(fam, i, j) for i, j in self._draws(fam, 3)]
-        assert rep.pairs_checked == len(dists) < self.PAIR_CAP
-        assert rep.min_distance == min(dists)
+    def test_exact_minimum_over_all_pairs(self, fam):
+        # 200 members on 33 blocks: hardly two differ in one block only, so
+        # the minimum comes from the row loop
+        rep = verify_packing(fam)
+        m = fam.size
+        assert rep.pairs_checked == m * (m - 1) // 2
+        assert rep.min_distance == min(pair_distance(fam, i, j)
+                                       for i in range(m) for j in range(i + 1, m))
+        assert rep == reference_verify_packing(fam)
 
     def test_planted_pair_names_first_failure(self, fam):
-        # a copy of member i at j is at distance 0; the reference loop finds
-        # the first drawn pair that breaks the per-block bound
-        i, j = list(self._draws(fam, 3))[4500]
+        # a copy of member i at j is at distance 0; the row loop names the
+        # first pair in row order that breaks the per-block bound
         members = fam.members.copy()
-        members[j] = members[i]
+        members[150] = members[40]
         bad = dataclasses.replace(fam, members=members)
         per_block = separation_factor(bad.p_tilde) * bad.L * bad.h / bad.N1
-        first = next((a, b) for a, b in self._draws(bad, 3)
+        first = next((a, b) for a in range(bad.size) for b in range(a + 1, bad.size)
                      if pair_distance(bad, a, b)
                      <= per_block * eta(bad.members[a], bad.members[b]) * (1 - 1e-12))
-        with pytest.raises(SeparationFailure, match=rf"^pair \({first[0]},{first[1]}\):"):
-            verify_packing(bad, pair_cap=self.PAIR_CAP, seed=3)
+        assert first == (40, 150)
+        with pytest.raises(SeparationFailure, match=r"^pair \(40,150\):"):
+            verify_packing(bad)
+
+    def test_large_family_exact_minimum(self):
+        # 6,561 members: every one of the 21.5 million pairs is certified,
+        # and the minimum equals the least block sum over all of them
+        fam = build_family(1, 1, 0.002, Gauge.identity(), line_points(33, 1.0), 16, 1)
+        rep = verify_packing(fam)
+        m = fam.size
+        assert m == 6561 and rep.pairs_checked == m * (m - 1) // 2
+        least = math.inf
+        for lo in range(0, m, 128):
+            rows = fam.members[lo:lo + 128]
+            d = fam.L / fam.N1 * fam.space.dist[rows[:, None], fam.members[None]].sum(axis=2)
+            d[np.arange(rows.shape[0]), np.arange(lo, lo + rows.shape[0])] = np.inf
+            least = min(least, float(d.min()))
+        assert rep.min_distance == least
+        assert rep.extracted_packing_size == m
+
+
+def _separation_outcome(verify, fam):
+    try:
+        return verify(fam)
+    except SeparationFailure as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), n1=st.integers(1, 5),
+       spread=st.sampled_from([0.5, 0.99, 1.0]), reach=st.sampled_from([0.3, 1.0, 3.0]),
+       fault=st.sampled_from([None, None, None, "duplicate", "close"]))
+def test_alphabet_certificate_matches_pairwise_reference(seed, n1, spread, reach, fault):
+    """Families on random alphabets, enumerated or sampled.  per_block N1 / L
+    is ``spread`` times the alphabet's least distance delta (1.0 leaves no
+    margin), and 2 eps is ``reach`` times (L / N1) delta.  The faults are a
+    repeated row, or per_block N1 / L at 1.5 delta with a planted pair of
+    members that differ in one block by the two values delta apart."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 16))
+    space = (line_points(n, 1.0), from_points(rng.uniform(0.0, 1.0, (n, 1))),
+             from_points(rng.uniform(0.0, 1.0, (n, 2))))[seed % 3]
+    alphabet = rng.choice(n, size=int(rng.integers(2, min(n, 7) + 1)), replace=False)
+    if alphabet.size ** n1 <= 300 and rng.random() < 0.5:
+        members = alphabet[np.array(list(itertools.product(range(alphabet.size), repeat=n1)))]
+    else:
+        draws = alphabet[rng.integers(0, alphabet.size, (int(rng.integers(1, 150)), n1))]
+        _, first = np.unique(draws, axis=0, return_index=True)
+        members = draws[np.sort(first)]
+    rho = space.dist[np.ix_(alphabet, alphabet)] + np.diag(np.full(alphabet.size, np.inf))
+    a, b = np.unravel_index(rho.argmin(), rho.shape)
+    if fault == "close":
+        spread = 1.5
+        members = np.vstack([members[:1], members])
+        members[0, 0], members[1, 0] = alphabet[a], alphabet[b]
+    elif fault == "duplicate":
+        members = np.vstack([members, members[rng.integers(members.shape[0])]])
+    p_tilde, L = float(rng.choice([0.5, 1.0, 2.0])), float(rng.uniform(0.5, 2.0))
+    fam = WitnessFamily(
+        L=L, V=1.0, epsilon=reach * L / n1 * float(rho.min()) / 2.0,
+        h=spread * float(rho.min()) / separation_factor(p_tilde), N1=n1,
+        gauge=Gauge.identity(), space=space, A_h=alphabet, members=members,
+        p_tilde=p_tilde, mode="sampled",
+    )
+    got = _separation_outcome(verify_packing, fam)
+    assert got == _separation_outcome(reference_verify_packing, fam)
+    assert (fault is None) == isinstance(got, SeparationReport)
 
 
 class TestGlobalFamily:
@@ -213,6 +278,22 @@ class TestGlobalFamily:
         for i in range(min(fam.size, 10)):
             d = np.delete(member_row(fam, i), i)
             assert np.all(d > fam.target_separation)
+
+    def test_p_zero_constants_verify_at_two_eps(self):
+        # there is no separation factor at p_tilde = 0: each pair of
+        # constants is checked against 2 eps
+        fam = global_family(1.0, 1.0, 0.01, Gauge.identity(), line_points(65, 1.0), 0.0)
+        rep = verify_packing(fam)
+        m = fam.size
+        assert rep.pairs_checked == m * (m - 1) // 2
+        assert rep.min_distance == min(pair_distance(fam, i, j)
+                                       for i in range(m) for j in range(i + 1, m))
+        assert rep.min_distance > fam.target_separation
+        assert rep.extracted_packing_size == m and rep.theoretical_floor == 1.0
+        # two constants 1/64 apart break the 2 eps = 1/50 bound
+        close = dataclasses.replace(fam, members=np.array([[0], [1], [32]]))
+        with pytest.raises(SeparationFailure, match=r"^pair \(0,1\):"):
+            verify_packing(close)
 
     def test_cross_center_separation(self):
         space = line_points(257, 1.0)
