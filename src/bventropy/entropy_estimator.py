@@ -147,7 +147,8 @@ def _counts(ens: FunctionEnsemble, eps_grid) -> list[tuple[int, int]]:
     dist = ens.distance_matrix() if len(ens) <= MATRIX_CAP else None
     _, radii = farthest_first(ens._distances if dist is None
                               else lambda i, cols: dist[i, cols], 0, float(grid[-1]))
-    packs = [sum(r > eps for r in radii) for eps in grid.tolist()]
+    radii = np.array(radii)
+    packs = [int(np.count_nonzero(radii > eps)) for eps in grid]
     if dist is None:
         return [(p, p) for p in packs]
     return [(len(greedy_set_cover(dist <= eps)), p) for eps, p in zip(grid, packs)]

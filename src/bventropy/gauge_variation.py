@@ -414,9 +414,11 @@ def sample_sequence_variation(values, gauge: Gauge) -> float:
 
 def l1_row(values, row, widths, space: FiniteMetricSpace | None) -> np.ndarray:
     """L1 distances from the step function ``row`` to each column of the
-    C-ordered (cells x functions) ``values``, on cells of the given widths,
-    summed over the cells in order: an entry depends on its own column only."""
-    d = value_distance(values, row[:, None], space)
+    (cells x functions) ``values``, on cells of the given widths, summed over
+    the cells in order: an entry depends on its own column only, whatever
+    the memory order of ``values``."""
+    # einsum's summation order follows the memory order
+    d = np.ascontiguousarray(value_distance(values, row[:, None], space))
     # einsum sums a lone column as a dot product, in another order
     return np.einsum("ji,j->i", d if d.shape[1] != 1 else np.repeat(d, 2, axis=1),
                      widths)[:d.shape[1]]

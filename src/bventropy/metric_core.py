@@ -25,11 +25,14 @@ Every greedy count in the package runs on one of two kernels:
   Its rows reach only the live points, and must equal the full rows there.
 
 Both carry a leading batch axis of independent problems that advance in
-lockstep.  :func:`dimension_report` sweeps its probe scales one at a time
-and solves all distinct balls of a scale as one batch; every other caller is
-a batch of one.  The exact searches run on integer bitmasks from one
-builder, with bits in point-index order: the centers' coverage sets for
-covers, the points' closed neighbourhoods for packings.
+lockstep, and record their picks as arrays.  :func:`dimension_report` solves
+the distinct balls of all its probe scales as one batch of (scale, ball)
+problems, in chunks of scales for large spaces: the cover matrix takes a
+leading scale axis and farthest-first one separation per problem.  Every
+other caller is a batch of one.  The exact searches run on integer bitmasks
+from one builder, with bits in point-index order: the centers' coverage sets
+for covers, the points' closed neighbourhoods for packings.  The sweep runs
+them only on the balls whose greedy bounds could still move d or p.
 """
 
 from __future__ import annotations
@@ -184,48 +187,63 @@ def greedy_set_cover(covers: np.ndarray, targets=None):
     """Set-cover greedy on a boolean (candidates x points) matrix.
 
     Row b of the boolean (batch x points) ``targets`` names the points that
-    problem b must cover; without it one problem covers every point.  The
-    problems advance in lockstep: each step gives every unfinished one the
-    candidate covering most of its still-uncovered points, lowest index on
-    ties.  The gains are one (batch x points) @ (points x candidates)
-    product against a float32 copy of ``covers``, so a step holds
-    O(batch x candidates) memory.  Once no gain in the batch exceeds one,
-    every problem takes the lowest candidate of each uncovered point at
-    once, in ascending order, as its one-point steps would.  Returns the
-    chosen candidates, one list per row of ``targets`` (one list without
-    them); raises :class:`NetIncomplete` if a point has no candidate.
+    problem b must cover; without it one problem covers every point.  With a
+    leading scale axis on both, (scales x candidates x points) ``covers`` and
+    (scales x batch x points) ``targets``, problem (s, b) draws on the
+    candidates ``covers[s]``.  The problems advance in lockstep: each step
+    gives every unfinished one the candidate covering most of its
+    still-uncovered points, lowest index on ties.  The gains are one
+    (batch x points) @ (points x candidates) product per scale against a
+    float32 copy of ``covers``, so a step holds O(scales x batch x
+    candidates) memory.  Once no gain in the batch exceeds one, every problem
+    takes the lowest candidate of each uncovered point at once, in ascending
+    order, as its one-point steps would.  Returns the chosen candidates: a
+    list for one problem, else an int array shaped like ``targets`` with one
+    row of picks per problem, padded with -1.  Raises :class:`NetIncomplete`
+    if a point has no candidate.
     """
-    weights = covers.T.astype(np.float32)     # exact counts below 2**24
-    batch = targets is not None
-    uncovered = (np.array(targets, bool, ndmin=2) if batch
-                 else np.ones((1, covers.shape[1]), bool))
-    left = uncovered.sum(axis=1).tolist()
-    chosen = [[] for _ in left]
-    lanes, m = np.arange(len(left)), covers.shape[0]
-    while any(left):
+    cover = covers.reshape(-1, *covers.shape[-2:])  # (scales, candidates, points)
+    weights = cover.transpose(0, 2, 1).astype(np.float32)    # exact counts below 2**24
+    m, n = cover.shape[1:]
+    uncovered = (np.array(targets, bool, ndmin=2) if targets is not None
+                 else np.ones((1, n), bool)).reshape(len(cover), -1, n)
+    scale, bests, tops, tail = np.arange(len(cover))[:, None], [], [], np.zeros(0, int)
+    while True:
         gain = uncovered @ weights
-        best = gain.argmax(axis=1)              # argmax takes the lowest index
-        top = gain[lanes, best].tolist()
-        if max(top) <= 1 < max(left):          # a last step alone is cheaper as a step
-            rows, points = np.nonzero(uncovered)
-            lowest = covers[:, points].argmax(axis=0)
-            if not covers[lowest, points].all():
+        best, top = gain.argmax(axis=2), np.maximum.reduce(gain, axis=2)  # lowest index on ties
+        if not (most := np.maximum.reduce(top, axis=None, initial=0)):
+            if np.any(uncovered):           # a problem stalled short of its cover
                 raise NetIncomplete("a point is covered by no candidate")
-            picks = iter((np.sort(rows * m + lowest) % m).tolist())  # by problem, ascending
-            for b, n in enumerate(left):
-                chosen[b] += itertools.islice(picks, n)
             break
-        for b, (c, g) in enumerate(zip(best.tolist(), top)):
-            if left[b]:
-                if not g:
-                    raise NetIncomplete("a point is covered by no candidate")
-                left[b] -= int(g)
-                chosen[b].append(c)
-        uncovered &= ~covers[best]
-    return chosen if batch else chosen[0]
+        # a last step alone is cheaper as a step
+        if most == 1 and np.maximum.reduce(uncovered.sum(axis=2), axis=None) > 1:
+            s, b, points = np.nonzero(uncovered)
+            # the lowest candidate of each (scale, point), shared by its problems
+            cells, at = np.unique(s * n + points, return_inverse=True)
+            hits = cover[cells // n, :, cells % n]
+            lowest = hits.argmax(axis=1)
+            if not hits[np.arange(cells.size), lowest].all():
+                raise NetIncomplete("a point is covered by no candidate")
+            tail = np.sort((s * uncovered.shape[1] + b) * m + lowest[at])  # by problem, ascending
+            break
+        bests.append(best)
+        tops.append(top)
+        uncovered &= ~cover[scale, best]
+    if targets is None:                 # one problem gains at every step
+        return np.ravel(bests).tolist() + tail.tolist()
+    # a problem gains while it is unfinished, so its steps are a prefix; its
+    # tail picks follow them
+    problems = uncovered.shape[0] * uncovered.shape[1]
+    steps = np.where(np.array(tops) > 0, bests, -1).reshape(len(bests), problems).T
+    taken, owner = np.count_nonzero(steps >= 0, axis=1), tail // m
+    total = taken + np.bincount(owner, minlength=problems)
+    chosen = np.full((problems, total.max(initial=0)), -1)
+    chosen[:, :steps.shape[1]] = steps
+    chosen[owner, taken[owner] + np.arange(owner.size) - np.searchsorted(owner, owner)] = tail % m
+    return chosen if covers.ndim == 2 else chosen.reshape(*uncovered.shape[:2], -1)
 
 
-def farthest_first(rows, start, sep: float):
+def farthest_first(rows, start, sep):
     """Farthest-point insertion over a row oracle, on the live points.
 
     ``rows(i, cols)`` returns the distances from point ``i`` to the points
@@ -245,36 +263,44 @@ def farthest_first(rows, start, sep: float):
     increase and the path does not depend on ``sep``, so the run to any
     larger separation is the prefix whose radii exceed it.
 
-    An index array ``start`` runs one problem per entry in lockstep and
-    returns both lists for each entry; ``rows`` then maps such an array to a
-    (batch x points) array, and a point is dropped once dead in every
-    problem.  A point at ``-inf`` in a problem's first row is never picked,
-    which confines the problem to a subset.
+    An index array ``start`` runs one problem per entry in lockstep: ``rows``
+    then maps such an array to a (batch x points) array, ``sep`` may hold
+    one separation per problem, and a point is dropped once dead in every
+    problem.  Both results are then arrays with one row per problem, padded
+    with -1 and NaN.  A point at ``-inf`` in a problem's first row is never
+    picked, which confines the problem to a subset.
     """
-    if not sep >= 0:
+    bar = np.array(sep, dtype=float).reshape(-1)    # one per problem, or one for all
+    if not np.all(bar >= 0):
         raise ValueError(f"separation must be a non-negative number, got {sep}")
     batch = np.ndim(start) > 0
-    chosen = [[int(s)] for s in np.atleast_1d(start)]
-    radii = [[math.inf] for _ in chosen]
     mind = np.array(rows(start, slice(None)), dtype=float, ndmin=2)
     live, cols, limit = np.arange(mind.shape[1]), slice(None), 0.75 * mind.size - 64
-    lanes, line = np.arange(len(chosen)), mind if batch else mind[0]
+    lanes, line = np.arange(len(mind)), mind if batch else mind[0]
+    picks, radii = [np.atleast_1d(start)], [np.full(len(mind), math.inf)]
     for step in itertools.count(1):
         if limit > 0 and step % 4 == 0:         # a check costs a pass over mind
-            alive = mind > sep
+            alive = mind > bar[:, None]
             if 0 < (count := np.count_nonzero(alive)) <= limit:
                 keep = alive.any(axis=0)
                 live, mind, limit = live[keep], mind[:, keep], 0.75 * count - 64
                 cols, line = live, mind if batch else mind[0]
         pos = mind.argmax(axis=1)               # argmax takes the lowest index
-        picks, top = live[pos].tolist(), mind[lanes, pos].tolist()
-        far = [b for b, r in enumerate(top) if r > sep]
-        if not far:
-            return (chosen, radii) if batch else (chosen[0], radii[0])
-        for b in far:
-            chosen[b].append(picks[b])
-            radii[b].append(top[b])
-        np.minimum(line, rows(np.array(picks) if batch else picks[0], cols), out=line)
+        top = mind[lanes, pos]
+        if not (np.count_nonzero(top > bar) if batch else top[0] > bar[0]):
+            break
+        picks.append(pick := live[pos])
+        radii.append(top)
+        np.minimum(line, rows(pick if batch else int(pick[0]), cols), out=line)
+    chosen, radius = np.concatenate(picks), np.concatenate(radii)
+    if not batch:                       # one problem took every step
+        return chosen.tolist(), radius.tolist()
+    # a problem's picks are the prefix of radii above its separation, as its
+    # distances only fall
+    chosen, radius = chosen.reshape(len(picks), -1).T, radius.reshape(len(radii), -1).T
+    late = radius[:, 1:] <= bar[:, None]
+    chosen[:, 1:][late], radius[:, 1:][late] = -1, np.nan
+    return chosen, radius
 
 
 def _bitmasks(rows: np.ndarray) -> list[int]:
@@ -320,27 +346,41 @@ def _exact_pack(near: list[int], cand: int) -> list[int]:
     return best
 
 
-def _selection(picks: list[list[int]], n: int) -> np.ndarray:
-    """How often each of ``n`` indices occurs in each list, as float32 rows."""
-    flat = np.fromiter(itertools.chain.from_iterable(picks), int)
-    flat += n * np.repeat(np.arange(len(picks)), [len(p) for p in picks])
+def _selection(picks, n: int) -> np.ndarray:
+    """How often each of ``n`` indices occurs in each row of ``picks``, an
+    index array padded with -1 (one row per problem), as float32 rows."""
+    picks = np.array(picks, int, ndmin=2)
+    picks = picks.reshape(-1, picks.shape[-1])
+    flat = (picks + n * np.arange(len(picks))[:, None])[picks >= 0]
     return np.bincount(flat, minlength=len(picks) * n).reshape(-1, n).astype(np.float32)
 
 
-def _check_covers(near: np.ndarray, centers, targets: np.ndarray, alpha: float) -> None:
+def _first_alpha(bad: np.ndarray, alpha):
+    """The scale of the first flagged problem: ``alpha`` itself, or its entry
+    for the leading (scale) axis of ``bad``."""
+    return alpha if np.ndim(alpha) == 0 else float(alpha[np.argwhere(bad)[0][0]])
+
+
+def _check_covers(near: np.ndarray, centers, targets: np.ndarray, alpha) -> None:
     """Raise :class:`NetIncomplete` unless the centers of each row reach every
-    point of its target row; ``near`` is ``dist <= alpha`` (centers x points)."""
-    if np.any(targets & (_selection(centers, near.shape[0]) @ near == 0)):
-        raise NetIncomplete(f"a cover leaves a point uncovered at alpha = {alpha}")
+    point of its target row; ``near`` is ``dist <= alpha`` (centers x points).
+    With a leading scale axis on ``near``, ``centers`` and ``targets``,
+    ``alpha`` holds one entry per scale."""
+    sel = _selection(centers, near.shape[-2]).reshape(*targets.shape[:-1], -1)
+    if np.any(bad := targets & (sel @ near == 0)):
+        raise NetIncomplete(f"a cover leaves a point uncovered at alpha = "
+                            f"{_first_alpha(bad, alpha)}")
 
 
-def _check_packings(near: np.ndarray, points, alpha: float) -> None:
+def _check_packings(near: np.ndarray, points, alpha) -> None:
     """Raise :class:`SeparationFailure` unless the points of each row are
     distinct and pairwise more than alpha apart; ``near`` is ``dist <= alpha``
-    (points x points), so a chosen point must see itself alone."""
-    sel = _selection(points, near.shape[0])
-    if np.any((sel @ near)[sel > 0] != 1):
-        raise SeparationFailure(f"packing points lie within alpha = {alpha} of each other")
+    (points x points), so a chosen point must see itself alone.  A leading
+    scale axis is read as in :func:`_check_covers`."""
+    sel = _selection(points, near.shape[-1]).reshape(*near.shape[:-2], -1, near.shape[-1])
+    if np.any(bad := (sel > 0) & (sel @ near != 1)):
+        raise SeparationFailure(f"packing points lie within alpha = "
+                                f"{_first_alpha(bad, alpha)} of each other")
 
 
 def _subset(space: FiniteMetricSpace, subset, alpha: float, mode: str,
@@ -427,8 +467,10 @@ def probe_scales(
 
     Counts only change at these thresholds, so probing them is exhaustive for
     the finite space.  Large spaces get an evenly thinned subset (deterministic)
-    capped at ``max_scales``.
+    capped at ``max_scales``, which must be at least 1; ``None`` sets no cap.
     """
+    if max_scales is not None and not max_scales >= 1:
+        raise ValueError(f"max_scales must be at least 1 or None, got {max_scales}")
     lo, hi = float(window[0]), float(window[1])
     if not (0 < lo <= hi):
         raise EmptyWindow(f"invalid window {window}")
@@ -443,33 +485,94 @@ def probe_scales(
     return scales
 
 
-def _scale_witnesses(space: FiniteMetricSpace, alpha: float, mode: str):
-    """The distinct balls B(x, 2 alpha) as boolean rows, in order of their
-    first center, with each one's cover by closed alpha-balls and strictly
-    alpha-separated subset, all found at once and all checked.  Points with
-    equal balls share one problem, as ball and alpha fix the witness.  The
-    searches see a ball's points in index order, as :func:`covering_number`
+# Scales x points x points one chunk of the dimension sweep may hold, about
+# 0.5 MB of working memory: one scale at a time from 128 points up, all 64
+# scales up to 16 points.
+_SWEEP_ENTRIES = 1 << 14
+
+
+def _scale_witnesses(space: FiniteMetricSpace, scales):
+    """For each scale a, the distinct balls B(x, 2a) as boolean rows, in order
+    of their first center, with each one's greedy cover by closed a-balls
+    and farthest-first strictly a-separated subset, all checked.
+
+    The (scale, ball) problems of a chunk of scales, ``_SWEEP_ENTRIES`` at a
+    time, run as one lockstep batch: the covers on the chunk's (scales x
+    balls x points) targets against its (scales x points x points) cover
+    matrices, the packings with one separation per problem.  Points with
+    equal balls share one problem, as ball and a fix the witness.  The
+    kernels see a ball's points in index order, as :func:`covering_number`
     and :func:`packing_number` see it given as a subset, so the witnesses
-    equal theirs."""
-    near = space.dist <= alpha
-    balls = space.dist <= 2.0 * alpha
-    first: dict[int, int] = {}
-    for x, bits in enumerate(_bitmasks(balls)):
-        first.setdefault(bits, x)
-    balls = balls[list(first.values())]
-    if mode == "exact":
-        near_bits = _bitmasks(near)
-        covers = [_exact_cover(near_bits, b) for b in first]
-        packs = [_exact_pack(near_bits, b) for b in first]
-    else:
-        covers = greedy_set_cover(near, balls)
-        starts = balls.argmax(axis=1)   # only the first rows are masked: -inf stays -inf
-        first = np.where(balls, space.dist[starts], -np.inf)
-        packs, _ = farthest_first(lambda i, cols: first if i is starts
-                                  else space.dist[i][:, cols], starts, alpha)
-    _check_covers(near, covers, balls, alpha)
-    _check_packings(near, packs, alpha)
-    return balls, covers, packs
+    equal their greedy ones.  Yields one (balls, covers, packs) per scale,
+    the witnesses as index rows padded with -1.
+    """
+    n = space.n
+    per = max(1, _SWEEP_ENTRIES // (n * n))
+    for lo in range(0, len(scales), per):
+        alphas = np.asarray(scales[lo:lo + per], dtype=float)
+        near = space.dist <= alphas[:, None, None]
+        # the first center of each distinct ball, scale by scale: a stable
+        # sort on (scale, ball bits) puts it first among its equals
+        bits = np.packbits(space.dist <= 2.0 * alphas[:, None, None], axis=2)
+        bits = bits.reshape(len(alphas) * n, -1)
+        scale = np.repeat(np.arange(len(alphas)), n)
+        order = np.lexsort((*bits.T[::-1], scale))
+        bits, scale = bits[order], scale[order]
+        new = (bits[1:] != bits[:-1]).any(axis=1) | (scale[1:] != scale[:-1])
+        s, x = np.divmod(np.sort(order[np.r_[True, new]]), n)
+        sizes = np.bincount(s, minlength=len(alphas))
+        j = np.arange(len(s)) - (np.cumsum(sizes) - sizes)[s]   # place within its scale
+        targets = np.zeros((len(alphas), sizes.max(), n), bool)
+        targets[s, j] = balls = space.dist[x] <= 2.0 * alphas[s, None]
+        covers = greedy_set_cover(near, targets)
+        starts = balls.argmax(axis=1)    # only the first rows are masked: -inf stays -inf
+        rows = np.where(balls, space.dist[starts], -np.inf)
+        packs, _ = farthest_first(lambda i, cols: rows if i is starts
+                                  else space.dist[i][:, cols], starts, alphas[s])
+        placed = np.full((*targets.shape[:2], packs.shape[1]), -1)
+        placed[s, j] = packs
+        _check_covers(near, covers, targets, alphas)
+        _check_packings(near, placed, alphas)
+        for k, size in enumerate(sizes.tolist()):
+            yield targets[k, :size], covers[k, :size], placed[k, :size]
+
+
+def _sizes(picks: np.ndarray) -> np.ndarray:
+    """The number of picks in each row of an index array padded with -1."""
+    return (picks >= 0).sum(axis=-1)
+
+
+def _exact_searches(space: FiniteMetricSpace, scales, found, exact_cap: int):
+    """Exact covers and packings of the swept balls, only where one can move
+    d or p: their extreme counts, and the witnesses by (scale index, ball
+    index).
+
+    A ball's greedy cover size U bounds its exact cover from above, its
+    farthest-first packing size l its exact packing from below.  Covers run
+    in descending U while U > 2**ceil(log2 M), M the largest exact count so
+    far (1 at first): any later ball's exact count is at most U, so cannot
+    raise ceil(log2 M).  Packings run in ascending l while l < 2**floor(log2
+    m), m the smallest so far (n at first).
+    """
+    def ranked(kind, sign):
+        # (count, scale, ball) of every swept ball, by sign * count, stably
+        at = [(s, i) for s, w in enumerate(found) for i in range(len(w[0]))]
+        counts = np.concatenate([_sizes(w[kind]) for w in found])
+        return ((int(counts[q]), *at[q]) for q in np.argsort(sign * counts, kind="stable"))
+    top, low, covers, packs = 1, space.n, {}, {}
+    for u, s, i in ranked(1, -1):
+        if u <= 1 << (top - 1).bit_length():
+            break
+        covers[s, i] = covering_number(space, np.flatnonzero(found[s][0][i]), scales[s],
+                                       "exact", exact_cap).witness
+        top = max(top, len(covers[s, i]))
+    for ell, s, i in ranked(2, 1):
+        if ell >= 1 << (low.bit_length() - 1):
+            break
+        packs[s, i] = packing_number(space, np.flatnonzero(found[s][0][i]), scales[s],
+                                     "exact", exact_cap).witness
+        low = min(low, len(packs[s, i]))
+    return top, low, covers, packs
 
 
 def dimension_report(
@@ -483,20 +586,24 @@ def dimension_report(
     ``d`` is the smallest integer with every ball of radius ``2a`` coverable by
     ``2**d`` balls of radius ``a``; ``p`` the largest integer with every such
     ball containing a strictly ``a``-separated subset of size ``2**p``
-    (one-sided reading over the window).  The sweep takes one scale at a
-    time and solves all its distinct balls together: exact searches on
-    bitmasks of the scale's tables when ``n <= exact_cap``, else the greedy
-    kernels with the balls as their batch.
+    (one-sided reading over the window).  One sweep solves every distinct
+    ball of every probe scale in lockstep batches with the greedy kernels,
+    and checks each witness.  When ``n <= exact_cap`` the counts are exact:
+    these witnesses bound every ball's exact counts, and exact searches run
+    only on the balls whose bound could still move ``d`` or ``p``.
     """
     scales = probe_scales(space, window, max_scales=max_scales)
     mode = "exact" if space.n <= exact_cap else "greedy"
-    max_cover, min_pack = 1, space.n
-    for alpha in scales:
-        _, covers, packs = _scale_witnesses(space, float(alpha), mode)
-        max_cover = max(max_cover, *map(len, covers))
-        min_pack = min(min_pack, *map(len, packs))
+    if mode == "exact":
+        max_cover, min_pack, _, _ = _exact_searches(
+            space, scales, list(_scale_witnesses(space, scales)), exact_cap)
+    else:
+        max_cover, min_pack = 1, space.n
+        for _, covers, packs in _scale_witnesses(space, scales):
+            max_cover = max(max_cover, int(_sizes(covers).max()))
+            min_pack = min(min_pack, int(_sizes(packs).min()))
     return DimensionReport(
-        d=math.ceil(math.log2(max_cover)), p=math.floor(math.log2(min_pack)),
+        d=(max_cover - 1).bit_length(), p=min_pack.bit_length() - 1,
         window=(float(window[0]), float(window[1])),
         scales=tuple(float(s) for s in scales), mode=mode,
     )

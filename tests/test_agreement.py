@@ -353,13 +353,23 @@ def test_live_set_traversal_matches_reference(kind, seed, q, half):
     sep = float(dist[min(1, dist.size - 1) if kind == "witness" else int(q * (dist.size - 1))])
     sep *= 0.5 if half else 1.0
     got = farthest_first(counted, start, sep)
+    if kind == "batch":
+        got = _rows_as_lists(got[0]), _rows_as_lists(got[1], got[0] >= 0)
     assert got == reference_farthest_first(full, start, sep)
     if kind == "witness" and n > 1:
         assert min(seen) < n
 
 
+def _rows_as_lists(rows, keep=None):
+    """A batch result of the kernels, padded rows, as one list per problem."""
+    keep = rows >= 0 if keep is None else keep
+    return [row[k].tolist() for row, k in zip(rows, keep)]
+
+
 def _cover_or_error(cover, covers, targets):
     try:
+        if cover is greedy_set_cover and targets is not None:
+            return _rows_as_lists(cover(covers, targets))
         return cover(covers, targets) if targets is not None else cover(covers)
     except NetIncomplete:
         return NetIncomplete

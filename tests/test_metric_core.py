@@ -179,6 +179,17 @@ class TestDimensions:
         scales = probe_scales(space, (0.01, 1.0), max_scales=16)
         assert scales.size <= 16
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_scale_cap_below_one(self, cap):
+        # no scale at all would read d = 0, p = log2(n) from nothing
+        space = line_points(8, 1.0)
+        with pytest.raises(ValueError, match="max_scales"):
+            dimension_report(space, (0.1, 0.5), max_scales=cap)
+        with pytest.raises(ValueError, match="max_scales"):
+            probe_scales(space, (0.1, 0.5), max_scales=cap)
+        assert probe_scales(space, (0.1, 0.5), max_scales=None).size == probe_scales(
+            space, (0.1, 0.5), max_scales=1000).size
+
 
 class TestBallCountBounds:
     def test_example_cover(self):
@@ -270,30 +281,124 @@ def test_dimension_sweep_matches_per_ball_loop(kind, greedy, size, seed, lo, wid
     rep = dimension_report(space, window, max_scales=6)
     assert rep.mode == ("greedy" if space.n > 16 else "exact")
     assert rep == reference_dimension_report(space, window, max_scales=6)
-    for alpha in rep.scales:
-        balls, covers, packs = metric_core._scale_witnesses(space, alpha, rep.mode)
+    found = list(metric_core._scale_witnesses(space, np.array(rep.scales)))
+    assert len(found) == len(rep.scales)
+    for alpha, (balls, covers, packs) in zip(rep.scales, found):
         # one problem per distinct ball, and every point's ball is among them
         every = space.dist <= 2.0 * alpha
         assert len({row.tobytes() for row in balls}) == len(balls)
         assert {row.tobytes() for row in every} == {row.tobytes() for row in balls}
+        # every ball gets its greedy witnesses; exact mode searches some
         for ball, centers, points in zip(balls, covers, packs):
             k = np.flatnonzero(ball)
-            assert tuple(centers) == covering_number(space, k, alpha, rep.mode).witness
-            assert tuple(points) == packing_number(space, k, alpha, rep.mode).witness
+            assert tuple(centers[centers >= 0].tolist()) == covering_number(
+                space, k, alpha, "greedy").witness
+            assert tuple(points[points >= 0].tolist()) == packing_number(
+                space, k, alpha, "greedy").witness
+    if rep.mode == "exact":
+        top, low, covers, packs = metric_core._exact_searches(space, rep.scales, found, 16)
+        assert (rep.d, rep.p) == ((top - 1).bit_length(), low.bit_length() - 1)
+        for (s, i), centers in covers.items():
+            k = np.flatnonzero(found[s][0][i])
+            assert tuple(centers) == covering_number(space, k, rep.scales[s], "exact").witness
+        for (s, i), points in packs.items():
+            k = np.flatnonzero(found[s][0][i])
+            assert tuple(points) == packing_number(space, k, rep.scales[s], "exact").witness
 
 
 def test_batched_certificates_raise(monkeypatch):
     space = line_points(20, 1.0)
+    # one pick per (scale, ball) problem, padded rows as the kernel returns them
     monkeypatch.setattr(metric_core, "greedy_set_cover",
-                        lambda covers, targets: [[0] for _ in targets])
+                        lambda covers, targets: np.zeros((*targets.shape[:-1], 1), int))
     with pytest.raises(NetIncomplete):
         dimension_report(space, (0.05, 0.5))
     monkeypatch.undo()
     monkeypatch.setattr(metric_core, "farthest_first",
-                        lambda rows, start, sep: ([[0, 1] for _ in start],
-                                                  [[math.inf, 0.0] for _ in start]))
+                        lambda rows, start, sep: (np.tile([0, 1], (len(start), 1)),
+                                                  np.tile([math.inf, 0.0], (len(start), 1))))
     with pytest.raises(SeparationFailure):
         dimension_report(space, (0.05, 0.5))
+
+
+def _record_exact_searches(monkeypatch):
+    """Wrap the sweep's exact per-ball calls: each logs its ball's greedy
+    count and the exact count it found.  The searches themselves are
+    counted."""
+    log = {"cover": [], "pack": [], "_exact_cover": 0, "_exact_pack": 0}
+
+    def recorded(kind, count):
+        def run(space, subset, alpha, mode, exact_cap):
+            found = count(space, subset, alpha, mode, exact_cap)
+            log[kind].append((count(space, subset, alpha, "greedy").count, found.count))
+            return found
+        return run
+
+    def counted(name, search):
+        def run(*args):
+            log[name] += 1
+            return search(*args)
+        return run
+    for name in ("_exact_cover", "_exact_pack"):
+        monkeypatch.setattr(metric_core, name, counted(name, getattr(metric_core, name)))
+    monkeypatch.setattr(metric_core, "covering_number", recorded("cover", covering_number))
+    monkeypatch.setattr(metric_core, "packing_number", recorded("pack", packing_number))
+    return log
+
+
+def _check_stop_rules(log, rep, n):
+    """Covers ran in descending greedy count U, each while U > 2**ceil(log2 M)
+    for the largest exact count M before it; packings in ascending greedy
+    count l, each while l < 2**floor(log2 m) for the smallest m before it.
+    Their extremes give d and p."""
+    assert (log["_exact_cover"], log["_exact_pack"]) == (len(log["cover"]), len(log["pack"]))
+    top, low = 1, n
+    assert [u for u, _ in log["cover"]] == sorted((u for u, _ in log["cover"]), reverse=True)
+    for u, exact in log["cover"]:
+        assert exact <= u > 1 << (top - 1).bit_length()
+        top = max(top, exact)
+    assert [ell for ell, _ in log["pack"]] == sorted(ell for ell, _ in log["pack"])
+    for ell, exact in log["pack"]:
+        assert exact >= ell < 1 << (low.bit_length() - 1)
+        low = min(low, exact)
+    assert (rep.d, rep.p) == ((top - 1).bit_length(), low.bit_length() - 1)
+
+
+def test_exact_searches_only_where_d_or_p_can_move(monkeypatch):
+    space, window = lattice(2, 4, 1.0), (1.0, 3.0)
+    log = _record_exact_searches(monkeypatch)
+    rep = dimension_report(space, window)
+    assert rep.mode == "exact"
+    balls = sum(len({row.tobytes() for row in space.dist <= 2.0 * a}) for a in rep.scales)
+    assert 0 < log["_exact_cover"] < balls and 0 < log["_exact_pack"] < balls
+    _check_stop_rules(log, rep, space.n)
+    monkeypatch.undo()
+    assert rep == reference_dimension_report(space, window)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(
+    kind=st.sampled_from(["line", "lattice", "grid", "uniform", "graph"]),
+    size=st.integers(0, 14),
+    seed=st.integers(0, 2 ** 16),
+    lo=st.floats(0.0, 0.5),
+    width=st.floats(2.0, 64.0),
+)
+def test_exact_sweep_at_full_scale_cap(kind, size, seed, lo, width):
+    # 2 to 16 points, most often near 16, with windows wide enough to reach
+    # the 64-scale cap
+    n = 16 - size
+    space = (random_metric_matrix(np.random.default_rng(seed), n) if kind == "graph"
+             else _sweep_space(kind, n, seed))
+    d = space.pairwise_distances()
+    a = float(d[int(lo * (d.size - 1))]) / 2.0
+    window = (a, width * a)
+    with pytest.MonkeyPatch.context() as mp:
+        log = _record_exact_searches(mp)
+        rep = dimension_report(space, window)
+    assert rep.mode == "exact" and len(rep.scales) <= 64
+    _check_stop_rules(log, rep, space.n)
+    assert rep == reference_dimension_report(space, window)
 
 
 def test_dimension_sweep_memory():

@@ -346,3 +346,18 @@ def test_member_matrix_sample_above_row_count_returns():
         "rows, mode = _member_matrix(np.arange(3), 4, cap=10, sample=100, seed=0)\n"
         "print(len({tuple(r) for r in rows.tolist()}), rows.shape[1], mode)\n"))
     assert proc.stdout.split() == ["81", "4", "enumerated"], proc.stderr
+
+
+def test_l1_row_ignores_memory_order():
+    # vals[:, idx] is F-ordered, vals.take(idx, axis=1) C-ordered; both rows
+    # must sum each column's cells in the same order, bit for bit
+    fam = build_family(1, 1, 1 / 256, Gauge.identity(), line_points(17, 1.0), 8, 1.0)
+    vals, w = np.ascontiguousarray(fam.members.T), np.diff(fam.block_edges)
+    assert vals.shape == (3, 729)
+    idx = np.sort(np.random.default_rng(0).choice(729, 465, replace=False))
+    assert vals[:, idx].flags.f_contiguous and not vals[:, idx].flags.c_contiguous
+    for i in (0, 100, 728):
+        want = l1_row(vals.take(idx, axis=1), vals[:, i], w, fam.space)
+        assert l1_row(vals[:, idx], vals[:, i], w, fam.space).tobytes() == want.tobytes()
+        assert l1_row(np.asfortranarray(vals), vals[:, i], w, fam.space)[idx].tobytes() == \
+            want.tobytes()
