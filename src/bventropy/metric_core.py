@@ -28,7 +28,8 @@ Both carry a leading batch axis of independent problems that advance in
 lockstep, and record their picks as arrays.  :func:`dimension_report` solves
 the distinct balls of all its probe scales as one batch of (scale, ball)
 problems, in chunks of scales for large spaces: the cover matrix takes a
-leading scale axis and farthest-first one separation per problem.  Every
+leading scale axis and farthest-first one separation per problem.  Both of
+its modes read d and p off one table of the problems' witness sizes.  Every
 other caller is a batch of one.  The exact searches run on integer bitmasks
 from one builder, with bits in point-index order: the centers' coverage sets
 for covers, the points' closed neighbourhoods for packings.  The sweep runs
@@ -388,9 +389,12 @@ def _subset(space: FiniteMetricSpace, subset, alpha: float, mode: str,
     """Check the arguments shared by the counts; the subset as indices."""
     if not alpha > 0:
         raise ValueError("alpha must be positive")
-    k = np.arange(space.n) if subset is None else np.asarray(subset, dtype=int)
+    k = np.arange(space.n) if subset is None else np.asarray(subset)
     if k.size == 0:
         raise ValueError("subset must be nonempty")
+    # a boolean mask or a float would otherwise be read as indices
+    if k.ndim != 1 or k.dtype.kind not in "iu" or not np.all((k >= 0) & (k < space.n)):
+        raise ValueError(f"subset must be a 1-D array of point indices in [0, {space.n})")
     if mode not in ("exact", "greedy"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "exact" and space.n > exact_cap:
@@ -467,10 +471,14 @@ def probe_scales(
 
     Counts only change at these thresholds, so probing them is exhaustive for
     the finite space.  Large spaces get an evenly thinned subset (deterministic)
-    capped at ``max_scales``, which must be at least 1; ``None`` sets no cap.
+    capped at ``max_scales``, an integer of at least 1; ``None`` sets no cap.
     """
-    if max_scales is not None and not max_scales >= 1:
-        raise ValueError(f"max_scales must be at least 1 or None, got {max_scales}")
+    try:
+        cap = math.inf if max_scales is None else operator.index(max_scales)
+    except TypeError:
+        cap = 0
+    if not cap >= 1:
+        raise ValueError(f"max_scales must be an integer of at least 1 or None, got {max_scales!r}")
     lo, hi = float(window[0]), float(window[1])
     if not (0 < lo <= hi):
         raise EmptyWindow(f"invalid window {window}")
@@ -479,8 +487,8 @@ def probe_scales(
     scales = scales[(scales >= lo) & (scales <= hi)]
     if scales.size == 0:
         raise EmptyWindow(f"no probe scale inside window {window}")
-    if max_scales is not None and scales.size > max_scales:
-        idx = np.linspace(0, scales.size - 1, max_scales).round().astype(int)
+    if scales.size > cap:
+        idx = np.linspace(0, scales.size - 1, cap).round().astype(int)
         scales = scales[np.unique(idx)]
     return scales
 
@@ -492,19 +500,20 @@ _SWEEP_ENTRIES = 1 << 14
 
 
 def _scale_witnesses(space: FiniteMetricSpace, scales):
-    """For each scale a, the distinct balls B(x, 2a) as boolean rows, in order
-    of their first center, with each one's greedy cover by closed a-balls
-    and farthest-first strictly a-separated subset, all checked.
+    """The distinct balls B(x, 2a) of every probe scale a as a table of
+    (scale, ball) problems, each with its greedy cover by closed a-balls and
+    farthest-first strictly a-separated subset, all checked.
 
-    The (scale, ball) problems of a chunk of scales, ``_SWEEP_ENTRIES`` at a
-    time, run as one lockstep batch: the covers on the chunk's (scales x
-    balls x points) targets against its (scales x points x points) cover
-    matrices, the packings with one separation per problem.  Points with
-    equal balls share one problem, as ball and a fix the witness.  The
-    kernels see a ball's points in index order, as :func:`covering_number`
+    The problems of a chunk of scales, ``_SWEEP_ENTRIES`` at a time, run as
+    one lockstep batch: the covers on the chunk's (scales x balls x points)
+    targets against its (scales x points x points) cover matrices, the
+    packings with one separation per problem.  Points with equal balls share
+    one problem, named by its first center x, as ball and a fix the witness.
+    The kernels see a ball's points in index order, as :func:`covering_number`
     and :func:`packing_number` see it given as a subset, so the witnesses
-    equal their greedy ones.  Yields one (balls, covers, packs) per scale,
-    the witnesses as index rows padded with -1.
+    equal their greedy ones.  Yields per chunk the columns (scale index,
+    x, covers, packs), one entry per problem in (scale, x) order, the
+    witnesses as index rows padded with -1.
     """
     n = space.n
     per = max(1, _SWEEP_ENTRIES // (n * n))
@@ -533,46 +542,7 @@ def _scale_witnesses(space: FiniteMetricSpace, scales):
         placed[s, j] = packs
         _check_covers(near, covers, targets, alphas)
         _check_packings(near, placed, alphas)
-        for k, size in enumerate(sizes.tolist()):
-            yield targets[k, :size], covers[k, :size], placed[k, :size]
-
-
-def _sizes(picks: np.ndarray) -> np.ndarray:
-    """The number of picks in each row of an index array padded with -1."""
-    return (picks >= 0).sum(axis=-1)
-
-
-def _exact_searches(space: FiniteMetricSpace, scales, found, exact_cap: int):
-    """Exact covers and packings of the swept balls, only where one can move
-    d or p: their extreme counts, and the witnesses by (scale index, ball
-    index).
-
-    A ball's greedy cover size U bounds its exact cover from above, its
-    farthest-first packing size l its exact packing from below.  Covers run
-    in descending U while U > 2**ceil(log2 M), M the largest exact count so
-    far (1 at first): any later ball's exact count is at most U, so cannot
-    raise ceil(log2 M).  Packings run in ascending l while l < 2**floor(log2
-    m), m the smallest so far (n at first).
-    """
-    def ranked(kind, sign):
-        # (count, scale, ball) of every swept ball, by sign * count, stably
-        at = [(s, i) for s, w in enumerate(found) for i in range(len(w[0]))]
-        counts = np.concatenate([_sizes(w[kind]) for w in found])
-        return ((int(counts[q]), *at[q]) for q in np.argsort(sign * counts, kind="stable"))
-    top, low, covers, packs = 1, space.n, {}, {}
-    for u, s, i in ranked(1, -1):
-        if u <= 1 << (top - 1).bit_length():
-            break
-        covers[s, i] = covering_number(space, np.flatnonzero(found[s][0][i]), scales[s],
-                                       "exact", exact_cap).witness
-        top = max(top, len(covers[s, i]))
-    for ell, s, i in ranked(2, 1):
-        if ell >= 1 << (low.bit_length() - 1):
-            break
-        packs[s, i] = packing_number(space, np.flatnonzero(found[s][0][i]), scales[s],
-                                     "exact", exact_cap).witness
-        low = min(low, len(packs[s, i]))
-    return top, low, covers, packs
+        yield lo + s, x, covers[s, j], packs
 
 
 def dimension_report(
@@ -588,24 +558,39 @@ def dimension_report(
     ball containing a strictly ``a``-separated subset of size ``2**p``
     (one-sided reading over the window).  One sweep solves every distinct
     ball of every probe scale in lockstep batches with the greedy kernels,
-    and checks each witness.  When ``n <= exact_cap`` the counts are exact:
-    these witnesses bound every ball's exact counts, and exact searches run
-    only on the balls whose bound could still move ``d`` or ``p``.
+    and checks each witness; only each ball's scale, first center x, greedy
+    cover size U and packing size l are kept.  In greedy mode d and p come
+    from the largest U and the smallest l.
+
+    When ``n <= exact_cap`` the counts are exact.  U bounds a ball's exact
+    cover from above, l its exact packing from below, so exact searches run
+    only where one could move d or p.  Covers run in descending U (stably)
+    while U > 2**ceil(log2 M), M the largest exact count so far (1 at
+    first): any later ball's exact count is at most U, so cannot raise
+    ceil(log2 M).  Packings run in ascending l while l < 2**floor(log2 m),
+    m the smallest so far (n at first).
     """
     scales = probe_scales(space, window, max_scales=max_scales)
     mode = "exact" if space.n <= exact_cap else "greedy"
+    s, x, u, ell = (np.concatenate(column) for column in zip(*(
+        (s, x, np.count_nonzero(covers >= 0, axis=1), np.count_nonzero(packs >= 0, axis=1))
+        for s, x, covers, packs in _scale_witnesses(space, scales))))
+    top, low = (1, space.n) if mode == "exact" else (int(u.max()), int(ell.min()))
     if mode == "exact":
-        max_cover, min_pack, _, _ = _exact_searches(
-            space, scales, list(_scale_witnesses(space, scales)), exact_cap)
-    else:
-        max_cover, min_pack = 1, space.n
-        for _, covers, packs in _scale_witnesses(space, scales):
-            max_cover = max(max_cover, int(_sizes(covers).max()))
-            min_pack = min(min_pack, int(_sizes(packs).min()))
+        for q in np.argsort(-u, kind="stable"):
+            if u[q] <= 1 << (top - 1).bit_length():
+                break
+            top = max(top, covering_number(space, space.ball(x[q], 2 * scales[s[q]]),
+                                           scales[s[q]], "exact", exact_cap).count)
+        for q in np.argsort(ell, kind="stable"):
+            if ell[q] >= 1 << (low.bit_length() - 1):
+                break
+            low = min(low, packing_number(space, space.ball(x[q], 2 * scales[s[q]]),
+                                          scales[s[q]], "exact", exact_cap).count)
     return DimensionReport(
-        d=(max_cover - 1).bit_length(), p=min_pack.bit_length() - 1,
+        d=(top - 1).bit_length(), p=low.bit_length() - 1,
         window=(float(window[0]), float(window[1])),
-        scales=tuple(float(s) for s in scales), mode=mode,
+        scales=tuple(float(a) for a in scales), mode=mode,
     )
 
 

@@ -96,6 +96,17 @@ class TestCoverPack:
     def test_pack_singleton(self, line4):
         assert packing_number(line4, [2], 0.1).count == 1
 
+    @pytest.mark.parametrize("mode", ["exact", "greedy"])
+    @pytest.mark.parametrize("subset", [[-1], [8], [0.5], np.ones(8, bool), [[0, 1]]],
+                             ids=["negative", "past-end", "float", "mask", "2-D"])
+    def test_subset_must_be_indices(self, mode, subset):
+        # an all-true mask read as indices names point 1 eight times: a cover
+        # count of 1 at alpha = 0.05, where the whole space needs 8
+        space = line_points(8, 1.0)
+        for count in (covering_number, packing_number):
+            with pytest.raises(ValueError, match="subset"):
+                count(space, subset, 0.05, mode)
+
     def test_exact_cap(self):
         space = line_points(20, 1.0)
         with pytest.raises(ExactModeTooLarge):
@@ -179,9 +190,10 @@ class TestDimensions:
         scales = probe_scales(space, (0.01, 1.0), max_scales=16)
         assert scales.size <= 16
 
-    @pytest.mark.parametrize("cap", [0, -1])
+    @pytest.mark.parametrize("cap", [0, -1, 1.5, "4"])
     def test_scale_cap_below_one(self, cap):
-        # no scale at all would read d = 0, p = log2(n) from nothing
+        # no scale at all would read d = 0, p = log2(n) from nothing; a cap
+        # that is no integer is refused, not rounded or compared
         space = line_points(8, 1.0)
         with pytest.raises(ValueError, match="max_scales"):
             dimension_report(space, (0.1, 0.5), max_scales=cap)
@@ -263,6 +275,27 @@ def _sweep_space(kind, n, seed):
     return from_points(rng.uniform(0.0, 1.0, size=(n, 2)))
 
 
+def _check_sweep_table(space, scales):
+    """The sweep's table holds one row per distinct ball B(x, 2a) of each
+    scale a, x its first center, in (scale, x) order, with the witnesses of
+    the public greedy per-ball calls.  Returns its chunks."""
+    chunks = list(metric_core._scale_witnesses(space, scales))
+    s, x = (np.concatenate(column) for column in list(zip(*chunks))[:2])
+    for k, alpha in enumerate(scales):
+        every = space.dist <= 2.0 * alpha
+        firsts = np.sort(np.unique(every, axis=0, return_index=True)[1])
+        assert x[s == k].tolist() == firsts.tolist()
+    assert np.all(np.diff(s) >= 0)
+    for chunk in chunks:
+        for k, center, centers, points in zip(*chunk):
+            ball = space.ball(center, 2.0 * scales[k])
+            assert tuple(centers[centers >= 0].tolist()) == covering_number(
+                space, ball, scales[k], "greedy").witness
+            assert tuple(points[points >= 0].tolist()) == packing_number(
+                space, ball, scales[k], "greedy").witness
+    return chunks
+
+
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(
     kind=st.sampled_from(["line", "lattice", "grid", "uniform"]),
@@ -281,29 +314,7 @@ def test_dimension_sweep_matches_per_ball_loop(kind, greedy, size, seed, lo, wid
     rep = dimension_report(space, window, max_scales=6)
     assert rep.mode == ("greedy" if space.n > 16 else "exact")
     assert rep == reference_dimension_report(space, window, max_scales=6)
-    found = list(metric_core._scale_witnesses(space, np.array(rep.scales)))
-    assert len(found) == len(rep.scales)
-    for alpha, (balls, covers, packs) in zip(rep.scales, found):
-        # one problem per distinct ball, and every point's ball is among them
-        every = space.dist <= 2.0 * alpha
-        assert len({row.tobytes() for row in balls}) == len(balls)
-        assert {row.tobytes() for row in every} == {row.tobytes() for row in balls}
-        # every ball gets its greedy witnesses; exact mode searches some
-        for ball, centers, points in zip(balls, covers, packs):
-            k = np.flatnonzero(ball)
-            assert tuple(centers[centers >= 0].tolist()) == covering_number(
-                space, k, alpha, "greedy").witness
-            assert tuple(points[points >= 0].tolist()) == packing_number(
-                space, k, alpha, "greedy").witness
-    if rep.mode == "exact":
-        top, low, covers, packs = metric_core._exact_searches(space, rep.scales, found, 16)
-        assert (rep.d, rep.p) == ((top - 1).bit_length(), low.bit_length() - 1)
-        for (s, i), centers in covers.items():
-            k = np.flatnonzero(found[s][0][i])
-            assert tuple(centers) == covering_number(space, k, rep.scales[s], "exact").witness
-        for (s, i), points in packs.items():
-            k = np.flatnonzero(found[s][0][i])
-            assert tuple(points) == packing_number(space, k, rep.scales[s], "exact").witness
+    _check_sweep_table(space, np.array(rep.scales))
 
 
 def test_batched_certificates_raise(monkeypatch):
@@ -399,6 +410,24 @@ def test_exact_sweep_at_full_scale_cap(kind, size, seed, lo, width):
     assert rep.mode == "exact" and len(rep.scales) <= 64
     _check_stop_rules(log, rep, space.n)
     assert rep == reference_dimension_report(space, window)
+
+
+@pytest.mark.parametrize("n, window, cap, scales, chunks", [
+    (16, None, None, 240, 4),           # exact: every scale, in chunks of 64
+    (40, (0.05, 0.4), 64, 64, 7),       # greedy: the 64-scale cap, in chunks of 10
+])
+def test_dimension_sweep_across_chunks(n, window, cap, scales, chunks):
+    space = _sweep_space("uniform", n, 0)
+    if window is None:                  # every pairwise distance and its half
+        window = (space.pairwise_distances()[0] / 2.0, space.diameter)
+    with pytest.MonkeyPatch.context() as mp:
+        log = _record_exact_searches(mp)
+        rep = dimension_report(space, window, max_scales=cap)
+    assert rep.mode == ("exact" if n <= 16 else "greedy") and len(rep.scales) == scales
+    assert len(_check_sweep_table(space, np.array(rep.scales))) == chunks
+    if rep.mode == "exact":
+        _check_stop_rules(log, rep, space.n)
+    assert rep == reference_dimension_report(space, window, max_scales=cap)
 
 
 def test_dimension_sweep_memory():
