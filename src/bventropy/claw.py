@@ -11,14 +11,18 @@ interfaces that straddle its point.  The flux also
 induces a gauge: the minimal affine-approximation error of f over windows of
 width h, convexified and rescaled, measures how strongly the flux bends and
 controls the generalized variation of solutions; the gauge feeds the
-variation codec and its bit bounds.  The error of every sampled window of
-one width comes from a single golden-section search over the approximating
-slope, run on a (windows x samples) array; the only convex hull in the
-module is the envelope taken over the widths.
+variation codec and its bit bounds.  The errors of the sampled windows of
+all the widths of a gauge come from one golden-section search over the
+approximating slope.  Its first steps read every sample of one width at a
+time; then each window keeps only the samples that can still set its
+extremes, and the other steps run on the windows of all widths as one
+batch.  The only convex hull in the module is the envelope taken over the
+widths.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -298,57 +302,149 @@ def support_check(sol: GridSolution, L: float, M: float, T: float, flux: Flux) -
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0     # golden-section shrink factor
+_FULL_STEPS = 10        # golden steps that read every sample before the prune
+# |fl(y - fl(s x)) - (y - s x)| <= _ROUND (|y| + 2 |s x|) + 2^-1074
+_ROUND = 2.0 ** -53 * (1.0 + 2.0 ** -20)
 
 
-def _window_minimax(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Best uniform affine-approximation error of each row of sampled points.
+def _window_minimax(groups) -> list:
+    """Best uniform affine-approximation error of each row of sampled points,
+    for each group: a callable that returns its (xs, ys) pair of 2-D arrays,
+    so that only one group's samples are held at a time.
 
     For a slope s the optimal offset splits the residual range evenly, so the
     error is w(s) = (max(y - s x) - min(y - s x)) / 2, convex in s.  Below the
     least chord slope of consecutive samples the residuals increase along the
     row and w falls; above the greatest they decrease and w rises.  So a
-    golden-section search on that bracket finds the minimum; it runs on all
-    rows at once until every bracket has shrunk to the float resolution of
-    its slopes.
+    golden-section search on that bracket finds the minimum; the rows of one
+    group take the steps that shrink all their brackets to the float
+    resolution of their slopes.  The first steps read every sample of a
+    group.  Then each row keeps only the samples that can still hold its float
+    max or min at a slope inside its bracket, and the other steps of every
+    group run as one batch on those ragged rows, with the same floats.
     """
-    def half_width(s: np.ndarray) -> np.ndarray:
-        r = ys - s[:, None] * xs
-        return (r.max(axis=1) - r.min(axis=1)) / 2.0
+    parts = [_full_steps(*samples()) for samples in groups]
+    if not parts:
+        return []
+    # rows with more steps left first, so the rows still searching are a prefix
+    order = sorted(range(len(parts)), key=lambda g: -parts[g][0][0])
+    left, *state, X, Y, counts = (np.concatenate(col) for col in zip(*(parts[g] for g in order)))
+    starts = np.cumsum(counts) - counts
 
-    chords = np.diff(ys, axis=1) / np.diff(xs, axis=1)
+    def half_width(s: np.ndarray) -> np.ndarray:
+        r = Y[:size] - np.repeat(s, counts[:n]) * X[:size]
+        return (np.maximum.reduceat(r, starts[:n]) - np.minimum.reduceat(r, starts[:n])) / 2.0
+
+    gaps, n = np.empty(left.size), left.size
+    for t in range(left.max()):
+        m = np.count_nonzero(left > t)
+        gaps[m:n] = np.minimum(state[4][m:n], state[5][m:n])
+        n, size = m, starts[m] if m < left.size else Y.size
+        state = _golden_step([a[:n] for a in state], half_width)
+    gaps[:n] = np.minimum(state[4][:n], state[5][:n])
+    rows = np.split(gaps, np.cumsum([parts[g][0].size for g in order])[:-1])
+    return [rows[order.index(g)] for g in range(len(parts))]
+
+
+def _golden_step(state, half_width) -> list:
+    """One step of every row: keep [lo, d] where w(c) <= w(d), else [c, hi],
+    with one new probe per row."""
+    lo, hi, c, d, fc, fd = state
+    left = fc <= fd
+    lo, hi = np.where(left, lo, c), np.where(left, d, hi)
+    p = np.where(left, hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo))
+    fp = half_width(p)
+    c, d = np.where(left, p, d), np.where(left, c, p)
+    fc, fd = np.where(left, fp, fd), np.where(left, fc, fp)
+    return [lo, hi, c, d, fc, fd]
+
+
+def _full_steps(xs: np.ndarray, ys: np.ndarray) -> tuple:
+    """The steps left to each row after those on every sample, its search
+    state (lo, hi, c, d, w(c), w(d)), and the samples it keeps, flat, with
+    their count per row.
+
+    Every later probe lies between the least and the greatest of the
+    bracket ends and probes, a and b.  A sample can hold neither extreme when
+    its computed residuals at a and at b both lie more than eight rounding
+    bounds below (above) those of one sample, the greatest (least) at a or
+    at b.  The gap in exact residuals then exceeds two bounds at a and at b,
+    and as it is linear in s, at every slope between: the sample's computed
+    residual stays below (above) the other's.  The samples at the extremes
+    are always kept.
+    """
+    chords = np.diff(ys, axis=1)
+    chords /= np.diff(xs, axis=1)
     lo, hi = chords.min(axis=1), chords.max(axis=1)
     ratio = np.max((hi - lo) / np.spacing(np.maximum(np.abs(lo), np.abs(hi))))
     steps = math.ceil(math.log(ratio) / -math.log(_INVPHI)) if ratio > 1.0 else 0
+    del chords          # the samples, r and rb below are the only full-size arrays
+    r = np.empty_like(ys)
+
+    def half_width(s: np.ndarray) -> np.ndarray:
+        np.subtract(ys, np.multiply(s[:, None], xs, out=r), out=r)
+        return (r.max(axis=1) - r.min(axis=1)) / 2.0
+
     c, d = hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
-    fc, fd = half_width(c), half_width(d)
-    for _ in range(steps):
-        # keep [lo, d] where w(c) <= w(d), else [c, hi]; one new probe per row
-        left = fc <= fd
-        lo, hi = np.where(left, lo, c), np.where(left, d, hi)
-        p = np.where(left, hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo))
-        fp = half_width(p)
-        c, d = np.where(left, p, d), np.where(left, c, p)
-        fc, fd = np.where(left, fp, fd), np.where(left, fc, fp)
-    return np.minimum(fc, fd)
+    state = [lo, hi, c, d, half_width(c), half_width(d)]
+    for _ in range(min(steps, _FULL_STEPS)):
+        state = _golden_step(state, half_width)
+    left = np.full(lo.size, max(steps - _FULL_STEPS, 0))
+    if steps <= _FULL_STEPS:
+        return left, *state, np.zeros(0), np.zeros(0), np.zeros(lo.size, int)
+    a, b = np.min(state[:4], axis=0), np.max(state[:4], axis=0)
+    y_max = np.maximum(ys.max(axis=1), -ys.min(axis=1))
+    x_max = np.maximum(xs.max(axis=1), -xs.min(axis=1))
+    margin = 8.0 * ((y_max + 2.0 * np.maximum(-a, b) * x_max) * _ROUND + 2.0 ** -1074)
+    ra = np.subtract(ys, np.multiply(a[:, None], xs, out=r), out=r)
+    rb = np.multiply(b[:, None], xs)
+    np.subtract(ys, rb, out=rb)
+    top = _dominated(ra, rb, margin[:, None])
+    keep = ~(top & _dominated(np.negative(ra, out=ra), np.negative(rb, out=rb),
+                              margin[:, None]))
+    return left, *state, xs[keep], ys[keep], keep.sum(axis=1)
 
 
-def affine_gap(flux: Flux, M: float, h: float) -> float:
+def _dominated(ra: np.ndarray, rb: np.ndarray, margin: np.ndarray) -> np.ndarray:
+    """Samples whose residuals ``ra`` and ``rb`` at two slopes both lie more
+    than ``margin`` below those of the greatest sample at either slope."""
+    out = np.zeros(ra.shape, bool)
+    for r in (ra, rb):
+        k = r.argmax(axis=1)[:, None]
+        out |= ((ra < np.take_along_axis(ra, k, 1) - margin)
+                & (rb < np.take_along_axis(rb, k, 1) - margin))
+    return out
+
+
+def affine_gap(flux: Flux, M: float, h):
     """Smallest uniform distance of f to an affine function over any window
     [a, a+h] inside [-M, M]: 65 starts a with 257 samples per window, then 17
-    starts between the neighbours of the best with 513 samples each."""
-    if not 0 < h <= 2.0 * M:
+    starts between the neighbours of the best with 513 samples each.  ``h``
+    is one width, for a float, or a 1-D array of widths, for an array of gaps;
+    each stage of all widths is one search."""
+    if not 0 < M < math.inf:
+        raise ValueError(f"M must be positive and finite, got {M}")
+    hs = np.asarray(h, dtype=float)
+    if hs.ndim > 1 or not np.all(np.isfinite(hs)):
+        raise ValueError(f"h must be one finite width or a 1-D array of them, got {h}")
+    if not np.all((0 < hs) & (hs <= 2.0 * M)):
         raise ValueError("need 0 < h <= 2M")
-    a_grid = np.linspace(-M, M - h, 65)
+    widths = hs.reshape(-1).tolist()
 
-    def gaps(starts: np.ndarray, pts: int) -> np.ndarray:
-        xs = np.linspace(starts, starts + h, pts, axis=1)
-        return _window_minimax(xs, flux(xs))
+    def samples(w: float, starts: np.ndarray, pts: int) -> tuple:
+        xs = np.linspace(starts, starts + w, pts, axis=1)
+        return xs, flux(xs)
 
-    i = int(np.argmin(gaps(a_grid, 257)))
-    lo = a_grid[max(i - 1, 0)]
-    hi = a_grid[min(i + 1, a_grid.size - 1)]
-    fine = np.linspace(lo, hi, 17)
-    return float(gaps(fine, 513).min())
+    def windows(starts: list, pts: int) -> list:
+        return [functools.partial(samples, w, a, pts) for w, a in zip(widths, starts)]
+
+    a_grids = [np.linspace(-M, M - w, 65) for w in widths]
+    fine = []
+    for a, gaps in zip(a_grids, _window_minimax(windows(a_grids, 257))):
+        i = int(np.argmin(gaps))
+        fine.append(np.linspace(a[max(i - 1, 0)], a[min(i + 1, a.size - 1)], 17))
+    d = np.array([gaps.min() for gaps in _window_minimax(windows(fine, 513))])
+    return float(d[0]) if hs.ndim == 0 else d
 
 
 @dataclass(frozen=True)
@@ -364,9 +460,10 @@ def flux_gauge(flux: Flux, M: float, h_grid) -> FluxGauge:
     """Gauge psi(x) = Phi(x/2) x where Phi is the lower convex envelope of
     the affine gap, anchored at the origin."""
     hs = np.asarray(h_grid, dtype=float)
-    if hs.ndim != 1 or hs.size < 3 or np.any(np.diff(hs) <= 0) or hs[0] <= 0:
-        raise ValueError("h_grid must be strictly increasing and positive")
-    d_vals = np.array([affine_gap(flux, M, float(h)) for h in hs])
+    if (hs.ndim != 1 or hs.size < 3 or not np.all(np.isfinite(hs))
+            or np.any(np.diff(hs) <= 0) or hs[0] <= 0):
+        raise ValueError("h_grid must be finite, strictly increasing and positive")
+    d_vals = affine_gap(flux, M, hs)
     phi = _lower_envelope(np.concatenate([[0.0], hs]),
                           np.concatenate([[0.0], d_vals]))[1:]
     x = 2.0 * hs

@@ -219,6 +219,12 @@ def cmd_scan(args) -> None:
 
 def cmd_claw(args) -> None:
     _check_numbers(args, positive=("T", "L", "M", "epsilon"), nonnegative=("gamma-lm",))
+    with np.errstate(all="ignore"):         # an infinite 2M gives NaN steps
+        widths = np.linspace(0.05, 2.0 * args.M, 32)     # the flux gauge's windows
+        increasing = np.all(np.diff(widths) > 0)
+    if not increasing:
+        raise ConfigError(f"--M must exceed 0.025, with 2M finite, for the flux gauge's "
+                          f"window widths from 0.05 to 2M, got {args.M}")
     flux = Flux.parse(args.flux, args.M)
     if not flux.is_wgn():
         raise ConfigError(f"flux {args.flux!r} is affine: the bound needs a weakly "
@@ -233,7 +239,7 @@ def cmd_claw(args) -> None:
     rows = "\n".join(f"{xi},{ui}" for xi, ui in zip(sol.x, sol.cells))
     _atomic_write(os.path.join(args.out, "solution.csv"), "x,u\n" + rows + "\n")
 
-    fg = flux_gauge(flux, args.M, np.linspace(0.05, 2.0 * args.M, 32))
+    fg = flux_gauge(flux, args.M, widths)
     tab = "\n".join(f"{h},{d},{p}" for h, d, p
                     in zip(fg.h_grid, fg.d_table, fg.phi_table))
     _atomic_write(os.path.join(args.out, "flux_gauge.csv"), "h,gap,phi\n" + tab + "\n")

@@ -19,6 +19,8 @@ for bit; it reads only a flux's coefficients and critical points.  The
 reference step loop runs it on a freshly allocated array at every step.  The
 reference decoder reads each shell off a net's dense matrix of discrete radii
 rather than from ``Net.shell``.
+The reference golden-section search reads every sample of every row at every
+step, one width at a time: the pruned, batched search must give its floats.
 """
 
 import itertools
@@ -302,6 +304,41 @@ def oracle_window_minimax(xs: np.ndarray, ys: np.ndarray) -> float:
     s = (ys[j] - ys[i]) / (xs[j] - xs[i])
     r = ys[None, :] - s[:, None] * xs[None, :]
     return float((r.max(axis=1) - r.min(axis=1)).min() / 2.0)
+
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0     # golden-section shrink factor
+
+
+def reference_window_minimax(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Best uniform affine-approximation error of each row of sampled points.
+
+    For a slope s the optimal offset splits the residual range evenly, so the
+    error is w(s) = (max(y - s x) - min(y - s x)) / 2, convex in s.  Below the
+    least chord slope of consecutive samples the residuals increase along the
+    row and w falls; above the greatest they decrease and w rises.  So a
+    golden-section search on that bracket finds the minimum; it runs on all
+    rows at once until every bracket has shrunk to the float resolution of
+    its slopes.
+    """
+    def half_width(s: np.ndarray) -> np.ndarray:
+        r = ys - s[:, None] * xs
+        return (r.max(axis=1) - r.min(axis=1)) / 2.0
+
+    chords = np.diff(ys, axis=1) / np.diff(xs, axis=1)
+    lo, hi = chords.min(axis=1), chords.max(axis=1)
+    ratio = np.max((hi - lo) / np.spacing(np.maximum(np.abs(lo), np.abs(hi))))
+    steps = math.ceil(math.log(ratio) / -math.log(_INVPHI)) if ratio > 1.0 else 0
+    c, d = hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
+    fc, fd = half_width(c), half_width(d)
+    for _ in range(steps):
+        # keep [lo, d] where w(c) <= w(d), else [c, hi]; one new probe per row
+        left = fc <= fd
+        lo, hi = np.where(left, lo, c), np.where(left, d, hi)
+        p = np.where(left, hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo))
+        fp = half_width(p)
+        c, d = np.where(left, p, d), np.where(left, c, p)
+        fc, fd = np.where(left, fp, fd), np.where(left, fc, fp)
+    return np.minimum(fc, fd)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from conftest import (
     burgers_exact_rarefaction,
     burgers_exact_shock,
     oracle_window_minimax,
+    reference_window_minimax,
 )
 
 
@@ -321,10 +322,79 @@ def test_window_minimax_matches_oracle(coeffs, windows, pts):
     widths = np.array([w for _, w in windows])
     xs = np.linspace(starts, starts + widths, pts, axis=1)
     ys = P.polyval(xs, c)
-    got = _window_minimax(xs, ys)
+    got = _window_minimax([lambda: (xs, ys)])[0]
     for row, value in enumerate(got):
         want = oracle_window_minimax(xs[row], ys[row])
         assert abs(value - want) <= 1e-12 * want + 1e-15 * np.abs(c).sum()
+
+
+@st.composite
+def sampled_windows(draw):
+    """Rows of samples of one polynomial on windows of one width: a curved
+    polynomial on [-1, 1], a near-affine one whose chord slopes agree to a few
+    digits or to every bit, or the quartic x^4 / 4 on small windows near 0,
+    where the rows are nearly flat."""
+    kind = draw(st.sampled_from(["curved", "near_affine", "flat"]))
+    rows, pts = draw(st.integers(1, 6)), draw(st.integers(3, 40))
+    if kind == "curved":
+        c = np.asarray(draw(st.lists(st.integers(-1000, 1000), min_size=1, max_size=6))) / 1e3
+        width = draw(st.floats(1e-3, 2.0))
+        starts = -1.0 + np.asarray(draw(st.lists(st.floats(0.0, 1.0), min_size=rows,
+                                                 max_size=rows))) * (2.0 - width)
+    elif kind == "near_affine":
+        bend = 10.0 ** -draw(st.integers(4, 20))
+        c = np.array([draw(st.floats(-1.0, 1.0)), draw(st.floats(-2.0, 2.0)), bend,
+                      draw(st.sampled_from([0.0, -bend, bend]))])
+        width = draw(st.floats(1e-2, 1.0))
+        starts = np.asarray(draw(st.lists(st.floats(-1.0, 0.0), min_size=rows, max_size=rows)))
+    else:
+        c = np.array([0.0, 0.0, 0.0, 0.0, 0.25])
+        width = 10.0 ** draw(st.floats(-4.0, -1.0))
+        starts = np.asarray(draw(st.lists(st.floats(-0.02, 0.02), min_size=rows,
+                                          max_size=rows))) - width / 2.0
+    xs = np.linspace(starts, starts + width, pts, axis=1)
+    return xs, P.polyval(xs, c)
+
+
+@settings(derandomize=True, deadline=None)
+@given(groups=st.lists(sampled_windows(), min_size=1, max_size=6))
+def test_window_minimax_is_the_full_search(groups):
+    # one batch of groups with their own step counts gives, float for float,
+    # the search that reads every sample at every step, one group at a time
+    got = _window_minimax([lambda group=group: group for group in groups])
+    assert len(got) == len(groups)
+    for (xs, ys), gaps in zip(groups, got):
+        assert gaps.tobytes() == reference_window_minimax(xs, ys).tobytes()
+
+
+class TestAffineGapInput:
+    @pytest.mark.parametrize("name, M", [("burgers", 0.5), ("cubic", 1.0), ("quartic", 0.5)])
+    def test_widths_at_once_are_the_widths_one_by_one(self, name, M):
+        flux = getattr(Flux, name)(M)
+        hs = np.linspace(0.05, 2.0 * M, 10)
+        one_by_one = np.array([affine_gap(flux, M, float(h)) for h in hs])
+        assert affine_gap(flux, M, hs).tobytes() == one_by_one.tobytes()
+
+    @pytest.mark.parametrize("M", [math.inf, math.nan, 0.0, -1.0])
+    def test_bad_radius(self, M):
+        # M = inf gave nan after three RuntimeWarnings
+        with pytest.raises(ValueError, match="M must be positive and finite"):
+            affine_gap(Flux.cubic(0.5), M, 0.5)
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf, [0.1, math.nan]])
+    def test_nonfinite_width(self, h):
+        with pytest.raises(ValueError, match="finite"):
+            affine_gap(Flux.cubic(0.5), 0.5, h)
+
+    def test_gauge_bad_radius(self):
+        # failed deep inside with "table entries must be finite"
+        with pytest.raises(ValueError, match="M must be positive and finite"):
+            flux_gauge(Flux.cubic(0.5), math.inf, [0.1, 0.2, 0.3])
+
+    def test_gauge_nan_width(self):
+        # passed the increasing-grid check, then surfaced as "need 0 < h <= 2M"
+        with pytest.raises(ValueError, match="h_grid must be finite"):
+            flux_gauge(Flux.cubic(0.5), 0.5, [0.1, math.nan, 0.3])
 
 
 class TestFluxGauge:

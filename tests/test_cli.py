@@ -357,6 +357,16 @@ class TestClaw:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: cfl = {float(cfl)} must lie in")
 
+    @pytest.mark.parametrize("M", ["0.02", "0.025", "1e308"])
+    def test_radius_without_gauge_widths_fails_first(self, tmp_path, M, capsys):
+        # --M 0.02 evolved and wrote solution.csv, then failed on the gauge's
+        # internal width grid linspace(0.05, 2M, 32)
+        out = tmp_path / "c"
+        assert run("claw", "--out", str(out), "--M", M) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --M must exceed 0.025")
+        assert not (out / "solution.csv").exists()
+
     def test_unknown_flux(self, tmp_path):
         # unknown token propagates as a nonzero exit
         code = run("claw", "--out", str(tmp_path / "c"), "--flux", "woble")
