@@ -373,12 +373,15 @@ def _full_steps(xs: np.ndarray, ys: np.ndarray) -> tuple:
     residual stays below (above) the other's.  The samples at the extremes
     are always kept.
     """
+    dx = np.diff(xs, axis=1)
+    if not np.all(dx > 0):
+        raise ValueError("h is too small for the samples of its windows to be distinct")
     chords = np.diff(ys, axis=1)
-    chords /= np.diff(xs, axis=1)
+    chords /= dx
     lo, hi = chords.min(axis=1), chords.max(axis=1)
     ratio = np.max((hi - lo) / np.spacing(np.maximum(np.abs(lo), np.abs(hi))))
     steps = math.ceil(math.log(ratio) / -math.log(_INVPHI)) if ratio > 1.0 else 0
-    del chords          # the samples, r and rb below are the only full-size arrays
+    del chords, dx      # the samples, r and rb below are the only full-size arrays
     r = np.empty_like(ys)
 
     def half_width(s: np.ndarray) -> np.ndarray:

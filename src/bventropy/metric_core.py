@@ -26,14 +26,14 @@ Every greedy count in the package runs on one of two kernels:
 
 Both carry a leading batch axis of independent problems that advance in
 lockstep, and record their picks as arrays.  :func:`dimension_report` solves
-the distinct balls of all its probe scales as one batch of (scale, ball)
-problems, in chunks of scales for large spaces: the cover matrix takes a
-leading scale axis and farthest-first one separation per problem.  Both of
-its modes read d and p off one table of the problems' witness sizes.  Every
-other caller is a batch of one.  The exact searches run on integer bitmasks
-from one builder, with bits in point-index order: the centers' coverage sets
-for covers, the points' closed neighbourhoods for packings.  The sweep runs
-them only on the balls whose greedy bounds could still move d or p.
+the ball B(x, 2a) of every point x at every probe scale a as one batch of
+(scale, x) problems, in chunks of scales for large spaces: the cover matrix
+takes a leading scale axis and farthest-first one separation per problem.
+Both of its modes read d and p off one table of the problems' witness sizes.
+Every other caller is a batch of one.  The exact searches run on integer
+bitmasks from one builder, with bits in point-index order: the centers'
+coverage sets for covers, the points' closed neighbourhoods for packings.
+The sweep runs them only where a ball's greedy bounds could still move d or p.
 """
 
 from __future__ import annotations
@@ -123,17 +123,24 @@ def validate_metric(matrix) -> FiniteMetricSpace:
 
 
 def from_points(points, norm: float = 2.0) -> FiniteMetricSpace:
-    """Metric space of explicit, finite coordinates under a p-norm."""
+    """Metric space of explicit, finite coordinates under a p-norm.  Raises
+    ``ValueError`` where the formula overflows to an infinite distance or
+    underflows to 0 between distinct points."""
     pts = np.asarray(points, dtype=float)
     if not np.isfinite(pts).all():
         raise ValueError("point coordinates must be finite")
     if pts.ndim == 1:
         pts = pts[:, None]
-    diff = pts[:, None, :] - pts[None, :, :]
-    if norm == np.inf:
-        d = np.abs(diff).max(axis=2)
-    else:
-        d = (np.abs(diff) ** norm).sum(axis=2) ** (1.0 / norm)
+    with np.errstate(over="ignore", under="ignore"):
+        diff = pts[:, None, :] - pts[None, :, :]
+        if norm == np.inf:
+            d = np.abs(diff).max(axis=2)
+        else:
+            d = (np.abs(diff) ** norm).sum(axis=2) ** (1.0 / norm)
+    if np.isinf(d).any():
+        raise ValueError(f"point distances overflow the {norm:g}-norm formula")
+    if np.any(diff[d == 0]):
+        raise ValueError(f"distinct points are at distance 0: their {norm:g}-norm underflows")
     d.setflags(write=False)
     return FiniteMetricSpace(dist=d)
 
@@ -500,49 +507,36 @@ _SWEEP_ENTRIES = 1 << 14
 
 
 def _scale_witnesses(space: FiniteMetricSpace, scales):
-    """The distinct balls B(x, 2a) of every probe scale a as a table of
-    (scale, ball) problems, each with its greedy cover by closed a-balls and
-    farthest-first strictly a-separated subset, all checked.
+    """Every ball B(x, 2a) of every probe scale a as a table of (scale, x)
+    problems, each with its greedy cover by closed a-balls and farthest-first
+    strictly a-separated subset, all checked.
 
     The problems of a chunk of scales, ``_SWEEP_ENTRIES`` at a time, run as
-    one lockstep batch: the covers on the chunk's (scales x balls x points)
-    targets against its (scales x points x points) cover matrices, the
-    packings with one separation per problem.  Points with equal balls share
-    one problem, named by its first center x, as ball and a fix the witness.
-    The kernels see a ball's points in index order, as :func:`covering_number`
-    and :func:`packing_number` see it given as a subset, so the witnesses
-    equal their greedy ones.  Yields per chunk the columns (scale index,
-    x, covers, packs), one entry per problem in (scale, x) order, the
-    witnesses as index rows padded with -1.
+    one lockstep batch: the covers on the chunk's (scales x points x points)
+    ``dist <= 2a`` masks as targets against its ``dist <= a`` cover matrices,
+    the packings with one separation per problem.  The kernels see a ball's
+    points in index order, as :func:`covering_number` and
+    :func:`packing_number` see it given as a subset, so the witnesses equal
+    their greedy ones.  Yields per chunk the columns (scale index, x, covers,
+    packs), one entry per problem in (scale, x) order, the witnesses as index
+    rows padded with -1.
     """
     n = space.n
     per = max(1, _SWEEP_ENTRIES // (n * n))
     for lo in range(0, len(scales), per):
         alphas = np.asarray(scales[lo:lo + per], dtype=float)
         near = space.dist <= alphas[:, None, None]
-        # the first center of each distinct ball, scale by scale: a stable
-        # sort on (scale, ball bits) puts it first among its equals
-        bits = np.packbits(space.dist <= 2.0 * alphas[:, None, None], axis=2)
-        bits = bits.reshape(len(alphas) * n, -1)
-        scale = np.repeat(np.arange(len(alphas)), n)
-        order = np.lexsort((*bits.T[::-1], scale))
-        bits, scale = bits[order], scale[order]
-        new = (bits[1:] != bits[:-1]).any(axis=1) | (scale[1:] != scale[:-1])
-        s, x = np.divmod(np.sort(order[np.r_[True, new]]), n)
-        sizes = np.bincount(s, minlength=len(alphas))
-        j = np.arange(len(s)) - (np.cumsum(sizes) - sizes)[s]   # place within its scale
-        targets = np.zeros((len(alphas), sizes.max(), n), bool)
-        targets[s, j] = balls = space.dist[x] <= 2.0 * alphas[s, None]
+        targets = space.dist <= 2.0 * alphas[:, None, None]
         covers = greedy_set_cover(near, targets)
+        balls = targets.reshape(-1, n)
         starts = balls.argmax(axis=1)    # only the first rows are masked: -inf stays -inf
         rows = np.where(balls, space.dist[starts], -np.inf)
         packs, _ = farthest_first(lambda i, cols: rows if i is starts
-                                  else space.dist[i][:, cols], starts, alphas[s])
-        placed = np.full((*targets.shape[:2], packs.shape[1]), -1)
-        placed[s, j] = packs
+                                  else space.dist[i][:, cols], starts, np.repeat(alphas, n))
         _check_covers(near, covers, targets, alphas)
-        _check_packings(near, placed, alphas)
-        yield lo + s, x, covers[s, j], packs
+        _check_packings(near, packs.reshape(len(alphas), n, -1), alphas)
+        s, x = np.divmod(np.arange(len(alphas) * n), n)
+        yield lo + s, x, covers.reshape(len(alphas) * n, -1), packs
 
 
 def dimension_report(
@@ -556,11 +550,11 @@ def dimension_report(
     ``d`` is the smallest integer with every ball of radius ``2a`` coverable by
     ``2**d`` balls of radius ``a``; ``p`` the largest integer with every such
     ball containing a strictly ``a``-separated subset of size ``2**p``
-    (one-sided reading over the window).  One sweep solves every distinct
-    ball of every probe scale in lockstep batches with the greedy kernels,
-    and checks each witness; only each ball's scale, first center x, greedy
-    cover size U and packing size l are kept.  In greedy mode d and p come
-    from the largest U and the smallest l.
+    (one-sided reading over the window).  One sweep solves the ball of every
+    point at every probe scale in lockstep batches with the greedy kernels,
+    and checks each witness; only each ball's scale, center x, greedy cover
+    size U and packing size l are kept.  In greedy mode d and p come from
+    the largest U and the smallest l.
 
     When ``n <= exact_cap`` the counts are exact.  U bounds a ball's exact
     cover from above, l its exact packing from below, so exact searches run

@@ -138,6 +138,12 @@ def _check_work(m, N1) -> None:
                              f"m N1 (m + N1) = {m * N1 * (m + N1):.3g} > {MAX_FAMILY_WORK:.0e}")
 
 
+def _check_scales(L: float, epsilon: float) -> None:
+    for name, value in (("L", L), ("epsilon", epsilon)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def _block_count(V: float, gauge: Gauge, h: float) -> int:
     # N1 = floor(V / psi(2h)) + 1, refused before it can overflow to an integer
     blocks = V / gauge.positive(2.0 * h)
@@ -178,10 +184,7 @@ def build_family(
     allowed by the variation budget: every member makes at most N1 - 1 jumps
     of size at most 2h, so its generalized variation stays within V.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if not L > 0:
-        raise ValueError(f"L must be positive, got {L}")
+    _check_scales(L, epsilon)
     h = 2.0 ** (4.0 + 2.0 / p_tilde) * epsilon / L
     N1 = _block_count(V, gauge, h)
     if (N1 - 1) * float(gauge(2.0 * h)) > V * (1 + 1e-9):
@@ -360,6 +363,7 @@ def global_family(
     degenerate packing exponent the family falls back to constant functions
     at a 4 eps / L packing of the space.
     """
+    _check_scales(L, epsilon)
     if p_tilde <= 0:
         pts = packing_number(space, None, 4.0 * epsilon / L, mode="greedy").witness
         members = np.array(pts, dtype=int)[:, None]

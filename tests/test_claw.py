@@ -391,6 +391,14 @@ class TestAffineGapInput:
         with pytest.raises(ValueError, match="M must be positive and finite"):
             flux_gauge(Flux.cubic(0.5), math.inf, [0.1, 0.2, 0.3])
 
+    def test_width_below_sample_resolution(self):
+        # divided 0 by 0 in the chord slopes and returned nan; the gauge then
+        # failed with "table entries must be finite"
+        with pytest.raises(ValueError, match="samples of its windows to be distinct"):
+            affine_gap(Flux.cubic(1.0), 1.0, 1e-17)
+        with pytest.raises(ValueError, match="samples of its windows to be distinct"):
+            flux_gauge(Flux.cubic(1.0), 1.0, [1e-300, 1e-299, 1e-298])
+
     def test_gauge_nan_width(self):
         # passed the increasing-grid check, then surfaced as "need 0 < h <= 2M"
         with pytest.raises(ValueError, match="h_grid must be finite"):

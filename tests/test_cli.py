@@ -107,6 +107,16 @@ class TestMetric:
         assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
         assert "coordinates must be finite" in lines[0]
 
+    def test_overflowing_distances_are_one_error_line(self, tmp_path):
+        # was exit 0 after a RuntimeWarning, with cover and packing counts of
+        # 6 where both are 1
+        proc = run_python("-m", "bventropy.cli", "metric", "--out", str(tmp_path / "o"),
+                          "--generate", "uniform:6:1e200:2", "--alpha", "5e201")
+        assert proc.returncode == 1, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+        assert "overflow" in lines[0]
+
     def test_exact_cap_reaches_exact_search(self, tmp_path):
         out = str(tmp_path / "run")
         assert run("metric", "--out", out, "--generate", "line:18:1.0",

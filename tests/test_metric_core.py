@@ -245,6 +245,27 @@ def test_from_points_1d():
     assert space.dist[0, 2] == 3.0
 
 
+@pytest.mark.parametrize("points, norm, match", [
+    ([[0.0], [1e-170], [2e-170]], 2.0, "distance 0"),       # was all zeros, no warning
+    ([[0.0, 0.0], [1e-170, 1e-170]], 3.0, "distance 0"),
+    ([[1e200], [-1e200]], 2.0, "overflow"),
+    ([[1e308], [-1e308]], np.inf, "overflow"),
+])
+def test_from_points_refuses_distances_out_of_float_range(points, norm, match):
+    with pytest.raises(ValueError, match=match):
+        from_points(points, norm)
+
+
+def test_from_points_underflow_no_longer_miscounts():
+    # an all-zero matrix made one 1e-171-ball cover three distinct points
+    with pytest.raises(ValueError, match="distance 0"):
+        covering_number(from_points([[0.0], [1e-170], [2e-170]]), None, 1e-171, "exact")
+    # the same points at 1e-150 lie within float range and keep their floats
+    space = from_points([[0.0], [1e-150], [2e-150]])
+    assert space.dist[0].tolist() == [0.0, 1e-150, 2e-150]
+    assert covering_number(space, None, 1e-151, "exact").count == 3
+
+
 def test_spaces_compare_by_identity():
     # Equal matrices are still two spaces: == neither raises nor looks inside.
     a, b = line_points(3), line_points(3)
@@ -276,15 +297,13 @@ def _sweep_space(kind, n, seed):
 
 
 def _check_sweep_table(space, scales):
-    """The sweep's table holds one row per distinct ball B(x, 2a) of each
-    scale a, x its first center, in (scale, x) order, with the witnesses of
-    the public greedy per-ball calls.  Returns its chunks."""
+    """The sweep's table holds one row per ball B(x, 2a) of every point x at
+    each scale a, in (scale, x) order, with the witnesses of the public greedy
+    per-ball calls.  Returns its chunks."""
     chunks = list(metric_core._scale_witnesses(space, scales))
     s, x = (np.concatenate(column) for column in list(zip(*chunks))[:2])
-    for k, alpha in enumerate(scales):
-        every = space.dist <= 2.0 * alpha
-        firsts = np.sort(np.unique(every, axis=0, return_index=True)[1])
-        assert x[s == k].tolist() == firsts.tolist()
+    for k in range(len(scales)):
+        assert x[s == k].tolist() == list(range(space.n))
     assert np.all(np.diff(s) >= 0)
     for chunk in chunks:
         for k, center, centers, points in zip(*chunk):
@@ -314,6 +333,42 @@ def test_dimension_sweep_matches_per_ball_loop(kind, greedy, size, seed, lo, wid
     rep = dimension_report(space, window, max_scales=6)
     assert rep.mode == ("greedy" if space.n > 16 else "exact")
     assert rep == reference_dimension_report(space, window, max_scales=6)
+    _check_sweep_table(space, np.array(rep.scales))
+
+
+@settings(max_examples=24, derandomize=True, deadline=None)
+@given(
+    kind=st.sampled_from(["uniform", "grid"]),
+    greedy=st.booleans(),
+    size=st.integers(0, 23),
+    seed=st.integers(0, 2 ** 16),
+    lo=st.floats(0.0, 1.0),
+)
+def test_dimension_sweep_where_most_balls_coincide(kind, greedy, size, seed, lo):
+    # Every point is its own problem, so the sweep must hold where most
+    # problems are equal: windows up to the diameter, whose top scales make
+    # every ball the whole space, and points on a 0.1 grid of fewer
+    # positions than points, so that some coincide.
+    n = 17 + size if greedy else 5 + size % 12
+    rng = np.random.default_rng(seed)
+    if kind == "grid":
+        side = max(2, math.isqrt(n // 2))
+        cells = np.concatenate([np.arange(side * side),
+                                rng.integers(0, side * side, n - side * side)])
+        space = from_points(np.stack(np.divmod(rng.permutation(cells), side), axis=1) / 10)
+        assert space.pairwise_distances().size and np.any(space.dist + np.eye(n) == 0)
+    else:
+        space = from_points(rng.uniform(0.0, 1.0, size=(n, 2)))
+    d = space.pairwise_distances()
+    window = (float(d[int(lo * (d.size - 1))]) / 2.0, space.diameter)
+    with pytest.MonkeyPatch.context() as mp:
+        log = _record_exact_searches(mp)
+        rep = dimension_report(space, window, max_scales=8)
+    assert rep.mode == ("greedy" if greedy else "exact")
+    assert np.all(space.dist <= 2.0 * rep.scales[-1])     # the top balls are the space
+    if not greedy:
+        _check_stop_rules(log, rep, space.n)
+    assert rep == reference_dimension_report(space, window, max_scales=8)
     _check_sweep_table(space, np.array(rep.scales))
 
 

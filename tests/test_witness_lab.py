@@ -40,6 +40,23 @@ def pair_distance(fam, i, j):
     return float(fam.L / fam.N1 * fam.space.dist[fam.members[i], fam.members[j]].sum())
 
 
+@pytest.mark.parametrize("name, L, epsilon", [
+    ("L", 0.0, 0.01), ("L", -1.0, 0.01), ("L", math.inf, 0.01), ("L", math.nan, 0.01),
+    ("epsilon", 1.0, 0.0), ("epsilon", 1.0, -0.01), ("epsilon", 1.0, math.inf),
+    ("epsilon", 1.0, math.nan),
+])
+@pytest.mark.parametrize("builder", ["global", "center"])
+def test_families_check_scales_up_front(builder, name, L, epsilon):
+    # L = 0 raised ZeroDivisionError; an infinite epsilon built a one-member
+    # family with h = inf, and NaN failed later in packing_number or the gauge
+    space = line_points(17, 1.0)
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+        if builder == "global":
+            global_family(L, 1.0, epsilon, Gauge.identity(), space, 1.0)
+        else:
+            build_family(L, 1.0, epsilon, Gauge.identity(), space, 0, 1.0)
+
+
 class TestBallPacking:
     def test_fine_line(self):
         space = line_points(1024, 1.0)
