@@ -28,7 +28,6 @@ from .claw import (
     degeneracy,
     evolve,
     flux_gauge,
-    godunov_flux,
     make_grid,
     solution_entropy_bound,
     solution_entropy_bound_pf,
@@ -56,7 +55,6 @@ from .gauge_variation import (
     right_continuous,
     tv,
     tv_psi,
-    tv_psi_chain,
     write_step,
 )
 from .metric_core import (

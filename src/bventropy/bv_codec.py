@@ -164,18 +164,11 @@ class Net:
 
 
 def _rho_sharp_from_dist(d, h2: float):
+    """Discrete radii: 0 at distance 0, else q + 1 for d / h2 in (q, q + 1]."""
     ratio = np.asarray(d, dtype=float) / h2
     k = np.ceil(ratio - 1e-9).astype(int)
     k[np.asarray(d) > 0] = np.maximum(k[np.asarray(d) > 0], 1)
     return k
-
-
-def rho_sharp(x: float, y: float, h2: float) -> int:
-    """Discrete jump radius of two reals: 0 for equal values, else q+1 for a
-    distance ratio in (q, q+1]."""
-    if h2 <= 0:
-        raise ValueError("h2 must be positive")
-    return int(_rho_sharp_from_dist(np.array([abs(x - y)]), h2)[0])
 
 
 def _token_interval(token: str) -> RealInterval | None:
@@ -274,19 +267,6 @@ def quantize_positions(f: StepFunction, grid: QuantizerGrid, net: Net) -> np.nda
             f"no net center within {net.h2} of f({t[i]}) (nearest at {d[i]})"
         )
     return positions
-
-
-def quantize(f: StepFunction, grid: QuantizerGrid, net: Net) -> StepFunction:
-    """Snap f to a piecewise-constant function with net values per grid cell."""
-    positions = quantize_positions(f, grid, net)
-    return StepFunction(grid.edges, net.centers[positions], net.space)
-
-
-def jump_profile(fs: StepFunction, h2: float) -> np.ndarray:
-    """Cumulative discrete-jump counter across grid cells (non-decreasing)."""
-    if h2 <= 0:
-        raise ValueError("h2 must be positive")
-    return _profile(_rho_sharp_from_dist(fs.jump_sizes(), h2))
 
 
 def _profile(radii: np.ndarray) -> np.ndarray:

@@ -2,12 +2,11 @@
 
 A Godunov finite-volume scheme evolves compactly supported data on a padded
 symmetric grid; one kernel gives the interface fluxes along the last axis of
-a state array, on buffers allocated once, and the scalar ``godunov_flux`` is
-that kernel on two states.  ``evolve`` keeps the cells in one buffer between
-two zero ghost cells and updates it in place; calibration steps all of its
-samples as the rows of one such buffer.  The kernel evaluates f once per
-state; each critical value, computed once per flux, is folded in only at the
-interfaces that straddle its point.  The flux also
+a state array, on buffers allocated once.  ``evolve`` keeps the cells in one
+buffer between two zero ghost cells and updates it in place; calibration
+steps all of its samples as the rows of one such buffer.  The kernel
+evaluates f once per state; each critical value, computed once per flux, is
+folded in only at the interfaces that straddle its point.  The flux also
 induces a gauge: the minimal affine-approximation error of f over windows of
 width h, convexified and rescaled, measures how strongly the flux bends and
 controls the generalized variation of solutions; the gauge feeds the
@@ -141,19 +140,6 @@ class _Horner:
             out *= u
         out += self.last
         return out
-
-
-def godunov_flux(flux: Flux, ul: float, ur: float) -> float:
-    """Interface flux: min of f over [ul, ur] if ul <= ur, else max."""
-    tol = 1e-9 * max(flux.M, 1.0)
-    if not (abs(ul) <= flux.M + tol and abs(ur) <= flux.M + tol):    # NaN fails too
-        raise OutOfRange(f"states ({ul}, {ur}) leave [-M, M] with M = {flux.M}")
-    return float(_godunov(flux, np.array([ul, ur], dtype=float))[0])
-
-
-def _godunov(flux: Flux, u: np.ndarray) -> np.ndarray:
-    """Godunov fluxes between consecutive states of ``u``, newly allocated."""
-    return _Kernel(flux, u).fluxes().copy()
 
 
 class _Kernel:
@@ -503,10 +489,6 @@ class DegeneracyReport:
     inflection_points: tuple
     orders: tuple
     p_f: int | None          # None for uniformly convex/concave fluxes
-
-    @property
-    def defined(self) -> bool:
-        return self.p_f is not None
 
 
 def degeneracy(flux: Flux) -> DegeneracyReport:

@@ -135,16 +135,16 @@ def _check_numbers(args, positive=(), nonnegative=()) -> None:
 
 def cmd_metric(args) -> None:
     space = _load_space(args)
-    mode = "exact" if space.n <= args.exact_cap else "greedy"
+    mode = "exact" if space.n <= metric_core.DEFAULT_EXACT_CAP else "greedy"
     lines = ["alpha,count,mode,witness_indices"]
     alphas = [float(a) for a in args.alpha] or list(space.pairwise_distances())
     for a in alphas:
-        for res in (covering_number(space, None, a, mode=mode, exact_cap=args.exact_cap),
-                    packing_number(space, None, a, mode=mode, exact_cap=args.exact_cap)):
+        for res in (covering_number(space, None, a, mode=mode),
+                    packing_number(space, None, a, mode=mode)):
             lines.append(res.csv_row())
     _atomic_write(os.path.join(args.out, "cover_pack.csv"), "\n".join(lines) + "\n")
     if args.window:
-        rep = dimension_report(space, args.window, exact_cap=args.exact_cap)
+        rep = dimension_report(space, args.window)
         _atomic_write(os.path.join(args.out, "dimensions.csv"),
                       "d,p,p_tilde,window_lo,window_hi\n" + rep.csv_row() + "\n")
 
@@ -278,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--generate", help="line:n:len | lattice:d:n:s | uniform:n:ext:d")
     p.add_argument("--alpha", action="append", default=[])
     p.add_argument("--window", nargs=2, type=float)
-    p.add_argument("--exact-cap", type=int, default=metric_core.DEFAULT_EXACT_CAP)
     p.set_defaults(func=cmd_metric)
 
     p = sub.add_parser("variation", help="tv and generalized variation of a step file")

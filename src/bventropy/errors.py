@@ -96,10 +96,6 @@ class InfeasibleConstraint(BVEntropyError):
     pass
 
 
-class LengthMismatch(BVEntropyError):
-    pass
-
-
 class SeparationFailure(BVEntropyError):
     pass
 

@@ -271,23 +271,8 @@ class StepFunction:
     def constant(cls, L: float, value: float) -> "StepFunction":
         return cls(np.array([0.0, float(L)]), np.array([value]))
 
-    def value_at(self, x: float):
-        i = int(np.searchsorted(self.breakpoints, x, side="right")) - 1
-        return self.values[min(max(i, 0), self.k - 1)]
-
-    def rho(self, a, b) -> float:
-        return float(value_distance(a, b, self.space))
-
     def jump_sizes(self) -> np.ndarray:
         return value_distance(self.values[:-1], self.values[1:], self.space)
-
-    def restrict(self, b: float) -> "StepFunction":
-        """Restriction to [0, b] for a breakpoint (or interior point) b > 0."""
-        if not 0 < b <= self.L:
-            raise ValueError("restriction endpoint must lie in (0, L]")
-        i = int(np.searchsorted(self.breakpoints, b, side="left"))
-        bp = np.concatenate([self.breakpoints[:i], [b]])
-        return StepFunction(bp, self.values[:i], self.space)
 
 
 def write_step(f: StepFunction, path) -> None:
@@ -357,44 +342,6 @@ def tv_psi(f: StepFunction, gauge: Gauge) -> float:
     return float(_chain(f.values, gauge, f.space)[1][-1])
 
 
-def _best_everywhere(values: np.ndarray, keep: np.ndarray, best_kept: np.ndarray,
-                     gauge: Gauge) -> np.ndarray:
-    # An optimal chain to j needs only the extrema before j, so
-    # best[j] = max over kept e < j of best_kept[e] + psi(|v_e - v_j|), taken
-    # in row blocks that hold about a million pairs.
-    best = np.zeros(values.size)
-    vk = values[keep]
-    rows = max(1, 2 ** 20 // keep.size)
-    for lo in range(1, values.size, rows):
-        j = np.arange(lo, min(lo + rows, values.size))
-        cand = best_kept + gauge(np.abs(vk - values[j, None]))
-        best[j] = np.where(keep < j[:, None], cand, -np.inf).max(axis=1)
-    return best
-
-
-def tv_psi_chain(f: StepFunction, gauge: Gauge) -> tuple[float, list[int]]:
-    """Like :func:`tv_psi` but also returns an optimal value-index chain.
-
-    The chain holds indices into ``f.values`` and runs from 0 to k-1.  Ties
-    resolve to the lexicographically smallest chain (earliest predecessors
-    win) over all indices, reduced DP or not.  The chain is backtracked from
-    the last value: each element's candidate row is recomputed and its
-    earliest argmax is the predecessor.  Under a reduced DP, ``best`` at the
-    indices it skipped comes from the extrema before them, in O(k m) for m
-    extrema, so the forward pass stays as cheap as :func:`tv_psi`.
-    """
-    keep, best = _chain(f.values, gauge, f.space)
-    value = float(best[-1])
-    if keep.size < f.k:
-        best = _best_everywhere(f.values, keep, best, gauge)
-    chain = [f.k - 1]
-    while chain[-1] > 0:
-        j = chain[-1]
-        cand = best[:j] + gauge(value_distance(f.values[:j], f.values[j], f.space))
-        chain.append(int(np.argmax(cand)))     # argmax -> earliest index on ties
-    return value, chain[::-1]
-
-
 def right_continuous(breakpoints, values) -> StepFunction:
     """Right-continuous step function with ``values[j]`` on [b_j, b_{j+1}) and
     equal neighbours merged; point values have measure zero and no place in it."""
@@ -403,13 +350,6 @@ def right_continuous(breakpoints, values) -> StepFunction:
     start = np.ones(v.size, dtype=bool)       # pieces that open a run of equal values
     start[1:] = v[1:] != v[:-1]
     return StepFunction(np.append(b[:v.size][start], b[v.size]), v[start])
-
-
-def sample_sequence_variation(values, gauge: Gauge) -> float:
-    """Chain maximum over an explicit real value sequence (for representative
-    comparisons that include isolated-point samples), reduced to extrema as
-    in :func:`tv_psi`."""
-    return float(_chain(np.asarray(values, dtype=float), gauge, None)[1][-1])
 
 
 def l1_row(values, row, widths, space: FiniteMetricSpace | None) -> np.ndarray:

@@ -91,33 +91,35 @@ class FiniteMetricSpace:
 
 
 def validate_metric(matrix) -> FiniteMetricSpace:
-    """Check symmetry, zero diagonal and the triangle inequality, each up to
-    an absolute slack of 1e-9 for rounding in the entries.
+    """Check sign, zero diagonal, symmetry and the triangle inequality, each
+    up to a slack of 1e-9 relative to the entries, so a matrix passes or
+    fails alike at every scale.  The triangle inequality is checked on the
+    space's own matrix: the mean of ``d`` and its transpose, with a zero
+    diagonal and no entry below 0.
 
     Raises :class:`TriangleViolation` with the first offending triple
-    ``(i, j, via)`` such that ``d[i][j] > d[i][via] + d[via][j]``.
+    ``(i, j, via)`` such that ``d[i][j] > (d[i][via] + d[via][j])(1 + 1e-9)``.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    atol = 1e-9
     if not np.all(np.isfinite(m)):
         raise ValueError("distance matrix has non-finite entries")
+    atol = 1e-9 * np.max(m, initial=0.0)
     if np.any(m < -atol):
         raise ValueError("distance matrix has negative entries")
-    n = m.shape[0]
     if np.any(np.abs(np.diag(m)) > atol):
         raise NonzeroDiagonal("nonzero diagonal entry in distance matrix")
-    if np.any(np.abs(m - m.T) > atol):
+    if np.any(np.abs(m - m.T) > 1e-9 * np.maximum(m, m.T)):
         raise AsymmetricMatrix("distance matrix is not symmetric")
-    for via in range(n):
-        slack = m - (m[:, via][:, None] + m[via, :][None, :])
-        bad = np.argwhere(slack > atol)
-        if bad.size:
-            i, j = (int(v) for v in bad[0])
-            raise TriangleViolation(i, j, via, m[i, j], m[i, via] + m[via, j])
-    m = 0.5 * (m + m.T)
+    m = np.maximum(m + 0.5 * (m.T - m), 0.0)    # the mean, without overflow
     np.fill_diagonal(m, 0.0)
+    with np.errstate(over="ignore"):            # a sum that overflows bounds any entry
+        for via in range(m.shape[0]):
+            bad = np.argwhere(m > (m[:, via, None] + m[via]) * (1 + 1e-9))
+            if bad.size:
+                i, j = (int(v) for v in bad[0])
+                raise TriangleViolation(i, j, via, m[i, j], m[i, via] + m[via, j])
     m.setflags(write=False)
     return FiniteMetricSpace(dist=m)
 
@@ -391,8 +393,7 @@ def _check_packings(near: np.ndarray, points, alpha) -> None:
                                 f"{_first_alpha(bad, alpha)} of each other")
 
 
-def _subset(space: FiniteMetricSpace, subset, alpha: float, mode: str,
-            exact_cap: int) -> np.ndarray:
+def _subset(space: FiniteMetricSpace, subset, alpha: float, mode: str) -> np.ndarray:
     """Check the arguments shared by the counts; the subset as indices."""
     if not alpha > 0:
         raise ValueError("alpha must be positive")
@@ -404,8 +405,8 @@ def _subset(space: FiniteMetricSpace, subset, alpha: float, mode: str,
         raise ValueError(f"subset must be a 1-D array of point indices in [0, {space.n})")
     if mode not in ("exact", "greedy"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "exact" and space.n > exact_cap:
-        raise ExactModeTooLarge(f"exact search capped at n <= {exact_cap}, "
+    if mode == "exact" and space.n > DEFAULT_EXACT_CAP:
+        raise ExactModeTooLarge(f"exact search capped at n <= {DEFAULT_EXACT_CAP}, "
                                 f"space has n = {space.n}")
     return k
 
@@ -426,11 +427,10 @@ def covering_number(
     subset=None,
     alpha: float = 1.0,
     mode: str = "exact",
-    exact_cap: int = DEFAULT_EXACT_CAP,
 ) -> CoverPackResult:
     """Minimal (exact) or greedy upper-bound count of closed alpha-balls
     covering the subset, with centers drawn from the whole space."""
-    k = _subset(space, subset, alpha, mode, exact_cap)
+    k = _subset(space, subset, alpha, mode)
     centers = (_exact_cover(_bitmasks(space.dist[:, k] <= alpha), (1 << k.size) - 1)
                if mode == "exact" else _greedy_cover(space, k, alpha))
     _check_covers(space.dist[np.ix_(centers, k)] <= alpha, [range(len(centers))],
@@ -443,11 +443,10 @@ def packing_number(
     subset=None,
     alpha: float = 1.0,
     mode: str = "exact",
-    exact_cap: int = DEFAULT_EXACT_CAP,
 ) -> CoverPackResult:
     """Maximal (exact) or greedy lower-bound size of a strictly alpha-separated
     subset of the given point set."""
-    k = _subset(space, subset, alpha, mode, exact_cap)
+    k = _subset(space, subset, alpha, mode)
     points = (sorted(int(k[i]) for i in _exact_pack(
                   _bitmasks(space.dist[np.ix_(k, k)] <= alpha), (1 << k.size) - 1))
               if mode == "exact" else _greedy_pack(space, k, alpha))
@@ -542,7 +541,6 @@ def _scale_witnesses(space: FiniteMetricSpace, scales):
 def dimension_report(
     space: FiniteMetricSpace,
     window,
-    exact_cap: int = DEFAULT_EXACT_CAP,
     max_scales: int | None = 64,
 ) -> DimensionReport:
     """Estimate both metric dimensions over the probed scale window.
@@ -556,7 +554,7 @@ def dimension_report(
     size U and packing size l are kept.  In greedy mode d and p come from
     the largest U and the smallest l.
 
-    When ``n <= exact_cap`` the counts are exact.  U bounds a ball's exact
+    When ``n <= DEFAULT_EXACT_CAP`` the counts are exact.  U bounds a ball's exact
     cover from above, l its exact packing from below, so exact searches run
     only where one could move d or p.  Covers run in descending U (stably)
     while U > 2**ceil(log2 M), M the largest exact count so far (1 at
@@ -565,7 +563,7 @@ def dimension_report(
     m the smallest so far (n at first).
     """
     scales = probe_scales(space, window, max_scales=max_scales)
-    mode = "exact" if space.n <= exact_cap else "greedy"
+    mode = "exact" if space.n <= DEFAULT_EXACT_CAP else "greedy"
     s, x, u, ell = (np.concatenate(column) for column in zip(*(
         (s, x, np.count_nonzero(covers >= 0, axis=1), np.count_nonzero(packs >= 0, axis=1))
         for s, x, covers, packs in _scale_witnesses(space, scales))))
@@ -575,12 +573,12 @@ def dimension_report(
             if u[q] <= 1 << (top - 1).bit_length():
                 break
             top = max(top, covering_number(space, space.ball(x[q], 2 * scales[s[q]]),
-                                           scales[s[q]], "exact", exact_cap).count)
+                                           scales[s[q]], "exact").count)
         for q in np.argsort(ell, kind="stable"):
             if ell[q] >= 1 << (low.bit_length() - 1):
                 break
             low = min(low, packing_number(space, space.ball(x[q], 2 * scales[s[q]]),
-                                          scales[s[q]], "exact", exact_cap).count)
+                                          scales[s[q]], "exact").count)
     return DimensionReport(
         d=(top - 1).bit_length(), p=low.bit_length() - 1,
         window=(float(window[0]), float(window[1])),

@@ -29,10 +29,9 @@ from .errors import (
     DegenerateBall,
     FamilyTooLarge,
     InfeasibleConstraint,
-    LengthMismatch,
     SeparationFailure,
 )
-from .gauge_variation import Gauge, StepFunction, _chain_best, l1_row
+from .gauge_variation import Gauge, _chain_best, l1_row
 from .metric_core import FiniteMetricSpace, farthest_first, packing_number
 
 LOG2_7 = math.log2(7.0)
@@ -89,15 +88,6 @@ def ball_packing(
     )
 
 
-def eta(delta, delta_tilde) -> int:
-    """Number of coordinates where two index vectors differ."""
-    a = np.asarray(delta)
-    b = np.asarray(delta_tilde)
-    if a.shape != b.shape:
-        raise LengthMismatch(f"shapes {a.shape} vs {b.shape}")
-    return int(np.count_nonzero(a != b))
-
-
 @dataclass(frozen=True)
 class WitnessFamily:
     """Functions on equal blocks of [0, L] with values from a ball packing."""
@@ -127,9 +117,6 @@ class WitnessFamily:
     @property
     def block_edges(self) -> np.ndarray:
         return np.linspace(0.0, self.L, self.N1 + 1)
-
-    def member_function(self, i: int) -> StepFunction:
-        return StepFunction(self.block_edges, self.members[i], self.space)
 
 
 def _check_work(m, N1) -> None:

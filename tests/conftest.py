@@ -12,6 +12,9 @@ full row per pick and drops no point, the traversal that the live-set one
 must match pick for pick and radius for radius.  The reference set cover
 makes one pick per step to the last point, where the library's finishes the
 steps that each cover one point at once.
+The optimal chain of a generalized variation is a reference too: it
+backtracks ``tv_psi``'s program over every index, and the digests in
+``test_agreement.py`` hash the chains it returns.
 The pair-by-pair separation check is the reference for the alphabet
 certificate: it reads every pair's block sum and extracts by farthest-first.
 The full-array Godunov kernel is the reference the sparse one must match bit
@@ -37,8 +40,9 @@ import bventropy
 from bventropy.bv_codec import BitReader, _build_net, _rank_width
 from bventropy.entropy_estimator import MATRIX_CAP
 from bventropy.errors import CorruptStream, NetIncomplete, SeparationFailure
-from bventropy.gauge_variation import Gauge, StepFunction
+from bventropy.gauge_variation import Gauge, StepFunction, _chain, value_distance
 from bventropy.metric_core import (
+    DEFAULT_EXACT_CAP,
     DimensionReport,
     FiniteMetricSpace,
     covering_number,
@@ -119,19 +123,19 @@ def oracle_pack(space: FiniteMetricSpace, subset, alpha: float) -> int:
     return best
 
 
-def reference_dimension_report(space: FiniteMetricSpace, window, exact_cap: int = 16,
+def reference_dimension_report(space: FiniteMetricSpace, window,
                                max_scales=64) -> DimensionReport:
     """``dimension_report`` as a plain loop: one public ``covering_number``
     and one ``packing_number`` call on the ball B(x, 2a) for every probe
     scale a and every point x, with no ball shared between points."""
     scales = probe_scales(space, window, max_scales=max_scales)
-    mode = "exact" if space.n <= exact_cap else "greedy"
+    mode = "exact" if space.n <= DEFAULT_EXACT_CAP else "greedy"
     covers, packs = [], []
     for alpha in scales:
         for x in range(space.n):
             ball = space.ball(x, 2.0 * alpha)
-            covers.append(covering_number(space, ball, alpha, mode, exact_cap).count)
-            packs.append(packing_number(space, ball, alpha, mode, exact_cap).count)
+            covers.append(covering_number(space, ball, alpha, mode).count)
+            packs.append(packing_number(space, ball, alpha, mode).count)
     d = int(np.ceil(np.log2(max(covers))))
     p = int(np.floor(np.log2(min(packs))))
     return DimensionReport(d=d, p=p, window=(float(window[0]), float(window[1])),
@@ -200,7 +204,7 @@ def reference_scan_counts(ens, grid) -> list[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# generalized-variation oracle
+# generalized-variation oracle and optimal chains
 
 
 def oracle_tv_psi(f: StepFunction, gauge: Gauge) -> float:
@@ -214,15 +218,58 @@ def oracle_tv_psi(f: StepFunction, gauge: Gauge) -> float:
         for mids in itertools.combinations(middle, r):
             chain = (0,) + mids + (k - 1,)
             total = sum(
-                float(gauge(f.rho(f.values[a], f.values[b])))
+                float(gauge(float(value_distance(f.values[a], f.values[b], f.space))))
                 for a, b in zip(chain, chain[1:])
             )
             best = max(best, total)
     return best
 
 
+def _best_everywhere(values: np.ndarray, keep: np.ndarray, best_kept: np.ndarray,
+                     gauge: Gauge) -> np.ndarray:
+    # An optimal chain to j needs only the extrema before j, so
+    # best[j] = max over kept e < j of best_kept[e] + psi(|v_e - v_j|), taken
+    # in row blocks that hold about a million pairs.
+    best = np.zeros(values.size)
+    vk = values[keep]
+    rows = max(1, 2 ** 20 // keep.size)
+    for lo in range(1, values.size, rows):
+        j = np.arange(lo, min(lo + rows, values.size))
+        cand = best_kept + gauge(np.abs(vk - values[j, None]))
+        best[j] = np.where(keep < j[:, None], cand, -np.inf).max(axis=1)
+    return best
+
+
+def tv_psi_chain(f: StepFunction, gauge: Gauge) -> tuple[float, list[int]]:
+    """``tv_psi`` of f and an optimal value-index chain.
+
+    The chain holds indices into ``f.values`` and runs from 0 to k-1.  Ties
+    resolve to the lexicographically smallest chain (earliest predecessors
+    win) over all indices, reduced DP or not.  The chain is backtracked from
+    the last value: each element's candidate row is recomputed and its
+    earliest argmax is the predecessor.  Under a reduced DP, ``best`` at the
+    indices it skipped comes from the extrema before them, in O(k m) for m
+    extrema, so the forward pass stays as cheap as ``tv_psi``.
+    """
+    keep, best = _chain(f.values, gauge, f.space)
+    value = float(best[-1])
+    if keep.size < f.k:
+        best = _best_everywhere(f.values, keep, best, gauge)
+    chain = [f.k - 1]
+    while chain[-1] > 0:
+        j = chain[-1]
+        cand = best[:j] + gauge(value_distance(f.values[:j], f.values[j], f.space))
+        chain.append(int(np.argmax(cand)))     # argmax -> earliest index on ties
+    return value, chain[::-1]
+
+
 # ---------------------------------------------------------------------------
 # witness-separation reference
+
+
+def eta(delta, delta_tilde) -> int:
+    """Number of blocks where two members' index vectors differ."""
+    return int(np.count_nonzero(np.asarray(delta) != np.asarray(delta_tilde)))
 
 
 def reference_verify_packing(fam) -> SeparationReport:

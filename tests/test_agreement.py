@@ -16,12 +16,12 @@ pipeline certifies about Godunov snapshots under their flux gauges.
 
 A third digest, recorded while the scalar Godunov flux and the array kernel
 were still two implementations, pins the Godunov scheme itself: the cells,
-mass and largest TV increase of `evolve` and the scalar interface flux on a
-grid of states, for fluxes with zero, one and two critical points.  Three
-hypothesis tests check the Godunov kernel against the full-array reference
-in `conftest.py`, `evolve` and the batched stepper against the reference
-step loop there, and the flux's Horner evaluation against `P.polyval`, bit
-for bit.
+mass and largest TV increase of `evolve` and the interface flux between
+each two states of a grid, for fluxes with zero, one and two critical
+points.  Three hypothesis tests check the Godunov kernel against the
+full-array reference in `conftest.py`, `evolve` and the batched stepper
+against the reference step loop there, and the flux's Horner evaluation
+against `P.polyval`, bit for bit.
 """
 
 import hashlib
@@ -35,11 +35,10 @@ from bventropy.bv_codec import encode_bvpsi
 from bventropy.claw import (
     CFL,
     Flux,
+    _Kernel,
     _evolve_rows,
-    _godunov,
     evolve,
     flux_gauge,
-    godunov_flux,
     make_grid,
     to_step_function,
 )
@@ -53,7 +52,7 @@ from bventropy.entropy_estimator import (
     random_bvpsi_ensemble,
 )
 from bventropy.errors import NetIncomplete
-from bventropy.gauge_variation import Gauge, StepFunction, tv_psi, tv_psi_chain
+from bventropy.gauge_variation import Gauge, StepFunction, tv_psi
 from bventropy.metric_core import (
     covering_number,
     dimension_report,
@@ -74,6 +73,7 @@ from conftest import (
     reference_farthest_first,
     reference_godunov,
     reference_greedy_cover,
+    tv_psi_chain,
 )
 
 GOLDEN = "9fe2780272c6a70dc4b93cc407a95b4c6bf75039f7e7e88f2aeba3a9078377c5"
@@ -185,7 +185,7 @@ def test_snapshot_digest():
 
 def _evolve_lines():
     # seeded piecewise-constant data on [-1, 1] with |u| <= M = 1, evolved by
-    # the Godunov scheme; the scalar flux is taken on a 9 x 9 grid of states
+    # the Godunov scheme; the interface flux is taken on a 9 x 9 grid of states
     rng = np.random.default_rng(7)
     L = 1.0
     for token in EVOLVE_FLUXES:
@@ -202,8 +202,8 @@ def _evolve_lines():
                 cells = hashlib.sha256(sol.cells.tobytes()).hexdigest()
                 yield f"{token},{dx},{T},{cells},{sol.max_tv_increase!r},{sol.mass!r}"
         states = np.linspace(-flux.M, flux.M, 9)
-        yield ",".join(repr(float(godunov_flux(flux, a, b)))
-                       for a in states for b in states)
+        pairs = np.stack(np.meshgrid(states, states, indexing="ij"), axis=-1).reshape(-1, 2)
+        yield ",".join(repr(float(F)) for F in _Kernel(flux, pairs).fluxes()[:, 0])
 
 
 def test_evolve_digest():
@@ -228,7 +228,7 @@ def test_godunov_matches_reference(token, data):
     flux = Flux.parse(token)
     u = np.array(data.draw(st.lists(st.sampled_from(_states(flux)),
                                     min_size=2, max_size=40)))
-    assert _godunov(flux, u).tobytes() == reference_godunov(flux, u).tobytes()
+    assert _Kernel(flux, u).fluxes().tobytes() == reference_godunov(flux, u).tobytes()
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)

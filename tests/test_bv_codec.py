@@ -22,12 +22,10 @@ from bventropy.bv_codec import (
     encode_bv,
     encode_bvpsi,
     euclidean_budget_bits,
-    jump_profile,
     net_from_token,
     power_budget_bits,
-    quantize,
+    quantize_positions,
     read_codeword,
-    rho_sharp,
     upper_bound_bits,
     write_codeword,
     _pack_bits,
@@ -64,20 +62,36 @@ class TestChooseParams:
             choose_params(1.0, 1.0, 0.6)
 
 
+def _rho_sharp(x: float, y: float, h2: float) -> int:
+    """The encoder's discrete jump radius of two reals."""
+    return int(bv_codec._rho_sharp_from_dist(np.array([abs(x - y)]), h2)[0])
+
+
+def _quantize(f: StepFunction, grid: QuantizerGrid, net: Net) -> StepFunction:
+    """f snapped to a net centre per grid cell, as the encoder snaps it."""
+    positions = quantize_positions(f, grid, net)
+    return StepFunction(grid.edges, net.centers[positions], net.space)
+
+
+def _jump_profile(fs: StepFunction, h2: float) -> np.ndarray:
+    """The encoder's cumulative discrete-jump counter across grid cells."""
+    return bv_codec._profile(bv_codec._rho_sharp_from_dist(fs.jump_sizes(), h2))
+
+
 class TestRhoSharp:
     def test_equal(self):
-        assert rho_sharp(0.3, 0.3, 0.1) == 0
+        assert _rho_sharp(0.3, 0.3, 0.1) == 0
 
     def test_fractional(self):
         # distance ratio 2.5 lands in (2, 3]
-        assert rho_sharp(0.0, 0.25, 0.1) == 3
+        assert _rho_sharp(0.0, 0.25, 0.1) == 3
 
     def test_boundary_inclusive(self):
         # ratio exactly 3 stays in (2, 3]
-        assert rho_sharp(0.0, 0.3, 0.1) == 3
+        assert _rho_sharp(0.0, 0.3, 0.1) == 3
 
     def test_minimum_one(self):
-        assert rho_sharp(0.0, 1e-12, 0.1) == 1
+        assert _rho_sharp(0.0, 1e-12, 0.1) == 1
 
 
 def _interval_net(lo, hi, h2):
@@ -95,7 +109,7 @@ class TestNetAndQuantize:
         net = _interval_net(0.0, 1.0, 0.25)
         grid = QuantizerGrid(1.0, 4)
         f = StepFunction.constant(1.0, float(net.centers[0]))
-        fs = quantize(f, grid, net)
+        fs = _quantize(f, grid, net)
         assert np.all(fs.values == net.centers[0])
 
     def test_tie_goes_to_lower_index(self):
@@ -109,7 +123,7 @@ class TestNetAndQuantize:
         grid = QuantizerGrid(1.0, 4)
         f = StepFunction.constant(1.0, 5.0)   # far outside the interval
         with pytest.raises(NetIncomplete):
-            quantize(f, grid, net)
+            _quantize(f, grid, net)
 
     def test_far_interval_ends_are_covered(self):
         # Centres near 1e6 are rounded by up to an ulp (1.2e-10), more than
@@ -119,7 +133,7 @@ class TestNetAndQuantize:
         net = _interval_net(iv.lo, iv.hi, 0.018145161290322582)
         assert not net._closed_form
         f = StepFunction(np.array([0.0, 0.5, 1.0]), np.array([iv.lo, iv.hi]))
-        fs = quantize(f, QuantizerGrid(1.0, 4), net)
+        fs = _quantize(f, QuantizerGrid(1.0, 4), net)
         assert fs.values.tolist() == [net.centers[0]] * 2 + [net.centers[-1]] * 2
 
     def test_net_size_is_capped(self, monkeypatch):
@@ -147,7 +161,7 @@ class TestNetAndQuantize:
         net = _interval_net(0.0, 1.0, 0.05)
         grid = QuantizerGrid(1.0, 4)
         f = StepFunction(np.array([0.0, 0.6, 1.0]), np.array([0.05, 0.95]))
-        fs = quantize(f, grid, net)
+        fs = _quantize(f, grid, net)
         # jump inside a cell moves to a cell edge; error bounded by h1 * jump
         assert l1_distance(fs, f) <= grid.h1 * 0.9 + f.L * net.h2 + 1e-12
 
@@ -282,7 +296,7 @@ class TestIntervalNetShells:
         fs = StepFunction(np.linspace(0.0, 1.0, p.size + 1), net.centers[p])
         radii = bv_codec._rho_sharp_from_dist(fs.jump_sizes(), net.h2)
         assert np.array_equal(radii, dense[p[:-1], p[1:]])
-        assert np.array_equal(jump_profile(fs, net.h2)[1:],
+        assert np.array_equal(_jump_profile(fs, net.h2)[1:],
                               np.cumsum(radii) + np.arange(radii.size))
 
     @pytest.mark.parametrize("frac", [0.04, 0.1])
@@ -409,15 +423,15 @@ class TestOneShellRule:
 class TestJumpProfile:
     def test_constant(self):
         fs = StepFunction(np.linspace(0, 1, 4), np.array([0.5, 0.5, 0.5]))
-        assert list(jump_profile(fs, 0.1)) == [0, 0, 1]
+        assert list(_jump_profile(fs, 0.1)) == [0, 0, 1]
 
     def test_single_unit_jump(self):
         fs = StepFunction(np.linspace(0, 1, 4), np.array([0.5, 0.6, 0.6]))
-        assert list(jump_profile(fs, 0.1)) == [0, 1, 2]
+        assert list(_jump_profile(fs, 0.1)) == [0, 1, 2]
 
     def test_single_piece(self):
         fs = StepFunction(np.array([0.0, 1.0]), np.array([0.5]))
-        assert list(jump_profile(fs, 0.1)) == [0]
+        assert list(_jump_profile(fs, 0.1)) == [0]
 
 
 class TestBitstream:
@@ -491,7 +505,7 @@ class TestEncodeBv:
             assert l1_distance(dec, f) <= eps
             # decoding is lossless on the snapped function
             grid = cw.grid()
-            fs = quantize(f, grid, net)
+            fs = _quantize(f, grid, net)
             assert np.array_equal(dec.values, fs.values)
 
     def test_bits_within_budget(self, rng):

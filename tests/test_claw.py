@@ -8,6 +8,7 @@ from numpy.polynomial import polynomial as P
 
 from bventropy.claw import (
     Flux,
+    _Kernel,
     _random_data,
     _window_minimax,
     affine_gap,
@@ -15,7 +16,6 @@ from bventropy.claw import (
     degeneracy,
     evolve,
     flux_gauge,
-    godunov_flux,
     make_grid,
     solution_entropy_bound,
     solution_entropy_bound_pf,
@@ -128,25 +128,38 @@ class TestFlux:
         assert tvs[0] == pytest.approx(tvs[1], abs=1e-9)
 
 
+def _interface_flux(flux: Flux, ul: float, ur: float) -> float:
+    """The Godunov kernel on the two states ul, ur."""
+    return float(_Kernel(flux, np.array([ul, ur])).fluxes()[0])
+
+
 class TestGodunov:
     def test_consistency(self):
         f = Flux.burgers(1.0)
-        assert godunov_flux(f, 0.3, 0.3) == pytest.approx(f(0.3))
+        assert _interface_flux(f, 0.3, 0.3) == pytest.approx(f(0.3))
 
     def test_shock_case(self):
-        assert godunov_flux(Flux.burgers(1.0), 1.0, -1.0) == pytest.approx(0.5)
+        assert _interface_flux(Flux.burgers(1.0), 1.0, -1.0) == pytest.approx(0.5)
 
     def test_sonic_rarefaction(self):
-        assert godunov_flux(Flux.burgers(1.0), -1.0, 1.0) == pytest.approx(0.0)
+        assert _interface_flux(Flux.burgers(1.0), -1.0, 1.0) == pytest.approx(0.0)
+
+    # the scheme refuses states outside [-M, M] before the kernel sees them
 
     def test_out_of_range(self):
-        with pytest.raises(OutOfRange):
-            godunov_flux(Flux.burgers(1.0), 2.0, 0.0)
+        f = Flux.burgers(1.0)
+        x = make_grid(1.0, 1.0, 0.1, f, 0.02)
+        with pytest.raises(OutOfRange, match="radius M"):
+            evolve(np.where(np.abs(x) < 0.5, 2.0, 0.0), f, 0.1, 0.02, x=x)
 
     @pytest.mark.parametrize("ul, ur", [(math.nan, 0.0), (0.0, math.nan)])
     def test_nan_state(self, ul, ur):
-        with pytest.raises(OutOfRange):
-            godunov_flux(Flux.burgers(1.0), ul, ur)
+        f = Flux.burgers(1.0)
+        x = make_grid(1.0, 1.0, 0.1, f, 0.02)
+        u0 = np.zeros_like(x)
+        u0[x.size // 2 - 1:x.size // 2 + 1] = ul, ur
+        with pytest.raises(OutOfRange, match="finite"):
+            evolve(u0, f, 0.1, 0.02, x=x)
 
 
 class TestEvolve:
@@ -440,7 +453,7 @@ class TestDegeneracy:
 
     def test_burgers_empty(self):
         rep = degeneracy(Flux.burgers(1.0))
-        assert rep.p_f is None and not rep.defined
+        assert rep.p_f is None
 
     def test_affine_infinite(self):
         with pytest.raises(InfiniteDegeneracy):

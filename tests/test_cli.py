@@ -73,6 +73,22 @@ class TestMetric:
         assert run("metric", "--out", out, "--matrix", str(m),
                    "--alpha", "0.5") == 0
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-12, 1.0, 1e300])
+    def test_triangle_check_holds_at_every_scale(self, tmp_path, scale, capsys):
+        # d12 = 25 (d10 + d02) exited 0 at scales 1 and below, when the
+        # check allowed an absolute 1e-9; d12 = d10 + d02 is a metric
+        def matrix(d12):
+            d = scale * np.array([[0.0, 1e-11, 1e-11], [1e-11, 0.0, d12], [1e-11, d12, 0.0]])
+            path = tmp_path / f"{d12}.csv"
+            path.write_text("".join(",".join(map(repr, row)) + "\n" for row in d.tolist()))
+            return str(path)
+
+        assert run("metric", "--out", str(tmp_path / "bad"), "--matrix", matrix(5e-10)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("invariant violated: triangle"), err
+        assert run("metric", "--out", str(tmp_path / "ok"), "--matrix", matrix(2e-11)) == 0
+        assert capsys.readouterr().err == ""
+
     def test_nan_matrix_is_config_error(self, tmp_path, capsys):
         m = tmp_path / "m.csv"
         m.write_text("0,nan,1\nnan,0,1\n1,1,0\n")
@@ -118,13 +134,28 @@ class TestMetric:
         assert "overflow" in lines[0]
 
     def test_exact_cap_reaches_exact_search(self, tmp_path):
-        out = str(tmp_path / "run")
-        assert run("metric", "--out", out, "--generate", "line:18:1.0",
-                   "--exact-cap", "20", "--alpha", "0.1") == 0
+        # n points 1/(n-1) apart: a closed 0.1-ball holds 3 consecutive
+        # points, and every other point is the largest strict 0.1-packing
+        def counts(n):
+            out = str(tmp_path / f"line{n}")
+            assert run("metric", "--out", out, "--generate", f"line:{n}:1.0",
+                       "--alpha", "0.1") == 0
+            rows = open(os.path.join(out, "cover_pack.csv")).read().splitlines()[1:]
+            return [r.split(",")[1:3] for r in rows]
+
+        assert metric_core.DEFAULT_EXACT_CAP == 16
+        assert counts(16) == [["6", "exact"], ["8", "exact"]]
+        assert counts(17) == [["6", "greedy"], ["9", "greedy"]]
+
+    def test_exact_cap_is_no_option(self, tmp_path, capsys):
+        # --exact-cap 1000 on 60 points ran an exhaustive search that did not end
+        gen = ("--generate", "uniform:60:10:2", "--alpha", "1.0")
+        assert run("metric", "--out", str(tmp_path / "o"), *gen, "--exact-cap", "1000") == 1
+        assert "unrecognized arguments: --exact-cap 1000" in capsys.readouterr().err
+        out = str(tmp_path / "greedy")
+        assert run("metric", "--out", out, *gen) == 0
         rows = open(os.path.join(out, "cover_pack.csv")).read().splitlines()[1:]
-        # 18 points 1/17 apart: a closed 0.1-ball holds 3 consecutive points,
-        # and every other point is the largest strict 0.1-packing
-        assert [r.split(",")[1:3] for r in rows] == [["6", "exact"], ["9", "exact"]]
+        assert [r.split(",")[2] for r in rows] == ["greedy", "greedy"]
 
 
     @pytest.mark.parametrize("window", [("0.45", "0.05"), ("nan", "0.45")])
@@ -500,5 +531,4 @@ def test_outputs_get_the_mode_open_gives(tmp_path, step_file):
 
 def test_parser_defaults_are_the_library_constants():
     parser = build_parser()
-    assert parser.parse_args(["metric", "--out", "o"]).exact_cap == metric_core.DEFAULT_EXACT_CAP
     assert parser.parse_args(["claw", "--out", "o"]).cfl == claw.CFL

@@ -20,16 +20,14 @@ from bventropy.gauge_variation import (
     l1_distance,
     read_step,
     right_continuous,
-    sample_sequence_variation,
     tv,
     tv_psi,
-    tv_psi_chain,
     write_step,
 )
 from bventropy.entropy_estimator import FunctionEnsemble
 from bventropy.metric_core import from_points, line_points
 
-from conftest import oracle_tv_psi, random_metric_space, random_step_function
+from conftest import oracle_tv_psi, random_metric_space, random_step_function, tv_psi_chain
 
 
 class TestGauge:
@@ -138,18 +136,17 @@ class TestTableCheckedWhenBuilt:
         assert len(calls) == 1 and fg.report.ok
 
 
+def _restrict(f: StepFunction, i: int) -> StepFunction:
+    """f on [0, b_i], for a breakpoint index 0 < i <= k."""
+    return StepFunction(f.breakpoints[:i + 1], f.values[:i], f.space)
+
+
 class TestStepFunction:
     def test_validation(self):
         with pytest.raises(ValueError):
             StepFunction(np.array([0.0, 0.5, 0.4, 1.0]), np.array([1.0, 2.0, 3.0]))
         with pytest.raises(ValueError):
             StepFunction(np.array([0.1, 1.0]), np.array([1.0]))
-
-    def test_value_at_right_continuous(self):
-        f = StepFunction(np.array([0, 0.5, 1.0]), np.array([1.0, 2.0]))
-        assert f.value_at(0.5) == 2.0
-        assert f.value_at(0.49) == 1.0
-        assert f.value_at(1.0) == 2.0
 
     def test_file_round_trip(self, tmp_path):
         f = StepFunction(np.array([0, 0.25, 1.0]), np.array([0.5, -1.0]))
@@ -161,7 +158,7 @@ class TestStepFunction:
 
     def test_restrict(self):
         f = StepFunction(np.array([0, 0.3, 0.6, 1.0]), np.array([1.0, 2.0, 3.0]))
-        r = f.restrict(0.6)
+        r = _restrict(f, 2)
         assert r.L == 0.6 and r.k == 2
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -237,8 +234,7 @@ class TestVariation:
             f = random_step_function(rng, max_pieces=8)
             if f.k < 2:
                 continue
-            b = float(f.breakpoints[f.k // 2 + 1])
-            assert tv_psi(f.restrict(b), g) <= tv_psi(f, g) + 1e-12
+            assert tv_psi(_restrict(f, f.k // 2 + 1), g) <= tv_psi(f, g) + 1e-12
 
     def test_chain_witness(self):
         f = StepFunction(np.array([0, 0.3, 0.6, 1.0]), np.array([0.0, 1.0, 2.0]))
@@ -260,8 +256,8 @@ class TestRightContinuous:
         # drops it
         g = Gauge.power(2)
         f = right_continuous([0, 0.5, 1.0], [1.0, 1.0])
-        seq = sample_sequence_variation([1.0, 3.0, 1.0], g)
-        assert tv_psi(f, g) <= seq
+        seq = StepFunction(np.linspace(0.0, 1.0, 4), np.array([1.0, 3.0, 1.0]))
+        assert tv_psi(f, g) <= tv_psi(seq, g)
 
 
 class TestL1Distance:
@@ -313,7 +309,6 @@ def test_reduced_chain_dp_matches_full_dp(steps, start, g):
     assert _close(value, float(_chain_best(vals, g, None)[-1]))
     if f.k <= 9:
         assert _close(value, oracle_tv_psi(f, g))
-    assert sample_sequence_variation(vals, g) == value
     chain_value, chain = tv_psi_chain(f, g)
     assert chain_value == value
     assert chain[0] == 0 and chain[-1] == f.k - 1

@@ -60,6 +60,30 @@ class TestValidation:
         with pytest.raises(NonzeroDiagonal):
             validate_metric([[1, 1], [1, 0]])
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-12, 1.0, 1e300])
+    def test_slacks_scale_with_the_entries(self, scale):
+        # every check allows 1e-9 relative to the entries, none an absolute 1e-9
+        def m(d01, d12, d11=0.0, d10=None):
+            d10 = d01 if d10 is None else d10
+            return scale * np.array([[0.0, d01, d01], [d10, d11, d12], [d01, d12, 0.0]])
+
+        with pytest.raises(TriangleViolation) as exc:
+            validate_metric(m(1e-11, 5e-10))
+        assert exc.value.triple == (1, 2, 0)
+        ok = m(1e-11, 2e-11)
+        assert validate_metric(ok).dist.tolist() == ok.tolist()
+        with pytest.raises(AsymmetricMatrix):
+            validate_metric(m(1e-11, 2e-11, d10=1.000001e-11))
+        with pytest.raises(NonzeroDiagonal):
+            validate_metric(m(1e-11, 2e-11, d11=1e-16))
+        with pytest.raises(ValueError, match="negative"):
+            validate_metric(m(1e-11, -1e-16))
+
+    def test_entries_near_the_float_limit(self):
+        # the mean of d and its transpose overflowed to inf, with a warning
+        d = [[0.0, 1e308, 1e308], [1e308, 0.0, 1.5e308], [1e308, 1.5e308, 0.0]]
+        assert validate_metric(d).dist.tolist() == d
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite(self, bad):
         # a NaN distance is neither within alpha nor beyond it
@@ -394,8 +418,8 @@ def _record_exact_searches(monkeypatch):
     log = {"cover": [], "pack": [], "_exact_cover": 0, "_exact_pack": 0}
 
     def recorded(kind, count):
-        def run(space, subset, alpha, mode, exact_cap):
-            found = count(space, subset, alpha, mode, exact_cap)
+        def run(space, subset, alpha, mode):
+            found = count(space, subset, alpha, mode)
             log[kind].append((count(space, subset, alpha, "greedy").count, found.count))
             return found
         return run
