@@ -15,9 +15,7 @@ import functools
 import json
 import math
 import os
-import pathlib
 import sys
-import tempfile
 
 import numpy as np
 
@@ -61,17 +59,18 @@ from .witness_lab import build_family, verify_packing
 
 
 def _atomic(path: str, write) -> None:
-    """Run ``write`` on a temp file beside ``path``, then rename it over
-    ``path``: a failed writer leaves neither a partial file nor the temp."""
-    d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    os.close(fd)
+    """Write a new temp file beside ``path``, then rename it over ``path``: a
+    failed writer leaves neither a partial file nor the temp.  ``write`` is
+    the text, or a function that writes the file at the path it is given."""
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    # created with the mode open() gives: 0o666 under the umask
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        # mkstemp's 0600 would survive the rename; give the mode open() gives
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        write(tmp)
+        with open(fd, "w") as fh:
+            if isinstance(write, str):
+                fh.write(write)
+            else:
+                write(tmp)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -79,15 +78,11 @@ def _atomic(path: str, write) -> None:
         raise
 
 
-def _atomic_write(path: str, text: str) -> None:
-    _atomic(path, lambda tmp: pathlib.Path(tmp).write_text(text))
-
-
 def _write_manifest(args: argparse.Namespace) -> None:
     payload = {k: v for k, v in vars(args).items() if k != "func"}
     payload["version"] = __version__
-    _atomic_write(os.path.join(args.out, "manifest.json"),
-                  json.dumps(payload, indent=2, default=str) + "\n")
+    _atomic(os.path.join(args.out, "manifest.json"),
+            json.dumps(payload, indent=2, default=str) + "\n")
 
 
 def _load_space(args):
@@ -142,17 +137,17 @@ def cmd_metric(args) -> None:
         for res in (covering_number(space, None, a, mode=mode),
                     packing_number(space, None, a, mode=mode)):
             lines.append(res.csv_row())
-    _atomic_write(os.path.join(args.out, "cover_pack.csv"), "\n".join(lines) + "\n")
+    _atomic(os.path.join(args.out, "cover_pack.csv"), "\n".join(lines) + "\n")
     if args.window:
         rep = dimension_report(space, args.window)
-        _atomic_write(os.path.join(args.out, "dimensions.csv"),
-                      "d,p,p_tilde,window_lo,window_hi\n" + rep.csv_row() + "\n")
+        _atomic(os.path.join(args.out, "dimensions.csv"),
+                "d,p,p_tilde,window_lo,window_hi\n" + rep.csv_row() + "\n")
 
 
 def cmd_variation(args) -> None:
     f = read_step(args.input)
     gauge = _parse_gauge(args.gauge)
-    _atomic_write(
+    _atomic(
         os.path.join(args.out, "variation.csv"),
         "tv,tv_psi,gauge\n" f"{tv(f)},{tv_psi(f, gauge)},{gauge.token}\n",
     )
@@ -174,7 +169,7 @@ def cmd_encode(args) -> None:
         np.log2(max((f.values.max() - f.values.min())
                     / (args.epsilon / (2.0 * f.L)), 1.0)),
     )
-    _atomic_write(
+    _atomic(
         os.path.join(args.out, "encode_report.csv"),
         "epsilon,budget,bits,bound_bits,l1_error\n"
         f"{args.epsilon},{args.budget},{cw.bit_length},{bound},{err}\n",
@@ -200,8 +195,8 @@ def cmd_witness(args) -> None:
         space, args.center, p_tilde, seed=args.seed,
     )
     sep = verify_packing(fam)
-    _atomic_write(os.path.join(args.out, "separation.csv"),
-                  sep.CSV_HEADER + "\n" + sep.csv_row() + "\n")
+    _atomic(os.path.join(args.out, "separation.csv"),
+            sep.CSV_HEADER + "\n" + sep.csv_row() + "\n")
 
 
 def cmd_scan(args) -> None:
@@ -214,7 +209,7 @@ def cmd_scan(args) -> None:
     params = ClassParams(L=1.0, V=1.0, gauge=Gauge.power(args.gamma)
                          if args.gamma > 1 else Gauge.identity())
     result = entropy_scan(ens, grid, params)
-    _atomic_write(os.path.join(args.out, "scan.csv"), result.to_csv())
+    _atomic(os.path.join(args.out, "scan.csv"), result.to_csv())
 
 
 def cmd_claw(args) -> None:
@@ -237,12 +232,12 @@ def cmd_claw(args) -> None:
     if not support_check(sol, args.L, args.M, args.T, flux):
         raise OutOfRange("support grew beyond the certified light cone")
     rows = "\n".join(f"{xi},{ui}" for xi, ui in zip(sol.x, sol.cells))
-    _atomic_write(os.path.join(args.out, "solution.csv"), "x,u\n" + rows + "\n")
+    _atomic(os.path.join(args.out, "solution.csv"), "x,u\n" + rows + "\n")
 
     fg = flux_gauge(flux, args.M, widths)
     tab = "\n".join(f"{h},{d},{p}" for h, d, p
                     in zip(fg.h_grid, fg.d_table, fg.phi_table))
-    _atomic_write(os.path.join(args.out, "flux_gauge.csv"), "h,gap,phi\n" + tab + "\n")
+    _atomic(os.path.join(args.out, "flux_gauge.csv"), "h,gap,phi\n" + tab + "\n")
 
     gamma = args.gamma_lm
     if args.calibrate:
@@ -251,7 +246,7 @@ def cmd_claw(args) -> None:
     bound = solution_entropy_bound(args.epsilon, args.L, args.M, args.T,
                                    flux, fg.gauge, gamma)
     snap = to_step_function(sol)
-    _atomic_write(
+    _atomic(
         os.path.join(args.out, "claw_report.csv"),
         "epsilon,gamma_lm,calibrated,bound_bits,snapshot_tv,mass\n"
         f"{args.epsilon},{gamma},{args.calibrate},{bound},"

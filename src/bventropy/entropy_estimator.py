@@ -15,7 +15,8 @@ fall back to per-pair :func:`l1_distance`.  A scan makes one farthest-first
 traversal, to its smallest epsilon, and reads each epsilon's pack off the
 insertion radii; up to ``MATRIX_CAP`` members it runs on the member x member
 matrix, built once, which also gives each set-cover greedy, and a larger
-scan runs on rows of the live members.
+scan runs on rows of the live members, whose columns are gathered once per
+drop of dead members, not once per row.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .bv_codec import RealInterval, upper_bound_bits
 from .errors import DomainMismatch, InsufficientRows
-from .gauge_variation import Gauge, StepFunction, _step_arrays, l1_distance, l1_row, tv_psi
+from .gauge_variation import Gauge, StepFunction, _step_arrays, l1_distance, l1_row_oracle, tv_psi
 from .metric_core import farthest_first, greedy_set_cover
 from .witness_lab import WitnessFamily, lower_bound_bits
 
@@ -92,23 +93,22 @@ class FunctionEnsemble:
         return self._size
 
     def distances_from(self, i: int) -> np.ndarray:
-        return self._distances(i, slice(None))
+        return self._rows()(i, slice(None))
 
-    def _distances(self, i: int, cols) -> np.ndarray:
-        """The entries ``cols`` (a slice or index array) of the row of ``i``."""
+    def _rows(self):
+        """A new row oracle: ``rows(i, cols)`` gives the entries ``cols`` (a
+        slice or index array) of the row of ``i``."""
         if self._layout is None:
-            return np.array([l1_distance(self.members[i], self.members[j])
-                             for j in np.arange(len(self))[cols]])
-        vals, w = self._layout
-        sub = vals[:, cols] if isinstance(cols, slice) else vals.take(cols, axis=1)
-        return l1_row(sub, vals[:, i], w, self.space)
+            return lambda i, cols: np.array([l1_distance(self.members[i], self.members[j])
+                                             for j in np.arange(len(self))[cols]])
+        return l1_row_oracle(*self._layout, self.space)
 
     def distance_matrix(self) -> np.ndarray:
         """Full member x member L1 matrix; each pair is computed once, so the
         matrix is exactly symmetric with a zero diagonal."""
-        out = np.zeros((len(self), len(self)))
+        out, rows = np.zeros((len(self), len(self))), self._rows()
         for i in range(len(self) - 1):
-            out[i, i:] = self._distances(i, slice(i, None))
+            out[i, i:] = rows(i, slice(i, None))
         return out + out.T
 
 
@@ -145,7 +145,7 @@ def _counts(ens: FunctionEnsemble, eps_grid) -> list[tuple[int, int]]:
     if not np.all((grid > 0) & (grid < math.inf)):
         raise ValueError("epsilon must be positive and finite")
     dist = ens.distance_matrix() if len(ens) <= MATRIX_CAP else None
-    _, radii = farthest_first(ens._distances if dist is None
+    _, radii = farthest_first(ens._rows() if dist is None
                               else lambda i, cols: dist[i, cols], 0, float(grid[-1]))
     radii = np.array(radii)
     packs = [int(np.count_nonzero(radii > eps)) for eps in grid]

@@ -364,6 +364,22 @@ def l1_row(values, row, widths, space: FiniteMetricSpace | None) -> np.ndarray:
                      widths)[:d.shape[1]]
 
 
+def l1_row_oracle(values, widths, space: FiniteMetricSpace | None):
+    """A row oracle for one :func:`~bventropy.metric_core.farthest_first` run
+    over the columns of ``values``: ``rows(i, cols)`` is the :func:`l1_row` of
+    column ``i`` on the columns ``cols``, a slice or an index array.  The
+    columns are gathered again only when a new ``cols`` object comes, so a
+    traversal gathers once per drop of dead points."""
+    held = [None, None]                     # the last cols and its columns
+
+    def rows(i, cols):
+        if cols is not held[0]:
+            held[:] = cols, (values[:, cols] if isinstance(cols, slice)
+                             else values.take(cols, axis=1))
+        return l1_row(held[1], values[:, i], widths, space)
+    return rows
+
+
 def l1_distance(f: StepFunction, g: StepFunction) -> float:
     """Exact integral of the pointwise distance between two step functions."""
     if abs(f.L - g.L) > 1e-9 * max(f.L, 1.0):

@@ -258,15 +258,18 @@ def farthest_first(rows, start, sep):
 
     ``rows(i, cols)`` returns the distances from point ``i`` to the points
     ``cols``: a full slice, or once dead points are dropped, the live ones
-    as an index array; a subset's entries must equal the full row's.  From
-    ``start``, each step adds the point farthest from the chosen set (lowest
-    index on ties) and stops once that distance is at most ``sep``: the
-    chosen points are then strictly ``sep``-separated and cover every point
-    with closed ``sep``-balls.  A NaN or negative ``sep`` raises
-    ``ValueError``, as no distance, or every one, would beat it.  A point's
-    distance to the chosen set only falls, so once it is at most ``sep`` the
-    point is dead: it is never picked, and dropped when a quarter of the
-    live points, and at least 64, have died (O(log n) times in all).
+    as an index array; a subset's entries must equal the full row's.  The
+    same ``cols`` object comes back until the live set shrinks, and an index
+    array is never changed in place, so an oracle may gather its columns
+    once per new ``cols``.  From ``start``, each step adds the point farthest
+    from the chosen set (lowest index on ties) and stops once that distance
+    is at most ``sep``: the chosen points are then strictly ``sep``-separated
+    and cover every point with closed ``sep``-balls.  A NaN or negative
+    ``sep`` raises ``ValueError``, as no distance, or every one, would beat
+    it.  A point's distance to the chosen set only falls, so once it is at
+    most ``sep`` the point is dead: it is never picked, and dropped when a
+    quarter of the live points, and at least 64, have died (O(log n) times
+    in all).
 
     Returns the chosen points and their insertion radii: each pick's
     distance to the earlier picks, ``inf`` for ``start``.  The radii never
@@ -284,10 +287,11 @@ def farthest_first(rows, start, sep):
     if not np.all(bar >= 0):
         raise ValueError(f"separation must be a non-negative number, got {sep}")
     batch = np.ndim(start) > 0
-    mind = np.array(rows(start, slice(None)), dtype=float, ndmin=2)
-    live, cols, limit = np.arange(mind.shape[1]), slice(None), 0.75 * mind.size - 64
+    mind = np.array(rows(start, cols := slice(None)), dtype=float, ndmin=2)
+    live, limit = np.arange(mind.shape[1]), 0.75 * mind.size - 64
     lanes, line = np.arange(len(mind)), mind if batch else mind[0]
-    picks, radii = [np.atleast_1d(start)], [np.full(len(mind), math.inf)]
+    picks, radii = (([np.atleast_1d(start)], [np.full(len(mind), math.inf)]) if batch
+                    else ([int(start)], [math.inf]))
     for step in itertools.count(1):
         if limit > 0 and step % 4 == 0:         # a check costs a pass over mind
             alive = mind > bar[:, None]
@@ -295,19 +299,18 @@ def farthest_first(rows, start, sep):
                 keep = alive.any(axis=0)
                 live, mind, limit = live[keep], mind[:, keep], 0.75 * count - 64
                 cols, line = live, mind if batch else mind[0]
-        pos = mind.argmax(axis=1)               # argmax takes the lowest index
-        top = mind[lanes, pos]
-        if not (np.count_nonzero(top > bar) if batch else top[0] > bar[0]):
+        pos = line.argmax(axis=-1)              # argmax takes the lowest index
+        top, pick = (mind[lanes, pos], live[pos]) if batch else (line.item(pos), live.item(pos))
+        if not (np.count_nonzero(top > bar) if batch else top > bar.item(0)):
             break
-        picks.append(pick := live[pos])
+        picks.append(pick)
         radii.append(top)
-        np.minimum(line, rows(pick if batch else int(pick[0]), cols), out=line)
-    chosen, radius = np.concatenate(picks), np.concatenate(radii)
-    if not batch:                       # one problem took every step
-        return chosen.tolist(), radius.tolist()
+        np.minimum(line, rows(pick, cols), out=line)
+    if not batch:                       # one problem took every step, on Python scalars
+        return picks, radii
     # a problem's picks are the prefix of radii above its separation, as its
     # distances only fall
-    chosen, radius = chosen.reshape(len(picks), -1).T, radius.reshape(len(radii), -1).T
+    chosen, radius = np.array(picks).T, np.array(radii).T
     late = radius[:, 1:] <= bar[:, None]
     chosen[:, 1:][late], radius[:, 1:][late] = -1, np.nan
     return chosen, radius

@@ -31,7 +31,7 @@ from .errors import (
     InfeasibleConstraint,
     SeparationFailure,
 )
-from .gauge_variation import Gauge, _chain_best, l1_row
+from .gauge_variation import Gauge, _chain_best, l1_row, l1_row_oracle
 from .metric_core import FiniteMetricSpace, farthest_first, packing_number
 
 LOG2_7 = math.log2(7.0)
@@ -323,11 +323,7 @@ def _one_block_min(members: np.ndarray, prefixes: np.ndarray, dist: np.ndarray) 
 
 def _greedy_extract(fam: WitnessFamily, separation: float) -> list[int]:
     """Farthest-first member selection at strict separation, on l1_row rows."""
-    vals, w = np.ascontiguousarray(fam.members.T), np.diff(fam.block_edges)
-
-    def rows(i, cols):
-        sub = vals[:, cols] if isinstance(cols, slice) else vals.take(cols, axis=1)
-        return l1_row(sub, vals[:, i], w, fam.space)
+    rows = l1_row_oracle(np.ascontiguousarray(fam.members.T), np.diff(fam.block_edges), fam.space)
     return farthest_first(rows, 0, separation)[0]
 
 

@@ -332,7 +332,7 @@ def _traversal_case(kind, rng):
         ens = FunctionEnsemble([random_step_function(rng) for _ in range(rng.integers(1, 30))])
         if kind == "pairwise":
             ens._layout = None
-    return ens._distances, ens.distances_from, int(rng.integers(len(ens))), len(ens)
+    return ens._rows(), ens.distances_from, int(rng.integers(len(ens))), len(ens)
 
 
 @settings(max_examples=80, derandomize=True, deadline=None)

@@ -529,6 +529,30 @@ def test_outputs_get_the_mode_open_gives(tmp_path, step_file):
     assert {oct(stat.S_IMODE(p.stat().st_mode)) for p in files} == {"0o644"}
 
 
+def test_outputs_follow_a_strict_umask(tmp_path, step_file):
+    old = os.umask(0o077)
+    try:
+        assert run("scan", "--out", str(tmp_path / "s"), "--eps-grid", "0.1,0.05") == 0
+        assert run("encode", "--out", str(tmp_path / "e"), "--input", step_file,
+                   "--epsilon", "0.1", "--budget", "1.0") == 0
+        assert run("decode", "--out", str(tmp_path / "d"),
+                   "--input", str(tmp_path / "e" / "codeword.bvc")) == 0
+    finally:
+        os.umask(old)
+    files = [p for d in "sed" for p in (tmp_path / d).iterdir()]
+    assert len(files) == 7
+    assert {oct(stat.S_IMODE(p.stat().st_mode)) for p in files} == {"0o600"}
+
+
+def test_writes_leave_the_umask_alone(tmp_path, monkeypatch):
+    # the umask is process-wide: setting it to read it races with other threads
+    def refuse(mask):
+        raise AssertionError(f"os.umask({mask:#o}) called")
+    monkeypatch.setattr(os, "umask", refuse)
+    assert run("scan", "--out", str(tmp_path / "s"), "--eps-grid", "0.1,0.05") == 0
+    assert sorted(os.listdir(tmp_path / "s")) == ["manifest.json", "scan.csv"]
+
+
 def test_parser_defaults_are_the_library_constants():
     parser = build_parser()
     assert parser.parse_args(["claw", "--out", "o"]).cfl == claw.CFL

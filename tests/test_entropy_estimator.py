@@ -1,11 +1,14 @@
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bventropy import gauge_variation
 from bventropy.entropy_estimator import (
     MATRIX_CAP,
     ClassParams,
@@ -238,9 +241,10 @@ def test_layout_rows_on_subsets_equal_full_rows(kind, seed, m):
     rng = np.random.default_rng(seed)
     i = int(rng.integers(len(ens)))
     row = ens.distances_from(i)
+    rows = ens._rows()
     for k in range(1, min(len(ens), 12) + 1):
         cols = np.sort(rng.choice(len(ens), size=k, replace=False))
-        assert ens._distances(i, cols).tobytes() == row[cols].tobytes()
+        assert rows(i, cols).tobytes() == row[cols].tobytes()
 
 
 class TestOneMatrixPerScan:
@@ -250,9 +254,12 @@ class TestOneMatrixPerScan:
         if not layout:
             ens._layout = None          # matrix rows from per-pair l1_distance
         calls = []
-        rows = FunctionEnsemble._distances
-        monkeypatch.setattr(FunctionEnsemble, "_distances",
-                            lambda self, i, cols: calls.append(i) or rows(self, i, cols))
+        oracle = FunctionEnsemble._rows
+
+        def counted(self):
+            rows = oracle(self)
+            return lambda i, cols: calls.append(i) or rows(i, cols)
+        monkeypatch.setattr(FunctionEnsemble, "_rows", counted)
         res = entropy_scan(ens, [0.2, 0.1, 0.05, 0.025])
         assert len(calls) <= len(ens)
         for r in res.rows:
@@ -266,13 +273,17 @@ class TestOneMatrixPerScan:
             raise AssertionError("distance matrix built above MATRIX_CAP")
         monkeypatch.setattr(FunctionEnsemble, "distance_matrix", refuse)
         calls = []
-        rows = FunctionEnsemble._distances
+        oracle = FunctionEnsemble._rows
 
-        def counted(self, i, cols):
-            row = rows(self, i, cols)
-            calls.append(row.size)
-            return row
-        monkeypatch.setattr(FunctionEnsemble, "_distances", counted)
+        def counted(self):
+            rows = oracle(self)
+
+            def sized(i, cols):
+                row = rows(i, cols)
+                calls.append(row.size)
+                return row
+            return sized
+        monkeypatch.setattr(FunctionEnsemble, "_rows", counted)
         res = entropy_scan(ens, [0.1, 0.05, 0.025, 0.0125])
         assert [r.pack_count for r in res.rows] == [19, 63, 268, 862]
         assert all(r.cover_count == r.pack_count for r in res.rows)
@@ -280,6 +291,32 @@ class TestOneMatrixPerScan:
         assert len(calls) == res.rows[-1].pack_count
         # rows on the live members only: fewer than half the entries of full rows
         assert sum(calls) < 863 * len(ens) / 2
+
+    @staticmethod
+    def row_inputs(monkeypatch, keep):
+        # what every l1_row call is given to read its columns from
+        row, seen = gauge_variation.l1_row, []
+        monkeypatch.setattr(gauge_variation, "l1_row",
+                            lambda values, *rest: seen.append(keep(values)) or row(values, *rest))
+        return seen
+
+    def test_scan_gathers_once_per_drop(self, monkeypatch):
+        ens = block_grid_ensemble(2)
+        seen = self.row_inputs(monkeypatch, lambda values: values)
+        res = entropy_scan(ens, [0.1, 0.05, 0.025, 0.0125])
+        assert len(seen) == res.rows[-1].pack_count == 862
+        # one full slice, then one gather per drop of dead members, not one per row
+        assert 1 < len({id(values) for values in seen}) <= 13
+
+    def test_scan_leaves_no_gathered_copy(self, monkeypatch):
+        ens = block_grid_ensemble(2)
+        held = dict(vars(ens))
+        seen = self.row_inputs(monkeypatch, weakref.ref)
+        entropy_scan(ens, [0.1, 0.05, 0.025, 0.0125])
+        gc.collect()
+        assert seen and all(ref() is None for ref in seen)
+        assert vars(ens).keys() == held.keys()
+        assert all(vars(ens)[k] is v for k, v in held.items())
 
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(kind=st.sampled_from(["real", "cloud", "witness"]),

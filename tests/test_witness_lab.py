@@ -20,11 +20,12 @@ from bventropy.witness_lab import (
     global_family,
     lower_bound_bits,
     lower_bound_bits_power,
+    _greedy_extract,
     separation_factor,
     verify_packing,
 )
 
-from conftest import eta, reference_verify_packing, run_python
+from conftest import eta, reference_farthest_first, reference_verify_packing, run_python
 
 LOG2_7 = np.log2(7.0)
 
@@ -149,7 +150,6 @@ class TestVerifyPacking:
         rep = verify_packing(fam)
         assert rep.extracted_packing_size >= 1
         # independent check of the extracted packing distances
-        from bventropy.witness_lab import _greedy_extract
         chosen = _greedy_extract(fam, fam.target_separation)
         assert len(chosen) == rep.extracted_packing_size
         for a in range(len(chosen)):
@@ -167,6 +167,19 @@ class TestVerifyPacking:
         )
         rep = verify_packing(small)
         assert rep.extracted_packing_size == 1
+
+    def test_extraction_matches_reference_traversal(self, fam, monkeypatch):
+        # 2 eps at twice the least pair distance: verify_packing reaches the
+        # extraction, whose live set shrinks on the way
+        fam = dataclasses.replace(fam, epsilon=verify_packing(fam).min_distance)
+        calls = []
+        monkeypatch.setattr("bventropy.witness_lab._greedy_extract",
+                            lambda f, sep: calls.append(sep) or _greedy_extract(f, sep))
+        rep = verify_packing(fam)
+        want = reference_farthest_first(lambda i: member_row(fam, i), 0, fam.target_separation)
+        assert calls == [fam.target_separation]
+        assert _greedy_extract(fam, fam.target_separation) == want[0]
+        assert rep.extracted_packing_size == len(want[0]) < fam.size
 
     def test_pairwise_matches_l1(self, fam):
         # block-sum and shared-cell row distances equal the generic
