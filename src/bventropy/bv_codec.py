@@ -41,6 +41,7 @@ from .errors import (
     BudgetViolation,
     CorruptStream,
     EpsilonTooLarge,
+    EpsilonTooSmall,
     NetIncomplete,
     NetTooLarge,
 )
@@ -76,7 +77,10 @@ class RealInterval:
         """Optimal closed-ball covering count at radius alpha (uniform grid)."""
         if alpha <= 0:
             raise ValueError("alpha must be positive")
-        return max(1, math.ceil(self.diameter / (2.0 * alpha)))
+        if (count := self.diameter / (2.0 * alpha)) == math.inf:
+            raise EpsilonTooSmall(f"the covering count of [{self.lo}, {self.hi}] at radius "
+                                  f"{alpha} overflows a float")
+        return max(1, math.ceil(count))
 
     def entropy_bits(self, alpha: float) -> float:
         return math.log2(self.cover_count(alpha))
@@ -244,7 +248,9 @@ def choose_params(L: float, V: float, eps: float) -> tuple[int, float]:
         raise ValueError("eps must be positive")
     if eps > L * V / 2.0 + 1e-12:
         raise EpsilonTooLarge(f"need eps <= L*V/2 = {L * V / 2.0}, got {eps}")
-    N1 = int(math.floor(3.0 * L * V / (2.0 * eps))) + 2
+    if (cells := 3.0 * L * V / (2.0 * eps)) == math.inf:
+        raise EpsilonTooSmall(f"the grid of 3LV/2eps cells overflows a float at eps = {eps}")
+    N1 = int(math.floor(cells)) + 2
     h2 = V / (N1 - 1)
     return N1, h2
 

@@ -16,7 +16,11 @@ traversal, to its smallest epsilon, and reads each epsilon's pack off the
 insertion radii; up to ``MATRIX_CAP`` members it runs on the member x member
 matrix, built once, which also gives each set-cover greedy, and a larger
 scan runs on rows of the live members, whose columns are gathered once per
-drop of dead members, not once per row.
+drop of dead members, not once per row.  A pick lowers only the distances of
+members closer to it than its radius.  On real values with a cell whose
+column never decreases in member order, such as a block grid's first block,
+those members lie in one run of the live ones, and the pick's row is
+computed on that run alone, each cell's term added in order.
 """
 
 from __future__ import annotations
@@ -97,10 +101,12 @@ class FunctionEnsemble:
 
     def _rows(self):
         """A new row oracle: ``rows(i, cols)`` gives the entries ``cols`` (a
-        slice or index array) of the row of ``i``."""
+        slice or index array) of the row of ``i``; ``rows(i, cols, reach)``
+        may give only a run of them, as :func:`farthest_first` allows."""
         if self._layout is None:
-            return lambda i, cols: np.array([l1_distance(self.members[i], self.members[j])
-                                             for j in np.arange(len(self))[cols]])
+            return lambda i, cols, reach=math.inf: np.array(
+                [l1_distance(self.members[i], self.members[j])
+                 for j in np.arange(len(self))[cols]])
         return l1_row_oracle(*self._layout, self.space)
 
     def distance_matrix(self) -> np.ndarray:
@@ -136,17 +142,21 @@ def _refinement_layout(members):
     return np.ascontiguousarray(vals.reshape(m, cells).T), np.diff(cuts)
 
 
-def _counts(ens: FunctionEnsemble, eps_grid) -> list[tuple[int, int]]:
-    """(cover, pack) at each epsilon of a strictly decreasing grid; above
-    ``MATRIX_CAP`` the farthest-first set, also a closed cover, is both."""
+def _checked_grid(eps_grid) -> np.ndarray:
     grid = np.asarray(eps_grid, dtype=float)
     if grid.size == 0 or np.any(np.diff(grid) >= 0):
         raise ValueError("epsilon grid must be strictly decreasing")
     if not np.all((grid > 0) & (grid < math.inf)):
         raise ValueError("epsilon must be positive and finite")
+    return grid
+
+
+def _counts(ens: FunctionEnsemble, grid: np.ndarray) -> list[tuple[int, int]]:
+    """(cover, pack) at each epsilon of a checked grid; above ``MATRIX_CAP``
+    the farthest-first set, also a closed cover, is both."""
     dist = ens.distance_matrix() if len(ens) <= MATRIX_CAP else None
     _, radii = farthest_first(ens._rows() if dist is None
-                              else lambda i, cols: dist[i, cols], 0, float(grid[-1]))
+                              else lambda i, cols, reach: dist[i, cols], 0, float(grid[-1]))
     radii = np.array(radii)
     packs = [int(np.count_nonzero(radii > eps)) for eps in grid]
     if dist is None:
@@ -159,7 +169,7 @@ def empirical_counts(ens: FunctionEnsemble, epsilon: float) -> tuple[int, int]:
     separation) of the ensemble at accuracy epsilon: the one-epsilon case of
     :func:`entropy_scan`'s counts, with the packing farthest-first from
     member 0."""
-    return _counts(ens, [epsilon])[0]
+    return _counts(ens, _checked_grid([epsilon]))[0]
 
 
 @dataclass(frozen=True)
@@ -204,16 +214,20 @@ def entropy_scan(
 
     One farthest-first traversal from member 0, to the smallest epsilon,
     gives every row's pack count.  Up to ``MATRIX_CAP`` members the distance
-    matrix is built once per call and is not cached on the ensemble.
+    matrix is built once per call and is not cached on the ensemble.  The
+    bounds come first, so an epsilon they cannot take is refused before the
+    traversal.
     """
-    rows = []
-    for eps, (cover, pack) in zip(map(float, eps_grid), _counts(ens, eps_grid)):
+    grid, bounds = _checked_grid(eps_grid), []
+    for eps in grid.tolist():
         lhs = rhs = float("nan")
         if params is not None:
             H = RealInterval(0.0, 1.0).entropy_bits(eps / (4.0 * params.L))
             rhs = upper_bound_bits(params.L, params.V, eps, params.gauge, 1, H)
             lhs = lower_bound_bits(eps, params.L, params.V, params.gauge, 1.0)
-        rows.append(ScanRow(eps, cover, pack, lhs, rhs))
+        bounds.append((lhs, rhs))
+    rows = [ScanRow(eps, cover, pack, *bound)
+            for eps, (cover, pack), bound in zip(grid.tolist(), _counts(ens, grid), bounds)]
     result = ScanResult(rows=tuple(rows))
     try:
         expo, res = fit_exponent(result)

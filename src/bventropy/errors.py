@@ -70,6 +70,11 @@ class EpsilonTooLarge(BVEntropyError, ValueError):
     """An accuracy coarser than the class admits: bad input, not a broken invariant."""
 
 
+class EpsilonTooSmall(BVEntropyError, ValueError):
+    """An accuracy so fine that a count it sets overflows a float: bad input,
+    not a broken invariant."""
+
+
 class NetIncomplete(BVEntropyError):
     pass
 

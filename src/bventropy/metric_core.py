@@ -22,7 +22,8 @@ Every greedy count in the package runs on one of two kernels:
   the chosen set, lowest index on ties, until every point lies within the
   separation.  Its output is both a strict packing and a closed cover, and
   its insertion radii give the run to every larger separation as a prefix.
-  Its rows reach only the live points, and must equal the full rows there.
+  Its rows reach only the live points, or the run of them that a pick can
+  still move, and must equal the full rows there.
 
 Both carry a leading batch axis of independent problems that advance in
 lockstep, and record their picks as arrays.  :func:`dimension_report` solves
@@ -256,7 +257,7 @@ def greedy_set_cover(covers: np.ndarray, targets=None):
 def farthest_first(rows, start, sep):
     """Farthest-point insertion over a row oracle, on the live points.
 
-    ``rows(i, cols)`` returns the distances from point ``i`` to the points
+    ``rows(i, cols, reach)`` returns the distances from point ``i`` to the points
     ``cols``: a full slice, or once dead points are dropped, the live ones
     as an index array; a subset's entries must equal the full row's.  The
     same ``cols`` object comes back until the live set shrinks, and an index
@@ -270,6 +271,14 @@ def farthest_first(rows, start, sep):
     most ``sep`` the point is dead: it is never picked, and dropped when a
     quarter of the live points, and at least 64, have died (O(log n) times
     in all).
+
+    ``reach`` is the pick's insertion radius, which no point's distance to
+    the chosen set exceeds (``inf`` for ``start``'s row, one per problem in a
+    batch).  An entry at or above it lowers nothing, so the oracle may leave
+    such entries out: it may return a pair ``(run, row)`` of a slice ``run``
+    of ``cols`` and the entries there, when every entry outside the run is at
+    least ``reach``.  The minimum is then taken over the run only.  A row at
+    ``reach`` ``inf`` is whole.
 
     Returns the chosen points and their insertion radii: each pick's
     distance to the earlier picks, ``inf`` for ``start``.  The radii never
@@ -287,7 +296,7 @@ def farthest_first(rows, start, sep):
     if not np.all(bar >= 0):
         raise ValueError(f"separation must be a non-negative number, got {sep}")
     batch = np.ndim(start) > 0
-    mind = np.array(rows(start, cols := slice(None)), dtype=float, ndmin=2)
+    mind = np.array(rows(start, cols := slice(None), math.inf), dtype=float, ndmin=2)
     live, limit = np.arange(mind.shape[1]), 0.75 * mind.size - 64
     lanes, line = np.arange(len(mind)), mind if batch else mind[0]
     picks, radii = (([np.atleast_1d(start)], [np.full(len(mind), math.inf)]) if batch
@@ -305,7 +314,9 @@ def farthest_first(rows, start, sep):
             break
         picks.append(pick)
         radii.append(top)
-        np.minimum(line, rows(pick, cols), out=line)
+        got = rows(pick, cols, top)
+        run, row = got if type(got) is tuple else (slice(None), got)
+        np.minimum(seg := line[..., run], row, out=seg)
     if not batch:                       # one problem took every step, on Python scalars
         return picks, radii
     # a problem's picks are the prefix of radii above its separation, as its
@@ -421,7 +432,8 @@ def _greedy_cover(space: FiniteMetricSpace, k: np.ndarray, alpha: float):
 
 def _greedy_pack(space: FiniteMetricSpace, k: np.ndarray, alpha: float):
     # seeded at the lowest index of the subset
-    pos, _ = farthest_first(lambda i, cols: space.dist[k[i], k[cols]], int(np.argmin(k)), alpha)
+    pos, _ = farthest_first(lambda i, cols, reach: space.dist[k[i], k[cols]],
+                            int(np.argmin(k)), alpha)
     return k[pos].tolist()
 
 
@@ -533,7 +545,7 @@ def _scale_witnesses(space: FiniteMetricSpace, scales):
         balls = targets.reshape(-1, n)
         starts = balls.argmax(axis=1)    # only the first rows are masked: -inf stays -inf
         rows = np.where(balls, space.dist[starts], -np.inf)
-        packs, _ = farthest_first(lambda i, cols: rows if i is starts
+        packs, _ = farthest_first(lambda i, cols, reach: rows if i is starts
                                   else space.dist[i][:, cols], starts, np.repeat(alphas, n))
         _check_covers(near, covers, targets, alphas)
         _check_packings(near, packs.reshape(len(alphas), n, -1), alphas)

@@ -6,9 +6,11 @@ witness, a CSV value or a chain shows up here.  A hypothesis property test
 checks the two greedy kernels against their defining properties and, on
 small spaces, against the exhaustive oracles; another checks that
 farthest-first on the live set picks what the reference traversal, with a
-full row per pick, picks; and one more that the set cover, which finishes
-its one-point steps at once, picks what the reference with one pick per
-step picks, or raises as it does.
+full row per pick, picks, also where the value-matrix oracle returns only
+the run of members a pick can move, whose entries must be the full row's;
+and one more that the set cover, which finishes its one-point steps at
+once, picks what the reference with one pick per step picks, or raises as
+it does.
 
 A second digest, recorded while the chain DP still ran over every cell and
 snapshots were thinned above 4,096 cells, pins what the conservation-law
@@ -25,8 +27,10 @@ against `P.polyval`, bit for bit.
 """
 
 import hashlib
+import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
@@ -282,7 +286,7 @@ def test_greedy_kernels_properties(n, dim, seed, sep, start, grow):
     # coordinates on a 0.05 grid produce distance ties
     space = from_points(np.round(rng.uniform(0.0, 1.0, size=(n, dim)) * 20) / 20)
     start %= n
-    chosen, radii = farthest_first(lambda i, cols: space.dist[i, cols], start, sep)
+    chosen, radii = farthest_first(lambda i, cols, reach: space.dist[i, cols], start, sep)
     assert chosen[0] == start and len(set(chosen)) == len(chosen)
     # insertion radii: inf first, never increasing, each the pick's distance
     # to the earlier picks; a larger separation, a radius itself included,
@@ -293,7 +297,7 @@ def test_greedy_kernels_properties(n, dim, seed, sep, start, grow):
         assert radii[k] == space.dist[chosen[k], chosen[:k]].min()
     for wider in [sep * grow] + radii[1:]:
         keep = sum(r > wider for r in radii)
-        assert farthest_first(lambda i, cols: space.dist[i, cols], start, wider) == (
+        assert farthest_first(lambda i, cols, reach: space.dist[i, cols], start, wider) == (
             chosen[:keep], radii[:keep])
     sub = space.dist[np.ix_(chosen, chosen)]
     assert np.all(sub[np.triu_indices(len(chosen), k=1)] > sep)
@@ -315,10 +319,10 @@ def _traversal_case(kind, rng):
         d = np.triu(rng.integers(0, 5, size=(n, n)), 1).astype(float)
         d += d.T
         if kind == "dense":
-            return (lambda i, cols: d[i, cols]), d.__getitem__, int(rng.integers(n)), n
+            return (lambda i, cols, reach: d[i, cols]), d.__getitem__, int(rng.integers(n)), n
         masks = rng.random((int(rng.integers(1, 6)), n)) < 0.6
         masks[np.arange(masks.shape[0]), rng.integers(n, size=masks.shape[0])] = True
-        return (lambda i, cols: np.where(masks[:, cols], d[i][:, cols], -np.inf),
+        return (lambda i, cols, reach: np.where(masks[:, cols], d[i][:, cols], -np.inf),
                 lambda i: np.where(masks, d[i], -np.inf), masks.argmax(axis=1), n)
     if kind == "grid":
         gamma = int(rng.integers(1, 4))
@@ -342,10 +346,10 @@ def test_live_set_traversal_matches_reference(kind, seed, q, half):
     rows, full, start, n = _traversal_case(kind, np.random.default_rng(seed))
     seen = []
 
-    def counted(i, cols):
-        row = rows(i, cols)
-        seen.append(row.shape[-1])
-        return row
+    def counted(i, cols, reach):
+        got = rows(i, cols, reach)
+        seen.append((got[1] if type(got) is tuple else got).shape[-1])
+        return got
     # a separation equal to a distance that occurs, or half of one; witness
     # families run to their smallest distance, so that the live set is compacted
     first = full(start)
@@ -364,6 +368,103 @@ def _rows_as_lists(rows, keep=None):
     """A batch result of the kernels, padded rows, as one list per problem."""
     keep = rows >= 0 if keep is None else keep
     return [row[k].tolist() for row, k in zip(rows, keep)]
+
+
+def _keyed_layout(rng, m, cells, key, widest, sort=True):
+    """(edges, members x cells values) on a few repeated levels.  The cell
+    ``key`` is the narrowest or the widest, and the members are sorted by
+    it; unsorted, the first member is above the second in every cell."""
+    spacing = float(rng.choice([0.1, 1 / 3, 0.01, 2.0 ** -20]))
+    values = rng.integers(0, int(rng.integers(1, 6)), size=(m, cells)) * spacing
+    if sort:
+        values = values[np.argsort(values[:, key], kind="stable")]
+    else:
+        values[0] = values.max() + spacing
+    widths = rng.uniform(1.0, 2.0, size=cells)
+    widths[key] = 3.0 if widest else 0.5
+    return np.concatenate([[0.0], np.cumsum(widths)]), values
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(kind=st.sampled_from(["sorted", "unsorted", "witness"]),
+       seed=st.integers(0, 2 ** 16), m=st.integers(1, 60), cells=st.integers(1, 4),
+       widest=st.booleans(), q=st.floats(0.0, 1.0), between=st.booleans())
+def test_windowed_traversal_matches_reference(kind, seed, m, cells, widest, q, between):
+    # the value-matrix oracle's runs against full rows: separations at and
+    # between the ensemble's distances, on repeated levels, so that radii
+    # and distances tie on a run's edge
+    rng = np.random.default_rng(seed)
+    if kind == "witness":
+        ens = from_witness_family(build_family(1.0, 1.0, 1 / 128, Gauge.identity(),
+                                               line_points(9, 1.0), int(rng.integers(9)), 1.0))
+    else:
+        ens = FunctionEnsemble.from_values(*_keyed_layout(
+            rng, max(m, 2) if kind == "unsorted" else m, cells,
+            int(rng.integers(cells)), widest, sort=kind == "sorted"))
+    dist = np.unique(ens.distance_matrix())
+    k = int(q * (dist.size - 1))
+    sep = float((dist[k] + dist[min(k + 1, dist.size - 1)]) / 2 if between else dist[k])
+    rows, runs = ens._rows(), []
+
+    def counted(i, cols, reach):
+        got = rows(i, cols, reach)
+        runs.append(type(got) is tuple)
+        return got
+    start = int(rng.integers(len(ens)))
+    assert farthest_first(counted, start, sep) == \
+        reference_farthest_first(ens.distances_from, start, sep)
+    if kind != "sorted":
+        assert not any(runs)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), m=st.integers(1, 40), cells=st.integers(1, 12),
+       widest=st.booleans(), subset=st.booleans(), q=st.floats(0.0, 1.0),
+       nudge=st.sampled_from([-1, 0, 1, None]))
+def test_oracle_runs_hold_the_full_row_floats(seed, m, cells, widest, subset, q, nudge):
+    # a run of any width, 0 and 1 included, at a reach equal to a distance,
+    # one float either side of it, or the least positive float
+    rng = np.random.default_rng(seed)
+    ens = FunctionEnsemble.from_values(*_keyed_layout(rng, m, cells, int(rng.integers(cells)),
+                                                      widest))
+    i = int(rng.integers(m))
+    cols = (np.sort(rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False))
+            if subset else slice(None))
+    want = ens.distances_from(i)[cols]
+    d = float(np.unique(want)[int(q * (np.unique(want).size - 1))])
+    reach = (math.ulp(0.0) if nudge is None
+             else max(math.ulp(0.0), math.nextafter(d, nudge * math.inf) if nudge else d))
+    got = ens._rows()(i, cols, reach)
+    run, row = got if type(got) is tuple else (slice(None), got)
+    assert row.tobytes() == want[run].tobytes()
+    assert np.all(np.delete(want, np.arange(want.size)[run]) >= reach)
+
+
+@pytest.mark.parametrize("cols, width", [([0, 1, 4], 0), ([0, 1, 2, 4], 1),
+                                         ([0, 1, 2, 3, 4], 2)])
+def test_oracle_runs_of_width_zero_and_one(cols, width):
+    # twelve cells, the first the widest and the only sorted one: at the
+    # least positive reach a run holds the members whose key equals member
+    # 3's; a lone column's twelve terms are added in order, as in the full row
+    rng = np.random.default_rng(5)
+    values = rng.uniform(0.0, 1.0, size=(5, 12))
+    values[:, 0] = [0.0, 0.1, 0.2, 0.2, 0.5]
+    ens = FunctionEnsemble.from_values(np.linspace(0.0, 1.0, 13) ** 0.5, values)
+    cols = np.array(cols)
+    run, row = ens._rows()(3, cols, math.ulp(0.0))
+    assert run.stop - run.start == width
+    assert row.tobytes() == ens.distances_from(3)[cols][run].tobytes()
+
+
+def test_oracle_run_keeps_a_member_rounding_brings_below_reach():
+    # fl(reach / 3) lies below reach / 3, and member 0 lies just below
+    # fl(1 - fl(reach / 3)), where 1 - v rounds down onto fl(reach / 3): its
+    # entry is below reach, so the run must hold it
+    ens = FunctionEnsemble.from_values([0.0, 3.0], [[-0.030638647378365528], [1.0]])
+    reach = 3.091915942135097
+    assert ens.distances_from(1)[0] < reach
+    got = ens._rows()(1, slice(None), reach)
+    assert 0 in range(2)[got[0] if type(got) is tuple else slice(None)]
 
 
 def _cover_or_error(cover, covers, targets):

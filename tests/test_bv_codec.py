@@ -33,7 +33,8 @@ from bventropy.bv_codec import (
 from bventropy import bv_codec, metric_core
 from bventropy.entropy_estimator import random_bv_ensemble, random_bvpsi_ensemble
 from bventropy.errors import (
-    BudgetViolation, CorruptStream, EpsilonTooLarge, NetIncomplete, NetTooLarge,
+    BudgetViolation, CorruptStream, EpsilonTooLarge, EpsilonTooSmall, NetIncomplete,
+    NetTooLarge,
 )
 from bventropy.gauge_variation import Gauge, StepFunction, l1_distance, tv, tv_psi
 from bventropy.metric_core import from_points
@@ -60,6 +61,19 @@ class TestChooseParams:
     def test_epsilon_too_large(self):
         with pytest.raises(EpsilonTooLarge):
             choose_params(1.0, 1.0, 0.6)
+
+    @pytest.mark.parametrize("eps", [1e-320, 3e-309, 5e-324])
+    def test_epsilon_whose_grid_overflows(self, eps):
+        # floor(inf) raised OverflowError, which is no ValueError
+        with pytest.raises(EpsilonTooSmall, match="overflows a float"):
+            choose_params(1.0, 1.0, eps)
+        assert issubclass(EpsilonTooSmall, ValueError)
+
+    def test_interval_count_that_overflows(self):
+        assert RealInterval(0.0, 1.0).cover_count(1e-300) == math.ceil(1.0 / 2e-300)
+        # ceil(inf) raised OverflowError
+        with pytest.raises(EpsilonTooSmall, match=r"covering count of \[0.0, 1.0\]"):
+            RealInterval(0.0, 1.0).entropy_bits(2.5e-311)
 
 
 def _rho_sharp(x: float, y: float, h2: float) -> int:

@@ -501,6 +501,10 @@ ENCODE_STEP = ("encode", "--input", "STEP", "--epsilon", "0.1", "--budget", "1.0
     WITNESS_LINE17 + ("--budget", "1e300"),
     # nonlinear, but its affine gap underflows in float: exited 2
     ("claw", "--flux", "poly:1e300;0;1"),
+    # an OverflowError traceback: the scan's after its whole traversal, the
+    # encode's from choose_params
+    ("scan", "--gamma", "2", "--eps-grid", "0.1,0.05,1e-310"),
+    ENCODE_STEP + ("--epsilon", "1e-320"),
 ])
 def test_bad_number_is_one_error_line(tmp_path, step_file, argv):
     argv = [step_file if a == "STEP" else a for a in argv]
