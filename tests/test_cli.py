@@ -505,6 +505,11 @@ ENCODE_STEP = ("encode", "--input", "STEP", "--epsilon", "0.1", "--budget", "1.0
     # encode's from choose_params
     ("scan", "--gamma", "2", "--eps-grid", "0.1,0.05,1e-310"),
     ENCODE_STEP + ("--epsilon", "1e-320"),
+    # named "alpha must be positive", psi(5e-201) and radius 2.5e-311, not
+    # the scan's epsilon
+    ("scan", "--gamma", "1", "--eps-grid", "0.1,5e-324"),
+    ("scan", "--gamma", "2", "--eps-grid", "0.1,1e-200"),
+    ("scan", "--gamma", "2", "--eps-grid", "0.1,1e-310"),
 ])
 def test_bad_number_is_one_error_line(tmp_path, step_file, argv):
     argv = [step_file if a == "STEP" else a for a in argv]
@@ -512,6 +517,10 @@ def test_bad_number_is_one_error_line(tmp_path, step_file, argv):
     assert proc.returncode == 1, proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    if "--eps-grid" in argv:
+        # the grid's last epsilon is the one the class bounds cannot take
+        eps = float(argv[argv.index("--eps-grid") + 1].split(",")[-1])
+        assert f"scan epsilon {eps!r} is too small" in lines[0], proc.stderr
 
 
 def test_zero_budget_witness_is_a_family_of_constants(tmp_path):

@@ -1,7 +1,5 @@
-import gc
 import math
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -22,7 +20,7 @@ from bventropy.entropy_estimator import (
     random_bvpsi_ensemble,
 )
 from bventropy.errors import DomainMismatch, EpsilonTooSmall, InsufficientRows
-from bventropy.gauge_variation import Gauge, StepFunction, l1_distance, tv, tv_psi
+from bventropy.gauge_variation import Gauge, StepFunction, l1_distance, l1_row, tv, tv_psi
 from bventropy.metric_core import line_points, packing_number
 from bventropy.witness_lab import build_family
 
@@ -131,6 +129,19 @@ class TestScan:
         params = ClassParams(L=1.0, V=1.0, gauge=Gauge.power(2))
         with pytest.raises(EpsilonTooSmall, match="overflows a float"):
             entropy_scan(block_grid_ensemble(2), [0.1, 0.05, 1e-310], params)
+
+    @pytest.mark.parametrize("gamma, eps", [(1, 5e-324), (2, 1e-200), (2, 1e-310)])
+    def test_epsilon_the_bounds_cannot_take_is_named(self, monkeypatch, gamma, eps):
+        # eps / 4L underflowed ("alpha must be positive"), psi(eps / 2L)
+        # underflowed, or the covering count at eps / 4L overflowed: each
+        # message named an internal quantity, not the scan's epsilon
+        def refuse(*args):
+            raise AssertionError("traversal started")
+        monkeypatch.setattr(entropy_estimator, "farthest_first", refuse)
+        params = ClassParams(L=1.0, V=1.0, gauge=Gauge.power(gamma) if gamma > 1
+                             else Gauge.identity())
+        with pytest.raises(EpsilonTooSmall, match=f"^scan epsilon {eps!r} is too small"):
+            entropy_scan(block_grid_ensemble(gamma), [0.1, eps], params)
 
     def test_determinism(self):
         ens = block_grid_ensemble(1, spacing=0.05, value_range=0.5)
@@ -250,10 +261,11 @@ def test_layout_rows_on_subsets_equal_full_rows(kind, seed, m):
     rng = np.random.default_rng(seed)
     i = int(rng.integers(len(ens)))
     row = ens.distances_from(i)
-    rows = ens._rows()
+    values, widths = ens._layout
     for k in range(1, min(len(ens), 12) + 1):
         cols = np.sort(rng.choice(len(ens), size=k, replace=False))
-        assert rows(i, cols).tobytes() == row[cols].tobytes()
+        assert l1_row(values[:, cols], values[:, i], widths, ens.space).tobytes() == \
+            row[cols].tobytes()
 
 
 class TestOneMatrixPerScan:
@@ -263,14 +275,11 @@ class TestOneMatrixPerScan:
         if not layout:
             ens._layout = None          # matrix rows from per-pair l1_distance
         calls = []
-        oracle = FunctionEnsemble._rows
-
-        def counted(self):
-            rows = oracle(self)
-            return lambda i, cols: calls.append(i) or rows(i, cols)
-        monkeypatch.setattr(FunctionEnsemble, "_rows", counted)
+        row = FunctionEnsemble._row
+        monkeypatch.setattr(FunctionEnsemble, "_row",
+                            lambda self, i, *rest: calls.append(i) or row(self, i, *rest))
         res = entropy_scan(ens, [0.2, 0.1, 0.05, 0.025])
-        assert len(calls) <= len(ens)
+        assert 0 < len(calls) <= len(ens)
         for r in res.rows:
             assert (r.cover_count, r.pack_count) == empirical_counts(ens, r.epsilon)
 
@@ -287,8 +296,8 @@ class TestOneMatrixPerScan:
         def counted(self):
             rows = oracle(self)
 
-            def sized(i, cols, reach):
-                got = rows(i, cols, reach)
+            def sized(i, reach):
+                got = rows(i, reach)
                 calls.append((got[1] if type(got) is tuple else got).size)
                 return got
             return sized
@@ -298,36 +307,25 @@ class TestOneMatrixPerScan:
         assert all(r.cover_count == r.pack_count for r in res.rows)
         # one traversal, to the smallest epsilon: one row per member it picks
         assert len(calls) == res.rows[-1].pack_count
-        # rows on the members a pick can still move: about 0.46M entries,
-        # where full rows of the live members take 2.23M
-        assert sum(calls) <= 600_000
+        # rows on the run of members within a pick's radius in the key cell:
+        # 0.77M entries, where full rows take 5.66M
+        assert sum(calls) <= 800_000
 
-    @staticmethod
-    def row_inputs(monkeypatch, keep):
-        # what every full row and every run of one is given to read its
-        # columns from
-        seen = []
+    def test_scan_rows_read_the_value_matrix(self, monkeypatch):
+        # every full row and every run of one reads its values from the
+        # ensemble's value matrix, or a view of it: no copy is gathered
+        ens = block_grid_ensemble(2)
+        values, widths = ens._layout
+        held, seen = dict(vars(ens)), []
         for name in ("l1_row", "_l1_run"):
             monkeypatch.setattr(gauge_variation, name,
-                                lambda values, *rest, f=getattr(gauge_variation, name):
-                                seen.append(keep(values)) or f(values, *rest))
-        return seen
-
-    def test_scan_gathers_once_per_drop(self, monkeypatch):
-        ens = block_grid_ensemble(2)
-        seen = self.row_inputs(monkeypatch, lambda values: values)
+                                lambda *args, f=getattr(gauge_variation, name):
+                                seen.append([a for a in args if isinstance(a, np.ndarray)
+                                             and a is not widths]) or f(*args))
         res = entropy_scan(ens, [0.1, 0.05, 0.025, 0.0125])
         assert len(seen) == res.rows[-1].pack_count == 862
-        # one full slice, then one gather per drop of dead members, not one per row
-        assert 1 < len({id(values) for values in seen}) <= 13
-
-    def test_scan_leaves_no_gathered_copy(self, monkeypatch):
-        ens = block_grid_ensemble(2)
-        held = dict(vars(ens))
-        seen = self.row_inputs(monkeypatch, weakref.ref)
-        entropy_scan(ens, [0.1, 0.05, 0.025, 0.0125])
-        gc.collect()
-        assert seen and all(ref() is None for ref in seen)
+        assert all(arrays and all(np.shares_memory(a, values) for a in arrays)
+                   for arrays in seen)
         assert vars(ens).keys() == held.keys()
         assert all(vars(ens)[k] is v for k, v in held.items())
 
@@ -442,8 +440,8 @@ for name, call in [
     ("empirical_counts", lambda: empirical_counts(block_grid_ensemble(1), math.nan)),
     ("covering_number", lambda: covering_number(space, None, math.nan, mode="greedy")),
     ("packing_number", lambda: packing_number(space, None, math.nan, mode="greedy")),
-    ("farthest_first", lambda: farthest_first(lambda i, cols: space.dist[i, cols], 0, math.nan)),
-    ("negative_sep", lambda: farthest_first(lambda i, cols: pair[i, cols], 0, -1.0)),
+    ("farthest_first", lambda: farthest_first(lambda i, reach: space.dist[i], 0, math.nan)),
+    ("negative_sep", lambda: farthest_first(lambda i, reach: pair[i], 0, -1.0)),
 ]:
     try:
         call()
