@@ -1,5 +1,7 @@
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -311,21 +313,39 @@ class TestOneMatrixPerScan:
         # 0.77M entries, where full rows take 5.66M
         assert sum(calls) <= 800_000
 
-    def test_scan_rows_read_the_value_matrix(self, monkeypatch):
-        # every full row and every run of one reads its values from the
-        # ensemble's value matrix, or a view of it: no copy is gathered
-        ens = block_grid_ensemble(2)
-        values, widths = ens._layout
-        held, seen = dict(vars(ens)), []
+    @staticmethod
+    def row_inputs(monkeypatch, keep):
+        # the arrays, widths aside, that every full row and every run of one
+        # is given to read its columns from
+        seen = []
         for name in ("l1_row", "_l1_run"):
             monkeypatch.setattr(gauge_variation, name,
-                                lambda *args, f=getattr(gauge_variation, name):
-                                seen.append([a for a in args if isinstance(a, np.ndarray)
-                                             and a is not widths]) or f(*args))
+                                lambda values, row, widths, *rest, f=getattr(gauge_variation, name):
+                                seen.append([keep(a) for a in (values, row)
+                                             if isinstance(a, np.ndarray)])
+                                or f(values, row, widths, *rest))
+        return seen
+
+    def test_scan_gathers_once_per_drop(self, monkeypatch):
+        # farthest-first keeps no live set, so nothing is dropped and
+        # nothing gathered: every row reads the value matrix itself
+        ens = block_grid_ensemble(2)
+        values, _ = ens._layout
+        seen = self.row_inputs(monkeypatch, lambda a: a)
         res = entropy_scan(ens, [0.1, 0.05, 0.025, 0.0125])
         assert len(seen) == res.rows[-1].pack_count == 862
-        assert all(arrays and all(np.shares_memory(a, values) for a in arrays)
-                   for arrays in seen)
+        assert all(arrays[0] is values for arrays in seen)
+        assert all(np.shares_memory(a, values) for arrays in seen for a in arrays)
+
+    def test_scan_leaves_no_gathered_copy(self, monkeypatch):
+        ens = block_grid_ensemble(2)
+        values, _ = ens._layout
+        held = dict(vars(ens))
+        seen = self.row_inputs(monkeypatch, lambda a: None if a is values else weakref.ref(a))
+        entropy_scan(ens, [0.1, 0.05, 0.025, 0.0125])
+        gc.collect()
+        refs = [ref for arrays in seen for ref in arrays if ref is not None]
+        assert refs and all(ref() is None for ref in refs)
         assert vars(ens).keys() == held.keys()
         assert all(vars(ens)[k] is v for k, v in held.items())
 
