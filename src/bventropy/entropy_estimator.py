@@ -15,10 +15,11 @@ fall back to per-pair :func:`l1_distance`.  A scan makes one farthest-first
 traversal, to its smallest epsilon, and reads each epsilon's pack off the
 insertion radii; up to ``MATRIX_CAP`` members it runs on the member x member
 matrix, built once, which also gives each set-cover greedy, and a larger
-scan runs on rows read from the value matrix itself.  A pick lowers only
-the distances of members closer to it than its radius.  On real values
-with a cell whose column never decreases in member order, such as a block
-grid's first block, those members lie in one run, and the pick's row is
+scan runs on rows of the live members, whose columns are gathered once per
+drop of dead members, not once per row.  A pick lowers only the distances of
+members closer to it than its radius.  On real values with a cell whose
+column never decreases in member order, such as a block grid's first block,
+those members lie in one run of the live ones, and the pick's row is
 computed on that run alone, each cell's term added in order.
 """
 
@@ -31,8 +32,7 @@ import numpy as np
 
 from .bv_codec import RealInterval, upper_bound_bits
 from .errors import DomainMismatch, EpsilonTooSmall, InsufficientRows, ScaleUnderflow
-from .gauge_variation import (Gauge, StepFunction, _step_arrays, l1_distance, l1_row,
-                              l1_row_oracle, tv_psi)
+from .gauge_variation import Gauge, StepFunction, _step_arrays, l1_distance, l1_row_oracle, tv_psi
 from .metric_core import farthest_first, greedy_set_cover
 from .witness_lab import WitnessFamily, lower_bound_bits
 
@@ -97,29 +97,24 @@ class FunctionEnsemble:
         return self._size
 
     def distances_from(self, i: int) -> np.ndarray:
-        return self._row(i)
-
-    def _row(self, i: int, first: int = 0) -> np.ndarray:
-        """The row of ``i`` from member ``first`` on."""
-        if self._layout is None:
-            return np.array([l1_distance(self.members[i], self.members[j])
-                             for j in range(first, len(self))])
-        values, widths = self._layout
-        return l1_row(values[:, first:], values[:, i], widths, self.space)
+        return self._rows()(i, slice(None))
 
     def _rows(self):
-        """A row oracle for :func:`farthest_first`: ``rows(i, reach)`` is
-        the row of ``i``, or a run of it, as :func:`farthest_first` allows."""
+        """A new row oracle: ``rows(i, cols)`` gives the entries ``cols`` (a
+        slice or index array) of the row of ``i``; ``rows(i, cols, reach)``
+        may give only a run of them, as :func:`farthest_first` allows."""
         if self._layout is None:
-            return lambda i, reach: self._row(i)
+            return lambda i, cols, reach=math.inf: np.array(
+                [l1_distance(self.members[i], self.members[j])
+                 for j in np.arange(len(self))[cols]])
         return l1_row_oracle(*self._layout, self.space)
 
     def distance_matrix(self) -> np.ndarray:
         """Full member x member L1 matrix; each pair is computed once, so the
         matrix is exactly symmetric with a zero diagonal."""
-        out = np.zeros((len(self), len(self)))
+        out, rows = np.zeros((len(self), len(self))), self._rows()
         for i in range(len(self) - 1):
-            out[i, i:] = self._row(i, i)
+            out[i, i:] = rows(i, slice(i, None))
         return out + out.T
 
 
@@ -160,8 +155,8 @@ def _counts(ens: FunctionEnsemble, grid: np.ndarray) -> list[tuple[int, int]]:
     """(cover, pack) at each epsilon of a checked grid; above ``MATRIX_CAP``
     the farthest-first set, also a closed cover, is both."""
     dist = ens.distance_matrix() if len(ens) <= MATRIX_CAP else None
-    _, radii = farthest_first(ens._rows() if dist is None else lambda i, reach: dist[i],
-                              0, float(grid[-1]))
+    _, radii = farthest_first(ens._rows() if dist is None
+                              else lambda i, cols, reach: dist[i, cols], 0, float(grid[-1]))
     radii = np.array(radii)
     packs = [int(np.count_nonzero(radii > eps)) for eps in grid]
     if dist is None:
@@ -211,20 +206,6 @@ class ScanResult:
         return "\n".join(lines) + "\n"
 
 
-def _bound_bits(eps: float, params: ClassParams) -> tuple[float, float]:
-    """(lhs, rhs) class bounds at ``eps``, or :class:`EpsilonTooSmall`
-    naming ``eps`` where a radius or psi underflows or a count overflows."""
-    try:
-        if not (quarter := eps / (4.0 * params.L)) > 0:
-            raise EpsilonTooSmall(f"the radius eps / 4L underflows to {quarter}")
-        H = RealInterval(0.0, 1.0).entropy_bits(quarter)
-        rhs = upper_bound_bits(params.L, params.V, eps, params.gauge, 1, H)
-        return lower_bound_bits(eps, params.L, params.V, params.gauge, 1.0), rhs
-    except (EpsilonTooSmall, ScaleUnderflow) as exc:
-        raise EpsilonTooSmall(f"scan epsilon {eps} is too small for the class "
-                              f"bounds: {exc}") from None
-
-
 def entropy_scan(
     ens: FunctionEnsemble, eps_grid, params: ClassParams | None = None
 ) -> ScanResult:
@@ -234,12 +215,29 @@ def entropy_scan(
     One farthest-first traversal from member 0, to the smallest epsilon,
     gives every row's pack count.  Up to ``MATRIX_CAP`` members the distance
     matrix is built once per call and is not cached on the ensemble.  The
-    bounds come first, so an epsilon they cannot take is refused, by name,
-    before the traversal.
+    bounds come first, so an epsilon they cannot take, as its radius or psi
+    underflows or its covering count overflows, is refused by name before
+    the traversal; a psi that underflows at epsilon L too is the gauge's
+    doing, and is refused as a :class:`ScaleUnderflow` of the gauge.
     """
-    grid = _checked_grid(eps_grid)
-    bounds = [(math.nan, math.nan) if params is None else _bound_bits(eps, params)
-              for eps in grid.tolist()]
+    grid, bounds = _checked_grid(eps_grid), []
+    for eps in grid.tolist():
+        lhs = rhs = float("nan")
+        if params is not None:
+            try:
+                if not (quarter := eps / (4.0 * params.L)) > 0:
+                    raise EpsilonTooSmall(f"the radius eps / 4L underflows to {quarter}")
+                H = RealInterval(0.0, 1.0).entropy_bits(quarter)
+                rhs = upper_bound_bits(params.L, params.V, eps, params.gauge, 1, H)
+                lhs = lower_bound_bits(eps, params.L, params.V, params.gauge, 1.0)
+            except (EpsilonTooSmall, ScaleUnderflow) as exc:
+                if isinstance(exc, ScaleUnderflow):
+                    # psi(eps / 2L) at eps = L, past which every count of
+                    # [0, 1]-valued functions is 1: no epsilon mends an underflow there
+                    params.gauge.positive(0.5)
+                raise EpsilonTooSmall(f"scan epsilon {eps} is too small for the class "
+                                      f"bounds: {exc}") from None
+        bounds.append((lhs, rhs))
     rows = [ScanRow(eps, cover, pack, *bound)
             for eps, (cover, pack), bound in zip(grid.tolist(), _counts(ens, grid), bounds)]
     result = ScanResult(rows=tuple(rows))

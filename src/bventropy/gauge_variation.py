@@ -379,11 +379,13 @@ def _l1_run(values, run, row, widths) -> np.ndarray:
 
 def l1_row_oracle(values, widths, space: FiniteMetricSpace | None):
     """A row oracle for one :func:`~bventropy.metric_core.farthest_first` run
-    over the columns of ``values``: ``rows(i, reach)`` is the :func:`l1_row`
-    of column ``i``.
+    over the columns of ``values``: ``rows(i, cols, reach)`` is the
+    :func:`l1_row` of column ``i`` on the columns ``cols``, a slice or an
+    index array.  The columns are gathered again only when a new ``cols``
+    object comes, so a traversal gathers once per drop of dead points.
 
     On real values with a key cell, the widest cell whose column never
-    decreases, ``rows`` returns only the run of columns whose entries can
+    decreases, ``rows`` returns only the run of ``cols`` whose entries can
     be below ``reach``, as ``(run, row)``.  An entry is a rounded sum
     of non-negative cell terms, in any order, and rounding is monotone, so
     it is at least each rounded term ``fl(w fl(|v - p|))``; take the key
@@ -393,23 +395,27 @@ def l1_row_oracle(values, widths, space: FiniteMetricSpace | None):
     ``w fl(|v - p|) >= reach`` and its rounding is at least the float
     ``reach``.  Round-to-nearest leaves p - h above the float below
     ``fl(p - h)`` and p + h below the float above ``fl(p + h)``, so every v
-    outside [fl(p - h), fl(p + h)] has |v - p| > h.  The key column is
-    sorted, and one ``searchsorted`` finds that interval's run.  A run of
-    every column is the full :func:`l1_row`.
+    outside [fl(p - h), fl(p + h)] has |v - p| > h.  The key column of the
+    live points is sorted, and one ``searchsorted`` finds that interval's
+    run.  A run of every column is the full :func:`l1_row`.
     """
+    held, key = [None, None, None], None    # the last cols, its columns and key column
     rising = space is None and np.all(values[:, 1:] >= values[:, :-1], axis=1)
-    if not np.any(rising):
-        return lambda i, reach: l1_row(values, values[:, i], widths, space)
-    key = int(np.argmax(np.where(rising, widths, -np.inf)))
-    column, width, weights = values[key], float(widths[key]), widths.tolist()
+    if np.any(rising):
+        key = int(np.argmax(np.where(rising, widths, -np.inf)))
+        width, weights = float(widths[key]), widths.tolist()
 
-    def rows(i, reach):
-        p, h = column.item(i), math.nextafter(reach / width, math.inf)
-        lo, hi = column.searchsorted((p - h, math.nextafter(p + h, math.inf))).tolist()
-        if hi - lo < column.size:
-            run = slice(lo, hi)
-            return run, _l1_run(values, run, values[:, i].tolist(), weights)
-        return l1_row(values, values[:, i], widths, space)
+    def rows(i, cols, reach=math.inf):
+        if cols is not held[0]:
+            gathered = values[:, cols] if isinstance(cols, slice) else values.take(cols, axis=1)
+            held[:] = cols, gathered, None if key is None else gathered[key]
+        if key is not None:
+            p, h = values.item(key, i), math.nextafter(reach / width, math.inf)
+            lo, hi = held[2].searchsorted((p - h, math.nextafter(p + h, math.inf))).tolist()
+            if hi - lo < held[2].size:
+                run = slice(lo, hi)
+                return run, _l1_run(held[1], run, values[:, i].tolist(), weights)
+        return l1_row(held[1], values[:, i], widths, space)
     return rows
 
 

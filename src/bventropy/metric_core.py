@@ -22,8 +22,8 @@ Every greedy count in the package runs on one of two kernels:
   the chosen set, lowest index on ties, until every point lies within the
   separation.  Its output is both a strict packing and a closed cover, and
   its insertion radii give the run to every larger separation as a prefix.
-  A row may hold only the run of points that a pick can still move, and
-  must equal the full row there.
+  Its rows reach only the live points, or the run of them that a pick can
+  still move, and must equal the full rows there.
 
 Both carry a leading batch axis of independent problems that advance in
 lockstep, and record their picks as arrays.  :func:`dimension_report` solves
@@ -255,24 +255,32 @@ def greedy_set_cover(covers: np.ndarray, targets=None):
 
 
 def farthest_first(rows, start, sep):
-    """Farthest-point insertion over a row oracle.
+    """Farthest-point insertion over a row oracle, on the live points.
 
-    ``rows(i, reach)`` returns the distances from point ``i`` to every
-    point.  From ``start``, each step adds the point farthest from the
-    chosen set (lowest index on ties) and stops once that distance is at
-    most ``sep``: the chosen points are then strictly ``sep``-separated and
-    cover every point with closed ``sep``-balls.  A NaN or negative ``sep``
-    raises ``ValueError``, as no distance, or every one, would beat it.
+    ``rows(i, cols, reach)`` returns the distances from point ``i`` to the points
+    ``cols``: a full slice, or once dead points are dropped, the live ones
+    as an index array; a subset's entries must equal the full row's.  The
+    same ``cols`` object comes back until the live set shrinks, and an index
+    array is never changed in place, so an oracle may gather its columns
+    once per new ``cols``.  From ``start``, each step adds the point farthest
+    from the chosen set (lowest index on ties) and stops once that distance
+    is at most ``sep``: the chosen points are then strictly ``sep``-separated
+    and cover every point with closed ``sep``-balls.  A NaN or negative
+    ``sep`` raises ``ValueError``, as no distance, or every one, would beat
+    it.  A point's distance to the chosen set only falls, so once it is at
+    most ``sep`` the point is dead: it is never picked, and dropped when a
+    quarter of the live points, and at least 64, have died (O(log n) times
+    in all).
 
     ``reach`` is the pick's insertion radius, which no point's distance to
     the chosen set exceeds (``inf`` for ``start``'s row, one per problem in a
     batch).  An entry at or above it lowers nothing, so the oracle may leave
     such entries out: it may return a pair ``(run, row)`` of a slice ``run``
-    of point indices and the entries there, when every entry outside the run
-    is at least ``reach``.  The minimum is then taken over the run only.  A
-    row at ``reach`` ``inf`` is whole.  Each pick is a new point, so the
-    traversal takes at most n steps; an oracle whose run leaves out its own
-    pick repeats it, and at step n :class:`SeparationFailure` is raised.
+    of ``cols`` and the entries there, when every entry outside the run is at
+    least ``reach``.  The minimum is then taken over the run only.  A row at
+    ``reach`` ``inf`` is whole.  Each pick is a new point, so n points take
+    at most n steps; a run that leaves out its own pick would repeat it, and
+    :class:`SeparationFailure` is raised at step n instead.
 
     Returns the chosen points and their insertion radii: each pick's
     distance to the earlier picks, ``inf`` for ``start``.  The radii never
@@ -280,34 +288,40 @@ def farthest_first(rows, start, sep):
     larger separation is the prefix whose radii exceed it.
 
     An index array ``start`` runs one problem per entry in lockstep: ``rows``
-    then maps such an array to a (batch x points) array, and ``sep`` may
-    hold one separation per problem.  Both results are then arrays with one
-    row per problem, padded with -1 and NaN.  A point at ``-inf`` in a
-    problem's first row is never picked, which confines the problem to a
-    subset.
+    then maps such an array to a (batch x points) array, ``sep`` may hold
+    one separation per problem, and a point is dropped once dead in every
+    problem.  Both results are then arrays with one row per problem, padded
+    with -1 and NaN.  A point at ``-inf`` in a problem's first row is never
+    picked, which confines the problem to a subset.
     """
     bar = np.array(sep, dtype=float).reshape(-1)    # one per problem, or one for all
     if not np.all(bar >= 0):
         raise ValueError(f"separation must be a non-negative number, got {sep}")
     batch = np.ndim(start) > 0
-    mind = np.array(rows(start, math.inf), dtype=float, ndmin=2)
+    mind = np.array(rows(start, cols := slice(None), math.inf), dtype=float, ndmin=2)
+    live, limit = np.arange(mind.shape[1]), 0.75 * mind.size - 64
     lanes, line = np.arange(len(mind)), mind if batch else mind[0]
     picks, radii = (([np.atleast_1d(start)], [np.full(len(mind), math.inf)]) if batch
                     else ([int(start)], [math.inf]))
-    for _ in range(line.shape[-1]):
-        # argmax takes the lowest index
-        pick = line.argmax(axis=-1) if batch else int(line.argmax())
-        top = mind[lanes, pick] if batch else line.item(pick)
+    for step in range(1, mind.shape[1] + 1):
+        if limit > 0 and step % 4 == 0:         # a check costs a pass over mind
+            alive = mind > bar[:, None]
+            if 0 < (count := np.count_nonzero(alive)) <= limit:
+                keep = alive.any(axis=0)
+                live, mind, limit = live[keep], mind[:, keep], 0.75 * count - 64
+                cols, line = live, mind if batch else mind[0]
+        pos = line.argmax(axis=-1)              # argmax takes the lowest index
+        top, pick = (mind[lanes, pos], live[pos]) if batch else (line.item(pos), live.item(pos))
         if not (np.count_nonzero(top > bar) if batch else top > bar.item(0)):
             break
         picks.append(pick)
         radii.append(top)
-        got = rows(pick, top)
+        got = rows(pick, cols, top)
         run, row = got if type(got) is tuple else (slice(None), got)
         np.minimum(seg := line[..., run], row, out=seg)
     else:
-        raise SeparationFailure(f"farthest-first took {line.shape[-1]} steps on as many "
-                                "points: a row left out its own pick")
+        raise SeparationFailure(f"farthest-first took {step} steps on as many points: "
+                                "a row left out its own pick")
     if not batch:                       # one problem took every step, on Python scalars
         return picks, radii
     # a problem's picks are the prefix of radii above its separation, as its
@@ -423,7 +437,8 @@ def _greedy_cover(space: FiniteMetricSpace, k: np.ndarray, alpha: float):
 
 def _greedy_pack(space: FiniteMetricSpace, k: np.ndarray, alpha: float):
     # seeded at the lowest index of the subset
-    pos, _ = farthest_first(lambda i, reach: space.dist[k[i], k], int(np.argmin(k)), alpha)
+    pos, _ = farthest_first(lambda i, cols, reach: space.dist[k[i], k[cols]],
+                            int(np.argmin(k)), alpha)
     return k[pos].tolist()
 
 
@@ -535,8 +550,8 @@ def _scale_witnesses(space: FiniteMetricSpace, scales):
         balls = targets.reshape(-1, n)
         starts = balls.argmax(axis=1)    # only the first rows are masked: -inf stays -inf
         rows = np.where(balls, space.dist[starts], -np.inf)
-        packs, _ = farthest_first(lambda i, reach: rows if i is starts else space.dist[i],
-                                  starts, np.repeat(alphas, n))
+        packs, _ = farthest_first(lambda i, cols, reach: rows if i is starts
+                                  else space.dist[i][:, cols], starts, np.repeat(alphas, n))
         _check_covers(near, covers, targets, alphas)
         _check_packings(near, packs.reshape(len(alphas), n, -1), alphas)
         s, x = np.divmod(np.arange(len(alphas) * n), n)

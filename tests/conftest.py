@@ -8,9 +8,8 @@ call the library: the per-ball loop for metric dimensions, which checks the
 batched sweep against the public covering and packing counts, and the
 per-epsilon scan counts, one traversal and one set cover per epsilon, which
 check the scan's single traversal.  The reference farthest-first computes a
-full row per pick, the traversal that the library's, whose rows may hold
-only the run of points a pick can still move, must match pick for pick and
-radius for radius.  The reference set cover
+full row per pick and drops no point, the traversal that the live-set one
+must match pick for pick and radius for radius.  The reference set cover
 makes one pick per step to the last point, where the library's finishes the
 steps that each cover one point at once.
 The optimal chain of a generalized variation is a reference too: it
@@ -166,9 +165,9 @@ def reference_greedy_cover(covers: np.ndarray, targets=None):
 
 
 def reference_farthest_first(rows, start, sep: float):
-    """Farthest-point insertion with a full row per pick: ``rows(i)``
-    returns the distances from point ``i`` to every point.  The same picks,
-    radii and batch rules as ``farthest_first``."""
+    """Farthest-point insertion with a full row per pick, no point ever
+    dropped: ``rows(i)`` returns the distances from point ``i`` to every
+    point.  The same picks, radii and batch rules as ``farthest_first``."""
     if math.isnan(sep):
         raise ValueError("separation must not be NaN")
     batch = np.ndim(start) > 0

@@ -5,9 +5,9 @@ chain-DP copies were merged into one kernel each; any change to a count, a
 witness, a CSV value or a chain shows up here.  A hypothesis property test
 checks the two greedy kernels against their defining properties and, on
 small spaces, against the exhaustive oracles; another checks that
-farthest-first picks what the reference traversal, with a full row per
-pick, picks, also where the value-matrix oracle returns only the run of
-members a pick can move, whose entries must be the full row's;
+farthest-first on the live set picks what the reference traversal, with a
+full row per pick, picks, also where the value-matrix oracle returns only
+the run of members a pick can move, whose entries must be the full row's;
 and one more that the set cover, which finishes its one-point steps at
 once, picks what the reference with one pick per step picks, or raises as
 it does.
@@ -287,7 +287,7 @@ def test_greedy_kernels_properties(n, dim, seed, sep, start, grow):
     # coordinates on a 0.05 grid produce distance ties
     space = from_points(np.round(rng.uniform(0.0, 1.0, size=(n, dim)) * 20) / 20)
     start %= n
-    chosen, radii = farthest_first(lambda i, reach: space.dist[i], start, sep)
+    chosen, radii = farthest_first(lambda i, cols, reach: space.dist[i, cols], start, sep)
     assert chosen[0] == start and len(set(chosen)) == len(chosen)
     # insertion radii: inf first, never increasing, each the pick's distance
     # to the earlier picks; a larger separation, a radius itself included,
@@ -298,7 +298,7 @@ def test_greedy_kernels_properties(n, dim, seed, sep, start, grow):
         assert radii[k] == space.dist[chosen[k], chosen[:k]].min()
     for wider in [sep * grow] + radii[1:]:
         keep = sum(r > wider for r in radii)
-        assert farthest_first(lambda i, reach: space.dist[i], start, wider) == (
+        assert farthest_first(lambda i, cols, reach: space.dist[i, cols], start, wider) == (
             chosen[:keep], radii[:keep])
     sub = space.dist[np.ix_(chosen, chosen)]
     assert np.all(sub[np.triu_indices(len(chosen), k=1)] > sep)
@@ -312,20 +312,19 @@ def test_greedy_kernels_properties(n, dim, seed, sep, start, grow):
 
 
 def _traversal_case(kind, rng):
-    """(oracle, full-row oracle, start) for one kind of input to
-    farthest-first."""
+    """(oracle on column subsets, full-row oracle, start, number of points)
+    for one kind of input to farthest-first."""
     if kind in ("dense", "batch"):
         # small integer distances: ties everywhere, sep often equal to one
         n = int(rng.integers(1, 200))
         d = np.triu(rng.integers(0, 5, size=(n, n)), 1).astype(float)
         d += d.T
         if kind == "dense":
-            return (lambda i, reach: d[i]), d.__getitem__, int(rng.integers(n))
+            return (lambda i, cols, reach: d[i, cols]), d.__getitem__, int(rng.integers(n)), n
         masks = rng.random((int(rng.integers(1, 6)), n)) < 0.6
         masks[np.arange(masks.shape[0]), rng.integers(n, size=masks.shape[0])] = True
-        def full(i):
-            return np.where(masks, d[i], -np.inf)
-        return (lambda i, reach: full(i)), full, masks.argmax(axis=1)
+        return (lambda i, cols, reach: np.where(masks[:, cols], d[i][:, cols], -np.inf),
+                lambda i: np.where(masks, d[i], -np.inf), masks.argmax(axis=1), n)
     if kind == "grid":
         gamma = int(rng.integers(1, 4))
         ens = block_grid_ensemble(gamma, value_range=0.6, spacing=(0.01, 0.04, 0.1)[gamma - 1])
@@ -338,24 +337,32 @@ def _traversal_case(kind, rng):
         ens = FunctionEnsemble([random_step_function(rng) for _ in range(rng.integers(1, 30))])
         if kind == "pairwise":
             ens._layout = None
-    return ens._rows(), ens.distances_from, int(rng.integers(len(ens)))
+    return ens._rows(), ens.distances_from, int(rng.integers(len(ens))), len(ens)
 
 
 @settings(max_examples=80, derandomize=True, deadline=None)
 @given(kind=st.sampled_from(["dense", "batch", "grid", "witness", "refinement", "pairwise"]),
        seed=st.integers(0, 2 ** 16), q=st.floats(0.0, 1.0), half=st.booleans())
 def test_live_set_traversal_matches_reference(kind, seed, q, half):
-    rows, full, start = _traversal_case(kind, np.random.default_rng(seed))
+    rows, full, start, n = _traversal_case(kind, np.random.default_rng(seed))
+    seen = []
+
+    def counted(i, cols, reach):
+        got = rows(i, cols, reach)
+        seen.append((got[1] if type(got) is tuple else got).shape[-1])
+        return got
     # a separation equal to a distance that occurs, or half of one; witness
-    # families run to their smallest distance
+    # families run to their smallest distance, so that the live set is compacted
     first = full(start)
     dist = np.unique(first[np.isfinite(first)])
     sep = float(dist[min(1, dist.size - 1) if kind == "witness" else int(q * (dist.size - 1))])
     sep *= 0.5 if half else 1.0
-    got = farthest_first(rows, start, sep)
+    got = farthest_first(counted, start, sep)
     if kind == "batch":
         got = _rows_as_lists(got[0]), _rows_as_lists(got[1], got[0] >= 0)
     assert got == reference_farthest_first(full, start, sep)
+    if kind == "witness" and n > 1:
+        assert min(seen) < n
 
 
 def _rows_as_lists(rows, keep=None):
@@ -400,8 +407,8 @@ def test_windowed_traversal_matches_reference(kind, seed, m, cells, widest, q, b
     sep = float((dist[k] + dist[min(k + 1, dist.size - 1)]) / 2 if between else dist[k])
     rows, runs = ens._rows(), []
 
-    def counted(i, reach):
-        got = rows(i, reach)
+    def counted(i, cols, reach):
+        got = rows(i, cols, reach)
         runs.append(type(got) is tuple)
         return got
     start = int(rng.integers(len(ens)))
@@ -413,21 +420,23 @@ def test_windowed_traversal_matches_reference(kind, seed, m, cells, widest, q, b
 
 @settings(max_examples=80, derandomize=True, deadline=None)
 @given(seed=st.integers(0, 2 ** 16), m=st.integers(1, 40), cells=st.integers(1, 12),
-       widest=st.booleans(), q=st.floats(0.0, 1.0), nudge=st.sampled_from([-1, 0, 1, None]))
-def test_oracle_runs_hold_the_full_row_floats(seed, m, cells, widest, q, nudge):
-    # a run of any width, the pick alone included, at a reach equal to a
-    # distance, one float either side of it, or the least positive float
+       widest=st.booleans(), subset=st.booleans(), q=st.floats(0.0, 1.0),
+       nudge=st.sampled_from([-1, 0, 1, None]))
+def test_oracle_runs_hold_the_full_row_floats(seed, m, cells, widest, subset, q, nudge):
+    # a run of any width, 0 and 1 included, at a reach equal to a distance,
+    # one float either side of it, or the least positive float
     rng = np.random.default_rng(seed)
     ens = FunctionEnsemble.from_values(*_keyed_layout(rng, m, cells, int(rng.integers(cells)),
                                                       widest))
     i = int(rng.integers(m))
-    want = ens.distances_from(i)
+    cols = (np.sort(rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False))
+            if subset else slice(None))
+    want = ens.distances_from(i)[cols]
     d = float(np.unique(want)[int(q * (np.unique(want).size - 1))])
     reach = (math.ulp(0.0) if nudge is None
              else max(math.ulp(0.0), math.nextafter(d, nudge * math.inf) if nudge else d))
-    got = ens._rows()(i, reach)
+    got = ens._rows()(i, cols, reach)
     run, row = got if type(got) is tuple else (slice(None), got)
-    assert i in range(m)[run]
     assert row.tobytes() == want[run].tobytes()
     assert np.all(np.delete(want, np.arange(want.size)[run]) >= reach)
 
@@ -435,18 +444,17 @@ def test_oracle_runs_hold_the_full_row_floats(seed, m, cells, widest, q, nudge):
 @pytest.mark.parametrize("cols, width", [([0, 1, 4], 0), ([0, 1, 2, 4], 1),
                                          ([0, 1, 2, 3, 4], 2)])
 def test_oracle_runs_of_width_zero_and_one(cols, width):
-    # the members ``cols`` of five on twelve cells, the first the widest and
-    # sorted: at the least positive reach the run of the last member holds
-    # it and the ``width`` others whose key equals its 0.2; a lone column's
-    # twelve terms are added in order, as in the full row
+    # twelve cells, the first the widest and the only sorted one: at the
+    # least positive reach a run holds the members whose key equals member
+    # 3's; a lone column's twelve terms are added in order, as in the full row
     rng = np.random.default_rng(5)
     values = rng.uniform(0.0, 1.0, size=(5, 12))
-    values[:, 0] = [0.0, 0.1, 0.2, 0.2, 0.2]
-    ens = FunctionEnsemble.from_values(np.linspace(0.0, 1.0, 13) ** 0.5, values[cols])
-    last = len(cols) - 1
-    run, row = ens._rows()(last, math.ulp(0.0))
-    assert (run.start, run.stop) == (last - width, last + 1)
-    assert row.tobytes() == ens.distances_from(last)[run].tobytes()
+    values[:, 0] = [0.0, 0.1, 0.2, 0.2, 0.5]
+    ens = FunctionEnsemble.from_values(np.linspace(0.0, 1.0, 13) ** 0.5, values)
+    cols = np.array(cols)
+    run, row = ens._rows()(3, cols, math.ulp(0.0))
+    assert run.stop - run.start == width
+    assert row.tobytes() == ens.distances_from(3)[cols][run].tobytes()
 
 
 def test_oracle_run_keeps_a_member_rounding_brings_below_reach():
@@ -456,7 +464,7 @@ def test_oracle_run_keeps_a_member_rounding_brings_below_reach():
     ens = FunctionEnsemble.from_values([0.0, 3.0], [[-0.030638647378365528], [1.0]])
     reach = 3.091915942135097
     assert ens.distances_from(1)[0] < reach
-    got = ens._rows()(1, reach)
+    got = ens._rows()(1, slice(None), reach)
     assert 0 in range(2)[got[0] if type(got) is tuple else slice(None)]
 
 
@@ -465,8 +473,8 @@ def test_a_run_without_its_pick_is_refused():
     # the pick came back at every step, and the picks grew without end
     space = line_points(5)
 
-    def rows(i, reach):
-        return space.dist[i] if reach == math.inf else (slice(0, 0), np.empty(0))
+    def rows(i, cols, reach):
+        return space.dist[i, cols] if reach == math.inf else (slice(0, 0), np.empty(0))
     with pytest.raises(SeparationFailure, match="took 5 steps"):
         farthest_first(rows, 0, 0.1)
 
@@ -481,8 +489,8 @@ full = entropy_estimator.l1_row_oracle
 
 def skipping(*layout):
     rows = full(*layout)
-    return lambda i, reach: (rows(i, reach) if reach == float("inf")
-                             else (slice(0, 0), np.empty(0)))
+    return lambda i, cols, reach=float("inf"): (rows(i, cols, reach) if reach == float("inf")
+                                                else (slice(0, 0), np.empty(0)))
 
 
 entropy_estimator.l1_row_oracle = skipping

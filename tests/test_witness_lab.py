@@ -170,7 +170,7 @@ class TestVerifyPacking:
 
     def test_extraction_matches_reference_traversal(self, fam, monkeypatch):
         # 2 eps at twice the least pair distance: verify_packing reaches the
-        # extraction, which runs to the family's least distance
+        # extraction, whose live set shrinks on the way
         fam = dataclasses.replace(fam, epsilon=verify_packing(fam).min_distance)
         calls = []
         monkeypatch.setattr("bventropy.witness_lab._greedy_extract",
