@@ -132,11 +132,10 @@ def cmd_metric(args) -> None:
     space = _load_space(args)
     mode = "exact" if space.n <= metric_core.DEFAULT_EXACT_CAP else "greedy"
     lines = ["alpha,count,mode,witness_indices"]
-    alphas = [float(a) for a in args.alpha] or list(space.pairwise_distances())
-    for a in alphas:
-        for res in (covering_number(space, None, a, mode=mode),
-                    packing_number(space, None, a, mode=mode)):
-            lines.append(res.csv_row())
+    alphas = [float(a) for a in args.alpha] or space.pairwise_distances()
+    for cover, pack in zip(covering_number(space, None, alphas, mode=mode),
+                           packing_number(space, None, alphas, mode=mode)):
+        lines += [cover.csv_row(), pack.csv_row()]
     _atomic(os.path.join(args.out, "cover_pack.csv"), "\n".join(lines) + "\n")
     if args.window:
         rep = dimension_report(space, args.window)

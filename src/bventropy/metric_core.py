@@ -31,7 +31,10 @@ the ball B(x, 2a) of every point x at every probe scale a as one batch of
 (scale, x) problems, in chunks of scales for large spaces: the cover matrix
 takes a leading scale axis and farthest-first one separation per problem.
 Both of its modes read d and p off one table of the problems' witness sizes.
-Every other caller is a batch of one.  The exact searches run on integer
+The counts take one scale or a sequence of them: a chunk of scales is one
+cover batch with a leading scale axis, and one farthest-first run to its
+smallest scale gives every packing as a prefix.  Every other caller is a
+batch of one.  The exact searches run on integer
 bitmasks from one builder, with bits in point-index order: the centers'
 coverage sets for covers, the points' closed neighbourhoods for packings.
 The sweep runs them only where a ball's greedy bounds could still move d or p.
@@ -39,8 +42,7 @@ The sweep runs them only where a ball's greedy bounds could still move d or p.
 
 from __future__ import annotations
 
-import functools
-import itertools
+import bisect
 import math
 import operator
 import warnings
@@ -63,6 +65,11 @@ LOG7_2 = math.log(2.0) / math.log(7.0)
 
 #: Largest point count for which exhaustive covering/packing search is allowed.
 DEFAULT_EXACT_CAP = 16
+
+# Scales x points x points one chunk of the dimension sweep or of a sequence
+# of counts may hold, about 0.5 MB of working memory: one scale at a time from
+# 128 points up, all 64 scales up to 16 points.
+_SWEEP_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,10 +226,13 @@ def greedy_set_cover(covers: np.ndarray, targets=None):
     uncovered = (np.array(targets, bool, ndmin=2) if targets is not None
                  else np.ones((1, n), bool)).reshape(len(cover), -1, n)
     scale, bests, tops, tail = np.arange(len(cover))[:, None], [], [], np.zeros(0, int)
+    single = (problems := uncovered.shape[0] * uncovered.shape[1]) == 1
     while True:
         gain = uncovered @ weights
-        best, top = gain.argmax(axis=2), np.maximum.reduce(gain, axis=2)  # lowest index on ties
-        if not (most := np.maximum.reduce(top, axis=None, initial=0)):
+        best = gain.argmax(axis=2)              # lowest index on ties
+        # a batch keeps each problem's top, to mark the steps it sat out
+        top = np.maximum.reduce(gain, axis=None if single else 2)
+        if not (most := top if single else np.maximum.reduce(top, axis=None, initial=0)):
             if np.any(uncovered):           # a problem stalled short of its cover
                 raise NetIncomplete("a point is covered by no candidate")
             break
@@ -240,17 +250,21 @@ def greedy_set_cover(covers: np.ndarray, targets=None):
         bests.append(best)
         tops.append(top)
         uncovered &= ~cover[scale, best]
-    if targets is None:                 # one problem gains at every step
-        return np.ravel(bests).tolist() + tail.tolist()
-    # a problem gains while it is unfinished, so its steps are a prefix; its
-    # tail picks follow them
-    problems = uncovered.shape[0] * uncovered.shape[1]
-    steps = np.where(np.array(tops) > 0, bests, -1).reshape(len(bests), problems).T
-    taken, owner = np.count_nonzero(steps >= 0, axis=1), tail // m
-    total = taken + np.bincount(owner, minlength=problems)
-    chosen = np.full((problems, total.max(initial=0)), -1)
-    chosen[:, :steps.shape[1]] = steps
-    chosen[owner, taken[owner] + np.arange(owner.size) - np.searchsorted(owner, owner)] = tail % m
+    if single:
+        picks = np.ravel(bests).tolist() + tail.tolist()    # it gains at every step
+        if targets is None:
+            return picks
+        chosen = np.array([picks], int)
+    else:
+        # a problem gains while it is unfinished, so its steps are a prefix;
+        # its tail picks follow them
+        steps = np.where(np.array(tops) > 0, bests, -1).reshape(len(bests), problems).T
+        taken, owner = np.count_nonzero(steps >= 0, axis=1), tail // m
+        total = taken + np.bincount(owner, minlength=problems)
+        chosen = np.full((problems, total.max(initial=0)), -1)
+        chosen[:, :steps.shape[1]] = steps
+        rank = np.arange(owner.size) - np.searchsorted(owner, owner)    # within its problem
+        chosen[owner, taken[owner] + rank] = tail % m
     return chosen if covers.ndim == 2 else chosen.reshape(*uncovered.shape[:2], -1)
 
 
@@ -268,9 +282,9 @@ def farthest_first(rows, start, sep):
     and cover every point with closed ``sep``-balls.  A NaN or negative
     ``sep`` raises ``ValueError``, as no distance, or every one, would beat
     it.  A point's distance to the chosen set only falls, so once it is at
-    most ``sep`` the point is dead: it is never picked, and dropped when a
-    quarter of the live points, and at least 64, have died (O(log n) times
-    in all).
+    most ``sep`` the point is dead: it is never picked, and in a single
+    problem dropped when a quarter of the live points, and at least 64, have
+    died (O(log n) times in all).
 
     ``reach`` is the pick's insertion radius, which no point's distance to
     the chosen set exceeds (``inf`` for ``start``'s row, one per problem in a
@@ -288,37 +302,40 @@ def farthest_first(rows, start, sep):
     larger separation is the prefix whose radii exceed it.
 
     An index array ``start`` runs one problem per entry in lockstep: ``rows``
-    then maps such an array to a (batch x points) array, ``sep`` may hold
-    one separation per problem, and a point is dropped once dead in every
-    problem.  Both results are then arrays with one row per problem, padded
-    with -1 and NaN.  A point at ``-inf`` in a problem's first row is never
-    picked, which confines the problem to a subset.
+    then maps such an array to a (batch x points) array, and ``sep`` may hold
+    one separation per problem.  A batch keeps every point live, so ``cols``
+    is always the full slice: its rows are dense, and the dead-point check
+    would cost a pass over them for no narrower row.  Both results are then
+    arrays with one row per problem, padded with -1 and NaN.  A point at
+    ``-inf`` in a problem's first row is never picked, which confines the
+    problem to a subset.
     """
     bar = np.array(sep, dtype=float).reshape(-1)    # one per problem, or one for all
-    if not np.all(bar >= 0):
+    if not (bar >= 0).all():
         raise ValueError(f"separation must be a non-negative number, got {sep}")
     batch = np.ndim(start) > 0
     mind = np.array(rows(start, cols := slice(None), math.inf), dtype=float, ndmin=2)
-    live, limit = np.arange(mind.shape[1]), 0.75 * mind.size - 64
+    live, limit = np.arange(mind.shape[1]), 0 if batch else 0.75 * mind.size - 64
     lanes, line = np.arange(len(mind)), mind if batch else mind[0]
     picks, radii = (([np.atleast_1d(start)], [np.full(len(mind), math.inf)]) if batch
                     else ([int(start)], [math.inf]))
     for step in range(1, mind.shape[1] + 1):
         if limit > 0 and step % 4 == 0:         # a check costs a pass over mind
-            alive = mind > bar[:, None]
-            if 0 < (count := np.count_nonzero(alive)) <= limit:
-                keep = alive.any(axis=0)
+            keep = line > bar.item(0)
+            if 0 < (count := np.count_nonzero(keep)) <= limit:
                 live, mind, limit = live[keep], mind[:, keep], 0.75 * count - 64
-                cols, line = live, mind if batch else mind[0]
+                cols, line = live, mind[0]
         pos = line.argmax(axis=-1)              # argmax takes the lowest index
-        top, pick = (mind[lanes, pos], live[pos]) if batch else (line.item(pos), live.item(pos))
+        top, pick = (mind[lanes, pos], pos) if batch else (line.item(pos), live.item(pos))
         if not (np.count_nonzero(top > bar) if batch else top > bar.item(0)):
             break
         picks.append(pick)
         radii.append(top)
-        got = rows(pick, cols, top)
-        run, row = got if type(got) is tuple else (slice(None), got)
-        np.minimum(seg := line[..., run], row, out=seg)
+        if type(got := rows(pick, cols, top)) is tuple:
+            run, got = got
+            np.minimum(seg := line[..., run], got, out=seg)
+        else:
+            np.minimum(line, got, out=line)
     else:
         raise SeparationFailure(f"farthest-first took {step} steps on as many points: "
                                 "a row left out its own pick")
@@ -341,23 +358,52 @@ def _bitmasks(rows: np.ndarray) -> list[int]:
 def _exact_cover(masks: list[int], target: int) -> list[int]:
     """Fewest centers whose coverage sets ``masks`` hold every bit of
     ``target``: the first such set in ``combinations`` order over the
-    centers with a nonempty, not yet seen share of ``target``."""
+    centers with a nonempty, not yet seen share of ``target``.
+
+    For each size r from ceil(|target| / largest share) up, a depth-first
+    search takes the shares in increasing index, as ``combinations`` lists
+    them, and returns its first cover.  It cuts a branch only where no cover
+    of size r lies below it: where the union of the shares left misses an
+    uncovered bit, where (picks left) x (largest share left) is below the
+    uncovered count, or where a share adds no uncovered bit.  A cover of size
+    r with such a share would hold one of size r - 1, which the search at
+    r - 1, or the lower bound, rules out.  So the first cover found is the
+    first one ``combinations`` finds, witness included."""
     first: dict[int, int] = {}
     for c, bits in enumerate(masks):
         if bits & target:
             first.setdefault(bits & target, c)
+    shares = list(first)
+    # the union and the largest size of the shares from each index on
+    union, most = [0] * (len(shares) + 1), [0] * (len(shares) + 1)
+    for i in reversed(range(len(shares))):
+        union[i], most[i] = union[i + 1] | shares[i], max(most[i + 1], shares[i].bit_count())
+
+    def search(i: int, left: int, uncovered: int):
+        need = uncovered.bit_count()
+        for j in range(i, len(shares) - left + 1):
+            if union[j] & uncovered != uncovered or left * most[j] < need:
+                return None             # both only tighten as j grows
+            if not (new := shares[j] & uncovered):
+                continue
+            if left == 1:
+                if new == uncovered:
+                    return [j]
+            elif (rest := search(j + 1, left - 1, uncovered & ~new)) is not None:
+                return [j, *rest]
+        return None
+
     # no fewer sets than this can hold all of target's bits
-    least = -(-target.bit_count() // max((b.bit_count() for b in first), default=1))
-    for r in range(least, len(first) + 1):
-        for combo in itertools.combinations(first, r):
-            if functools.reduce(operator.or_, combo) == target:
-                return [first[bits] for bits in combo]
+    for r in range(-(-target.bit_count() // max(most[0], 1)), len(shares) + 1):
+        if (combo := search(0, r, target)) is not None:
+            return [first[shares[j]] for j in combo]
     raise NetIncomplete("a point is covered by no candidate")
 
 
 def _exact_pack(near: list[int], cand: int) -> list[int]:
     """Largest subset of the bits of ``cand`` with no bit in another's
-    ``near`` set, by branch and bound on the lowest bit (taken first)."""
+    ``near`` set, by branch and bound on the lowest bit (taken first).  Each
+    ``near[v]`` holds v itself, as a point lies within alpha of itself."""
     best: list[int] = []
 
     def grow(cand: int, chosen: list[int]):
@@ -368,7 +414,7 @@ def _exact_pack(near: list[int], cand: int) -> list[int]:
             best = chosen
             return
         v = (cand & -cand).bit_length() - 1
-        grow(cand & ~(1 << v) & ~near[v], chosen + [v])
+        grow(cand & ~near[v], chosen + [v])
         grow(cand & ~(1 << v), chosen)
 
     grow(cand, [])
@@ -396,7 +442,7 @@ def _check_covers(near: np.ndarray, centers, targets: np.ndarray, alpha) -> None
     With a leading scale axis on ``near``, ``centers`` and ``targets``,
     ``alpha`` holds one entry per scale."""
     sel = _selection(centers, near.shape[-2]).reshape(*targets.shape[:-1], -1)
-    if np.any(bad := targets & (sel @ near == 0)):
+    if (bad := targets & (sel @ near == 0)).any():
         raise NetIncomplete(f"a cover leaves a point uncovered at alpha = "
                             f"{_first_alpha(bad, alpha)}")
 
@@ -407,20 +453,23 @@ def _check_packings(near: np.ndarray, points, alpha) -> None:
     (points x points), so a chosen point must see itself alone.  A leading
     scale axis is read as in :func:`_check_covers`."""
     sel = _selection(points, near.shape[-1]).reshape(*near.shape[:-2], -1, near.shape[-1])
-    if np.any(bad := (sel > 0) & (sel @ near != 1)):
+    if (bad := (sel > 0) & (sel @ near != 1)).any():
         raise SeparationFailure(f"packing points lie within alpha = "
                                 f"{_first_alpha(bad, alpha)} of each other")
 
 
-def _subset(space: FiniteMetricSpace, subset, alpha: float, mode: str) -> np.ndarray:
-    """Check the arguments shared by the counts; the subset as indices."""
-    if not alpha > 0:
+def _subset(space: FiniteMetricSpace, subset, alphas: np.ndarray, mode: str) -> np.ndarray:
+    """Check the arguments shared by the counts, every scale of ``alphas``
+    included; the subset as indices."""
+    if alphas.ndim != 1:
+        raise ValueError("alpha must be one scale or a 1-D sequence of scales")
+    if not (alphas > 0).all():
         raise ValueError("alpha must be positive")
     k = np.arange(space.n) if subset is None else np.asarray(subset)
     if k.size == 0:
         raise ValueError("subset must be nonempty")
     # a boolean mask or a float would otherwise be read as indices
-    if k.ndim != 1 or k.dtype.kind not in "iu" or not np.all((k >= 0) & (k < space.n)):
+    if k.ndim != 1 or k.dtype.kind not in "iu" or not ((k >= 0) & (k < space.n)).all():
         raise ValueError(f"subset must be a 1-D array of point indices in [0, {space.n})")
     if mode not in ("exact", "greedy"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -430,48 +479,112 @@ def _subset(space: FiniteMetricSpace, subset, alpha: float, mode: str) -> np.nda
     return k
 
 
-def _greedy_cover(space: FiniteMetricSpace, k: np.ndarray, alpha: float):
+def _padded(rows) -> np.ndarray:
+    """Index lists as the rows of an int array, padded with -1."""
+    width = max(map(len, rows))
+    return np.array([[*row, *[-1] * (width - len(row))] for row in rows], int)
+
+
+def _positions(chosen: np.ndarray) -> np.ndarray:
+    """Each entry's column in ``chosen``, -1 where it pads."""
+    return np.where(chosen >= 0, np.arange(chosen.shape[1]), -1)
+
+
+def _greedy_cover(space: FiniteMetricSpace, k: np.ndarray, alphas: np.ndarray):
     # centers come from the whole space, points from the subset
-    return greedy_set_cover(space.dist[:, k] <= alpha)
+    return greedy_set_cover(space.dist[:, k] <= alphas[:, None, None],
+                            np.ones((len(alphas), 1, k.size), bool))[:, 0]
 
 
-def _greedy_pack(space: FiniteMetricSpace, k: np.ndarray, alpha: float):
-    # seeded at the lowest index of the subset
-    pos, _ = farthest_first(lambda i, cols, reach: space.dist[k[i], k[cols]],
-                            int(np.argmin(k)), alpha)
-    return k[pos].tolist()
+def _greedy_pack(space: FiniteMetricSpace, k: np.ndarray, alphas: np.ndarray):
+    # seeded at the lowest index of the subset and run to the smallest scale:
+    # the run to each larger one is the prefix of picks whose radii exceed it
+    pos, radii = farthest_first(lambda i, cols, reach: space.dist[k[i], k[cols]],
+                                int(k.argmin()), alphas.min())
+    picks = k[pos].tolist()
+    return [picks[:bisect.bisect_left(radii, -a, 1, key=operator.neg)]
+            for a in alphas.tolist()]
+
+
+def _covers(space: FiniteMetricSpace, k: np.ndarray, alphas: np.ndarray, mode: str):
+    if mode == "exact":
+        n, near = space.n, space.dist[:, k] <= alphas[:, None, None]
+        masks = _bitmasks(near.reshape(-1, k.size))
+        found = [_exact_cover(masks[s * n:(s + 1) * n], (1 << k.size) - 1)
+                 for s in range(len(alphas))]
+        centers = _padded(found)
+    else:
+        centers = _greedy_cover(space, k, alphas)
+        found = [row[row >= 0].tolist() for row in centers]
+    # each scale's check reads its chosen centers' rows only
+    _check_covers(space.dist[centers[..., None], k] <= alphas[:, None, None],
+                  _positions(centers), np.ones((len(alphas), 1, k.size), bool), alphas)
+    return found
+
+
+def _packs(space: FiniteMetricSpace, k: np.ndarray, alphas: np.ndarray, mode: str):
+    if mode == "exact":
+        m, near = k.size, space.dist[np.ix_(k, k)] <= alphas[:, None, None]
+        masks = _bitmasks(near.reshape(-1, m))
+        found = [sorted(k[_exact_pack(masks[s * m:(s + 1) * m], (1 << m) - 1)].tolist())
+                 for s in range(len(alphas))]
+    else:
+        found = _greedy_pack(space, k, alphas)
+    points = _padded(found)
+    _check_packings(space.dist[points[..., None], points[:, None]] <= alphas[:, None, None],
+                    _positions(points), alphas)
+    return found
+
+
+def _count(space: FiniteMetricSpace, subset, alpha, mode: str, solve):
+    """The results of ``solve`` at one scale, or one per scale of a sequence.
+    Every scale is checked first; then ``solve(space, k, scales, mode)`` runs
+    on chunks of scales that hold ``_SWEEP_ENTRIES`` (scales x points x
+    subset) entries or one scale, and returns one checked witness list per
+    scale."""
+    given = [alpha] if (one := np.ndim(alpha) == 0) else list(alpha)
+    scales = np.array(given, dtype=float)
+    k = _subset(space, subset, scales, mode)
+    per = max(1, _SWEEP_ENTRIES // (space.n * k.size))
+    results = [CoverPackResult(len(w), tuple(w), mode, a)
+               for lo in range(0, len(given), per)
+               for w, a in zip(solve(space, k, scales[lo:lo + per], mode), given[lo:lo + per])]
+    return results[0] if one else results
 
 
 def covering_number(
     space: FiniteMetricSpace,
     subset=None,
-    alpha: float = 1.0,
+    alpha=1.0,
     mode: str = "exact",
-) -> CoverPackResult:
+) -> CoverPackResult | list[CoverPackResult]:
     """Minimal (exact) or greedy upper-bound count of closed alpha-balls
-    covering the subset, with centers drawn from the whole space."""
-    k = _subset(space, subset, alpha, mode)
-    centers = (_exact_cover(_bitmasks(space.dist[:, k] <= alpha), (1 << k.size) - 1)
-               if mode == "exact" else _greedy_cover(space, k, alpha))
-    _check_covers(space.dist[np.ix_(centers, k)] <= alpha, [range(len(centers))],
-                  np.ones((1, k.size), bool), alpha)
-    return CoverPackResult(len(centers), tuple(centers), mode, alpha)
+    covering the subset, with centers drawn from the whole space.
+
+    ``alpha`` is one scale, or a 1-D sequence of scales with one result per
+    scale, each equal to that scale's own call.  Every scale is checked
+    before any search.  The scales run in chunks that hold about
+    ``_SWEEP_ENTRIES`` (scales x points x subset) mask entries, or one scale
+    each for large spaces: a chunk's greedy covers are one lockstep
+    :func:`greedy_set_cover` batch and its exact ones share one bitmask
+    build, and one check covers the chunk."""
+    return _count(space, subset, alpha, mode, _covers)
 
 
 def packing_number(
     space: FiniteMetricSpace,
     subset=None,
-    alpha: float = 1.0,
+    alpha=1.0,
     mode: str = "exact",
-) -> CoverPackResult:
+) -> CoverPackResult | list[CoverPackResult]:
     """Maximal (exact) or greedy lower-bound size of a strictly alpha-separated
-    subset of the given point set."""
-    k = _subset(space, subset, alpha, mode)
-    points = (sorted(int(k[i]) for i in _exact_pack(
-                  _bitmasks(space.dist[np.ix_(k, k)] <= alpha), (1 << k.size) - 1))
-              if mode == "exact" else _greedy_pack(space, k, alpha))
-    _check_packings(space.dist[np.ix_(points, points)] <= alpha, [range(len(points))], alpha)
-    return CoverPackResult(len(points), tuple(points), mode, alpha)
+    subset of the given point set.
+
+    ``alpha`` is one scale or a 1-D sequence of scales, chunked and checked as
+    in :func:`covering_number`.  A chunk's greedy packings come from one
+    :func:`farthest_first` run to its smallest scale, as each larger scale's
+    run is a prefix of it; its exact ones share one bitmask build."""
+    return _count(space, subset, alpha, mode, _packs)
 
 
 @dataclass(frozen=True)
@@ -517,12 +630,6 @@ def probe_scales(
         idx = np.linspace(0, scales.size - 1, cap).round().astype(int)
         scales = scales[np.unique(idx)]
     return scales
-
-
-# Scales x points x points one chunk of the dimension sweep may hold, about
-# 0.5 MB of working memory: one scale at a time from 128 points up, all 64
-# scales up to 16 points.
-_SWEEP_ENTRIES = 1 << 14
 
 
 def _scale_witnesses(space: FiniteMetricSpace, scales):

@@ -15,6 +15,8 @@ steps that each cover one point at once.
 The optimal chain of a generalized variation is a reference too: it
 backtracks ``tv_psi``'s program over every index, and the digests in
 ``test_agreement.py`` hash the chains it returns.
+The exact cover by ``combinations`` over the distinct shares is the
+reference for the pruned depth-first search: it must give its witnesses.
 The pair-by-pair separation check is the reference for the alphabet
 certificate: it reads every pair's block sum and extracts by farthest-first.
 The full-array Godunov kernel is the reference the sparse one must match bit
@@ -26,8 +28,10 @@ The reference golden-section search reads every sample of every row at every
 step, one width at a time: the pruned, batched search must give its floats.
 """
 
+import functools
 import itertools
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -121,6 +125,24 @@ def oracle_pack(space: FiniteMetricSpace, subset, alpha: float) -> int:
                 best = r
                 break
     return best
+
+
+def reference_exact_cover(masks: list[int], target: int) -> list[int]:
+    """Fewest centers whose coverage sets ``masks`` hold every bit of
+    ``target``, by ``itertools.combinations`` over the centers with a
+    nonempty, not yet seen share of ``target``, from the least size that the
+    largest share allows: the first cover found.  The pruned search of
+    ``_exact_cover`` must return its witness."""
+    first: dict[int, int] = {}
+    for c, bits in enumerate(masks):
+        if bits & target:
+            first.setdefault(bits & target, c)
+    least = -(-target.bit_count() // max((b.bit_count() for b in first), default=1))
+    for r in range(least, len(first) + 1):
+        for combo in itertools.combinations(first, r):
+            if functools.reduce(operator.or_, combo) == target:
+                return [first[bits] for bits in combo]
+    raise NetIncomplete("a point is covered by no candidate")
 
 
 def reference_dimension_report(space: FiniteMetricSpace, window,

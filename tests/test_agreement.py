@@ -365,6 +365,26 @@ def test_live_set_traversal_matches_reference(kind, seed, q, half):
         assert min(seen) < n
 
 
+def test_batch_traversal_keeps_every_point():
+    # A batch's rows are dense, so it neither checks for dead points nor
+    # narrows a row; one problem on the same matrix drops its dead points.
+    d = from_points(np.random.default_rng(11).uniform(0.0, 1.0, size=(300, 2))).dist
+    seen = {"batch": [], "one": []}
+
+    def rows(kind):
+        def run(i, cols, reach):
+            seen[kind].append(cols)
+            return d[i][..., cols]
+        return run
+    starts, sep = np.array([0, 5, 7, 5]), 0.3
+    chosen, radii = farthest_first(rows("batch"), starts, sep)
+    assert all(cols == slice(None) for cols in seen["batch"])
+    assert (_rows_as_lists(chosen), _rows_as_lists(radii, chosen >= 0)) == \
+        reference_farthest_first(d.__getitem__, starts, sep)
+    assert farthest_first(rows("one"), 0, sep) == reference_farthest_first(d.__getitem__, 0, sep)
+    assert any(type(cols) is np.ndarray for cols in seen["one"])
+
+
 def _rows_as_lists(rows, keep=None):
     """A batch result of the kernels, padded rows, as one list per problem."""
     keep = rows >= 0 if keep is None else keep

@@ -147,6 +147,32 @@ class TestMetric:
         assert counts(16) == [["6", "exact"], ["8", "exact"]]
         assert counts(17) == [["6", "greedy"], ["9", "greedy"]]
 
+    @pytest.mark.parametrize("gen", ["line:9:1.0", "uniform:24:1.0:2"])
+    def test_one_count_call_for_every_scale(self, tmp_path, monkeypatch, gen):
+        # each count runs once over all the --alpha scales, and the rows are
+        # those of one call per scale
+        calls = []
+
+        def once(count):
+            def run(space, subset, alpha, mode):
+                calls.append((count.__name__, list(alpha)))
+                return count(space, subset, alpha, mode)
+            return run
+        for count in (metric_core.covering_number, metric_core.packing_number):
+            monkeypatch.setattr(cli, count.__name__, once(count))
+        alphas = ["0.1", "0.25", "0.1", "0.5"]
+        out = str(tmp_path / "o")
+        assert run("metric", "--out", out, "--generate", gen,
+                   *[arg for a in alphas for arg in ("--alpha", a)]) == 0
+        scales = [float(a) for a in alphas]
+        assert calls == [("covering_number", scales), ("packing_number", scales)]
+        space = cli._load_space(build_parser().parse_args(["metric", "--out", out,
+                                                           "--generate", gen]))
+        mode = "exact" if space.n <= 16 else "greedy"
+        rows = open(os.path.join(out, "cover_pack.csv")).read().splitlines()[1:]
+        assert rows == [count(space, None, a, mode).csv_row() for a in scales
+                        for count in (metric_core.covering_number, metric_core.packing_number)]
+
     def test_exact_cap_is_no_option(self, tmp_path, capsys):
         # --exact-cap 1000 on 60 points ran an exhaustive search that did not end
         gen = ("--generate", "uniform:60:10:2", "--alpha", "1.0")

@@ -35,6 +35,7 @@ from conftest import (
     oracle_pack,
     random_metric_matrix,
     reference_dimension_report,
+    reference_exact_cover,
 )
 
 
@@ -140,8 +141,9 @@ class TestCoverPack:
 
     def test_certificates_raise(self, line4, monkeypatch):
         # the cover and separation checks stay on under python -O
-        monkeypatch.setattr(metric_core, "_greedy_cover", lambda space, k, alpha: [0])
-        monkeypatch.setattr(metric_core, "_greedy_pack", lambda space, k, alpha: [0, 1])
+        # one witness per scale, as the helpers give them
+        monkeypatch.setattr(metric_core, "_greedy_cover", lambda space, k, alphas: np.array([[0]]))
+        monkeypatch.setattr(metric_core, "_greedy_pack", lambda space, k, alphas: [[0, 1]])
         with pytest.raises(NetIncomplete):
             covering_number(line4, None, 1.0, mode="greedy")
         with pytest.raises(SeparationFailure):
@@ -522,3 +524,124 @@ def test_dimension_sweep_memory():
         tracemalloc.stop()
     assert rep.mode == "greedy" and len(rep.scales) == 1
     assert peak < 32e6
+
+
+# ---------------------------------------------------------------------------
+# the pruned exact cover and counts over a sequence of scales
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(
+    kind=st.sampled_from(["uniform", "grid", "line", "graph"]),
+    n=st.integers(1, 14),
+    seed=st.integers(0, 2 ** 16),
+    q=st.floats(0.0, 1.0),
+    half=st.booleans(),
+    part=st.booleans(),
+)
+def test_exact_cover_matches_combinations(kind, n, seed, q, half, part):
+    # scales at a distance that occurs (ties) or half of one, on the whole
+    # space or on a subset in no particular order
+    rng = np.random.default_rng(seed)
+    space = random_metric_matrix(rng, n) if kind == "graph" else _sweep_space(kind, n, seed)
+    d = space.pairwise_distances()
+    alpha = float(d[int(q * (d.size - 1))]) * (0.5 if half else 1.0) if d.size else 1.0
+    subset = rng.permutation(n)[:int(rng.integers(1, n + 1))] if part else None
+    k = np.arange(n) if subset is None else subset
+    masks, target = metric_core._bitmasks(space.dist[:, k] <= alpha), (1 << k.size) - 1
+    assert metric_core._exact_cover(masks, target) == reference_exact_cover(masks, target)
+    assert covering_number(space, subset, alpha, "exact").count == \
+        oracle_cover(space, subset, alpha)
+
+
+def test_exact_cover_refuses_an_uncovered_point():
+    for masks in ([0b001, 0b010], [0, 0b1000], []):
+        with pytest.raises(NetIncomplete):
+            metric_core._exact_cover(masks, 0b111)
+
+
+def test_exact_cover_at_twice_the_cap():
+    # 32 points: combinations took 17 s at alpha = 1; the pruned search a
+    # few ms at each scale, with a cover no larger than the greedy one
+    space = metric_core.uniform_random(32, 10.0, 1, 2)
+    for alpha in (1.0, 2.0, 3.0):
+        centers = metric_core._exact_cover(metric_core._bitmasks(space.dist <= alpha),
+                                           (1 << 32) - 1)
+        assert np.all(space.dist[centers].min(axis=0) <= alpha)
+        assert len(centers) <= covering_number(space, None, alpha, "greedy").count
+
+
+@pytest.mark.parametrize("mode", ["exact", "greedy"])
+@pytest.mark.parametrize("subset", [None, [9, 2, 5, 2, 11]], ids=["space", "subset"])
+def test_scale_sequence_matches_scalar_calls(mode, subset):
+    space = metric_core.uniform_random(12, 1.0, 3, 2)
+    d = space.pairwise_distances()
+    # repeated scales, a tie, a half distance, the diameter and beyond it
+    alphas = [float(d[3]), float(d[3]), float(d[20]) / 2, space.diameter, 2 * space.diameter,
+              float(d[0]), 0.3]
+    for count in (covering_number, packing_number):
+        each = [count(space, subset, a, mode) for a in alphas]
+        assert count(space, subset, alphas, mode) == each
+        assert count(space, subset, np.array(alphas), mode) == each
+        assert count(space, subset, tuple(alphas[:1]), mode) == each[:1]
+        assert count(space, subset, [], mode) == []
+        assert [r.csv_row() for r in count(space, subset, alphas, mode)] == [
+            r.csv_row() for r in each]
+
+
+def test_scale_sequence_across_chunks():
+    # 40 points take 10 scales a chunk; 39 scales make four chunks
+    space = metric_core.uniform_random(40, 1.0, 5, 2)
+    alphas = space.pairwise_distances()[::20]
+    assert alphas.size == 39 and metric_core._SWEEP_ENTRIES // 40 ** 2 == 10
+    for count in (covering_number, packing_number):
+        assert count(space, None, alphas, "greedy") == [
+            count(space, None, a, "greedy") for a in alphas]
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a search ran before every scale was checked")
+
+
+@pytest.mark.parametrize("mode", ["exact", "greedy"])
+@pytest.mark.parametrize("bad", [0.0, -0.5, math.nan])
+def test_bad_scale_anywhere_is_refused_before_any_work(monkeypatch, mode, bad):
+    space = line_points(8, 1.0)
+    for name in ("_bitmasks", "greedy_set_cover", "farthest_first"):
+        monkeypatch.setattr(metric_core, name, _refuse)
+    for count in (covering_number, packing_number):
+        with pytest.raises(ValueError) as scalar:
+            count(space, None, bad, mode)
+        for at in range(3):
+            alphas = [0.2, 0.3, 0.4]
+            alphas[at] = bad
+            with pytest.raises(ValueError) as batch:
+                count(space, None, alphas, mode)
+            assert str(batch.value) == str(scalar.value) == "alpha must be positive"
+        with pytest.raises(ValueError, match="1-D sequence"):
+            count(space, None, [[0.2, 0.3]], mode)
+        # the subset, mode and cap are checked as for one scale
+        with pytest.raises(ValueError, match="subset"):
+            count(space, [8], [0.2, 0.3], mode)
+        with pytest.raises(ValueError, match="subset must be nonempty"):
+            count(space, [], [], mode)
+    with pytest.raises(ExactModeTooLarge):
+        covering_number(line_points(17, 1.0), None, [], "exact")
+
+
+def test_sequence_over_every_distance_of_a_large_lattice():
+    # 256 points: every chunk holds one scale, so the 119 scales of a metric
+    # run without --alpha keep the memory of one scalar call
+    space = lattice(2, 16)
+    alphas = space.pairwise_distances()
+    assert alphas.size == 119
+    tracemalloc.start()
+    try:
+        covers = covering_number(space, None, alphas, "greedy")
+        packs = packing_number(space, None, alphas, "greedy")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1e6
+    assert covers == [covering_number(space, None, a, "greedy") for a in alphas]
+    assert packs == [packing_number(space, None, a, "greedy") for a in alphas]
