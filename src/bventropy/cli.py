@@ -136,9 +136,10 @@ def cmd_metric(args) -> None:
     for cover, pack in zip(covering_number(space, None, alphas, mode=mode),
                            packing_number(space, None, alphas, mode=mode)):
         lines += [cover.csv_row(), pack.csv_row()]
+    # a refused window writes no CSV
+    rep = dimension_report(space, args.window) if args.window else None
     _atomic(os.path.join(args.out, "cover_pack.csv"), "\n".join(lines) + "\n")
     if args.window:
-        rep = dimension_report(space, args.window)
         _atomic(os.path.join(args.out, "dimensions.csv"),
                 "d,p,p_tilde,window_lo,window_hi\n" + rep.csv_row() + "\n")
 

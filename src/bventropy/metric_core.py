@@ -26,23 +26,24 @@ Every greedy count in the package runs on one of two kernels:
   still move, and must equal the full rows there.
 
 Both carry a leading batch axis of independent problems that advance in
-lockstep, and record their picks as arrays.  :func:`dimension_report` solves
-the ball B(x, 2a) of every point x at every probe scale a as one batch of
-(scale, x) problems, in chunks of scales for large spaces: the cover matrix
-takes a leading scale axis and farthest-first one separation per problem.
-Both of its modes read d and p off one table of the problems' witness sizes.
-The counts take one scale or a sequence of them: a chunk of scales is one
-cover batch with a leading scale axis, and one farthest-first run to its
-smallest scale gives every packing as a prefix.  Every other caller is a
-batch of one.  The exact searches run on integer
-bitmasks from one builder, with bits in point-index order: the centers'
-coverage sets for covers, the points' closed neighbourhoods for packings.
-The sweep runs them only where a ball's greedy bounds could still move d or p.
+lockstep, and record their picks as arrays.  The exact searches run on
+integer bitmasks from one builder, bit j for the j-th point of the problem:
+the centers' coverage sets for covers, the points' closed neighbourhoods
+for packings.
+
+Every cover and packing of a finite space is solved by one function,
+:func:`_table`, over a table of (scale, target set) problems: it chunks the
+scales, runs the kernels or the exact searches on each chunk, and checks
+every witness.  :func:`covering_number` and :func:`packing_number` make a
+table with one problem per scale, whose target is the whole subset.
+:func:`dimension_report` makes one with the ball B(x, 2a) of every point x
+at every probe scale a, and reads d and p off its witness sizes.  On small
+spaces it then hands each (scale, ball) problem that could still move d or
+p to the same function in exact mode.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import operator
 import warnings
@@ -66,8 +67,8 @@ LOG7_2 = math.log(2.0) / math.log(7.0)
 #: Largest point count for which exhaustive covering/packing search is allowed.
 DEFAULT_EXACT_CAP = 16
 
-# Scales x points x points one chunk of the dimension sweep or of a sequence
-# of counts may hold, about 0.5 MB of working memory: one scale at a time from
+# Scales x rows x columns of the distance block one chunk of a table of
+# problems may hold, about 0.5 MB of working memory: one scale at a time from
 # 128 points up, all 64 scales up to 16 points.
 _SWEEP_ENTRIES = 1 << 14
 
@@ -137,6 +138,8 @@ def from_points(points, norm: float = 2.0) -> FiniteMetricSpace:
     ``ValueError`` where the formula overflows to an infinite distance or
     underflows to 0 between distinct points."""
     pts = np.asarray(points, dtype=float)
+    if len(pts) == 0:
+        raise ValueError("need at least one point")
     if not np.isfinite(pts).all():
         raise ValueError("point coordinates must be finite")
     if pts.ndim == 1:
@@ -164,6 +167,8 @@ def line_points(n: int, length: float = 1.0) -> FiniteMetricSpace:
 
 
 def lattice(dim: int, per_side: int, spacing: float = 1.0) -> FiniteMetricSpace:
+    if dim < 1 or per_side < 1:
+        raise ValueError("need at least one point")
     with np.errstate(invalid="ignore"):        # an infinite spacing: from_points refuses
         axes = [np.arange(per_side) * spacing] * dim
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
@@ -485,70 +490,81 @@ def _padded(rows) -> np.ndarray:
     return np.array([[*row, *[-1] * (width - len(row))] for row in rows], int)
 
 
-def _positions(chosen: np.ndarray) -> np.ndarray:
-    """Each entry's column in ``chosen``, -1 where it pads."""
-    return np.where(chosen >= 0, np.arange(chosen.shape[1]), -1)
+def _table(space: FiniteMetricSpace, k: np.ndarray, alphas: np.ndarray, mode: str,
+           pack: bool, balls: bool = False):
+    """Checked covers, or with ``pack`` packings, of a table of (scale,
+    target set) problems on the ordered points ``k``, whose order is the
+    kernels' point axis and decides their ties.
+
+    Covers at scale a take closed a-balls centered anywhere in the space;
+    packings are strictly a-separated subsets of the target.  Each scale is
+    one problem, whose target is all of ``k``; with ``balls`` (greedy mode,
+    ``k`` every point) one per point x, whose target is the ball B(x, 2a).
+    The distance block (the space's rows for covers, ``k``'s for packings,
+    over ``k``'s columns) is gathered once, if ``k`` is not every point.
+    Its scales run in chunks of ``_SWEEP_ENTRIES`` (scales x rows x columns)
+    entries, or one scale, each checked by one call against ``block <= a``:
+    greedy covers and the packings of balls as one lockstep batch, exact
+    ones on one bitmask build.  Greedy packings of ``k`` are prefixes of one
+    farthest-first run to the smallest scale, along which the block is
+    reordered, so that their pairs are its leading corner.  Yields per chunk
+    a (scales x problems x width) array of point indices padded with -1;
+    an exact packing lists its points in ascending index.
+    """
+    n, m = space.n, k.size
+    whole = m == n and bool((k == np.arange(n)).all())
+    block = space.dist if whole else space.dist[k[:, None] if pack else slice(None), k]
+    if prefixes := pack and not balls and mode == "greedy" and alphas.size:
+        # seeded at the lowest index of k
+        run, radii = farthest_first(lambda i, cols, reach: block[i, cols],
+                                    int(k.argmin()), alphas.min())
+        run = np.array(run)
+        block, k, radii = block[run[:, None], run], k[run], -np.array(radii)
+    per = max(1, _SWEEP_ENTRIES // block.size)
+    for lo in range(0, alphas.size, per):
+        a = alphas[lo:lo + per]
+        scale = a[:, None, None]
+        if prefixes:
+            cuts = np.searchsorted(radii, -a)       # the picks with radii above a
+            pos = np.arange(cuts.max())
+            found = np.where(pos < cuts[:, None, None], pos, -1)
+            near = block[:pos.size, :pos.size] <= scale
+        else:
+            near = block <= scale
+            targets = block <= 2.0 * scale if balls else np.ones((a.size, 1, m), bool)
+        if mode == "exact":
+            masks, r = _bitmasks(near.reshape(-1, m)), len(block)
+            found = _padded([sorted(_exact_pack(masks[s * r:(s + 1) * r], (1 << m) - 1),
+                                    key=k.__getitem__) if pack
+                             else _exact_cover(masks[s * r:(s + 1) * r], (1 << m) - 1)
+                             for s in range(a.size)])[:, None]
+        elif not pack:
+            found = greedy_set_cover(near, targets)
+        elif balls:
+            flat = targets.reshape(-1, n)
+            starts = flat.argmax(axis=1)    # only the first rows are masked: -inf stays -inf
+            rows = np.where(flat, block[starts], -np.inf)
+            found, _ = farthest_first(lambda i, cols, reach: rows if i is starts
+                                      else block[i][:, cols], starts, np.repeat(a, n))
+            found = found.reshape(a.size, n, -1)
+        if pack:
+            # the positions along k are the points of near
+            _check_packings(near, found, a)
+            found = np.where(found >= 0, k[found], -1)
+        else:
+            _check_covers(near, found, targets, a)
+        yield found
 
 
-def _greedy_cover(space: FiniteMetricSpace, k: np.ndarray, alphas: np.ndarray):
-    # centers come from the whole space, points from the subset
-    return greedy_set_cover(space.dist[:, k] <= alphas[:, None, None],
-                            np.ones((len(alphas), 1, k.size), bool))[:, 0]
-
-
-def _greedy_pack(space: FiniteMetricSpace, k: np.ndarray, alphas: np.ndarray):
-    # seeded at the lowest index of the subset and run to the smallest scale:
-    # the run to each larger one is the prefix of picks whose radii exceed it
-    pos, radii = farthest_first(lambda i, cols, reach: space.dist[k[i], k[cols]],
-                                int(k.argmin()), alphas.min())
-    picks = k[pos].tolist()
-    return [picks[:bisect.bisect_left(radii, -a, 1, key=operator.neg)]
-            for a in alphas.tolist()]
-
-
-def _covers(space: FiniteMetricSpace, k: np.ndarray, alphas: np.ndarray, mode: str):
-    if mode == "exact":
-        n, near = space.n, space.dist[:, k] <= alphas[:, None, None]
-        masks = _bitmasks(near.reshape(-1, k.size))
-        found = [_exact_cover(masks[s * n:(s + 1) * n], (1 << k.size) - 1)
-                 for s in range(len(alphas))]
-        centers = _padded(found)
-    else:
-        centers = _greedy_cover(space, k, alphas)
-        found = [row[row >= 0].tolist() for row in centers]
-    # each scale's check reads its chosen centers' rows only
-    _check_covers(space.dist[centers[..., None], k] <= alphas[:, None, None],
-                  _positions(centers), np.ones((len(alphas), 1, k.size), bool), alphas)
-    return found
-
-
-def _packs(space: FiniteMetricSpace, k: np.ndarray, alphas: np.ndarray, mode: str):
-    if mode == "exact":
-        m, near = k.size, space.dist[np.ix_(k, k)] <= alphas[:, None, None]
-        masks = _bitmasks(near.reshape(-1, m))
-        found = [sorted(k[_exact_pack(masks[s * m:(s + 1) * m], (1 << m) - 1)].tolist())
-                 for s in range(len(alphas))]
-    else:
-        found = _greedy_pack(space, k, alphas)
-    points = _padded(found)
-    _check_packings(space.dist[points[..., None], points[:, None]] <= alphas[:, None, None],
-                    _positions(points), alphas)
-    return found
-
-
-def _count(space: FiniteMetricSpace, subset, alpha, mode: str, solve):
-    """The results of ``solve`` at one scale, or one per scale of a sequence.
-    Every scale is checked first; then ``solve(space, k, scales, mode)`` runs
-    on chunks of scales that hold ``_SWEEP_ENTRIES`` (scales x points x
-    subset) entries or one scale, and returns one checked witness list per
-    scale."""
+def _count(space: FiniteMetricSpace, subset, alpha, mode: str, pack: bool):
+    """The checked results at one scale, or one per scale of a sequence.
+    Every scale is checked before :func:`_table` runs."""
     given = [alpha] if (one := np.ndim(alpha) == 0) else list(alpha)
     scales = np.array(given, dtype=float)
     k = _subset(space, subset, scales, mode)
-    per = max(1, _SWEEP_ENTRIES // (space.n * k.size))
-    results = [CoverPackResult(len(w), tuple(w), mode, a)
-               for lo in range(0, len(given), per)
-               for w, a in zip(solve(space, k, scales[lo:lo + per], mode), given[lo:lo + per])]
+    found = (row[row >= 0].tolist() for chunk in _table(space, k, scales, mode, pack)
+             for row in chunk[:, 0])
+    results = [CoverPackResult(len(w), tuple(w), mode, a) for w, a in zip(found, given)]
     return results[0] if one else results
 
 
@@ -563,12 +579,10 @@ def covering_number(
 
     ``alpha`` is one scale, or a 1-D sequence of scales with one result per
     scale, each equal to that scale's own call.  Every scale is checked
-    before any search.  The scales run in chunks that hold about
-    ``_SWEEP_ENTRIES`` (scales x points x subset) mask entries, or one scale
-    each for large spaces: a chunk's greedy covers are one lockstep
-    :func:`greedy_set_cover` batch and its exact ones share one bitmask
-    build, and one check covers the chunk."""
-    return _count(space, subset, alpha, mode, _covers)
+    before any search.  The scales are one table of problems, one per scale
+    with the subset as its target, solved and checked in chunks by
+    :func:`_table`."""
+    return _count(space, subset, alpha, mode, pack=False)
 
 
 def packing_number(
@@ -580,11 +594,10 @@ def packing_number(
     """Maximal (exact) or greedy lower-bound size of a strictly alpha-separated
     subset of the given point set.
 
-    ``alpha`` is one scale or a 1-D sequence of scales, chunked and checked as
-    in :func:`covering_number`.  A chunk's greedy packings come from one
-    :func:`farthest_first` run to its smallest scale, as each larger scale's
-    run is a prefix of it; its exact ones share one bitmask build."""
-    return _count(space, subset, alpha, mode, _packs)
+    ``alpha`` is one scale or a 1-D sequence of scales, one problem per scale
+    of a :func:`_table`, as in :func:`covering_number`.  The greedy packings
+    of every scale come from one :func:`farthest_first` run."""
+    return _count(space, subset, alpha, mode, pack=True)
 
 
 @dataclass(frozen=True)
@@ -632,39 +645,6 @@ def probe_scales(
     return scales
 
 
-def _scale_witnesses(space: FiniteMetricSpace, scales):
-    """Every ball B(x, 2a) of every probe scale a as a table of (scale, x)
-    problems, each with its greedy cover by closed a-balls and farthest-first
-    strictly a-separated subset, all checked.
-
-    The problems of a chunk of scales, ``_SWEEP_ENTRIES`` at a time, run as
-    one lockstep batch: the covers on the chunk's (scales x points x points)
-    ``dist <= 2a`` masks as targets against its ``dist <= a`` cover matrices,
-    the packings with one separation per problem.  The kernels see a ball's
-    points in index order, as :func:`covering_number` and
-    :func:`packing_number` see it given as a subset, so the witnesses equal
-    their greedy ones.  Yields per chunk the columns (scale index, x, covers,
-    packs), one entry per problem in (scale, x) order, the witnesses as index
-    rows padded with -1.
-    """
-    n = space.n
-    per = max(1, _SWEEP_ENTRIES // (n * n))
-    for lo in range(0, len(scales), per):
-        alphas = np.asarray(scales[lo:lo + per], dtype=float)
-        near = space.dist <= alphas[:, None, None]
-        targets = space.dist <= 2.0 * alphas[:, None, None]
-        covers = greedy_set_cover(near, targets)
-        balls = targets.reshape(-1, n)
-        starts = balls.argmax(axis=1)    # only the first rows are masked: -inf stays -inf
-        rows = np.where(balls, space.dist[starts], -np.inf)
-        packs, _ = farthest_first(lambda i, cols, reach: rows if i is starts
-                                  else space.dist[i][:, cols], starts, np.repeat(alphas, n))
-        _check_covers(near, covers, targets, alphas)
-        _check_packings(near, packs.reshape(len(alphas), n, -1), alphas)
-        s, x = np.divmod(np.arange(len(alphas) * n), n)
-        yield lo + s, x, covers.reshape(len(alphas) * n, -1), packs
-
-
 def dimension_report(
     space: FiniteMetricSpace,
     window,
@@ -683,7 +663,8 @@ def dimension_report(
 
     When ``n <= DEFAULT_EXACT_CAP`` the counts are exact.  U bounds a ball's exact
     cover from above, l its exact packing from below, so exact searches run
-    only where one could move d or p.  Covers run in descending U (stably)
+    only where one could move d or p, each on one (scale, ball) problem
+    with the ball as its points.  Covers run in descending U (stably)
     while U > 2**ceil(log2 M), M the largest exact count so far (1 at
     first): any later ball's exact count is at most U, so cannot raise
     ceil(log2 M).  Packings run in ascending l while l < 2**floor(log2 m),
@@ -691,21 +672,28 @@ def dimension_report(
     """
     scales = probe_scales(space, window, max_scales=max_scales)
     mode = "exact" if space.n <= DEFAULT_EXACT_CAP else "greedy"
-    s, x, u, ell = (np.concatenate(column) for column in zip(*(
-        (s, x, np.count_nonzero(covers >= 0, axis=1), np.count_nonzero(packs >= 0, axis=1))
-        for s, x, covers, packs in _scale_witnesses(space, scales))))
+    every = np.arange(space.n)
+    u, ell = (np.concatenate([np.count_nonzero(found >= 0, axis=2).ravel() for found
+                              in _table(space, every, scales, "greedy", pack, balls=True)])
+              for pack in (False, True))
+    s, x = np.divmod(np.arange(u.size), space.n)
+
+    def exact(q: int, pack: bool) -> int:
+        # the one (scale, ball) problem, with the ball as its points
+        a = scales[s[q]:s[q] + 1]
+        found = next(_table(space, space.ball(x[q], 2 * a[0]), a, "exact", pack))
+        return int(np.count_nonzero(found >= 0))
+
     top, low = (1, space.n) if mode == "exact" else (int(u.max()), int(ell.min()))
     if mode == "exact":
         for q in np.argsort(-u, kind="stable"):
             if u[q] <= 1 << (top - 1).bit_length():
                 break
-            top = max(top, covering_number(space, space.ball(x[q], 2 * scales[s[q]]),
-                                           scales[s[q]], "exact").count)
+            top = max(top, exact(q, False))
         for q in np.argsort(ell, kind="stable"):
             if ell[q] >= 1 << (low.bit_length() - 1):
                 break
-            low = min(low, packing_number(space, space.ball(x[q], 2 * scales[s[q]]),
-                                          scales[s[q]], "exact").count)
+            low = min(low, exact(q, True))
     return DimensionReport(
         d=(top - 1).bit_length(), p=low.bit_length() - 1,
         window=(float(window[0]), float(window[1])),

@@ -184,13 +184,19 @@ class TestMetric:
         assert [r.split(",")[2] for r in rows] == ["greedy", "greedy"]
 
 
-    @pytest.mark.parametrize("window", [("0.45", "0.05"), ("nan", "0.45")])
+    @pytest.mark.parametrize("window", [("0.45", "0.05"), ("nan", "0.45"),
+                                        # no distance of line:17 or its half inside
+                                        ("1e-320", "1e-310")])
     def test_bad_window_is_config_error(self, tmp_path, window, capsys):
-        # was exit 2, "invariant violated"
-        assert run("metric", "--out", str(tmp_path / "o"), "--generate", "line:17:1.0",
+        # was exit 2, "invariant violated"; each was refused only after
+        # cover_pack.csv had been written
+        out = tmp_path / "o"
+        assert run("metric", "--out", str(out), "--generate", "line:17:1.0",
                    "--window", *window) == 1
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: invalid window")
+        refused = "no probe scale inside" if float(window[1]) < 1e-3 else "invalid"
+        assert len(err) == 1 and err[0].startswith(f"error: {refused} window")
+        assert os.listdir(out) == ["manifest.json"]
 
 
 class TestVariation:
@@ -536,6 +542,11 @@ ENCODE_STEP = ("encode", "--input", "STEP", "--epsilon", "0.1", "--budget", "1.0
     ("scan", "--gamma", "1", "--eps-grid", "0.1,5e-324"),
     ("scan", "--gamma", "2", "--eps-grid", "0.1,1e-200"),
     ("scan", "--gamma", "2", "--eps-grid", "0.1,1e-310"),
+    # spaces of no point: "subset must be nonempty", and numpy's "need at
+    # least one array to stack" for the last
+    ("metric", "--generate", "uniform:0:1.0:2"),
+    ("metric", "--generate", "lattice:2:0:1.0"),
+    ("metric", "--generate", "lattice:0:3:1.0"),
 ])
 def test_bad_number_is_one_error_line(tmp_path, step_file, argv):
     argv = [step_file if a == "STEP" else a for a in argv]
@@ -547,6 +558,8 @@ def test_bad_number_is_one_error_line(tmp_path, step_file, argv):
         # the grid's last epsilon is the one the class bounds cannot take
         eps = float(argv[argv.index("--eps-grid") + 1].split(",")[-1])
         assert f"scan epsilon {eps!r} is too small" in lines[0], proc.stderr
+    if argv[-1] in ("uniform:0:1.0:2", "lattice:2:0:1.0", "lattice:0:3:1.0"):
+        assert lines == [f"error: bad generator token {argv[-1]!r}: need at least one point"]
 
 
 def test_zero_budget_witness_is_a_family_of_constants(tmp_path):

@@ -141,9 +141,12 @@ class TestCoverPack:
 
     def test_certificates_raise(self, line4, monkeypatch):
         # the cover and separation checks stay on under python -O
-        # one witness per scale, as the helpers give them
-        monkeypatch.setattr(metric_core, "_greedy_cover", lambda space, k, alphas: np.array([[0]]))
-        monkeypatch.setattr(metric_core, "_greedy_pack", lambda space, k, alphas: [[0, 1]])
+        # broken kernels, in their own shapes: one center for every problem,
+        # and a run that puts point 1 at 2.0 from point 0, where it lies at 1.0
+        monkeypatch.setattr(metric_core, "greedy_set_cover",
+                            lambda covers, targets: np.zeros((*targets.shape[:-1], 1), int))
+        monkeypatch.setattr(metric_core, "farthest_first",
+                            lambda rows, start, sep: ([0, 1], [math.inf, 2.0]))
         with pytest.raises(NetIncomplete):
             covering_number(line4, None, 1.0, mode="greedy")
         with pytest.raises(SeparationFailure):
@@ -326,7 +329,14 @@ def _check_sweep_table(space, scales):
     """The sweep's table holds one row per ball B(x, 2a) of every point x at
     each scale a, in (scale, x) order, with the witnesses of the public greedy
     per-ball calls.  Returns its chunks."""
-    chunks = list(metric_core._scale_witnesses(space, scales))
+    every, chunks, lo = np.arange(space.n), [], 0
+    for covers, packs in zip(metric_core._table(space, every, scales, "greedy", False, True),
+                             metric_core._table(space, every, scales, "greedy", True, True)):
+        assert covers.shape[:2] == packs.shape[:2] == (covers.shape[0], space.n)
+        chunks.append((np.repeat(np.arange(lo, lo + len(covers)), space.n),
+                       np.tile(every, len(covers)), covers.reshape(-1, covers.shape[-1]),
+                       packs.reshape(-1, packs.shape[-1])))
+        lo += len(covers)
     s, x = (np.concatenate(column) for column in list(zip(*chunks))[:2])
     for k in range(len(scales)):
         assert x[s == k].tolist() == list(range(space.n))
@@ -414,17 +424,19 @@ def test_batched_certificates_raise(monkeypatch):
 
 
 def _record_exact_searches(monkeypatch):
-    """Wrap the sweep's exact per-ball calls: each logs its ball's greedy
-    count and the exact count it found.  The searches themselves are
+    """Wrap the sweep's exact (scale, ball) problems: each logs its ball's
+    greedy count and the exact count it found.  The searches themselves are
     counted."""
     log = {"cover": [], "pack": [], "_exact_cover": 0, "_exact_pack": 0}
+    table = metric_core._table
 
-    def recorded(kind, count):
-        def run(space, subset, alpha, mode):
-            found = count(space, subset, alpha, mode)
-            log[kind].append((count(space, subset, alpha, "greedy").count, found.count))
-            return found
-        return run
+    def recorded(space, k, alphas, mode, pack, balls=False):
+        for found in table(space, k, alphas, mode, pack, balls):
+            if mode == "exact":
+                greedy = next(table(space, k, alphas, "greedy", pack))
+                log["pack" if pack else "cover"].append(
+                    (int(np.count_nonzero(greedy >= 0)), int(np.count_nonzero(found >= 0))))
+            yield found
 
     def counted(name, search):
         def run(*args):
@@ -433,8 +445,7 @@ def _record_exact_searches(monkeypatch):
         return run
     for name in ("_exact_cover", "_exact_pack"):
         monkeypatch.setattr(metric_core, name, counted(name, getattr(metric_core, name)))
-    monkeypatch.setattr(metric_core, "covering_number", recorded("cover", covering_number))
-    monkeypatch.setattr(metric_core, "packing_number", recorded("pack", packing_number))
+    monkeypatch.setattr(metric_core, "_table", recorded)
     return log
 
 
