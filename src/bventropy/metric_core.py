@@ -498,39 +498,40 @@ def _table(space: FiniteMetricSpace, k: np.ndarray, alphas: np.ndarray, mode: st
 
     Covers at scale a take closed a-balls centered anywhere in the space;
     packings are strictly a-separated subsets of the target.  Each scale is
-    one problem, whose target is all of ``k``; with ``balls`` (greedy mode,
-    ``k`` every point) one per point x, whose target is the ball B(x, 2a).
-    The distance block (the space's rows for covers, ``k``'s for packings,
-    over ``k``'s columns) is gathered once, if ``k`` is not every point.
-    Its scales run in chunks of ``_SWEEP_ENTRIES`` (scales x rows x columns)
-    entries, or one scale, each checked by one call against ``block <= a``:
-    greedy covers and the packings of balls as one lockstep batch, exact
-    ones on one bitmask build.  Greedy packings of ``k`` are prefixes of one
-    farthest-first run to the smallest scale, along which the block is
-    reordered, so that their pairs are its leading corner.  Yields per chunk
-    a (scales x problems x width) array of point indices padded with -1;
-    an exact packing lists its points in ascending index.
+    one problem, whose target is all of ``k``; with ``balls`` one per point
+    x, whose target is the ball B(x, 2a), solved greedily over every point
+    (``ValueError`` otherwise).  The distance block (the space's rows for
+    covers, ``k``'s for packings, over ``k``'s columns) is gathered once, if
+    ``k`` is not every point.  Its scales run in chunks of ``_SWEEP_ENTRIES``
+    (scales x rows x columns) entries, or one scale, each checked by one
+    call against ``block <= a``: greedy covers and the packings of balls as
+    one lockstep batch, exact ones on one bitmask build.  Greedy packings of
+    ``k`` are prefixes of one farthest-first run to the smallest scale, on an
+    oracle that reads one row at a time; their block is the run's pairs
+    only, in run order, so that each prefix is a leading corner of it.
+    Yields per chunk a (scales x problems x width) array of point indices
+    padded with -1; an exact packing lists its points in ascending index.
     """
     n, m = space.n, k.size
     whole = m == n and bool((k == np.arange(n)).all())
-    block = space.dist if whole else space.dist[k[:, None] if pack else slice(None), k]
+    if balls and not (whole and mode == "greedy"):
+        raise ValueError("balls are solved greedily, over every point of the space")
     if prefixes := pack and not balls and mode == "greedy" and alphas.size:
-        # seeded at the lowest index of k
-        run, radii = farthest_first(lambda i, cols, reach: block[i, cols],
+        # seeded at the lowest index of k; only the run's pairs are gathered
+        run, radii = farthest_first(lambda i, cols, reach: space.dist[k[i]][k[cols]],
                                     int(k.argmin()), alphas.min())
-        run = np.array(run)
-        block, k, radii = block[run[:, None], run], k[run], -np.array(radii)
+        k, radii, pos = k[run], -np.array(radii[1:]), np.arange(len(run))
+        block = space.dist[k[:, None], k]
+    else:
+        block = space.dist if whole else space.dist[k[:, None] if pack else slice(None), k]
     per = max(1, _SWEEP_ENTRIES // block.size)
     for lo in range(0, alphas.size, per):
         a = alphas[lo:lo + per]
-        scale = a[:, None, None]
+        near = block <= (scale := a[:, None, None])
         if prefixes:
-            cuts = np.searchsorted(radii, -a)       # the picks with radii above a
-            pos = np.arange(cuts.max())
+            cuts = np.searchsorted(radii, -a) + 1   # the seed and the picks with radii above a
             found = np.where(pos < cuts[:, None, None], pos, -1)
-            near = block[:pos.size, :pos.size] <= scale
         else:
-            near = block <= scale
             targets = block <= 2.0 * scale if balls else np.ones((a.size, 1, m), bool)
         if mode == "exact":
             masks, r = _bitmasks(near.reshape(-1, m)), len(block)

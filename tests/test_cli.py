@@ -184,18 +184,18 @@ class TestMetric:
         assert [r.split(",")[2] for r in rows] == ["greedy", "greedy"]
 
 
-    @pytest.mark.parametrize("window", [("0.45", "0.05"), ("nan", "0.45"),
-                                        # no distance of line:17 or its half inside
-                                        ("1e-320", "1e-310")])
+    @pytest.mark.parametrize("window", [
+        ("0.45", "0.05", "invalid window"), ("nan", "0.45", "invalid window"),
+        # no distance of line:17 or its half inside
+        ("1e-320", "1e-310", "no probe scale inside window")])
     def test_bad_window_is_config_error(self, tmp_path, window, capsys):
-        # was exit 2, "invariant violated"; each was refused only after
-        # cover_pack.csv had been written
+        # was exit 2, "invariant violated"
+        *window, refused = window
         out = tmp_path / "o"
         assert run("metric", "--out", str(out), "--generate", "line:17:1.0",
                    "--window", *window) == 1
         err = capsys.readouterr().err.strip().splitlines()
-        refused = "no probe scale inside" if float(window[1]) < 1e-3 else "invalid"
-        assert len(err) == 1 and err[0].startswith(f"error: {refused} window")
+        assert len(err) == 1 and err[0].startswith(f"error: {refused}")
         assert os.listdir(out) == ["manifest.json"]
 
 
@@ -542,8 +542,7 @@ ENCODE_STEP = ("encode", "--input", "STEP", "--epsilon", "0.1", "--budget", "1.0
     ("scan", "--gamma", "1", "--eps-grid", "0.1,5e-324"),
     ("scan", "--gamma", "2", "--eps-grid", "0.1,1e-200"),
     ("scan", "--gamma", "2", "--eps-grid", "0.1,1e-310"),
-    # spaces of no point: "subset must be nonempty", and numpy's "need at
-    # least one array to stack" for the last
+    # spaces of no point
     ("metric", "--generate", "uniform:0:1.0:2"),
     ("metric", "--generate", "lattice:2:0:1.0"),
     ("metric", "--generate", "lattice:0:3:1.0"),

@@ -587,17 +587,26 @@ def test_exact_cover_at_twice_the_cap():
 def test_scale_sequence_matches_scalar_calls(mode, subset):
     space = metric_core.uniform_random(12, 1.0, 3, 2)
     d = space.pairwise_distances()
-    # repeated scales, a tie, a half distance, the diameter and beyond it
+    # repeated scales, a tie, a half distance, the diameter, beyond it and inf
     alphas = [float(d[3]), float(d[3]), float(d[20]) / 2, space.diameter, 2 * space.diameter,
-              float(d[0]), 0.3]
+              float(d[0]), 0.3, math.inf]
     for count in (covering_number, packing_number):
         each = [count(space, subset, a, mode) for a in alphas]
+        assert each[-1].count == 1
         assert count(space, subset, alphas, mode) == each
         assert count(space, subset, np.array(alphas), mode) == each
         assert count(space, subset, tuple(alphas[:1]), mode) == each[:1]
         assert count(space, subset, [], mode) == []
         assert [r.csv_row() for r in count(space, subset, alphas, mode)] == [
             r.csv_row() for r in each]
+
+
+def test_balls_are_solved_greedily_over_every_point():
+    space, scales = metric_core.line_points(5, 1.0), np.array([0.3])
+    for k, mode in ((np.arange(5), "exact"), (np.arange(4), "greedy")):
+        for pack in (False, True):
+            with pytest.raises(ValueError, match="greedily, over every point"):
+                next(metric_core._table(space, k, scales, mode, pack, balls=True))
 
 
 def test_scale_sequence_across_chunks():
