@@ -14,9 +14,7 @@ from .bv_codec import (
     decode,
     encode_bv,
     encode_bvpsi,
-    euclidean_budget_bits,
     net_from_token,
-    power_budget_bits,
     read_codeword,
     upper_bound_bits,
     write_codeword,
@@ -30,7 +28,6 @@ from .claw import (
     flux_gauge,
     make_grid,
     solution_entropy_bound,
-    solution_entropy_bound_pf,
     support_check,
     to_step_function,
 )

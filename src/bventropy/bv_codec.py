@@ -610,29 +610,12 @@ def bv_budget_bits(L: float, V: float, eps: float, d: int, H: float) -> float:
 
 
 def upper_bound_bits(
-    L: float, V: float, eps: float, gauge: Gauge, d: int, H_quarter: float
+    L: float, V: float, eps: float, gauge: Gauge, d: float, H_quarter: float
 ) -> float:
     """Bit budget for generalized-variation inputs:
-    [3d + log2(5e)] * 2V / psi(eps/2L) + H at scale eps/4L."""
+    [3d + log2(5e)] * 2V / psi(eps/2L) + H at scale eps/4L.
+
+    ``d`` may be any non-negative real.  For values bounded by M, the power
+    form is ``upper_bound_bits(L, V, eps, Gauge.power(g), d, d * log2(8LM/eps
+    + 1))``; the Euclidean form (values in R^d) passes d * log2(5) for d."""
     return (3.0 * d + LOG2_5E) * 2.0 * V / gauge.positive(eps / (2.0 * L)) + H_quarter
-
-
-def power_budget_bits(
-    gamma: float, L: float, V: float, eps: float, d: int, M: float
-) -> float:
-    """Power-gauge budget: 2^(g+1) [3d + log2(5e)] L^g V / eps^g + entropy term."""
-    return (
-        2.0 ** (gamma + 1.0) * (3.0 * d + LOG2_5E) * L ** gamma * V / eps ** gamma
-        + d * math.log2(8.0 * L * M / eps + 1.0)
-    )
-
-
-def euclidean_budget_bits(
-    L: float, M: float, V: float, eps: float, gauge: Gauge, d: int
-) -> float:
-    """Budget for d-dimensional bounded values:
-    [3 d log2(5) + log2(5e)] 2V / psi(eps/2L) + d log2(8LM/eps + 1)."""
-    return (
-        (3.0 * d * math.log2(5.0) + LOG2_5E) * 2.0 * V / gauge.positive(eps / (2.0 * L))
-        + d * math.log2(8.0 * L * M / eps + 1.0)
-    )

@@ -84,15 +84,11 @@ class Flux:
         return cls([0.0, 0.0, 0.0, 0.0, 0.25], M, "quartic")
 
     @classmethod
-    def polynomial(cls, coeffs, M: float = 1.0) -> "Flux":
-        return cls(coeffs, M, "poly")
-
-    @classmethod
     def parse(cls, token: str, M: float = 1.0) -> "Flux":
         if token in ("burgers", "cubic", "quartic"):
             return getattr(cls, token)(M)
         if token.startswith("poly:"):
-            return cls.polynomial([float(c) for c in token[5:].split(";")], M)
+            return cls([float(c) for c in token[5:].split(";")], M)
         raise ValueError(f"unknown flux token {token!r}")
 
     # evaluation ----------------------------------------------------------
@@ -518,35 +514,20 @@ def solution_entropy_bound(
     gauge: Gauge, gamma_lm: float,
 ) -> float:
     """Bit bound for the set of time-T solutions with data bounded by M and
-    supported in [-L, L], using the flux gauge and a variation constant."""
-    _require_bound_args(epsilon, T)
+    supported in [-L, L], using the flux gauge and a variation constant.
+
+    The power form with exponent p_f and constant gamma_lm_tilde is
+    ``solution_entropy_bound(epsilon, L, M, T, flux, Gauge.power(p_f),
+    gamma_lm_tilde)``."""
+    if not T > 0:
+        raise OutOfRange(f"the entropy bounds need T > 0, got T = {T}")
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
     ell = L + T * flux.fprime_max
     head = math.log2(16.0 * M * ell / epsilon + 1.0)
     tail = 2.0 * LOG_TERM * gamma_lm * (1.0 + 1.0 / T) / gauge.positive(
         epsilon / (4.0 * L + 4.0 * T * flux.fprime_max))
     return head + tail
-
-
-def solution_entropy_bound_pf(
-    epsilon: float, L: float, M: float, T: float, flux: Flux,
-    p_f: int, gamma_lm_tilde: float,
-) -> float:
-    """Power-law form of the solution-set bound with exponent p_f."""
-    _require_bound_args(epsilon, T)
-    ell = L + T * flux.fprime_max
-    big_gamma = (
-        2.0 ** (2.0 * p_f + 1.0) * LOG_TERM * gamma_lm_tilde
-        * ell ** p_f * (1.0 + 1.0 / T)
-    )
-    return big_gamma / epsilon ** p_f + math.log2(16.0 * ell * M / epsilon + 1.0)
-
-
-def _require_bound_args(epsilon: float, T: float) -> None:
-    # both bounds carry the factor 1 + 1/T of the solution's variation
-    if not T > 0:
-        raise OutOfRange(f"the entropy bounds need T > 0, got T = {T}")
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
 
 
 # ---------------------------------------------------------------------------

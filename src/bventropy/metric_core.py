@@ -144,6 +144,8 @@ def from_points(points, norm: float = 2.0) -> FiniteMetricSpace:
         raise ValueError("point coordinates must be finite")
     if pts.ndim == 1:
         pts = pts[:, None]
+    if pts.shape[1] == 0:
+        raise ValueError("points have no coordinates")
     with np.errstate(over="ignore", under="ignore"):
         diff = pts[:, None, :] - pts[None, :, :]
         if norm == np.inf:

@@ -400,23 +400,10 @@ def _check_cross_centers(fam: WitnessFamily, blocks) -> None:
 def lower_bound_bits(
     epsilon: float, L: float, V: float, gauge: Gauge, p: float, K_term: float = 0.0
 ) -> float:
-    """Entropy lower bound p V / (2 log2(7) psi(256 eps / L)) + K_term."""
+    """Entropy lower bound p V / (2 log2(7) psi(256 eps / L)) + K_term.
+
+    The power form, with its constant 2^-(8 gamma + 1), is ``lower_bound_bits(
+    eps, L, V, Gauge.power(gamma), p, p * log(max(diam L / (516 eps), 1), 7))``."""
     if p <= 0:
         return K_term
     return p * V / (2.0 * LOG2_7 * gauge.positive(256.0 * epsilon / L)) + K_term
-
-
-def lower_bound_bits_power(
-    gamma: float,
-    epsilon: float,
-    L: float,
-    V: float,
-    p: float,
-    diam: float,
-) -> float:
-    """Power-gauge lower bound with the explicit constant 2^-(8 gamma + 1)."""
-    if p <= 0:
-        return 0.0
-    lead = p / (2.0 ** (8.0 * gamma + 1.0) * LOG2_7) * L ** gamma * V / epsilon ** gamma
-    tail = p * math.log(max(diam * L / (516.0 * epsilon), 1.0), 7.0)
-    return lead + tail

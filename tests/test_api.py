@@ -10,12 +10,11 @@ PUBLIC = [
     "affine_gap", "ball_count_bounds", "block_grid_ensemble", "build_family",
     "bv_budget_bits", "calibrate_gamma", "covering_number", "decode", "degeneracy",
     "dimension_report", "empirical_counts", "encode_bv", "encode_bvpsi", "entropy_scan",
-    "euclidean_budget_bits", "evolve", "family_floor", "fit_exponent", "flux_gauge",
-    "from_points", "from_witness_family", "gauge_check", "global_family", "l1_distance",
-    "lattice", "line_points", "lower_bound_bits", "make_grid", "net_from_token",
-    "packing_number", "power_budget_bits", "probe_scales", "random_bv_ensemble",
-    "random_bvpsi_ensemble", "read_codeword", "read_matrix_csv", "read_step",
-    "right_continuous", "solution_entropy_bound", "solution_entropy_bound_pf",
+    "evolve", "family_floor", "fit_exponent", "flux_gauge", "from_points",
+    "from_witness_family", "gauge_check", "global_family", "l1_distance", "lattice",
+    "line_points", "lower_bound_bits", "make_grid", "net_from_token", "packing_number",
+    "probe_scales", "random_bv_ensemble", "random_bvpsi_ensemble", "read_codeword",
+    "read_matrix_csv", "read_step", "right_continuous", "solution_entropy_bound",
     "support_check", "to_step_function", "tv", "tv_psi", "uniform_random",
     "upper_bound_bits", "validate_metric", "verify_packing", "write_codeword",
     "write_step",

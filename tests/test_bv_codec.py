@@ -21,9 +21,7 @@ from bventropy.bv_codec import (
     decode,
     encode_bv,
     encode_bvpsi,
-    euclidean_budget_bits,
     net_from_token,
-    power_budget_bits,
     quantize_positions,
     read_codeword,
     upper_bound_bits,
@@ -694,7 +692,8 @@ class TestBudgetEvaluators:
         assert v == pytest.approx((3 + LOG2_5E) * 2 / 0.25 + 1)
 
     def test_m2_formula(self):
-        v = power_budget_bits(1.0, 1.0, 1.0, 0.5, 1, 1.0)
+        # the power form: gamma = 1, L = V = M = 1, eps = 0.5, d = 1
+        v = upper_bound_bits(1.0, 1.0, 0.5, Gauge.power(1.0), 1, math.log2(8 / 0.5 + 1))
         assert v == pytest.approx(4 * (3 + LOG2_5E) * 2 + math.log2(17))
 
     def test_vanishing_variation_limit(self):
@@ -702,6 +701,8 @@ class TestBudgetEvaluators:
         assert small == pytest.approx(1.0, abs=1e-9)
 
     def test_m3_formula(self):
-        v = euclidean_budget_bits(1.0, 1.0, 1.0, 0.5, Gauge.identity(), 2)
+        # the Euclidean form: values in R^2, L = V = M = 1, eps = 0.5
+        v = upper_bound_bits(1.0, 1.0, 0.5, Gauge.identity(), 2 * math.log2(5),
+                             2 * math.log2(8 / 0.5 + 1))
         expect = (6 * math.log2(5) + LOG2_5E) * 2 / 0.25 + 2 * math.log2(17)
         assert v == pytest.approx(expect)

@@ -18,7 +18,6 @@ from bventropy.claw import (
     flux_gauge,
     make_grid,
     solution_entropy_bound,
-    solution_entropy_bound_pf,
     support_check,
     to_step_function,
 )
@@ -105,7 +104,7 @@ class TestFlux:
 
     def test_wgn(self):
         assert Flux.burgers().is_wgn()
-        assert not Flux.polynomial([0.0, 1.0]).is_wgn()
+        assert not Flux([0.0, 1.0], 1.0).is_wgn()
 
     def test_parse(self):
         assert Flux.parse("cubic", 2.0).name == "cubic"
@@ -298,7 +297,7 @@ class TestSupportCheck:
 
 class TestAffineGap:
     def test_affine_flux_zero(self):
-        f = Flux.polynomial([0.2, 0.7], 1.0)
+        f = Flux([0.2, 0.7], 1.0)
         assert affine_gap(f, 1.0, 0.5) <= 1e-12
 
     def test_burgers_quadratic(self):
@@ -425,7 +424,7 @@ class TestFluxGauge:
             assert float(fg.gauge(xv)) == pytest.approx(xv ** 3 / 64, rel=0.05)
 
     def test_affine_degenerate(self):
-        f = Flux.polynomial([0.0, 1.0], 1.0)
+        f = Flux([0.0, 1.0], 1.0)
         with pytest.raises(GaugeDegenerate):
             flux_gauge(f, 1.0, np.linspace(0.05, 1.0, 10))
 
@@ -457,7 +456,7 @@ class TestDegeneracy:
 
     def test_affine_infinite(self):
         with pytest.raises(InfiniteDegeneracy):
-            degeneracy(Flux.polynomial([0.0, 1.0], 1.0))
+            degeneracy(Flux([0.0, 1.0], 1.0))
 
 
 class TestEntropyBounds:
@@ -479,14 +478,19 @@ class TestEntropyBounds:
         with pytest.raises(OutOfRange):
             solution_entropy_bound(0.3, 1.0, 1.0, 0.0, f, fg.gauge, 1.0)
         with pytest.raises(OutOfRange):
-            solution_entropy_bound_pf(0.1, 1.0, 1.0, 0.0, Flux.cubic(1.0), 2, 1.0)
+            solution_entropy_bound(0.1, 1.0, 1.0, 0.0, Flux.cubic(1.0), Gauge.power(2), 1.0)
 
     def test_pf_variant_scaling(self):
         f = Flux.cubic(1.0)
-        v1 = solution_entropy_bound_pf(0.1, 1.0, 1.0, 1.0, f, 2, 1.0)
-        v2 = solution_entropy_bound_pf(0.05, 1.0, 1.0, 1.0, f, 2, 1.0)
+        # the power form with p_f = 2: the gauge s^2 and gamma_lm_tilde = 1
+        v1 = solution_entropy_bound(0.1, 1.0, 1.0, 1.0, f, Gauge.power(2), 1.0)
+        v2 = solution_entropy_bound(0.05, 1.0, 1.0, 1.0, f, Gauge.power(2), 1.0)
         # halving eps roughly quadruples the leading term
         assert v2 / v1 == pytest.approx(4.0, rel=0.1)
+        # ell = L + T max|f'| = 2, so the bound is
+        # 2^5 LOG_TERM ell^2 (1 + 1/T) / eps^2 + log2(16 ell M / eps + 1)
+        log_term = 3 * math.log2(5) + math.log2(5 * math.e)
+        assert v1 == pytest.approx(25600 * log_term + math.log2(321), rel=1e-12)
 
 
 class TestSnapshots:

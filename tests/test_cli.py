@@ -546,6 +546,7 @@ ENCODE_STEP = ("encode", "--input", "STEP", "--epsilon", "0.1", "--budget", "1.0
     ("metric", "--generate", "uniform:0:1.0:2"),
     ("metric", "--generate", "lattice:2:0:1.0"),
     ("metric", "--generate", "lattice:0:3:1.0"),
+    ("metric", "--generate", "uniform:4:1.0:0"),
 ])
 def test_bad_number_is_one_error_line(tmp_path, step_file, argv):
     argv = [step_file if a == "STEP" else a for a in argv]
@@ -559,6 +560,8 @@ def test_bad_number_is_one_error_line(tmp_path, step_file, argv):
         assert f"scan epsilon {eps!r} is too small" in lines[0], proc.stderr
     if argv[-1] in ("uniform:0:1.0:2", "lattice:2:0:1.0", "lattice:0:3:1.0"):
         assert lines == [f"error: bad generator token {argv[-1]!r}: need at least one point"]
+    if argv[-1] == "uniform:4:1.0:0":
+        assert lines == [f"error: bad generator token {argv[-1]!r}: points have no coordinates"]
 
 
 def test_zero_budget_witness_is_a_family_of_constants(tmp_path):

@@ -19,7 +19,6 @@ from bventropy.witness_lab import (
     family_floor,
     global_family,
     lower_bound_bits,
-    lower_bound_bits_power,
     _greedy_extract,
     separation_factor,
     verify_packing,
@@ -346,7 +345,9 @@ class TestLowerBoundBits:
         assert lower_bound_bits(0.1, 1.0, 1.0, Gauge.identity(), 0.0, 2.5) == 2.5
 
     def test_power_variant(self):
-        v = lower_bound_bits_power(2.0, 0.1, 1.0, 1.0, 1.0, diam=1.0)
+        # gamma = 2, eps = 0.1, L = V = p = 1 and diameter 1
+        v = lower_bound_bits(0.1, 1.0, 1.0, Gauge.power(2.0), 1.0,
+                             1.0 * math.log(max(1.0 * 1.0 / (516 * 0.1), 1.0), 7))
         lead = 1.0 / (2 ** 17 * LOG2_7) / 0.01
         assert v == pytest.approx(lead)   # log term vanishes at this diameter
 
