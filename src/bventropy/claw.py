@@ -44,6 +44,7 @@ LOG_TERM = 3.0 * math.log2(5.0) + math.log2(5.0 * math.e)   # 3 log2 5 + log2(5e
 MAX_STEPS = 10 ** 6
 
 CFL = 0.45      # Courant number of :func:`evolve` and of the calibration runs
+CALIBRATION_SAMPLES = 6     # initial data evolved by :func:`calibrate_gamma`
 
 
 class Flux:
@@ -551,18 +552,16 @@ class CalibrationReport:
 
 def calibrate_gamma(
     flux: Flux, L: float, M: float, T: float, gauge: Gauge,
-    n_samples: int = 6, dx: float = 0.01, seed: int = 0,
+    dx: float = 0.01, seed: int = 0,
 ) -> CalibrationReport:
-    """Measure the variation constant: evolve a seeded ensemble of initial
-    data, stepped as one array, and report max tv_psi(u(T)) / (1 + 1/T) over
-    whole snapshots."""
+    """Measure the variation constant: evolve a seeded ensemble of
+    ``CALIBRATION_SAMPLES`` initial data, stepped as one array, and report
+    max tv_psi(u(T)) / (1 + 1/T) over whole snapshots."""
     if not T > 0:
         raise InvalidGrid(f"calibration needs T > 0, got T = {T}")
-    if n_samples < 1:
-        raise ValueError(f"calibration needs at least one sample, got {n_samples}")
     rng = np.random.default_rng(seed)
     x = make_grid(L, M, T, flux, dx)
-    rows = np.reshape([_random_data(rng, x, L, M) for _ in range(n_samples)], (-1, x.size))
+    rows = np.array([_random_data(rng, x, L, M) for _ in range(CALIBRATION_SAMPLES)])
     measured = [tv_psi(to_step_function(sol), gauge)
                 for sol in _evolve_rows(rows, flux, T, dx, CFL, x)]
     gamma = max(measured) / (1.0 + 1.0 / T)

@@ -231,14 +231,8 @@ def cmd_claw(args) -> None:
     sol = evolve(u0, flux, args.T, args.dx, cfl=args.cfl, x=x)
     if not support_check(sol, args.L, args.M, args.T, flux):
         raise OutOfRange("support grew beyond the certified light cone")
-    rows = "\n".join(f"{xi},{ui}" for xi, ui in zip(sol.x, sol.cells))
-    _atomic(os.path.join(args.out, "solution.csv"), "x,u\n" + rows + "\n")
-
+    # everything that can refuse the run comes before the first write
     fg = flux_gauge(flux, args.M, widths)
-    tab = "\n".join(f"{h},{d},{p}" for h, d, p
-                    in zip(fg.h_grid, fg.d_table, fg.phi_table))
-    _atomic(os.path.join(args.out, "flux_gauge.csv"), "h,gap,phi\n" + tab + "\n")
-
     gamma = args.gamma_lm
     if args.calibrate:
         gamma = calibrate_gamma(flux, args.L, args.M, args.T, fg.gauge,
@@ -246,6 +240,12 @@ def cmd_claw(args) -> None:
     bound = solution_entropy_bound(args.epsilon, args.L, args.M, args.T,
                                    flux, fg.gauge, gamma)
     snap = to_step_function(sol)
+
+    rows = "\n".join(f"{xi},{ui}" for xi, ui in zip(sol.x, sol.cells))
+    _atomic(os.path.join(args.out, "solution.csv"), "x,u\n" + rows + "\n")
+    tab = "\n".join(f"{h},{d},{p}" for h, d, p
+                    in zip(fg.h_grid, fg.d_table, fg.phi_table))
+    _atomic(os.path.join(args.out, "flux_gauge.csv"), "h,gap,phi\n" + tab + "\n")
     _atomic(
         os.path.join(args.out, "claw_report.csv"),
         "epsilon,gamma_lm,calibrated,bound_bits,snapshot_tv,mass\n"

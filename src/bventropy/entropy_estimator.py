@@ -13,10 +13,11 @@ once; step functions given one by one are laid out on the common refinement
 of their breakpoints, up to ``MATRIX_CAP``**2 entries, beyond which rows
 fall back to per-pair :func:`l1_distance`.  A scan makes one farthest-first
 traversal, to its smallest epsilon, and reads each epsilon's pack off the
-insertion radii; up to ``MATRIX_CAP`` members it runs on the member x member
-matrix, built once, which also gives each set-cover greedy, and a larger
-scan runs on rows of the live members, whose columns are gathered once per
-drop of dead members, not once per row.  A pick lowers only the distances of
+insertion radii.  Up to ``MATRIX_CAP`` members it runs on the member x member
+matrix, built once, whose space gives the greedy :func:`covering_number` and
+:func:`packing_number`, each cover and packing checked; a larger scan runs
+on rows of the live members, whose columns are gathered once per drop of
+dead members, not once per row.  A pick lowers only the distances of
 members closer to it than its radius.  On real values with a cell whose
 column never decreases in member order, such as a block grid's first block,
 those members lie in one run of the live ones, and the pick's row is
@@ -33,7 +34,7 @@ import numpy as np
 from .bv_codec import RealInterval, upper_bound_bits
 from .errors import DomainMismatch, EpsilonTooSmall, InsufficientRows, ScaleUnderflow
 from .gauge_variation import Gauge, StepFunction, _step_arrays, l1_distance, l1_row_oracle, tv_psi
-from .metric_core import farthest_first, greedy_set_cover
+from .metric_core import FiniteMetricSpace, covering_number, farthest_first, packing_number
 from .witness_lab import WitnessFamily, lower_bound_bits
 
 MATRIX_CAP = 2000     # full pairwise distance matrix allowed up to this size
@@ -152,16 +153,18 @@ def _checked_grid(eps_grid) -> np.ndarray:
 
 
 def _counts(ens: FunctionEnsemble, grid: np.ndarray) -> list[tuple[int, int]]:
-    """(cover, pack) at each epsilon of a checked grid; above ``MATRIX_CAP``
-    the farthest-first set, also a closed cover, is both."""
-    dist = ens.distance_matrix() if len(ens) <= MATRIX_CAP else None
-    _, radii = farthest_first(ens._rows() if dist is None
-                              else lambda i, cols, reach: dist[i, cols], 0, float(grid[-1]))
+    """(cover, pack) at each epsilon of a checked grid.  Up to ``MATRIX_CAP``
+    they are the checked greedy counts of the distance matrix's space; above
+    it the farthest-first set, also a closed cover, is both."""
+    if len(ens) <= MATRIX_CAP:
+        space = FiniteMetricSpace(dist=ens.distance_matrix())
+        covers = covering_number(space, None, grid, mode="greedy")
+        packs = packing_number(space, None, grid, mode="greedy")
+        return [(c.count, p.count) for c, p in zip(covers, packs)]
+    _, radii = farthest_first(ens._rows(), 0, float(grid[-1]))
     radii = np.array(radii)
     packs = [int(np.count_nonzero(radii > eps)) for eps in grid]
-    if dist is None:
-        return [(p, p) for p in packs]
-    return [(len(greedy_set_cover(dist <= eps)), p) for eps, p in zip(grid, packs)]
+    return [(p, p) for p in packs]
 
 
 def empirical_counts(ens: FunctionEnsemble, epsilon: float) -> tuple[int, int]:

@@ -133,10 +133,10 @@ def validate_metric(matrix) -> FiniteMetricSpace:
     return FiniteMetricSpace(dist=m)
 
 
-def from_points(points, norm: float = 2.0) -> FiniteMetricSpace:
-    """Metric space of explicit, finite coordinates under a p-norm.  Raises
-    ``ValueError`` where the formula overflows to an infinite distance or
-    underflows to 0 between distinct points."""
+def from_points(points) -> FiniteMetricSpace:
+    """Metric space of explicit, finite coordinates under the Euclidean norm.
+    Raises ``ValueError`` where the formula overflows to an infinite distance
+    or underflows to 0 between distinct points."""
     pts = np.asarray(points, dtype=float)
     if len(pts) == 0:
         raise ValueError("need at least one point")
@@ -148,14 +148,11 @@ def from_points(points, norm: float = 2.0) -> FiniteMetricSpace:
         raise ValueError("points have no coordinates")
     with np.errstate(over="ignore", under="ignore"):
         diff = pts[:, None, :] - pts[None, :, :]
-        if norm == np.inf:
-            d = np.abs(diff).max(axis=2)
-        else:
-            d = (np.abs(diff) ** norm).sum(axis=2) ** (1.0 / norm)
+        d = np.sqrt(np.square(diff).sum(axis=2))
     if np.isinf(d).any():
-        raise ValueError(f"point distances overflow the {norm:g}-norm formula")
+        raise ValueError("point distances overflow the 2-norm formula")
     if np.any(diff[d == 0]):
-        raise ValueError(f"distinct points are at distance 0: their {norm:g}-norm underflows")
+        raise ValueError("distinct points are at distance 0: their 2-norm underflows")
     d.setflags(write=False)
     return FiniteMetricSpace(dist=d)
 

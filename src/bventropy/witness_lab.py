@@ -36,13 +36,14 @@ from .metric_core import FiniteMetricSpace, farthest_first, packing_number
 
 LOG2_7 = math.log2(7.0)
 
-ENUMERATION_CAP = 10 ** 6
 DEFAULT_SAMPLE_SIZE = 4096
 
 #: Largest m N1 (m + N1), m members on N1 blocks, bounding the O(m N1^2) budget
 #: check and the O(m^2 N1) pair loop and extraction that verify_packing falls
 #: back to.  On 2 vCPUs, 14,641 x 4 (8.6e8) build in 0.02 s and verify in 0.02 s;
-#: their pair loop alone takes 8.5 s.
+#: their pair loop alone takes 8.5 s.  It also picks listing over sampling: a
+#: family lists every word while they fit it, or number at most
+#: ``DEFAULT_SAMPLE_SIZE``, and samples that many distinct words otherwise.
 MAX_FAMILY_WORK = 10 ** 9
 
 
@@ -138,17 +139,17 @@ def _block_count(V: float, gauge: Gauge, h: float) -> int:
     return int(math.floor(blocks)) + 1
 
 
-def _member_matrix(ah: np.ndarray, N1: int, cap: int, sample: int, seed: int):
+def _member_matrix(ah: np.ndarray, N1: int, seed: int):
     total = ah.size ** N1
     # Sampling draws distinct rows, so it needs more rows than it draws.
-    enumerate_all = total <= max(cap, sample)
-    _check_work(total if enumerate_all else sample, N1)
+    enumerate_all = total <= DEFAULT_SAMPLE_SIZE or total * N1 * (total + N1) <= MAX_FAMILY_WORK
+    _check_work(total if enumerate_all else DEFAULT_SAMPLE_SIZE, N1)
     if enumerate_all:
         combos = np.array(list(itertools.product(range(ah.size), repeat=N1)), dtype=int)
         return ah[combos], "enumerated"
     rng = np.random.default_rng(seed)
     rows: dict = {}                 # distinct draws in the order first drawn
-    while len(rows) < sample:
+    while len(rows) < DEFAULT_SAMPLE_SIZE:
         rows[tuple(int(v) for v in rng.integers(0, ah.size, size=N1))] = None
     return ah[np.array(list(rows), dtype=int).reshape(-1, N1)], "sampled"
 
@@ -162,8 +163,6 @@ def build_family(
     center: int,
     p_tilde: float,
     seed: int = 0,
-    cap: int = ENUMERATION_CAP,
-    sample_size: int = DEFAULT_SAMPLE_SIZE,
 ) -> WitnessFamily:
     """Family around one value-space center.
 
@@ -179,7 +178,7 @@ def build_family(
             f"(N1-1) psi(2h) = {(N1 - 1) * float(gauge(2.0 * h))} exceeds V = {V}"
         )
     packing = ball_packing(space, center, h, p_tilde)
-    members, mode = _member_matrix(packing.points, N1, cap, sample_size, seed)
+    members, mode = _member_matrix(packing.points, N1, seed)
     fam = WitnessFamily(
         L=L, V=V, epsilon=epsilon, h=h, N1=N1, gauge=gauge, space=space,
         A_h=packing.points, members=members, p_tilde=p_tilde, mode=mode,
@@ -335,8 +334,6 @@ def global_family(
     space: FiniteMetricSpace,
     p_tilde: float,
     seed: int = 0,
-    cap: int = ENUMERATION_CAP,
-    sample_size: int = DEFAULT_SAMPLE_SIZE,
 ) -> WitnessFamily:
     """Union of per-center families over a packing of the whole value space.
 
@@ -364,17 +361,10 @@ def global_family(
     blocks = []
     for c in centers:
         try:
-            packing = ball_packing(space, int(c), h, p_tilde)
+            alphabet = ball_packing(space, int(c), h, p_tilde).points
         except DegenerateBall:
-            packing = BallPacking(
-                points=np.array([int(c)]), center=int(c), h=h,
-                separation=separation_factor(p_tilde) * h, scale_deficiency=True,
-            )
-        part, _ = _member_matrix(
-            packing.points, N1, max(cap // max(len(centers), 1), 1),
-            sample_size, seed + int(c),
-        )
-        blocks.append(part)
+            alphabet = np.array([int(c)])
+        blocks.append(_member_matrix(alphabet, N1, seed + int(c))[0])
     members = np.concatenate(blocks, axis=0)
     _check_work(members.shape[0], N1)
     fam = WitnessFamily(

@@ -656,6 +656,13 @@ class TestEncodeBvPsi:
         with pytest.raises(EpsilonTooLarge):
             encode_bvpsi(f, Gauge.power(2), 1.0, 1.5)
 
+    def test_variation_above_budget_is_refused(self):
+        # one jump of 1 has psi-variation 1 under psi = s^2
+        f = StepFunction(np.array([0, 0.5, 1.0]), np.array([0.0, 1.0]))
+        with pytest.raises(BudgetViolation,
+                           match=r"^generalized variation 1\.0 exceeds budget 0\.5$"):
+            encode_bvpsi(f, Gauge.power(2), 0.5, 0.01)
+
     def test_round_trip(self, rng):
         g = Gauge.power(2)
         interval = RealInterval(0.0, 1.0)

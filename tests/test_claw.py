@@ -504,10 +504,11 @@ class TestSnapshots:
         assert snap.breakpoints[0] == 0.0
         assert snap.L == pytest.approx(sol.x[-1] - sol.x[0] + dx)
 
-    def test_calibrate(self):
+    def test_calibrate(self, monkeypatch):
+        monkeypatch.setattr(claw, "CALIBRATION_SAMPLES", 3)
         f = Flux.burgers(1.0)
         fg = flux_gauge(f, 1.0, np.linspace(0.05, 1.0, 12))
-        rep = calibrate_gamma(f, 1.0, 1.0, 1.0, fg.gauge, n_samples=3, dx=0.02)
+        rep = calibrate_gamma(f, 1.0, 1.0, 1.0, fg.gauge, dx=0.02)
         assert rep.gamma_lm > 0
         assert len(rep.samples) == 3
 
@@ -518,25 +519,16 @@ class TestSnapshots:
             raise AssertionError("a sample was evolved before T was checked")
         monkeypatch.setattr(claw, "_evolve_rows", refuse)
         with pytest.raises(InvalidGrid, match="needs T > 0"):
-            calibrate_gamma(Flux.burgers(1.0), 1.0, 1.0, T, Gauge.identity(),
-                            n_samples=1, dx=0.02)
-
-    def test_calibrate_rejects_no_samples(self, monkeypatch):
-        # no sample gave max() of nothing, after stepping an empty array
-        def refuse(*args, **kwargs):
-            raise AssertionError("an empty ensemble was evolved")
-        monkeypatch.setattr(claw, "_evolve_rows", refuse)
-        with pytest.raises(ValueError, match="at least one sample"):
-            calibrate_gamma(Flux.burgers(1.0), 1.0, 1.0, 1.0, Gauge.identity(),
-                            n_samples=0, dx=0.02)
+            calibrate_gamma(Flux.burgers(1.0), 1.0, 1.0, T, Gauge.identity(), dx=0.02)
 
     @pytest.mark.parametrize("name", ["burgers", "cubic", "quartic"])
-    def test_calibrate_samples_are_evolve_and_tv_psi(self, name):
+    def test_calibrate_samples_are_evolve_and_tv_psi(self, monkeypatch, name):
         # the samples are stepped as one array; each must be the sample's own
         # evolve measured whole
+        monkeypatch.setattr(claw, "CALIBRATION_SAMPLES", 4)
         f = Flux.parse(name, 0.5)
         gauge = flux_gauge(f, 0.5, np.linspace(0.05, 1.0, 10)).gauge
-        rep = calibrate_gamma(f, 1.0, 0.5, 1.0, gauge, n_samples=4, dx=0.01, seed=3)
+        rep = calibrate_gamma(f, 1.0, 0.5, 1.0, gauge, dx=0.01, seed=3)
         rng = np.random.default_rng(3)
         x = make_grid(1.0, 0.5, 1.0, f, 0.01)
         want = tuple(tv_psi(to_step_function(evolve(_random_data(rng, x, 1.0, 0.5),
@@ -562,11 +554,11 @@ class TestNoThinning:
         piece = np.searchsorted(snap.breakpoints, centres, side="right") - 1
         assert np.array_equal(snap.values[piece], sol.cells)
 
-    def test_calibrate_gamma_samples_whole_snapshots(self):
+    def test_calibrate_gamma_samples_whole_snapshots(self, monkeypatch):
+        monkeypatch.setattr(claw, "CALIBRATION_SAMPLES", 1)
         f = Flux.burgers(self.M)
         fg = flux_gauge(f, self.M, np.linspace(0.05, 2.0 * self.M, 10))
-        rep = calibrate_gamma(f, self.L, self.M, self.T, fg.gauge, n_samples=1,
-                              dx=self.DX, seed=0)
+        rep = calibrate_gamma(f, self.L, self.M, self.T, fg.gauge, dx=self.DX, seed=0)
         rng = np.random.default_rng(0)
         x = make_grid(self.L, self.M, self.T, f, self.DX)
         assert x.size > 4096

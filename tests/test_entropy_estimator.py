@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bventropy import entropy_estimator, gauge_variation
+from bventropy import gauge_variation, metric_core
 from bventropy.entropy_estimator import (
     MATRIX_CAP,
     ClassParams,
@@ -21,7 +21,14 @@ from bventropy.entropy_estimator import (
     random_bv_ensemble,
     random_bvpsi_ensemble,
 )
-from bventropy.errors import DomainMismatch, EpsilonTooSmall, InsufficientRows, ScaleUnderflow
+from bventropy.errors import (
+    DomainMismatch,
+    EpsilonTooSmall,
+    InsufficientRows,
+    NetIncomplete,
+    ScaleUnderflow,
+    SeparationFailure,
+)
 from bventropy.gauge_variation import Gauge, StepFunction, l1_distance, tv, tv_psi
 from bventropy.metric_core import line_points, packing_number
 from bventropy.witness_lab import build_family
@@ -86,6 +93,20 @@ class TestEmpiricalCounts:
         cover, pack = empirical_counts(two_constants(1.0), 1.0)
         assert cover == 1 and pack == 1
 
+    def test_certificates_raise(self, monkeypatch):
+        # the matrix path's covers and packings are checked like metric's:
+        # broken kernels, one center for every problem and a run that puts
+        # constant 1 at 2.0 from constant 0, where it lies at 1.0
+        monkeypatch.setattr(metric_core, "greedy_set_cover",
+                            lambda covers, targets: np.zeros((*targets.shape[:-1], 1), int))
+        with pytest.raises(NetIncomplete):
+            empirical_counts(two_constants(1.0), 0.5)
+        monkeypatch.undo()
+        monkeypatch.setattr(metric_core, "farthest_first",
+                            lambda rows, start, sep: ([0, 1], [math.inf, 2.0]))
+        with pytest.raises(SeparationFailure):
+            empirical_counts(two_constants(1.0), 1.5)
+
 
 class TestScan:
     def test_singleton(self):
@@ -127,7 +148,7 @@ class TestScan:
         # the gamma-2 scan ran its whole traversal, then raised OverflowError
         def refuse(*args):
             raise AssertionError("traversal started")
-        monkeypatch.setattr(entropy_estimator, "farthest_first", refuse)
+        monkeypatch.setattr(FunctionEnsemble, "_rows", refuse)
         params = ClassParams(L=1.0, V=1.0, gauge=Gauge.power(2))
         with pytest.raises(EpsilonTooSmall, match="overflows a float"):
             entropy_scan(block_grid_ensemble(2), [0.1, 0.05, 1e-310], params)
@@ -139,7 +160,7 @@ class TestScan:
         # message named an internal quantity, not the scan's epsilon
         def refuse(*args):
             raise AssertionError("traversal started")
-        monkeypatch.setattr(entropy_estimator, "farthest_first", refuse)
+        monkeypatch.setattr(FunctionEnsemble, "_rows", refuse)
         params = ClassParams(L=1.0, V=1.0, gauge=Gauge.power(gamma) if gamma > 1
                              else Gauge.identity())
         with pytest.raises(EpsilonTooSmall, match=f"^scan epsilon {eps!r} is too small"):
@@ -151,7 +172,7 @@ class TestScan:
         # gauge, before the traversal
         def refuse(*args):
             raise AssertionError("traversal started")
-        monkeypatch.setattr(entropy_estimator, "farthest_first", refuse)
+        monkeypatch.setattr(FunctionEnsemble, "_rows", refuse)
         params = ClassParams(L=1.0, V=1.0, gauge=Gauge.power(1e300))
         with pytest.raises(ScaleUnderflow, match=r"^gauge pow:1e\+300 gives psi\(0\.5\)"):
             entropy_scan(block_grid_ensemble(1), [0.1, 0.05], params)
@@ -206,6 +227,10 @@ class TestGenerators:
         ens = random_bvpsi_ensemble(30, 1.0, 1.0, g, seed=5)
         for f in ens.members:
             assert tv_psi(f, g) <= 1.0 + 1e-9
+        # psi = 10 s: 18 of the first 20 draws exceed V and are rescaled
+        g = Gauge.tabulated([0, 1], [0, 10])
+        for f in random_bvpsi_ensemble(20, 1.0, 1.0, g, seed=1).members:
+            assert tv_psi(f, g) <= 1.0
 
     def test_infinite_epsilon_is_refused(self):
         # `scan --eps-grid inf,0.1` exited 1 with "math domain error"

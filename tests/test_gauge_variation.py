@@ -367,13 +367,13 @@ def _real_and_indexed(rng, x, space):
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(seed=st.integers(0, 2 ** 16), m=st.integers(1, 6))
 def test_real_values_and_point_indices_agree(seed, m):
-    # Under the sup norm the distance of points i and j of a one-dimensional
-    # cloud is |x_i - x_j|, the same float as for the real values x_i and x_j,
-    # so each quantity must agree bit for bit; values on the tenth grid make
-    # ties and zero jumps common.
+    # The Euclidean distance of points i and j of a one-dimensional cloud is
+    # sqrt((x_i - x_j)^2) = |x_i - x_j|, the same float as for the real values
+    # x_i and x_j, so each quantity must agree bit for bit; values on the
+    # tenth grid make ties and zero jumps common.
     rng = np.random.default_rng(seed)
     x = np.round(rng.uniform(-1.0, 1.0, size=int(rng.integers(1, 9))), 1)
-    space = from_points(x[:, None], norm=np.inf)
+    space = from_points(x[:, None])
     reals, points = zip(*(_real_and_indexed(rng, x, space) for _ in range(m)))
     identity = Gauge.identity()
     for f, g in zip(reals, points):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bventropy import metric_core, witness_lab
 from bventropy.entropy_estimator import from_witness_family
 from bventropy.errors import DegenerateBall, SeparationFailure
 from bventropy.gauge_variation import Gauge, l1_distance, l1_row, tv_psi
@@ -120,13 +121,23 @@ class TestBuildFamily:
         fam = build_family(1.0, 1.0, 0.001, g, space, 16, 1.0)
         assert fam.N1 == 1
 
-    def test_sampling_cap(self):
+    def test_sampling_cap(self, monkeypatch):
+        monkeypatch.setattr(witness_lab, "DEFAULT_SAMPLE_SIZE", 200)
         space = line_points(257, 1.0)
         fam = build_family(1.0, 4.0, 1 / 1024, Gauge.identity(), space, 128,
-                           1.0, seed=7, cap=1000, sample_size=200)
+                           1.0, seed=7)
         assert fam.mode == "sampled"
         assert fam.size == 200
         # sampled members are unique
+        assert len({tuple(r) for r in fam.members}) == fam.size
+
+    def test_words_past_the_work_bound_are_sampled(self):
+        # 201 values on 2 blocks are 40,401 words, too many to list within
+        # MAX_FAMILY_WORK, so the family samples 4,096 of them
+        fam = build_family(1.0, 1.0, 0.0005, Gauge.identity(), line_points(257, 1.0), 128,
+                           metric_core.LOG7_2)
+        assert fam.N1 == 2 and fam.A_h.size ** 2 == 40_401
+        assert fam.mode == "sampled" and fam.size == witness_lab.DEFAULT_SAMPLE_SIZE == 4096
         assert len({tuple(r) for r in fam.members}) == fam.size
 
 
@@ -201,10 +212,11 @@ class TestSampledVerify:
     failing pair in row order."""
 
     @pytest.fixture
-    def fam(self):
+    def fam(self, monkeypatch):
+        monkeypatch.setattr(witness_lab, "DEFAULT_SAMPLE_SIZE", 200)
         space = line_points(257, 1.0)
         return build_family(1.0, 4.0, 1 / 1024, Gauge.identity(), space, 128,
-                            1.0, seed=7, cap=1000, sample_size=200)
+                            1.0, seed=7)
 
     def test_exact_minimum_over_all_pairs(self, fam):
         # 200 members on 33 blocks: hardly two differ in one block only, so
@@ -321,19 +333,29 @@ class TestGlobalFamily:
         with pytest.raises(SeparationFailure, match=r"^pair \(0,1\):"):
             verify_packing(close)
 
-    def test_cross_center_separation(self):
+    def test_cross_center_separation(self, monkeypatch):
+        monkeypatch.setattr(witness_lab, "DEFAULT_SAMPLE_SIZE", 30)
         space = line_points(257, 1.0)
-        fam = global_family(1.0, 2.0, 1 / 512, Gauge.identity(), space, 1.0,
-                            cap=500, sample_size=30)
+        fam = global_family(1.0, 2.0, 1 / 512, Gauge.identity(), space, 1.0)
         assert fam.mode == "global"
         assert fam.size > 30      # more than one center contributed
 
-    def test_members_respect_budget(self):
+    def test_members_respect_budget(self, monkeypatch):
+        monkeypatch.setattr(witness_lab, "DEFAULT_SAMPLE_SIZE", 20)
         space = line_points(257, 1.0)
-        fam = global_family(1.0, 2.0, 1 / 512, Gauge.identity(), space, 1.0,
-                            cap=500, sample_size=20)
+        fam = global_family(1.0, 2.0, 1 / 512, Gauge.identity(), space, 1.0)
         for f in from_witness_family(fam).members[:50]:
             assert tv_psi(f, fam.gauge) <= fam.V + 1e-9
+
+    def test_isolated_center_contributes_its_constant(self):
+        # point 17 lies 99 away: its ball is itself, so its one-point
+        # alphabet gives the single member [17, 17]
+        space = from_points(np.r_[np.linspace(0, 1, 17), 100.0])
+        fam = global_family(1.0, 1.0, 1 / 256, Gauge.identity(), space, 1.0)
+        assert fam.N1 == 2 and fam.size == 82
+        assert [r.tolist() for r in fam.members if 17 in r] == [[17, 17]]
+        rep = verify_packing(fam)
+        assert rep.family_size == 82 and rep.min_distance > fam.target_separation
 
 
 class TestLowerBoundBits:
@@ -370,8 +392,9 @@ def test_member_matrix_sample_above_row_count_returns():
     # sampler drew forever.  The child's timeout bounds the wait.
     proc = run_python("-c", (
         "import numpy as np\n"
-        "from bventropy.witness_lab import _member_matrix\n"
-        "rows, mode = _member_matrix(np.arange(3), 4, cap=10, sample=100, seed=0)\n"
+        "from bventropy import witness_lab\n"
+        "witness_lab.DEFAULT_SAMPLE_SIZE = 100\n"
+        "rows, mode = witness_lab._member_matrix(np.arange(3), 4, seed=0)\n"
         "print(len({tuple(r) for r in rows.tolist()}), rows.shape[1], mode)\n"))
     assert proc.stdout.split() == ["81", "4", "enumerated"], proc.stderr
 
