@@ -42,8 +42,8 @@ DEFAULT_SAMPLE_SIZE = 4096
 #: check and the O(m^2 N1) pair loop and extraction that verify_packing falls
 #: back to.  On 2 vCPUs, 14,641 x 4 (8.6e8) build in 0.02 s and verify in 0.02 s;
 #: their pair loop alone takes 8.5 s.  It also picks listing over sampling: a
-#: family lists every word while they fit it, or number at most
-#: ``DEFAULT_SAMPLE_SIZE``, and samples that many distinct words otherwise.
+#: family lists every word while they fit it, and samples
+#: ``DEFAULT_SAMPLE_SIZE`` distinct words otherwise.
 MAX_FAMILY_WORK = 10 ** 9
 
 
@@ -141,8 +141,8 @@ def _block_count(V: float, gauge: Gauge, h: float) -> int:
 
 def _member_matrix(ah: np.ndarray, N1: int, seed: int):
     total = ah.size ** N1
-    # Sampling draws distinct rows, so it needs more rows than it draws.
-    enumerate_all = total <= DEFAULT_SAMPLE_SIZE or total * N1 * (total + N1) <= MAX_FAMILY_WORK
+    # Only more words than the bound lists are sampled: enough distinct rows.
+    enumerate_all = total * N1 * (total + N1) <= MAX_FAMILY_WORK
     _check_work(total if enumerate_all else DEFAULT_SAMPLE_SIZE, N1)
     if enumerate_all:
         combos = np.array(list(itertools.product(range(ah.size), repeat=N1)), dtype=int)
