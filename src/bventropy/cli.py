@@ -1,9 +1,11 @@
 """Command-line front end: every pipeline as a subcommand with CSV outputs.
 
 Each run writes a ``manifest.json`` echoing all parameters, so any output
-directory can be reproduced from its manifest alone.  Outputs are written
-atomically (temp file + rename), with the mode a plain ``open`` would give
-under the current umask.  Exit codes: 0 success, 1 usage,
+directory can be reproduced from its manifest alone.  A subcommand writes no
+file: it returns its files by name, and ``main`` writes them after the
+subcommand returns, so a refused run leaves only the manifest.  Outputs are
+written atomically (temp file + rename), with the mode a plain ``open`` would
+give under the current umask.  Exit codes: 0 success, 1 usage,
 configuration or out-of-range input error (an input too large for memory
 included), 2 violated invariant.
 """
@@ -128,7 +130,7 @@ def _check_numbers(args, positive=(), nonnegative=()) -> None:
 # --- subcommands -----------------------------------------------------------
 
 
-def cmd_metric(args) -> None:
+def cmd_metric(args) -> dict:
     space = _load_space(args)
     mode = "exact" if space.n <= metric_core.DEFAULT_EXACT_CAP else "greedy"
     lines = ["alpha,count,mode,witness_indices"]
@@ -136,24 +138,20 @@ def cmd_metric(args) -> None:
     for cover, pack in zip(covering_number(space, None, alphas, mode=mode),
                            packing_number(space, None, alphas, mode=mode)):
         lines += [cover.csv_row(), pack.csv_row()]
-    # a refused window writes no CSV
-    rep = dimension_report(space, args.window) if args.window else None
-    _atomic(os.path.join(args.out, "cover_pack.csv"), "\n".join(lines) + "\n")
+    files = {"cover_pack.csv": "\n".join(lines) + "\n"}
     if args.window:
-        _atomic(os.path.join(args.out, "dimensions.csv"),
-                "d,p,p_tilde,window_lo,window_hi\n" + rep.csv_row() + "\n")
+        files["dimensions.csv"] = ("d,p,p_tilde,window_lo,window_hi\n"
+                                   + dimension_report(space, args.window).csv_row() + "\n")
+    return files
 
 
-def cmd_variation(args) -> None:
+def cmd_variation(args) -> dict:
     f = read_step(args.input)
     gauge = _parse_gauge(args.gauge)
-    _atomic(
-        os.path.join(args.out, "variation.csv"),
-        "tv,tv_psi,gauge\n" f"{tv(f)},{tv_psi(f, gauge)},{gauge.token}\n",
-    )
+    return {"variation.csv": "tv,tv_psi,gauge\n" f"{tv(f)},{tv_psi(f, gauge)},{gauge.token}\n"}
 
 
-def cmd_encode(args) -> None:
+def cmd_encode(args) -> dict:
     _check_numbers(args, positive=("epsilon",), nonnegative=("budget",))
     f = read_step(args.input)
     gauge = _parse_gauge(args.gauge)
@@ -161,7 +159,6 @@ def cmd_encode(args) -> None:
         cw = encode_bv(f, args.budget, args.epsilon)
     else:
         cw = encode_bvpsi(f, gauge, args.budget, args.epsilon)
-    _atomic(os.path.join(args.out, "codeword.bvc"), functools.partial(write_codeword, cw))
     net = net_from_token(cw.net_token, cw.h2)
     err = l1_distance(decode(cw, net), f)
     bound = upper_bound_bits(
@@ -169,23 +166,20 @@ def cmd_encode(args) -> None:
         np.log2(max((f.values.max() - f.values.min())
                     / (args.epsilon / (2.0 * f.L)), 1.0)),
     )
-    _atomic(
-        os.path.join(args.out, "encode_report.csv"),
-        "epsilon,budget,bits,bound_bits,l1_error\n"
-        f"{args.epsilon},{args.budget},{cw.bit_length},{bound},{err}\n",
-    )
     if err > args.epsilon:
         raise BudgetViolation(f"decode error {err} exceeds epsilon {args.epsilon}")
+    return {"codeword.bvc": functools.partial(write_codeword, cw),
+            "encode_report.csv": "epsilon,budget,bits,bound_bits,l1_error\n"
+            f"{args.epsilon},{args.budget},{cw.bit_length},{bound},{err}\n"}
 
 
-def cmd_decode(args) -> None:
+def cmd_decode(args) -> dict:
     cw = read_codeword(args.input)
     net = net_from_token(cw.net_token, cw.h2)
-    _atomic(os.path.join(args.out, "decoded.step"),
-            functools.partial(write_step, decode(cw, net)))
+    return {"decoded.step": functools.partial(write_step, decode(cw, net))}
 
 
-def cmd_witness(args) -> None:
+def cmd_witness(args) -> dict:
     _check_numbers(args, positive=("epsilon", "L"), nonnegative=("budget",))
     space = _load_space(args)
     rep = dimension_report(space, args.window)
@@ -195,11 +189,10 @@ def cmd_witness(args) -> None:
         space, args.center, p_tilde, seed=args.seed,
     )
     sep = verify_packing(fam)
-    _atomic(os.path.join(args.out, "separation.csv"),
-            sep.CSV_HEADER + "\n" + sep.csv_row() + "\n")
+    return {"separation.csv": sep.CSV_HEADER + "\n" + sep.csv_row() + "\n"}
 
 
-def cmd_scan(args) -> None:
+def cmd_scan(args) -> dict:
     if args.gamma < 1:
         raise ConfigError(f"--gamma must be at least 1, got {args.gamma}")
     if args.gamma > 2:
@@ -208,11 +201,10 @@ def cmd_scan(args) -> None:
     ens = block_grid_ensemble(args.gamma)
     params = ClassParams(L=1.0, V=1.0, gauge=Gauge.power(args.gamma)
                          if args.gamma > 1 else Gauge.identity())
-    result = entropy_scan(ens, grid, params)
-    _atomic(os.path.join(args.out, "scan.csv"), result.to_csv())
+    return {"scan.csv": entropy_scan(ens, grid, params).to_csv()}
 
 
-def cmd_claw(args) -> None:
+def cmd_claw(args) -> dict:
     _check_numbers(args, positive=("T", "L", "M", "epsilon"), nonnegative=("gamma-lm",))
     with np.errstate(all="ignore"):         # an infinite 2M gives NaN steps
         widths = np.linspace(0.05, 2.0 * args.M, 32)     # the flux gauge's windows
@@ -231,7 +223,6 @@ def cmd_claw(args) -> None:
     sol = evolve(u0, flux, args.T, args.dx, cfl=args.cfl, x=x)
     if not support_check(sol, args.L, args.M, args.T, flux):
         raise OutOfRange("support grew beyond the certified light cone")
-    # everything that can refuse the run comes before the first write
     fg = flux_gauge(flux, args.M, widths)
     gamma = args.gamma_lm
     if args.calibrate:
@@ -242,16 +233,12 @@ def cmd_claw(args) -> None:
     snap = to_step_function(sol)
 
     rows = "\n".join(f"{xi},{ui}" for xi, ui in zip(sol.x, sol.cells))
-    _atomic(os.path.join(args.out, "solution.csv"), "x,u\n" + rows + "\n")
     tab = "\n".join(f"{h},{d},{p}" for h, d, p
                     in zip(fg.h_grid, fg.d_table, fg.phi_table))
-    _atomic(os.path.join(args.out, "flux_gauge.csv"), "h,gap,phi\n" + tab + "\n")
-    _atomic(
-        os.path.join(args.out, "claw_report.csv"),
-        "epsilon,gamma_lm,calibrated,bound_bits,snapshot_tv,mass\n"
-        f"{args.epsilon},{gamma},{args.calibrate},{bound},"
-        f"{tv(snap)},{sol.mass}\n",
-    )
+    return {"solution.csv": "x,u\n" + rows + "\n",
+            "flux_gauge.csv": "h,gap,phi\n" + tab + "\n",
+            "claw_report.csv": "epsilon,gamma_lm,calibrated,bound_bits,snapshot_tv,mass\n"
+            f"{args.epsilon},{gamma},{args.calibrate},{bound},{tv(snap)},{sol.mass}\n"}
 
 
 # --- parser ----------------------------------------------------------------
@@ -338,7 +325,8 @@ def main(argv=None) -> int:
     try:
         os.makedirs(args.out, exist_ok=True)
         _write_manifest(args)
-        args.func(args)
+        for name, write in args.func(args).items():
+            _atomic(os.path.join(args.out, name), write)
         return 0
     except (ConfigError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -47,21 +47,6 @@ DEFAULT_SAMPLE_SIZE = 4096
 MAX_FAMILY_WORK = 10 ** 9
 
 
-@dataclass(frozen=True)
-class BallPacking:
-    """Strictly separated points inside a ball of the value space."""
-
-    points: np.ndarray          # space indices
-    center: int
-    h: float
-    separation: float
-    scale_deficiency: bool      # too few points to meet the dimension target
-
-    @property
-    def size(self) -> int:
-        return self.points.size
-
-
 def separation_factor(p_tilde: float) -> float:
     """Separation-to-radius ratio 2^-(2 + 2/p_tilde) used by the families."""
     if p_tilde <= 0:
@@ -71,22 +56,16 @@ def separation_factor(p_tilde: float) -> float:
 
 def ball_packing(
     space: FiniteMetricSpace, center: int, h: float, p_tilde: float
-) -> BallPacking:
-    """Greedy packing of the closed ball B(center, h) at the separation
-    prescribed by the packing exponent."""
+) -> np.ndarray:
+    """Space indices of a greedy packing of the closed ball B(center, h) at the
+    separation prescribed by the packing exponent."""
     if not 0 <= center < space.n:
         raise ValueError(f"center {center} is not a point of the {space.n}-point space")
     ball = space.ball(center, h)
     if ball.size <= 1:
         raise DegenerateBall(f"ball of radius {h} around {center} is a single point")
     sep = separation_factor(p_tilde) * h
-    res = packing_number(space, ball, sep, mode="greedy")
-    points = np.array(res.witness, dtype=int)
-    target = 2 ** (math.floor(p_tilde) + 2)
-    return BallPacking(
-        points=points, center=center, h=h, separation=sep,
-        scale_deficiency=points.size < target,
-    )
+    return np.array(packing_number(space, ball, sep, mode="greedy").witness, dtype=int)
 
 
 @dataclass(frozen=True)
@@ -105,7 +84,6 @@ class WitnessFamily:
     p_tilde: float
     mode: str                         # enumerated | sampled | global | constants
     seed: int = 0
-    scale_deficiency: bool = False
 
     @property
     def size(self) -> int:
@@ -177,12 +155,11 @@ def build_family(
         raise InfeasibleConstraint(
             f"(N1-1) psi(2h) = {(N1 - 1) * float(gauge(2.0 * h))} exceeds V = {V}"
         )
-    packing = ball_packing(space, center, h, p_tilde)
-    members, mode = _member_matrix(packing.points, N1, seed)
+    alphabet = ball_packing(space, center, h, p_tilde)
+    members, mode = _member_matrix(alphabet, N1, seed)
     fam = WitnessFamily(
         L=L, V=V, epsilon=epsilon, h=h, N1=N1, gauge=gauge, space=space,
-        A_h=packing.points, members=members, p_tilde=p_tilde, mode=mode,
-        seed=seed, scale_deficiency=packing.scale_deficiency,
+        A_h=alphabet, members=members, p_tilde=p_tilde, mode=mode, seed=seed,
     )
     _check_budgets(fam)
     return fam
@@ -361,7 +338,7 @@ def global_family(
     blocks = []
     for c in centers:
         try:
-            alphabet = ball_packing(space, int(c), h, p_tilde).points
+            alphabet = ball_packing(space, int(c), h, p_tilde)
         except DegenerateBall:
             alphabet = np.array([int(c)])
         blocks.append(_member_matrix(alphabet, N1, seed + int(c))[0])

@@ -29,10 +29,9 @@ def run(*argv):
 
 
 def run_command(*argv):
-    """Run one subcommand without main's exit-code mapping."""
+    """Run one subcommand without main's exit-code mapping or its writes."""
     args = build_parser().parse_args(list(argv))
-    os.makedirs(args.out, exist_ok=True)
-    args.func(args)
+    return args.func(args)
 
 
 class TestMetric:
@@ -297,7 +296,7 @@ class TestCodecCommands:
 
     @pytest.mark.parametrize("command, writer", [("encode", "write_codeword"),
                                                  ("decode", "write_step")])
-    def test_failed_writer_leaves_nothing(self, tmp_path, step_file, monkeypatch,
+    def test_failed_writer_leaves_nothing(self, tmp_path, step_file, monkeypatch, capsys,
                                           command, writer):
         # both used to write straight to the final path, so a writer that
         # failed halfway left a partial codeword.bvc or decoded.step
@@ -314,6 +313,7 @@ class TestCodecCommands:
         source = step_file if command == "encode" else os.path.join(enc, "codeword.bvc")
         extra = ["--epsilon", "0.1", "--budget", "1.0"] if command == "encode" else []
         assert run(command, "--out", str(out), "--input", source, *extra) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: disk full"]
         assert sorted(os.listdir(out)) == ["manifest.json"]
 
 
@@ -571,6 +571,35 @@ def test_bad_number_is_one_error_line(tmp_path, step_file, argv):
         assert lines == [f"error: bad generator token {argv[-1]!r}: need at least one point"]
     if argv[-1] == "uniform:4:1.0:0":
         assert lines == [f"error: bad generator token {argv[-1]!r}: points have no coordinates"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("metric", "--generate", "line:17:1.0", "--window", "0.45", "0.05"), 1),
+    (("variation", "--input", "STEP", "--gauge", "table:TABLE"), 1),
+    # l1_distance is patched to a decode error of 0.5 > epsilon
+    (ENCODE_STEP, 2),
+    (("decode", "--input", "CUT"), 2),
+    (WITNESS_LINE17 + ("--budget", "190"), 1),
+    (("scan", "--gamma", "2", "--eps-grid", "0.1,1e-310"), 1),
+    (("claw", "--flux", "poly:1e300;0;1"), 1),
+], ids=lambda v: v[0] if isinstance(v, tuple) else str(v))
+def test_refused_run_leaves_only_the_manifest(tmp_path, step_file, monkeypatch, capsys,
+                                              argv, code):
+    # encode wrote codeword.bvc and encode_report.csv before its decode-error
+    # check refused the run
+    table = tmp_path / "table.csv"
+    table.write_text("0,0\n0.5,0.4\n1,0.5\n2,3\n")     # not convex at s = 0.5
+    cut = tmp_path / "cut.bvc"
+    write_codeword(encode_bv(read_step(step_file), 1.0, 0.1), cut)
+    cut.write_bytes(cut.read_bytes()[:-1])
+    monkeypatch.setattr(cli, "l1_distance", lambda f, g: 0.5)
+    paths = {"STEP": step_file, "table:TABLE": f"table:{table}", "CUT": str(cut)}
+    out = tmp_path / "o"
+    assert run(*[paths.get(a, a) for a in argv], "--out", str(out)) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith("error: " if code == 1 else "invariant violated: "), err
+    assert os.listdir(out) == ["manifest.json"]
 
 
 def test_zero_budget_witness_is_a_family_of_constants(tmp_path):

@@ -61,11 +61,11 @@ def test_families_check_scales_up_front(builder, name, L, epsilon):
 class TestBallPacking:
     def test_fine_line(self):
         space = line_points(1024, 1.0)
-        bp = ball_packing(space, 512, 0.25, 1.0)
-        assert bp.size >= 4
+        points = ball_packing(space, 512, 0.25, 1.0)
+        assert points.size >= 4
         sep = separation_factor(1.0) * 0.25
-        d = space.dist[np.ix_(bp.points, bp.points)]
-        off = d[np.triu_indices(bp.size, k=1)]
+        d = space.dist[np.ix_(points, points)]
+        off = d[np.triu_indices(points.size, k=1)]
         assert np.all(off > sep)
 
     def test_degenerate(self):
@@ -77,15 +77,9 @@ class TestBallPacking:
         space = line_points(64, 1.0)
         # the ball is the whole space; the packing is taken at the stated
         # separation 2^-4 * 10 = 0.625, which fits only the two endpoints
-        bp = ball_packing(space, 0, 10.0, 1.0)
-        assert bp.size == 2
-        assert space.dist[bp.points[0], bp.points[1]] > bp.separation
-
-    def test_scale_deficiency_flag(self):
-        space = line_points(3, 1.0)
-        bp = ball_packing(space, 1, 1.0, 2.0)
-        # 2^(floor(2)+2) = 16 points cannot exist in a 3-point space
-        assert bp.scale_deficiency
+        points = ball_packing(space, 0, 10.0, 1.0)
+        assert points.size == 2
+        assert space.dist[points[0], points[1]] > separation_factor(1.0) * 10.0
 
 
 class TestEta:
