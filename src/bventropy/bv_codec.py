@@ -45,7 +45,8 @@ from .errors import (
     NetIncomplete,
     NetTooLarge,
 )
-from .gauge_variation import Gauge, StepFunction, l1_distance, tv, tv_psi, value_distance
+from .gauge_variation import (Gauge, StepFunction, _step_arrays, l1_distance, tv, tv_psi,
+                              value_distance)
 from .metric_core import covering_number
 
 LOG2_5E = math.log2(5.0 * math.e)
@@ -450,12 +451,14 @@ def encode_bv(
     net = net_from_token(token, h2, vs)
     positions = quantize_positions(f, grid, net)
 
-    fsharp = StepFunction(grid.edges, net.centers[positions], net.space)
-    tv_sharp, tv_cap = tv(fsharp), 2 * (N1 - 1) * h2 + V + 1e-9
+    c = net.centers[positions]
+    _step_arrays(grid.edges, c, net.space)      # refuses what decode's step function would
+    jumps = value_distance(c[:-1], c[1:], net.space)
+    tv_sharp, tv_cap = float(jumps.sum()), 2 * (N1 - 1) * h2 + V + 1e-9
     if not tv_sharp <= tv_cap:
         raise BudgetViolation(f"quantized tv {tv_sharp} exceeds 2(N1-1)h2 + V = {tv_cap}")
 
-    radii = _rho_sharp_from_dist(fsharp.jump_sizes(), h2)
+    radii = _rho_sharp_from_dist(jumps, h2)
     profile = _profile(radii)
     if not np.all(np.diff(profile) >= 0):
         raise BudgetViolation("jump profile is not non-decreasing")

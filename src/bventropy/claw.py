@@ -48,9 +48,9 @@ CALIBRATION_SAMPLES = 6     # initial data evolved by :func:`calibrate_gamma`
 
 
 class Flux:
-    """Polynomial flux f on [-M, M], with f' as ``df`` and f'' as ``d2f`` from
-    exact ``P.polyder`` derivatives; the one check is that f and f' are finite
-    at 17 probes spanning [-M, M]."""
+    """Polynomial flux f on [-M, M], with f' as ``df`` from exact ``P.polyder``
+    derivatives; the one check is that f and f' are finite at 17 probes
+    spanning [-M, M]."""
 
     def __init__(self, coeffs, M: float, name: str = "poly"):
         self.coeffs = np.asarray(coeffs, dtype=float)
@@ -59,7 +59,7 @@ class Flux:
         with np.errstate(over="ignore", invalid="ignore"):    # checked just below
             self._d1 = P.polyder(self.coeffs)
             self._d2 = P.polyder(self.coeffs, 2)
-            self._f, self.df, self.d2f = map(_Horner, [self.coeffs, self._d1, self._d2])
+            self._f, self.df = _Horner(self.coeffs), _Horner(self._d1)
             probes = np.linspace(-self.M, self.M, 17)
             finite = np.isfinite(self(probes)).all() and np.isfinite(self.df(probes)).all()
         if not finite:

@@ -183,10 +183,9 @@ def cmd_witness(args) -> dict:
     _check_numbers(args, positive=("epsilon", "L"), nonnegative=("budget",))
     space = _load_space(args)
     rep = dimension_report(space, args.window)
-    p_tilde = max(rep.p_tilde, 1e-9)
     fam = build_family(
         args.L, args.budget, args.epsilon, _parse_gauge(args.gauge),
-        space, args.center, p_tilde, seed=args.seed,
+        space, args.center, rep.p_tilde, seed=args.seed,
     )
     sep = verify_packing(fam)
     return {"separation.csv": sep.CSV_HEADER + "\n" + sep.csv_row() + "\n"}

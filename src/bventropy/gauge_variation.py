@@ -54,8 +54,9 @@ class Gauge:
     the chain DP reduces to extrema only under a gauge without one.
     """
 
-    def __init__(self, kind, gamma=None, table=None, token=None):
+    def __init__(self, kind, token: str, gamma=None, table=None):
         self.kind = kind
+        self.token = token
         self.gamma = gamma
         self.report = self.violation = None
         if table is not None:
@@ -76,7 +77,6 @@ class Gauge:
                 self.report = gauge_check(self, np.append(s, 2.0 * s[-1]))
             except GaugeViolation as exc:
                 self.violation = exc
-        self._token = token
 
     # --- factories -------------------------------------------------------
 
@@ -118,10 +118,6 @@ class Gauge:
         return self.report
 
     # --- evaluation ------------------------------------------------------
-
-    @property
-    def token(self) -> str:
-        return self._token or self.kind
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)

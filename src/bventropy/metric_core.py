@@ -44,8 +44,8 @@ p to the same function in exact mode.
 
 from __future__ import annotations
 
+import functools
 import math
-import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -135,8 +135,10 @@ def validate_metric(matrix) -> FiniteMetricSpace:
 
 def from_points(points) -> FiniteMetricSpace:
     """Metric space of explicit, finite coordinates under the Euclidean norm.
-    Raises ``ValueError`` where the formula overflows to an infinite distance
-    or underflows to 0 between distinct points."""
+    Each pair's differences are divided by the power of two of the largest
+    before they are squared, and the root multiplied back, so no distance is
+    lost to squares that underflow or overflow.  Raises ``ValueError`` where
+    a distance overflows a float."""
     pts = np.asarray(points, dtype=float)
     if len(pts) == 0:
         raise ValueError("need at least one point")
@@ -147,12 +149,12 @@ def from_points(points) -> FiniteMetricSpace:
     if pts.shape[1] == 0:
         raise ValueError("points have no coordinates")
     with np.errstate(over="ignore", under="ignore"):
-        diff = pts[:, None, :] - pts[None, :, :]
-        d = np.sqrt(np.square(diff).sum(axis=2))
+        diff = np.abs(pts[:, None, :] - pts[None, :, :])
+        exp = np.frexp(functools.reduce(np.maximum, diff.transpose(2, 0, 1)))[1]
+        np.square(np.ldexp(diff, -exp[..., None], out=diff), out=diff)
+        d = np.ldexp(np.sqrt(diff.sum(axis=2)), exp)
     if np.isinf(d).any():
-        raise ValueError("point distances overflow the 2-norm formula")
-    if np.any(diff[d == 0]):
-        raise ValueError("distinct points are at distance 0: their 2-norm underflows")
+        raise ValueError("point distances overflow a float")
     d.setflags(write=False)
     return FiniteMetricSpace(dist=d)
 
@@ -205,31 +207,27 @@ class CoverPackResult:
         return f"{self.alpha},{self.count},{self.mode},{idx}"
 
 
-def greedy_set_cover(covers: np.ndarray, targets=None):
-    """Set-cover greedy on a boolean (candidates x points) matrix.
+def greedy_set_cover(covers: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Set-cover greedy on a table of boolean (candidates x points) matrices.
 
-    Row b of the boolean (batch x points) ``targets`` names the points that
-    problem b must cover; without it one problem covers every point.  With a
-    leading scale axis on both, (scales x candidates x points) ``covers`` and
-    (scales x batch x points) ``targets``, problem (s, b) draws on the
-    candidates ``covers[s]``.  The problems advance in lockstep: each step
-    gives every unfinished one the candidate covering most of its
-    still-uncovered points, lowest index on ties.  The gains are one
-    (batch x points) @ (points x candidates) product per scale against a
-    float32 copy of ``covers``, so a step holds O(scales x batch x
-    candidates) memory.  Once no gain in the batch exceeds one, every problem
-    takes the lowest candidate of each uncovered point at once, in ascending
-    order, as its one-point steps would.  Returns the chosen candidates: a
-    list for one problem, else an int array shaped like ``targets`` with one
-    row of picks per problem, padded with -1.  Raises :class:`NetIncomplete`
-    if a point has no candidate.
+    Row b of scale s of the boolean (scales x batch x points) ``targets``
+    names the points that problem (s, b) must cover, drawing on the
+    candidates of ``covers[s]``, of the (scales x candidates x points)
+    ``covers``.  The problems advance in lockstep: each step gives every
+    unfinished one the candidate covering most of its still-uncovered
+    points, lowest index on ties.  The gains are one (batch x points) @
+    (points x candidates) product per scale against a float32 copy of
+    ``covers``, so a step holds O(scales x batch x candidates) memory.  Once
+    no gain in the table exceeds one, every problem takes the lowest
+    candidate of each uncovered point at once, in ascending order, as its
+    one-point steps would.  Returns the chosen candidates as an int (scales
+    x batch x width) array, one row of picks per problem, padded with -1.
+    Raises :class:`NetIncomplete` if a point has no candidate.
     """
-    cover = covers.reshape(-1, *covers.shape[-2:])  # (scales, candidates, points)
-    weights = cover.transpose(0, 2, 1).astype(np.float32)    # exact counts below 2**24
-    m, n = cover.shape[1:]
-    uncovered = (np.array(targets, bool, ndmin=2) if targets is not None
-                 else np.ones((1, n), bool)).reshape(len(cover), -1, n)
-    scale, bests, tops, tail = np.arange(len(cover))[:, None], [], [], np.zeros(0, int)
+    weights = covers.transpose(0, 2, 1).astype(np.float32)    # exact counts below 2**24
+    m, n = covers.shape[1:]
+    uncovered = np.array(targets, bool)     # a copy: the caller checks against targets
+    scale, bests, tops, tail = np.arange(len(covers))[:, None], [], [], np.zeros(0, int)
     single = (problems := uncovered.shape[0] * uncovered.shape[1]) == 1
     while True:
         gain = uncovered @ weights
@@ -245,7 +243,7 @@ def greedy_set_cover(covers: np.ndarray, targets=None):
             s, b, points = np.nonzero(uncovered)
             # the lowest candidate of each (scale, point), shared by its problems
             cells, at = np.unique(s * n + points, return_inverse=True)
-            hits = cover[cells // n, :, cells % n]
+            hits = covers[cells // n, :, cells % n]
             lowest = hits.argmax(axis=1)
             if not hits[np.arange(cells.size), lowest].all():
                 raise NetIncomplete("a point is covered by no candidate")
@@ -253,12 +251,9 @@ def greedy_set_cover(covers: np.ndarray, targets=None):
             break
         bests.append(best)
         tops.append(top)
-        uncovered &= ~cover[scale, best]
-    if single:
-        picks = np.ravel(bests).tolist() + tail.tolist()    # it gains at every step
-        if targets is None:
-            return picks
-        chosen = np.array([picks], int)
+        uncovered &= ~covers[scale, best]
+    if single:                          # it gains at every step
+        chosen = np.array([np.ravel(bests).tolist() + tail.tolist()], int)
     else:
         # a problem gains while it is unfinished, so its steps are a prefix;
         # its tail picks follow them
@@ -269,7 +264,7 @@ def greedy_set_cover(covers: np.ndarray, targets=None):
         chosen[:, :steps.shape[1]] = steps
         rank = np.arange(owner.size) - np.searchsorted(owner, owner)    # within its problem
         chosen[owner, taken[owner] + rank] = tail % m
-    return chosen if covers.ndim == 2 else chosen.reshape(*uncovered.shape[:2], -1)
+    return chosen.reshape(*uncovered.shape[:2], -1)
 
 
 def farthest_first(rows, start, sep):
@@ -616,21 +611,15 @@ class DimensionReport:
         return f"{self.d},{self.p},{self.p_tilde},{self.window[0]},{self.window[1]}"
 
 
-def probe_scales(
-    space: FiniteMetricSpace, window, max_scales: int | None = 64
-) -> np.ndarray:
+def probe_scales(space: FiniteMetricSpace, window, max_scales: int = 64) -> np.ndarray:
     """Scale set {pairwise distances and their halves} restricted to the window.
 
     Counts only change at these thresholds, so probing them is exhaustive for
     the finite space.  Large spaces get an evenly thinned subset (deterministic)
-    capped at ``max_scales``, an integer of at least 1; ``None`` sets no cap.
+    capped at ``max_scales``, an integer of at least 1.
     """
-    try:
-        cap = math.inf if max_scales is None else operator.index(max_scales)
-    except TypeError:
-        cap = 0
-    if not cap >= 1:
-        raise ValueError(f"max_scales must be an integer of at least 1 or None, got {max_scales!r}")
+    if not (isinstance(max_scales, (int, np.integer)) and max_scales >= 1):
+        raise ValueError(f"max_scales must be an integer of at least 1, got {max_scales!r}")
     lo, hi = float(window[0]), float(window[1])
     if not (0 < lo <= hi):
         raise EmptyWindow(f"invalid window {window}")
@@ -639,8 +628,8 @@ def probe_scales(
     scales = scales[(scales >= lo) & (scales <= hi)]
     if scales.size == 0:
         raise EmptyWindow(f"no probe scale inside window {window}")
-    if scales.size > cap:
-        idx = np.linspace(0, scales.size - 1, cap).round().astype(int)
+    if scales.size > max_scales:
+        idx = np.linspace(0, scales.size - 1, max_scales).round().astype(int)
         scales = scales[np.unique(idx)]
     return scales
 
@@ -648,7 +637,7 @@ def probe_scales(
 def dimension_report(
     space: FiniteMetricSpace,
     window,
-    max_scales: int | None = 64,
+    max_scales: int = 64,
 ) -> DimensionReport:
     """Estimate both metric dimensions over the probed scale window.
 

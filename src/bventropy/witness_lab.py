@@ -149,6 +149,8 @@ def build_family(
     of size at most 2h, so its generalized variation stays within V.
     """
     _check_scales(L, epsilon)
+    if not p_tilde > 0:
+        raise ValueError(f"a family needs a packing exponent p_tilde above 0, got {p_tilde}")
     h = 2.0 ** (4.0 + 2.0 / p_tilde) * epsilon / L
     N1 = _block_count(V, gauge, h)
     if (N1 - 1) * float(gauge(2.0 * h)) > V * (1 + 1e-9):

@@ -51,7 +51,6 @@ from bventropy.metric_core import (
     FiniteMetricSpace,
     covering_number,
     from_points,
-    greedy_set_cover,
     packing_number,
     probe_scales,
     validate_metric,
@@ -220,7 +219,7 @@ def reference_scan_counts(ens, grid) -> list[tuple[int, int]]:
             pack = len(reference_farthest_first(ens.distances_from, 0, eps)[0])
             counts.append((pack, pack))
         else:
-            counts.append((len(greedy_set_cover(dist <= eps)),
+            counts.append((len(reference_greedy_cover(dist <= eps)),
                            len(reference_farthest_first(dist.__getitem__, 0, eps)[0])))
     return counts
 

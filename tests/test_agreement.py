@@ -266,8 +266,7 @@ def test_flux_horner_matches_polyval(token, values):
     flux = Flux.parse(token)
     for u in (values[0], np.float64(values[1]), np.array(values),
               np.array(values).reshape(2, 3)):
-        for got, coeffs in ((flux(u), flux.coeffs), (flux.df(u), flux._d1),
-                            (flux.d2f(u), flux._d2)):
+        for got, coeffs in ((flux(u), flux.coeffs), (flux.df(u), flux._d1)):
             want = P.polyval(u, coeffs)
             assert type(got) is type(want) and np.shape(got) == np.shape(want)
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
@@ -303,7 +302,7 @@ def test_greedy_kernels_properties(n, dim, seed, sep, start, grow):
     sub = space.dist[np.ix_(chosen, chosen)]
     assert np.all(sub[np.triu_indices(len(chosen), k=1)] > sep)
     assert np.all(space.dist[chosen].min(axis=0) <= sep)
-    centers = greedy_set_cover(space.dist <= sep)
+    centers = list(covering_number(space, None, sep, "greedy").witness)
     assert np.all(space.dist[centers].min(axis=0) <= sep)
     # the farthest-first set is a strict packing and a closed cover, so it
     # is sandwiched by the exact counts: N <= |chosen| <= M
@@ -527,8 +526,10 @@ def test_scan_on_a_run_without_its_pick_exits_2(tmp_path):
 
 def _cover_or_error(cover, covers, targets):
     try:
-        if cover is greedy_set_cover and targets is not None:
-            return _rows_as_lists(cover(covers, targets))
+        if cover is greedy_set_cover:       # a table of one scale
+            batch = np.ones((1, covers.shape[1]), bool) if targets is None else targets
+            rows = _rows_as_lists(cover(covers[None], batch[None])[0])
+            return rows if targets is not None else rows[0]
         return cover(covers, targets) if targets is not None else cover(covers)
     except NetIncomplete:
         return NetIncomplete

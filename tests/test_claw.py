@@ -100,7 +100,6 @@ class TestFlux:
     def test_quartic_derivatives(self):
         f = Flux.quartic(1.0)
         assert f.df(0.5) == pytest.approx(0.5 ** 3)
-        assert f.d2f(0.5) == pytest.approx(3 * 0.5 ** 2)
 
     def test_wgn(self):
         assert Flux.burgers().is_wgn()

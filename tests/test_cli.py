@@ -123,10 +123,17 @@ class TestMetric:
         assert "coordinates must be finite" in lines[0]
 
     def test_overflowing_distances_are_one_error_line(self, tmp_path):
-        # was exit 0 after a RuntimeWarning, with cover and packing counts of
-        # 6 where both are 1
+        # 1e200 apart was exit 0 after a RuntimeWarning, with cover and
+        # packing counts of 6 where both are 1, then refused; its distances
+        # are now exact
+        out = tmp_path / "big"
+        assert run("metric", "--out", str(out), "--generate", "uniform:6:1e200:2",
+                   "--alpha", "5e201") == 0
+        rows = (out / "cover_pack.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == ["1", "1"]
+        # a diagonal of 2.1e308 overflows a float
         proc = run_python("-m", "bventropy.cli", "metric", "--out", str(tmp_path / "o"),
-                          "--generate", "uniform:6:1e200:2", "--alpha", "5e201")
+                          "--generate", "lattice:2:2:1.5e308", "--alpha", "1.0")
         assert proc.returncode == 1, proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
@@ -582,6 +589,9 @@ def test_bad_number_is_one_error_line(tmp_path, step_file, argv):
     (WITNESS_LINE17 + ("--budget", "190"), 1),
     (("scan", "--gamma", "2", "--eps-grid", "0.1,1e-310"), 1),
     (("claw", "--flux", "poly:1e300;0;1"), 1),
+    # a window whose packing dimension is 0 has no family
+    pytest.param(("witness", "--generate", "uniform:16:1.0:2", "--seed", "4", "--window",
+                  "0.1", "0.3", "--epsilon", "0.002", "--budget", "1.0"), 1, id="witness-p0-1"),
 ], ids=lambda v: v[0] if isinstance(v, tuple) else str(v))
 def test_refused_run_leaves_only_the_manifest(tmp_path, step_file, monkeypatch, capsys,
                                               argv, code):

@@ -64,7 +64,7 @@ class TestGauge:
                 return 1.01 * super().inv(v)
 
         with pytest.raises(InverseMismatch):
-            gauge_check(Skewed("power", gamma=2.0), [0.0, 1.0, 2.0])
+            gauge_check(Skewed("power", "pow:2", gamma=2.0), [0.0, 1.0, 2.0])
 
     def test_tabulated_inverse_beyond_table(self):
         g = Gauge.tabulated([0, 1, 2], [0, 1, 3])

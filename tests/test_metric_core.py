@@ -219,17 +219,15 @@ class TestDimensions:
         scales = probe_scales(space, (0.01, 1.0), max_scales=16)
         assert scales.size <= 16
 
-    @pytest.mark.parametrize("cap", [0, -1, 1.5, "4"])
+    @pytest.mark.parametrize("cap", [0, -1, 1.5, "4", None])
     def test_scale_cap_below_one(self, cap):
         # no scale at all would read d = 0, p = log2(n) from nothing; a cap
-        # that is no integer is refused, not rounded or compared
+        # that is no integer, None included, is refused, not rounded or compared
         space = line_points(8, 1.0)
         with pytest.raises(ValueError, match="max_scales"):
             dimension_report(space, (0.1, 0.5), max_scales=cap)
         with pytest.raises(ValueError, match="max_scales"):
             probe_scales(space, (0.1, 0.5), max_scales=cap)
-        assert probe_scales(space, (0.1, 0.5), max_scales=None).size == probe_scales(
-            space, (0.1, 0.5), max_scales=1000).size
 
 
 class TestBallCountBounds:
@@ -275,10 +273,8 @@ def test_from_points_1d():
 
 
 @pytest.mark.parametrize("points, match", [
-    ([[0.0], [1e-170], [2e-170]], "distance 0"),       # was all zeros, no warning
-    ([[0.0, 0.0], [1e-170, 1e-170]], "distance 0"),
-    ([[1e200], [-1e200]], "overflow"),
-    ([[1e308], [-1e308]], "overflow"),
+    ([[1e308], [-1e308]], "overflow"),                 # the difference overflows
+    ([[0.0, 0.0], [1.5e308, 1.5e308]], "overflow"),    # each difference fits, the norm not
 ])
 def test_from_points_refuses_distances_out_of_float_range(points, match):
     with pytest.raises(ValueError, match=match):
@@ -286,13 +282,23 @@ def test_from_points_refuses_distances_out_of_float_range(points, match):
 
 
 def test_from_points_underflow_no_longer_miscounts():
-    # an all-zero matrix made one 1e-171-ball cover three distinct points
-    with pytest.raises(ValueError, match="distance 0"):
-        covering_number(from_points([[0.0], [1e-170], [2e-170]]), None, 1e-171, "exact")
-    # the same points at 1e-150 lie within float range and keep their floats
-    space = from_points([[0.0], [1e-150], [2e-150]])
-    assert space.dist[0].tolist() == [0.0, 1e-150, 2e-150]
-    assert covering_number(space, None, 1e-151, "exact").count == 3
+    # Squares of the raw differences underflowed: 1e-170 apart read as 0,
+    # so one 1e-171-ball covered three distinct points, and 3e-162 read as
+    # 3.14e-162, so the 3e-162 cover took 3 balls, not 1.  Each pair is
+    # scaled by a power of two first, so every distance below is exact.
+    sqrt2 = math.sqrt(2.0)
+    table = [   # points, first row of distances, alpha, exact cover count
+        ([[0.0], [1e-170], [2e-170]], [0.0, 1e-170, 2e-170], 1e-171, 3),
+        ([[0.0], [3e-162], [6e-162]], [0.0, 3e-162, 6e-162], 3e-162, 1),
+        ([[0.0], [1e-150], [2e-150]], [0.0, 1e-150, 2e-150], 1e-151, 3),
+        ([[0.0], [5e-324]], [0.0, 5e-324], 5e-324, 1),
+        ([[0.0, 0.0], [2.0 ** -565, 2.0 ** -565]], [0.0, math.ldexp(sqrt2, -565)], 1e-171, 2),
+        ([[1e200], [-1e200]], [0.0, 2e200], 2e200, 1),
+    ]
+    for points, row, alpha, count in table:
+        space = from_points(points)
+        assert space.dist[0].tolist() == row, points
+        assert covering_number(space, None, alpha, "exact").count == count, points
 
 
 def test_spaces_compare_by_identity():
@@ -505,7 +511,7 @@ def test_exact_sweep_at_full_scale_cap(kind, size, seed, lo, width):
 
 
 @pytest.mark.parametrize("n, window, cap, scales, chunks", [
-    (16, None, None, 240, 4),           # exact: every scale, in chunks of 64
+    (16, None, 240, 240, 4),            # exact: every scale, in chunks of 64
     (40, (0.05, 0.4), 64, 64, 7),       # greedy: the 64-scale cap, in chunks of 10
 ])
 def test_dimension_sweep_across_chunks(n, window, cap, scales, chunks):

@@ -58,6 +58,14 @@ def test_families_check_scales_up_front(builder, name, L, epsilon):
             build_family(L, 1.0, epsilon, Gauge.identity(), space, 0, 1.0)
 
 
+@pytest.mark.parametrize("p_tilde", [0.0, -1.0, math.nan])
+def test_family_refuses_packing_exponent_not_above_zero(p_tilde):
+    # 0 raised ZeroDivisionError, and witness clamped it to 1e-9, where
+    # 2 ** (2 / p_tilde) overflowed
+    with pytest.raises(ValueError, match="p_tilde above 0"):
+        build_family(1.0, 1.0, 0.002, Gauge.identity(), line_points(17, 1.0), 8, p_tilde)
+
+
 class TestBallPacking:
     def test_fine_line(self):
         space = line_points(1024, 1.0)
